@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DegenerateFieldError, FieldCurve, QfiBreakdown
+from .generator import DegenerateFieldError, FieldCurve, QfiBreakdown, libm_pow
 from .spin import SpinRep, dot_with_J, hermitian_expm
 
 __all__ = [
@@ -49,6 +49,25 @@ __all__ = [
 ]
 
 
+def _reject_first(bad, message: str, **values):
+    """Raise DegenerateFieldError if any entry of ``bad`` is set.
+
+    The message names ``values`` (broadcast against ``bad``) at the first
+    set entry, so a grid reports its first offending point.
+    """
+    bad = np.asarray(bad)
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        at = ", ".join(
+            f"{name}={float(np.broadcast_to(v, bad.shape).flat[k])!r}" for name, v in values.items()
+        )
+        raise DegenerateFieldError(f"{message} (at {at})")
+
+
+# The systems below accept arrays for any field, as long as they broadcast
+# together; the closed forms then evaluate a whole grid in one call.
+
+
 @dataclass(frozen=True)
 class SphericalField:
     """External field of amplitude r pointing along (theta, phi)."""
@@ -58,8 +77,7 @@ class SphericalField:
     phi: float
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise DegenerateFieldError(f"field amplitude must be positive, got {self.r}")
+        _reject_first(~(np.asarray(self.r) > 0), "field amplitude must be positive", r=self.r)
 
     def direction(self) -> np.ndarray:
         st, ct = np.sin(self.theta), np.cos(self.theta)
@@ -74,12 +92,12 @@ class StaticFieldSystem:
     lam: float
 
     def __post_init__(self):
-        if self.k == 0.0:
-            raise DegenerateFieldError("omega0 and lam are both zero, the field vanishes")
+        _reject_first(self.k == 0.0, "omega0 and lam are both zero, the field vanishes",
+                      omega0=self.omega0, lam=self.lam)
 
     @property
     def k(self) -> float:
-        return float(np.hypot(self.lam, self.omega0))
+        return np.hypot(self.lam, self.omega0)
 
 
 @dataclass(frozen=True)
@@ -97,18 +115,18 @@ class DrivenSystem:
 
     @property
     def kp(self) -> float:
-        return float(np.hypot(self.lam, self.delta))
+        return np.hypot(self.lam, self.delta)
 
 
-def spherical_field_mqfi(which: str, field: SphericalField, j: float, t: float) -> float:
+def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> float:
     """Maximal QFI for estimating one spherical coordinate of the field."""
     jsq4 = 4.0 * float(j) ** 2
     if which == "theta":
-        return 4.0 * jsq4 * np.sin(field.r * t / 2.0) ** 2
+        return 4.0 * jsq4 * libm_pow(np.sin(field.r * t / 2.0), 2)
     if which == "phi":
-        return 4.0 * jsq4 * np.sin(field.theta) ** 2 * np.sin(field.r * t / 2.0) ** 2
+        return 4.0 * jsq4 * libm_pow(np.sin(field.theta), 2) * libm_pow(np.sin(field.r * t / 2.0), 2)
     if which == "r":
-        return jsq4 * t**2
+        return jsq4 * libm_pow(t, 2)
     raise ValueError(f"unknown spherical parameter {which!r}")
 
 
@@ -142,19 +160,19 @@ def spherical_curve(which: str, field: SphericalField) -> tuple[FieldCurve, floa
     raise ValueError(f"unknown spherical parameter {which!r}")
 
 
-def static_field_mqfi(which: str, system: StaticFieldSystem, j: float, t: float) -> QfiBreakdown:
+def static_field_mqfi(which: str, system: StaticFieldSystem, j: float, t) -> QfiBreakdown:
     """Maximal QFI breakdown for estimating omega0 or lam of a static field."""
     k = system.k
     if which == "omega0":
-        radial_sq, transverse_sq = system.omega0**2, system.lam**2
+        radial, transverse = system.omega0, system.lam
     elif which == "lambda":
-        radial_sq, transverse_sq = system.lam**2, system.omega0**2
+        radial, transverse = system.lam, system.omega0
     else:
         raise ValueError(f"unknown static-field parameter {which!r}")
     jsq4 = 4.0 * float(j) ** 2
-    quad = jsq4 * radial_sq * t**2 / k**2
-    osc = jsq4 * 4.0 * transverse_sq / k**4 * np.sin(k * t / 2.0) ** 2
-    return QfiBreakdown(quad + osc, float(quad), float(osc))
+    quad = jsq4 * libm_pow(radial, 2) * libm_pow(t, 2) / libm_pow(k, 2)
+    osc = jsq4 * 4.0 * libm_pow(transverse, 2) / libm_pow(k, 4) * libm_pow(np.sin(k * t / 2.0), 2)
+    return QfiBreakdown(quad + osc, quad, osc)
 
 
 def static_curve(which: str, system: StaticFieldSystem) -> tuple[FieldCurve, float]:
@@ -204,10 +222,9 @@ def rotating_frame(system: DrivenSystem) -> RotatingFrame:
 
 
 def _require_observable_drive(system: DrivenSystem):
-    if system.kp == 0.0:
-        raise DegenerateFieldError(
-            "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)"
-        )
+    _reject_first(system.kp == 0.0,
+                  "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)",
+                  omega0=system.omega0, lam=system.lam, omega=system.omega)
 
 
 def driving_generator_vector(system: DrivenSystem, t: float) -> np.ndarray:
@@ -232,17 +249,18 @@ def driving_generator(system: DrivenSystem, rep: SpinRep, t: float) -> np.ndarra
     return dot_with_J(rep, driving_generator_vector(system, t))
 
 
-def driving_frequency_mqfi(system: DrivenSystem, j: float, t: float) -> float:
+def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> float:
     """Maximal QFI for estimating the drive frequency omega."""
     _require_observable_drive(system)
     kp, lam = system.kp, system.lam
     x = kp * t
-    if abs(x) < 0.1:
+    # Both branches run on every point; the one not taken may overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
         x2 = x * x
-        bracket = x2 * x2 * (0.25 - x2 / 72.0 + x2 * x2 / 2880.0)
-    else:
-        bracket = 2.0 + x * x - 2.0 * x * np.sin(x) - 2.0 * np.cos(x)
-    return 4.0 * float(j) ** 2 * lam**2 / kp**4 * bracket
+        series = x2 * x2 * (0.25 - x2 / 72.0 + x2 * x2 / 2880.0)
+        closed = 2.0 + x * x - 2.0 * x * np.sin(x) - 2.0 * np.cos(x)
+    bracket = np.where(np.abs(x) < 0.1, series, closed)[()]
+    return 4.0 * float(j) ** 2 * libm_pow(lam, 2) / libm_pow(kp, 4) * bracket
 
 
 def driven_static_mqfi(which: str, system: DrivenSystem, j: float, t: float) -> QfiBreakdown:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -38,6 +37,7 @@ from .generator import (
     QfiBreakdown,
     analytic_generator,
     generator_vector,
+    libm_pow,
     mqfi_closed_form,
     split_velocity,
 )
@@ -48,7 +48,7 @@ from .numerics import (
     qfi_of_state,
     trotter_propagator,
 )
-from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm
+from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, twice_spin
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -108,40 +108,47 @@ FIGURE_PRESETS = {
 }
 
 
+_NUMBER = "%.17g"   # 17 significant digits round-trip every double
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _NUMBER % float(x)
+
+
+def _finite_arg(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _time_arg(text: str) -> float:
+    value = _finite_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"evolution time must be nonnegative, got {text!r}")
+    return value
+
+
+def _positive_arg(text: str) -> float:
+    value = _finite_arg(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _spin_arg(text: str) -> float:
+    try:
+        twice_spin(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+    return float(text)
 
 
 def _vec3_arg(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err))
-
-
-def _worker_count() -> int:
-    env = os.environ.get("SU2QFI_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        raise ValueError(f"SU2QFI_THREADS must be an integer, got {env!r}")
-    if n < 1:
-        raise ValueError(f"SU2QFI_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _pool_map(fn, items):
-    workers = _worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # gathered in submission order
+    return tuple(_finite_arg(p) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +183,12 @@ def _driven_system(params: dict) -> DrivenSystem:
     return DrivenSystem(omega0=params["omega0"], lam=params["lambda"], omega=params["omega"])
 
 
-def evaluate_point(scenario: str, params: dict, j: float, t: float) -> QfiBreakdown:
-    """Closed-form MQFI breakdown for one scenario point."""
+def evaluate_point(scenario: str, params: dict, j: float, t) -> QfiBreakdown:
+    """Closed-form MQFI breakdown for one scenario point.
+
+    Any scalar parameter or ``t`` may instead be an array of grid values;
+    the breakdown then holds the parts at every grid point.
+    """
     if scenario.startswith("case1-"):
         which = scenario.split("-")[1]
         field = SphericalField(params["r"], params["theta"], params["phi"])
@@ -191,7 +202,7 @@ def evaluate_point(scenario: str, params: dict, j: float, t: float) -> QfiBreakd
     if scenario == "case3-omega":
         system = _driven_system(params)
         total = driving_frequency_mqfi(system, j, t)
-        quad = 4.0 * j**2 * system.lam**2 * t**2 / system.kp**2
+        quad = 4.0 * j**2 * libm_pow(system.lam, 2) * libm_pow(t, 2) / libm_pow(system.kp, 2)
         return QfiBreakdown(total, quad, total - quad)
     if scenario in ("case3-lambda", "case3-omega0"):
         which = scenario.split("-")[1]
@@ -200,7 +211,7 @@ def evaluate_point(scenario: str, params: dict, j: float, t: float) -> QfiBreakd
         r = np.asarray(params["rvec"], dtype=float)
         v = np.asarray(params["vvec"], dtype=float)
         if np.linalg.norm(r) == 0.0:
-            quad = 4.0 * j**2 * t**2 * float(v @ v)
+            quad = 4.0 * j**2 * libm_pow(t, 2) * float(v @ v)
             return QfiBreakdown(quad, quad, 0.0)
         return mqfi_closed_form(j, split_velocity(r, v), t)
     raise ValueError(f"unknown scenario {scenario!r}")
@@ -325,41 +336,63 @@ def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
 # sweep / figure execution
 
 
-def _row_params(scenario: str, variable: str, value: float, fixed: dict, fixed_t):
+def _grid_params(variable: str, grid: np.ndarray, fixed: dict, fixed_t, t_rule=None):
+    """Scenario parameters and evolution time with ``variable`` set to the whole grid."""
     params = dict(fixed)
     t = fixed_t
     if variable == "t":
-        t = float(value)
+        t = grid
     elif variable == "Delta":
-        params["omega"] = params["omega0"] - float(value)
+        params["omega"] = params["omega0"] - grid
     else:
-        params[variable] = float(value)
+        params[variable] = grid
+    if t_rule == "pi_over_k":
+        t = np.pi / np.hypot(params["lambda"], params["omega0"])
     return params, t
 
 
-def _run_grid(scenario, variable, grid, fixed, j, fixed_t, validate, series_order, step, t_rule=None):
-    rep = build_spin_rep(j) if validate else None
+def _grid_row(params: dict, t, k: int):
+    """Scalar parameters and evolution time of grid row ``k``."""
+    def at(x):
+        return float(x[k]) if isinstance(x, np.ndarray) else x
 
-    def one(value):
-        params, t = _row_params(scenario, variable, value, fixed, fixed_t)
-        if t_rule == "pi_over_k":
-            t = float(np.pi / np.hypot(params["lambda"], params["omega0"]))
+    return {name: at(value) for name, value in params.items()}, at(t)
+
+
+def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
+    """The grid and the three MQFI parts over it, from one closed-form call.
+
+    Raises ValueError naming the first grid value where a part is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         breakdown = evaluate_point(scenario, params, j, t)
-        row = {
-            "value": float(value),
-            "t": t,
-            "params": params,
-            "total": breakdown.total,
-            "quadratic": breakdown.quadratic,
-            "oscillatory": breakdown.oscillatory,
-        }
-        if validate:
-            res_series, res_fd = oracle_residuals(scenario, params, rep, t, series_order, step)
-            row["residual_series"] = res_series
-            row["residual_fd"] = res_fd
-        return row
+    columns = {variable: grid}
+    for name in ("total", "quadratic", "oscillatory"):
+        column = np.broadcast_to(getattr(breakdown, name), grid.shape)
+        bad = ~np.isfinite(column)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"{name} MQFI is not finite at {variable}={_fmt(grid[k])}")
+        columns[name] = column
+    return columns
 
-    return _pool_map(one, grid)
+
+def _run_sweep(scenario, variable, grid, fixed, j, fixed_t, args, t_rule=None) -> int:
+    """Evaluate, optionally validate, and emit one sweep; return the exit code."""
+    params, t = _grid_params(variable, grid, fixed, fixed_t, t_rule)
+    columns = _closed_form_columns(scenario, params, j, t, variable, grid)
+    if not args.validate:
+        _emit_sweep(scenario, variable, columns, fixed, j, args.out)
+        return EXIT_OK
+    rep = build_spin_rep(j)
+    rows = [_grid_row(params, t, k) for k in range(grid.size)]
+    residuals = np.array(
+        [oracle_residuals(scenario, p, rep, tk, args.series_order, args.fd_step) for p, tk in rows]
+    )
+    columns["residual_series"], columns["residual_fd"] = residuals.T
+    comments, trotter = _validation_extras(scenario, rows, j, args.steps)
+    _emit_sweep(scenario, variable, columns, fixed, j, args.out, comments)
+    return _validation_verdict({"series": residuals[:, 0], "fd": residuals[:, 1]}, trotter)
 
 
 def _params_for_header(params: dict) -> str:
@@ -382,52 +415,56 @@ def _write_lines(lines, out_path):
         handle.write(text)
 
 
-def _emit_sweep(scenario, variable, rows, fixed, j, validate, out_path, extra_comments=()):
-    header = ["value" if variable is None else variable, "total", "quadratic", "oscillatory"]
-    if validate:
-        header += ["residual_series", "residual_fd"]
+def _emit_sweep(scenario, variable, columns, fixed, j, out_path, comments=()):
     lines = [
         f"# su2qfi scenario={scenario} j={_fmt(j)} variable={variable} {_params_for_header(fixed)}".rstrip(),
         f"# version={__version__} timestamp={datetime.now(timezone.utc).isoformat()}",
     ]
-    lines.extend(extra_comments)
-    lines.append(",".join(header))
-    for row in rows:
-        cells = [_fmt(row["value"]), _fmt(row["total"]), _fmt(row["quadratic"]), _fmt(row["oscillatory"])]
-        if validate:
-            cells += [_fmt(row["residual_series"]), _fmt(row["residual_fd"])]
-        lines.append(",".join(cells))
+    lines.extend(comments)
+    lines.append(",".join(columns))
+    row_format = ",".join([_NUMBER] * len(columns))
+    lines.extend(row_format % row for row in zip(*(column.tolist() for column in columns.values())))
     _write_lines(lines, out_path)
 
 
-def _max_residual(rows) -> float:
-    worst = 0.0
-    for row in rows:
-        worst = max(worst, row.get("residual_series", 0.0), row.get("residual_fd", 0.0))
-    return worst
-
-
 def _validation_extras(scenario, rows, j, steps):
-    """Per-run trotter cross-check for driven scenarios (one representative row)."""
+    """Per-run trotter cross-check for driven scenarios (one representative row).
+
+    ``rows`` holds the (params, t) of every grid row.  Returns the comment
+    lines and (row index, residual), or None when no check runs.
+    """
     if not scenario.startswith("case3-"):
-        return [], 0.0
-    candidates = [row for row in rows if row["t"] > 0]
+        return [], None
+    candidates = [k for k, (_, t) in enumerate(rows) if t > 0]
     if not candidates:
-        return [], 0.0
-    row = min(candidates, key=lambda r: r["t"])
-    rep = build_spin_rep(j)
-    residual = trotter_cross_check(row["params"], rep, row["t"], steps)
-    comment = f"# trotter_check t={_fmt(row['t'])} steps={steps} residual={_fmt(residual)}"
-    return [comment], residual
+        return [], None
+    k = min(candidates, key=lambda i: rows[i][1])
+    params, t = rows[k]
+    residual = trotter_cross_check(params, build_spin_rep(j), t, steps)
+    comment = f"# trotter_check t={_fmt(t)} steps={steps} residual={_fmt(residual)}"
+    return [comment], (k, residual)
 
 
-def _validation_verdict(rows, trotter_res) -> int:
-    worst = max(_max_residual(rows), trotter_res)
-    if worst > RESIDUAL_LIMIT:
-        print(f"validation failed: max residual {_fmt(worst)} exceeds {RESIDUAL_LIMIT:g}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+def _validation_verdict(residuals: dict, trotter=None) -> int:
+    """EXIT_VALIDATION when any residual is not finite or exceeds RESIDUAL_LIMIT.
+
+    ``residuals`` maps an oracle name to its per-row residual column and
+    ``trotter`` is the (row, residual) of the time-ordered cross-check.
+    stderr names the row and oracle of the worst failure; NaN counts as worst.
+    """
+    failures = [
+        (oracle, int(k), float(column[k]))
+        for oracle, column in residuals.items()
+        for k in np.flatnonzero(~(np.asarray(column) <= RESIDUAL_LIMIT))   # NaN fails too
+    ]
+    if trotter is not None and not trotter[1] <= RESIDUAL_LIMIT:
+        failures.append(("trotter", *trotter))
+    if not failures:
+        return EXIT_OK
+    oracle, k, value = max(failures, key=lambda f: math.inf if math.isnan(f[2]) else f[2])
+    print(f"validation failed: {oracle} residual {_fmt(value)} at row {k} "
+          f"is not within {RESIDUAL_LIMIT:g}", file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +474,23 @@ def _validation_verdict(rows, trotter_res) -> int:
 def _cmd_mqfi(args) -> int:
     params = _collect_params(args.scenario, args)
     _check_required(args.scenario, params)
-    breakdown = evaluate_point(args.scenario, params, args.j, args.t)
+    columns = _closed_form_columns(args.scenario, params, args.j, args.t, "t", np.array([args.t]))
+    parts = {name: float(columns[name][0]) for name in ("total", "quadratic", "oscillatory")}
     if args.json:
         record = {
             "scenario": args.scenario,
             "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
             "j": args.j,
             "t": args.t,
-            "total": breakdown.total,
-            "quadratic": breakdown.quadratic,
-            "oscillatory": breakdown.oscillatory,
+            **parts,
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         print(json.dumps(record, sort_keys=True))
     else:
         print(f"scenario={args.scenario} j={_fmt(args.j)} t={_fmt(args.t)} {_params_for_header(params)}")
-        print(f"total={_fmt(breakdown.total)}")
-        print(f"quadratic={_fmt(breakdown.quadratic)}")
-        print(f"oscillatory={_fmt(breakdown.oscillatory)}")
+        for name, value in parts.items():
+            print(f"{name}={_fmt(value)}")
     return EXIT_OK
 
 
@@ -473,42 +508,17 @@ def _cmd_sweep(args) -> int:
     _check_required(args.scenario, params, skip=skip)
     if args.variable != "t" and args.t is None:
         raise ValueError("--t is required unless sweeping t")
+    if args.variable == "t" and args.start < 0:
+        raise ValueError(f"evolution time must be nonnegative, got start {args.start}")
 
     grid = np.linspace(args.start, args.stop, args.points)
-    rows = _run_grid(args.scenario, args.variable, grid, params, args.j, args.t,
-                     args.validate, args.series_order, args.fd_step)
-    extras, trotter_res = ([], 0.0)
-    if args.validate:
-        extras, trotter_res = _validation_extras(args.scenario, rows, args.j, args.steps)
-    _emit_sweep(args.scenario, args.variable, rows, params, args.j, args.validate, args.out, extras)
-    if args.validate:
-        return _validation_verdict(rows, trotter_res)
-    return EXIT_OK
+    return _run_sweep(args.scenario, args.variable, grid, params, args.j, args.t, args)
 
 
 def _cmd_figure(args) -> int:
     preset = FIGURE_PRESETS[args.id]
-    scenario = preset["scenario"]
-    fixed = dict(preset["fixed"])
-    rows = _run_grid(
-        scenario,
-        preset["variable"],
-        preset["grid"],
-        fixed,
-        preset["j"],
-        preset.get("t"),
-        args.validate,
-        args.series_order,
-        args.fd_step,
-        t_rule=preset.get("t_rule"),
-    )
-    extras, trotter_res = ([], 0.0)
-    if args.validate:
-        extras, trotter_res = _validation_extras(scenario, rows, preset["j"], args.steps)
-    _emit_sweep(scenario, preset["variable"], rows, fixed, preset["j"], args.validate, args.out, extras)
-    if args.validate:
-        return _validation_verdict(rows, trotter_res)
-    return EXIT_OK
+    return _run_sweep(preset["scenario"], preset["variable"], preset["grid"], preset["fixed"],
+                      preset["j"], preset.get("t"), args, t_rule=preset.get("t_rule"))
 
 
 def _cmd_optimal_state(args) -> int:
@@ -542,15 +552,15 @@ def _cmd_optimal_state(args) -> int:
 
 def _add_scenario_options(parser):
     parser.add_argument("scenario", choices=sorted(SCENARIOS))
-    parser.add_argument("--r", type=float, help="field amplitude (case1)")
-    parser.add_argument("--theta", type=float, help="polar angle (case1)")
-    parser.add_argument("--phi", type=float, help="azimuthal angle (case1)")
-    parser.add_argument("--omega0", type=float, help="transition frequency")
-    parser.add_argument("--lambda", dest="lam", type=float, help="transverse coupling")
-    parser.add_argument("--omega", type=float, help="drive frequency (case3)")
+    parser.add_argument("--r", type=_finite_arg, help="field amplitude (case1)")
+    parser.add_argument("--theta", type=_finite_arg, help="polar angle (case1)")
+    parser.add_argument("--phi", type=_finite_arg, help="azimuthal angle (case1)")
+    parser.add_argument("--omega0", type=_finite_arg, help="transition frequency")
+    parser.add_argument("--lambda", dest="lam", type=_finite_arg, help="transverse coupling")
+    parser.add_argument("--omega", type=_finite_arg, help="drive frequency (case3)")
     parser.add_argument("--rvec", type=_vec3_arg, help="field 3-vector x,y,z (generic)")
     parser.add_argument("--vvec", type=_vec3_arg, help="velocity 3-vector x,y,z (generic)")
-    parser.add_argument("--j", type=float, default=1.0, help="spin quantum number (default 1)")
+    parser.add_argument("--j", type=_spin_arg, default=1.0, help="spin quantum number (default 1)")
 
 
 def _add_validate_options(parser):
@@ -559,7 +569,7 @@ def _add_validate_options(parser):
                         help="time-ordered product steps for the driven-system cross-check")
     parser.add_argument("--series-order", type=int, default=DEFAULT_SERIES_ORDER,
                         help="truncation order of the commutator-series oracle")
-    parser.add_argument("--fd-step", type=float, default=None,
+    parser.add_argument("--fd-step", type=_positive_arg, default=None,
                         help="override the finite-difference oracle step")
 
 
@@ -573,17 +583,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     mqfi = sub.add_parser("mqfi", help="evaluate the MQFI at a single point")
     _add_scenario_options(mqfi)
-    mqfi.add_argument("--t", type=float, required=True, help="evolution time")
+    mqfi.add_argument("--t", type=_time_arg, required=True, help="evolution time")
     mqfi.add_argument("--json", action="store_true", help="machine-readable output")
     mqfi.set_defaults(func=_cmd_mqfi)
 
     sweep = sub.add_parser("sweep", help="sweep one parameter and emit CSV")
     _add_scenario_options(sweep)
     sweep.add_argument("--variable", required=True, help="swept parameter (t, r, theta, phi, omega0, lambda, omega, Delta)")
-    sweep.add_argument("--start", type=float, required=True)
-    sweep.add_argument("--stop", type=float, required=True)
+    sweep.add_argument("--start", type=_finite_arg, required=True)
+    sweep.add_argument("--stop", type=_finite_arg, required=True)
     sweep.add_argument("--points", type=int, default=201)
-    sweep.add_argument("--t", type=float, help="fixed evolution time (when not sweeping t)")
+    sweep.add_argument("--t", type=_time_arg, help="fixed evolution time (when not sweeping t)")
     sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
     _add_validate_options(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -596,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimal-state", help="optimal input state for a scenario generator")
     _add_scenario_options(opt)
-    opt.add_argument("--t", type=float, required=True, help="evolution time")
-    opt.add_argument("--phase", type=float, default=0.0, help="relative phase of the superposition")
+    opt.add_argument("--t", type=_time_arg, required=True, help="evolution time")
+    opt.add_argument("--phase", type=_finite_arg, default=0.0, help="relative phase of the superposition")
     opt.set_defaults(func=_cmd_optimal_state)
 
     return parser
@@ -612,6 +622,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DegenerateFieldError, ValueError) as err:
         print(f"su2qfi: parameter error: {err}", file=sys.stderr)
+        return EXIT_PARAMS
+    except OverflowError as err:
+        print("su2qfi: parameter error: the closed form overflows double precision", file=sys.stderr)
         return EXIT_PARAMS
     except OSError as err:
         print(f"su2qfi: i/o error: {err}", file=sys.stderr)

@@ -47,6 +47,22 @@ class DegenerateFieldError(ValueError):
     """The coefficient field vanishes where a direction (or scale) is required."""
 
 
+_pow_ufunc = np.frompyfunc(pow, 2, 1)
+
+
+def libm_pow(x, n):
+    """Elementwise ``x ** n`` through the C library ``pow`` that Python floats use.
+
+    numpy's array power (``**``, ``np.power``, ``np.square``) takes other
+    code paths and differs from ``pow`` in the last bit for a share of
+    inputs, so a closed form evaluated over a grid would not reproduce its
+    scalar values.  Scalars give a float, arrays a float array; overflow
+    raises ``OverflowError`` as it does for Python floats.
+    """
+    out = _pow_ufunc(x, n)
+    return out.astype(float) if isinstance(out, np.ndarray) else out
+
+
 def _vec3(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
@@ -92,7 +108,10 @@ class VelocitySplit:
 
 @dataclass(frozen=True)
 class QfiBreakdown:
-    """Maximal QFI and its quadratic / oscillatory parts (total = sum)."""
+    """Maximal QFI and its quadratic / oscillatory parts (total = sum).
+
+    The parts are floats for one point, or arrays for a grid of points.
+    """
 
     total: float
     quadratic: float
@@ -207,25 +226,26 @@ def analytic_generator(rep: SpinRep, curve: FieldCurve, theta: float, t: float) 
     )
 
 
-def mqfi_closed_form(j: float, split: VelocitySplit, t: float) -> QfiBreakdown:
+def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
     """Maximal QFI 4 j^2 [vr^2 t^2 + 4 (vt^2/r^2) sin^2(rt/2)] and its parts.
 
-    A split with ``field_norm == 0`` (multiplicative-parameter limit) puts
+    ``t`` may be an array of times; the parts then broadcast over it.  A
+    split with ``field_norm == 0`` (multiplicative-parameter limit) puts
     the whole 4 j^2 t^2 |v|^2 value in the quadratic part.
     """
     jsq4 = 4.0 * float(j) ** 2
     if split.field_norm == 0.0:
-        quad = jsq4 * t**2 * float(split.velocity @ split.velocity)
+        quad = jsq4 * libm_pow(t, 2) * float(split.velocity @ split.velocity)
         return QfiBreakdown(quad, quad, 0.0)
-    quad = jsq4 * float(split.radial @ split.radial) * t**2
+    quad = jsq4 * float(split.radial @ split.radial) * libm_pow(t, 2)
     osc = (
         4.0
         * jsq4
         * float(split.transverse @ split.transverse)
         / split.field_norm**2
-        * np.sin(split.field_norm * t / 2.0) ** 2
+        * libm_pow(np.sin(split.field_norm * t / 2.0), 2)
     )
-    return QfiBreakdown(quad + osc, quad, float(osc))
+    return QfiBreakdown(quad + osc, quad, osc)
 
 
 def mqfi_small_time(j: float, velocity, t: float) -> float:

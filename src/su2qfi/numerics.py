@@ -180,10 +180,14 @@ def generator_series_scaled(h_op, dh_op, t: float, order: int = 24, max_phase: f
 
         gen(2 tau) = gen(tau) + U(tau)^dag gen(tau) U(tau).
     """
+    if not max_phase > 0:
+        raise ValueError(f"max_phase must be positive, got {max_phase}")
     h = require_hermitian(h_op, name="hamiltonian")
     norm = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if h.size else 0.0
     doublings = 0
     phase = norm * abs(t)
+    if not math.isfinite(phase):
+        raise ValueError(f"phase ||h|| t = {phase} is not finite; time doubling cannot reduce it")
     while phase > max_phase:
         phase /= 2.0
         doublings += 1

@@ -16,6 +16,7 @@ __all__ = [
     "MAX_SPIN",
     "SpinRep",
     "build_spin_rep",
+    "twice_spin",
     "dot_with_J",
     "commutator",
     "hermitian_expm",
@@ -87,6 +88,19 @@ class SpinRep:
         return f"SpinRep(j={num}{half}, dim={self.dim})"
 
 
+def twice_spin(j) -> int:
+    """The integer 2j; ValueError unless j is a positive half-integer <= MAX_SPIN."""
+    jf = float(j)
+    if not np.isfinite(jf):
+        raise ValueError(f"spin must be a positive half-integer, got {j!r}")
+    twice_j = round(2 * jf)
+    if abs(2 * jf - twice_j) > 1e-9 or twice_j <= 0:
+        raise ValueError(f"spin must be a positive half-integer, got {j!r}")
+    if twice_j > 2 * MAX_SPIN:
+        raise ValueError(f"spin {j!r} exceeds the supported maximum {MAX_SPIN}")
+    return twice_j
+
+
 def build_spin_rep(j) -> SpinRep:
     """Construct the spin-j generators from the ladder operators.
 
@@ -99,13 +113,7 @@ def build_spin_rep(j) -> SpinRep:
     step above the diagonal; jx and jy follow as the Hermitian and
     anti-Hermitian combinations, jz is diagonal in m.
     """
-    jf = float(j)
-    twice_j = round(2 * jf)
-    if abs(2 * jf - twice_j) > 1e-9 or twice_j <= 0:
-        raise ValueError(f"spin must be a positive half-integer, got {j!r}")
-    if twice_j > 2 * MAX_SPIN:
-        raise ValueError(f"spin {j!r} exceeds the supported maximum {MAX_SPIN}")
-
+    twice_j = twice_spin(j)
     dim = twice_j + 1
     jq = twice_j / 2.0
     m = (twice_j - 2 * np.arange(dim)) / 2.0  # j, j-1, ..., -j

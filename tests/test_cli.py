@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from su2qfi import static_field_mqfi, StaticFieldSystem
-from su2qfi.cli import main
+from su2qfi.cli import _fmt, _validation_verdict, evaluate_point, main
 
 
 def run(argv, capsys):
@@ -128,13 +129,40 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     assert "i/o error" in err
 
 
-def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SU2QFI_THREADS", "many")
-    code, _, _ = run(
-        ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
-         "--start", "0", "--stop", "1", "--points", "8"], capsys
-    )
+@pytest.mark.parametrize("argv", [
+    ["mqfi", "case2-omega0", "--omega0", "1e200", "--lambda", "1e200", "--t", "1"],
+    ["sweep", "case2-omega0", "--omega0", "1e200", "--lambda", "1e200", "--variable", "t",
+     "--start", "0", "--stop", "1", "--points", "3"],
+    ["mqfi", "case2-omega0", "--omega0", "nan", "--lambda", "1", "--t", "1"],
+    ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "inf"],
+    ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "-1"],
+    ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "1", "--j", "0.3"],
+    ["mqfi", "case1-theta", "--r", "1e308", "--t", "10"],   # finite input, non-finite r t
+    ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
+     "--start", "-1", "--stop", "1", "--points", "3"],
+], ids=["mqfi-overflow", "sweep-overflow", "nan-param", "inf-t", "negative-t", "bad-spin",
+        "nonfinite-output", "negative-t-sweep"])
+def test_bad_input_exits_2(argv, capsys):
+    code, out, err = run(argv, capsys)
     assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("residuals, trotter, named", [
+    ({"series": [0.0, float("nan")], "fd": [0.0, 0.0]}, None, "series residual nan at row 1"),
+    ({"series": [0.0, 0.0], "fd": [float("inf"), 1.0]}, None, "fd residual inf at row 0"),
+    ({"series": [0.0], "fd": [1e-3]}, (0, float("nan")), "trotter residual nan at row 0"),
+])
+def test_non_finite_residual_fails_validation(residuals, trotter, named, capsys):
+    code = _validation_verdict({k: np.array(v) for k, v in residuals.items()}, trotter)
+    assert code == 3
+    assert named in capsys.readouterr().err
+
+
+def test_finite_residuals_within_limit_pass(capsys):
+    assert _validation_verdict({"series": np.array([1e-9]), "fd": np.array([0.0])}, (0, 1e-7)) == 0
+    assert capsys.readouterr().err == ""
 
 
 # --- sweeps -----------------------------------------------------------------------
@@ -259,14 +287,79 @@ def test_figure_validation_with_custom_trotter_steps(tmp_path, capsys):
     assert any("steps=20000" in line for line in comments)
 
 
-def test_figure_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    monkeypatch.setenv("SU2QFI_THREADS", "1")
-    assert run(["figure", "fig2a", "--out", str(serial)], capsys)[0] == 0
-    monkeypatch.setenv("SU2QFI_THREADS", "4")
-    assert run(["figure", "fig2a", "--out", str(threaded)], capsys)[0] == 0
-    assert data_lines(serial) == data_lines(threaded)
+# SHA-256 of each plain preset's data section (header and rows).
+PRESET_SHA256 = {
+    "fig1a": "876c7fc787503fddce6bf00cd429d79f220ec241b488e361d72f3c9857d972b9",
+    "fig1b": "260451c56205ef7169dba28b12801ab937f6a5b0226eb82a671219998926b976",
+    "fig1c": "30dcdbb19ecbd090312d00d67a4896a4c240957cf6d0f9f6f98d01fdb546e308",
+    "fig1d": "ac6551fe2284b4d261913185a71baee9e068667bc17a4b55edab71fef175221a",
+    "fig2a": "f84f64b43302969fc4c5c48658b7385c9eb7c5e8deaf0a103ece66035a1ba0b8",
+    "fig2b": "6a29b48571b7bce82bcad38421456728c78f93b3039b4be8f5d214cd7334e87e",
+}
+
+
+@pytest.mark.parametrize("fig", sorted(PRESET_SHA256))
+def test_figure_data_section_is_pinned(fig, tmp_path, capsys):
+    out = tmp_path / f"{fig}.csv"
+    assert run(["figure", fig, "--out", str(out)], capsys)[0] == 0
+    data = "".join(line + "\n" for line in data_lines(out)).encode()
+    assert hashlib.sha256(data).hexdigest() == PRESET_SHA256[fig]
+
+
+# One sweep per scenario: (scenario, fixed parameters, fixed t, variable, start, stop).
+# The case3-omega grid crosses the series / closed-form switch at kp t = 0.1.
+GRID_SWEEPS = [
+    ("case1-theta", {"r": 1.3, "theta": 0.4, "phi": 2.0}, 2.3, "r", 0.1, 7.0),
+    ("case1-phi", {"r": 1.3, "theta": 0.4, "phi": 2.0}, 2.3, "theta", -3.0, 7.0),
+    ("case1-r", {"r": 1.3, "theta": 0.4, "phi": 2.0}, None, "t", 0.0, 70.0),
+    ("case2-omega0", {"omega0": 0.3, "lambda": 2.0}, 3.1, "lambda", -5.0, 5.0),
+    ("case2-lambda", {"omega0": 0.3, "lambda": 2.0}, None, "t", 0.0, 20.0),
+    ("case3-omega", {"omega0": 0.3, "lambda": 1.0}, 0.05, "Delta", -5.0, 5.0),
+    ("case3-lambda", {"omega0": 0.3, "lambda": 2.0, "omega": 1.0}, 3.1, "omega", -5.0, 5.0),
+    ("case3-omega0", {"omega0": 0.3, "lambda": 2.0, "omega": 1.0}, None, "t", 0.0, 20.0),
+    ("generic", {"rvec": (0.3, 0.2, 1.0), "vvec": (0.5, -0.1, 0.2)}, None, "t", 0.0, 20.0),
+]
+
+
+@pytest.mark.parametrize("scenario, fixed, t, variable, start, stop", GRID_SWEEPS,
+                         ids=[case[0] for case in GRID_SWEEPS])
+def test_grid_equals_scalar_closed_forms(scenario, fixed, t, variable, start, stop, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["sweep", scenario, "--j", "1.5", "--variable", variable,
+            "--start", str(start), "--stop", str(stop), "--points", "401", "--out", str(out)]
+    for name, value in fixed.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv.append(f"--{name}={text}")
+    if t is not None:
+        argv.append(f"--t={t}")
+    assert run(argv, capsys)[0] == 0
+    for line in data_lines(out)[1:]:
+        value = float(line.split(",")[0])
+        params, t_row = dict(fixed), t
+        if variable == "t":
+            t_row = value
+        elif variable == "Delta":
+            params["omega"] = params["omega0"] - value
+        else:
+            params[variable] = value
+        point = evaluate_point(scenario, params, 1.5, t_row)
+        assert line == ",".join(map(_fmt, (value, point.total, point.quadratic, point.oscillatory)))
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "case2-omega0", "--omega0", "1", "--lambda", "0", "--t", "1",
+      "--variable", "omega0", "--start", "-1", "--stop", "1", "--points", "5"], "omega0=0.0"),
+    (["sweep", "case3-lambda", "--omega0", "1", "--lambda", "0", "--t", "1",
+      "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"], "omega=1.0"),
+    (["sweep", "case3-omega", "--omega0", "1", "--lambda", "0", "--t", "1",
+      "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"], "omega=1.0"),
+])
+def test_degenerate_mid_grid_row_exits_2(argv, named, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert not out.exists()
+    assert named in err
 
 
 # --- optimal state ----------------------------------------------------------------

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import su2qfi
 
 from su2qfi import (
     build_spin_rep,
@@ -186,6 +193,26 @@ def test_series_scaled_handles_large_phase():
     closed = dot_with_J(rep, generator_vector(r, v, t))
     scaled = generator_series_scaled(dot_with_J(rep, r), dot_with_J(rep, v), t)
     assert frobenius(closed - scaled) < 1e-9
+
+
+@pytest.mark.parametrize("t, max_phase", [(1e308, 1.0), (1.0, -1.0)])
+def test_series_scaled_rejects_unreachable_phase(t, max_phase):
+    # An infinite phase (or a negative target) never halves below max_phase.
+    # Run in a child process so a regression hangs only until the timeout.
+    code = (
+        "from su2qfi import build_spin_rep\n"
+        "from su2qfi.numerics import generator_series_scaled\n"
+        "rep = build_spin_rep(1)\n"
+        "try:\n"
+        f"    generator_series_scaled(2 * rep.jz, rep.jx, {t!r}, max_phase={max_phase!r})\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(su2qfi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_series_scaled_random_directions():
