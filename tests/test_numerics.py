@@ -334,6 +334,30 @@ def test_trotter_batch_equals_scalar():
     np.testing.assert_allclose(a, b, atol=1e-13)
 
 
+@pytest.mark.parametrize("steps,total_t", [(1, 0.7), (999, 1.5), (3000, 1.5), (5120, 2.0), (6147, 2.0), (12, 40.0)])
+def test_trotter_blocks_equal_one_stack(steps, total_t):
+    # Reference: every step unitary in one stack, reduced pairwise in one go.
+    # The blocked product must reproduce it bit for bit, on both the Taylor
+    # branch and (dt ||H|| > 0.8, last case) the eigendecomposition branch.
+    from su2qfi.numerics import _expm_skew_taylor, _ordered_product
+
+    rep = build_spin_rep(1.5)
+    jx, jy, jz = (np.asarray(m) for m in (rep.jx, rep.jy, rep.jz))
+
+    def h_batch(ts):
+        return 1.1 * jz + 0.7 * (np.cos(0.9 * ts)[:, None, None] * jx + np.sin(0.9 * ts)[:, None, None] * jy)
+
+    dt = total_t / steps
+    hs = h_batch((np.arange(steps) + 0.5) * dt)
+    scaled = -1j * dt * hs
+    max_norm = float(np.sqrt(np.max(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
+    if max_norm > 0.8:
+        us = np.stack([hermitian_expm(hk, -1j * dt) for hk in hs])
+    else:
+        us = _expm_skew_taylor(scaled, max_norm)
+    assert np.array_equal(trotter_propagator(h_batch, total_t, steps, batch=True), _ordered_product(us))
+
+
 def test_trotter_second_order_convergence():
     rep = build_spin_rep(0.5)
     jx, jy, jz = (np.asarray(m) for m in (rep.jx, rep.jy, rep.jz))
