@@ -16,6 +16,7 @@ from .spin import (
     dot_with_J,
     frobenius,
     hermitian_expm,
+    su2_lift,
 )
 from .generator import (
     DegenerateFieldError,
@@ -37,6 +38,7 @@ from .numerics import (
     generator_fd,
     generator_series,
     generator_series_scaled,
+    midpoint_su2,
     optimal_state,
     qfi_fd,
     qfi_of_state,
@@ -63,11 +65,12 @@ from .cases import (
 __all__ = [
     "__version__",
     "SpinRep", "build_spin_rep", "commutator", "dot_with_J", "frobenius", "hermitian_expm",
+    "su2_lift",
     "DegenerateFieldError", "FieldCurve", "GeneratorResult", "QfiBreakdown", "VelocitySplit",
     "analytic_generator", "generator_vector", "generator_vector_from_split",
     "mqfi_closed_form", "mqfi_small_time", "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_step", "generator_fd",
-    "generator_series", "generator_series_scaled", "optimal_state", "qfi_fd",
+    "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_fd",
     "qfi_of_state", "series_tail_bound", "trotter_propagator",
     "DrivenSystem", "RotatingFrame", "SphericalField", "StaticFieldSystem",
     "driven_static_curve", "driven_static_mqfi", "driving_frequency_mqfi",

@@ -64,6 +64,35 @@ def _reject_first(bad, message: str, **values):
         raise DegenerateFieldError(f"{message} (at {at})")
 
 
+def _pow_overflows(x, n) -> bool:
+    try:
+        pow(x, n)
+    except OverflowError:
+        return True
+    return False
+
+
+_pow_overflows_ufunc = np.frompyfunc(_pow_overflows, 2, 1)
+
+
+def _quartic_ratio(coeff: float, num, den, factor):
+    """coeff num^2 / den^4 * factor for |num| <= |den|, finite wherever den^2 is.
+
+    Rows where den^4 is representable get exactly the bits of the direct
+    form; the others use coeff (num/den)^2 (factor / den^2), which only
+    overflows (raising OverflowError) where den^2 does.
+    """
+    over = np.asarray(_pow_overflows_ufunc(den, 4), dtype=bool)
+    if not over.any():
+        return coeff * libm_pow(num, 2) / libm_pow(den, 4) * factor
+    num, den, factor, over = np.broadcast_arrays(num, den, factor, over)
+    out = np.empty(over.shape)
+    fine = ~over
+    out[fine] = coeff * libm_pow(num[fine], 2) / libm_pow(den[fine], 4) * factor[fine]
+    out[over] = coeff * libm_pow(num[over] / den[over], 2) * (factor[over] / libm_pow(den[over], 2))
+    return out[()]
+
+
 # The systems below accept arrays for any field, as long as they broadcast
 # together; the closed forms then evaluate a whole grid in one call.
 
@@ -171,7 +200,7 @@ def static_field_mqfi(which: str, system: StaticFieldSystem, j: float, t) -> Qfi
         raise ValueError(f"unknown static-field parameter {which!r}")
     jsq4 = 4.0 * float(j) ** 2
     quad = jsq4 * libm_pow(radial, 2) * libm_pow(t, 2) / libm_pow(k, 2)
-    osc = jsq4 * 4.0 * libm_pow(transverse, 2) / libm_pow(k, 4) * libm_pow(np.sin(k * t / 2.0), 2)
+    osc = _quartic_ratio(jsq4 * 4.0, transverse, k, libm_pow(np.sin(k * t / 2.0), 2))
     return QfiBreakdown(quad + osc, quad, osc)
 
 
@@ -260,7 +289,7 @@ def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> float:
         series = x2 * x2 * (0.25 - x2 / 72.0 + x2 * x2 / 2880.0)
         closed = 2.0 + x * x - 2.0 * x * np.sin(x) - 2.0 * np.cos(x)
     bracket = np.where(np.abs(x) < 0.1, series, closed)[()]
-    return 4.0 * float(j) ** 2 * libm_pow(lam, 2) / libm_pow(kp, 4) * bracket
+    return _quartic_ratio(4.0 * float(j) ** 2, lam, kp, bracket)
 
 
 def driven_static_mqfi(which: str, system: DrivenSystem, j: float, t: float) -> QfiBreakdown:

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from su2qfi import static_field_mqfi, StaticFieldSystem
-from su2qfi.cli import _fmt, _validation_verdict, evaluate_point, main
+from su2qfi.cli import MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
 
 
 def run(argv, capsys):
@@ -160,6 +161,35 @@ def test_non_finite_residual_fails_validation(residuals, trotter, named, capsys)
     assert named in capsys.readouterr().err
 
 
+_STEPS_SWEEP = ["sweep", "case3-lambda", "--omega0", "1", "--lambda", "1", "--omega", "1",
+                "--variable", "t", "--start", "0.1", "--stop", "1", "--points", "2", "--validate"]
+
+
+@pytest.mark.parametrize("steps", ["0", "-3", str(MAX_TROTTER_STEPS + 1), "1e12", "x"],
+                         ids=["zero", "negative", "cap-plus-1", "float-text", "not-a-number"])
+def test_bad_steps_exit_2(steps, capsys):
+    code, out, err = run(_STEPS_SWEEP + ["--steps", steps], capsys)
+    assert code == 2
+    assert out == ""
+    assert "steps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, reference", [
+    # 4 j^2 lam^2 / kp^4 [kp^2 t^2 - 2 kp t sin(kp t) + 2 - 2 cos(kp t)] with kp = 1e100
+    (["mqfi", "case3-omega", "--omega0", "1e100", "--lambda", "1", "--omega", "0", "--t", "1"],
+     4.0 * 1e-200 * (1.0 - 2.0 * math.sin(1e100) / 1e100 + (2.0 - 2.0 * math.cos(1e100)) / 1e200)),
+    # 4 j^2 [lam^2 t^2 / k^2 + 4 (omega0 / k)^2 sin^2(k t / 2) / k^2] with k = 1e100
+    (["mqfi", "case2-lambda", "--omega0", "1e100", "--lambda", "1", "--t", "1"],
+     4.0 * (1e-200 + 4.0 * math.sin(5e99) ** 2 * 1e-200)),
+], ids=["case3-omega", "case2-lambda"])
+def test_large_field_mqfi_is_rescaled_not_overflowed(argv, reference, capsys):
+    # the fourth power of |field| overflows although the MQFI is about 4e-200
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    total = float(out.splitlines()[1].split("=")[1])
+    assert total == pytest.approx(reference, rel=1e-12)
+
+
 def test_finite_residuals_within_limit_pass(capsys):
     assert _validation_verdict({"series": np.array([1e-9]), "fd": np.array([0.0])}, (0, 1e-7)) == 0
     assert capsys.readouterr().err == ""
@@ -209,6 +239,20 @@ def test_sweep_validate_passes_on_generic_points(tmp_path, capsys):
     header, rows = parse_csv(out)
     assert header[-2:] == ["residual_series", "residual_fd"]
     assert np.max(rows[:, 4:]) < 1e-6
+
+
+def test_trotter_check_at_odd_step_count(tmp_path, capsys):
+    out = tmp_path / "odd.csv"
+    code, _, _ = run(
+        ["sweep", "case3-lambda", "--omega0", "1", "--lambda", "1", "--omega", "1", "--j", "3",
+         "--variable", "t", "--start", "0.5", "--stop", "2", "--points", "3",
+         "--validate", "--steps", "99999", "--out", str(out)], capsys
+    )
+    assert code == 0
+    with open(out) as handle:
+        (check,) = [line for line in handle if line.startswith("# trotter_check")]
+    assert "steps=99999" in check
+    assert float(check.split("residual=")[1]) <= 1e-6
 
 
 def test_sweep_delta_variable(tmp_path, capsys):

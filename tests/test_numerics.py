@@ -19,12 +19,16 @@ from su2qfi import (
     generator_series_scaled,
     generator_vector,
     hermitian_expm,
+    midpoint_su2,
     optimal_state,
     qfi_fd,
     qfi_of_state,
     series_tail_bound,
+    su2_lift,
     trotter_propagator,
 )
+from su2qfi.cases import DrivenSystem, rotating_frame
+from su2qfi.numerics import _SU2_BLOCK_STEPS
 
 
 def random_hermitian(rng, dim):
@@ -90,6 +94,12 @@ def test_qfi_input_validation():
         qfi_of_state(h, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         qfi_of_state(h, np.array([1.0, 1.0]))  # not normalized
+
+
+def test_qfi_rejects_nan_state():
+    # the norm test must not pass NaN (abs(nan - 1) > tol is False)
+    with pytest.raises(ValueError, match="not normalized"):
+        qfi_of_state(build_spin_rep(0.5).jz, [np.nan, 0.0])
 
 
 # --- optimal state -----------------------------------------------------------
@@ -375,6 +385,74 @@ def test_trotter_second_order_convergence():
 def test_trotter_rejects_bad_steps():
     with pytest.raises(ValueError):
         trotter_propagator(lambda t: np.eye(2), 1.0, 0)
+
+
+# --- SU(2) midpoint product ----------------------------------------------------
+
+def _drive_field(ts):
+    return 0.7 * np.cos(0.9 * ts), 0.7 * np.sin(0.9 * ts), 1.1
+
+
+def _drive_hamiltonians(rep):
+    jx, jy, jz = (np.asarray(m) for m in (rep.jx, rep.jy, rep.jz))
+
+    def h_batch(ts):
+        return 1.1 * jz + 0.7 * (np.cos(0.9 * ts)[:, None, None] * jx + np.sin(0.9 * ts)[:, None, None] * jy)
+
+    return h_batch
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("steps,total_t", [
+    (1, 0.7), (2, 1.5), (999, 1.5), (1000, 3.0),
+    (_SU2_BLOCK_STEPS - 1, 2.0), (_SU2_BLOCK_STEPS, 2.0), (_SU2_BLOCK_STEPS + 1, 2.0),
+    (3 * _SU2_BLOCK_STEPS + 1, 2.0), (12, 40.0),
+])
+def test_su2_lift_of_midpoint_product_matches_matrix_product(j, steps, total_t):
+    rep = build_spin_rep(j)
+    lifted = su2_lift(rep, midpoint_su2(_drive_field, total_t, steps))
+    reference = trotter_propagator(_drive_hamiltonians(rep), total_t, steps, batch=True)
+    assert frobenius(lifted - reference) < 1e-11
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
+def test_midpoint_su2_zero_field_step(j):
+    # the field vanishes exactly at the first of two midpoints (t = 0.5)
+    direction = np.array([1.0, 0.3, -0.2])
+    rep = build_spin_rep(j)
+    q = midpoint_su2(lambda ts: tuple(np.outer(direction, ts - 0.5)), 2.0, 2)
+    reference = trotter_propagator(lambda t: (t - 0.5) * dot_with_J(rep, direction), 2.0, 2)
+    assert frobenius(su2_lift(rep, q) - reference) < 1e-11
+    assert midpoint_su2(lambda ts: (0.0, 0.0, 0.0), 3.0, 5) == (1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("j,sign", [(0.5, -1.0), (1.0, 1.0), (1.5, -1.0), (3.0, 1.0)])
+def test_su2_lift_full_turn_sign(j, sign):
+    # a rotation by 2 pi is -I at half-integer spin and I at integer spin
+    rep = build_spin_rep(j)
+    np.testing.assert_array_equal(su2_lift(rep, (-1.0, 0.0, 0.0, 0.0)), sign * np.eye(rep.dim))
+    np.testing.assert_array_equal(su2_lift(rep, (1.0, 0.0, 0.0, 0.0)), np.eye(rep.dim))
+    full_turn = midpoint_su2(lambda ts: (0.0, 0.6, 0.8), 2.0 * np.pi, 7)
+    assert frobenius(su2_lift(rep, full_turn) - sign * np.eye(rep.dim)) < 1e-12
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 5.0])
+def test_midpoint_su2_matches_rotating_frame(j):
+    system = DrivenSystem(omega0=1.1, lam=0.7, omega=0.9)
+    rep = build_spin_rep(j)
+    lifted = su2_lift(rep, midpoint_su2(_drive_field, 2.5, 100_000))
+    assert frobenius(lifted - rotating_frame(system).u_full(rep, 2.5)) < 1e-6
+
+
+def test_midpoint_su2_and_lift_reject_bad_input():
+    with pytest.raises(ValueError):
+        midpoint_su2(_drive_field, 1.0, 0)
+    with pytest.raises(ValueError):
+        midpoint_su2(lambda ts: (ts, ts), 1.0, 3)
+    rep = build_spin_rep(1)
+    for q in [(2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 0.0), (1.0, np.inf, 0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            su2_lift(rep, q)
 
 
 # --- generator composition -----------------------------------------------------
