@@ -82,9 +82,12 @@ def _quartic_ratio(coeff: float, num, den, factor):
     form; the others use coeff (num/den)^2 (factor / den^2), which only
     overflows (raising OverflowError) where den^2 does.
     """
-    over = np.asarray(_pow_overflows_ufunc(den, 4), dtype=bool)
-    if not over.any():
+    try:
         return coeff * libm_pow(num, 2) / libm_pow(den, 4) * factor
+    except OverflowError:
+        pass
+    with np.errstate(over="ignore"):   # the overflow this detects is expected
+        over = np.asarray(_pow_overflows_ufunc(den, 4), dtype=bool)
     num, den, factor, over = np.broadcast_arrays(num, den, factor, over)
     out = np.empty(over.shape)
     fine = ~over

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,36 @@ def test_static_field_matches_generic_pipeline():
 def test_static_field_rejects_vanishing_couplings():
     with pytest.raises(DegenerateFieldError):
         StaticFieldSystem(0.0, 0.0)
+
+
+def _static_lambda_reference(w0, j=1.5, t=0.7):
+    # 4 j^2 [t^2 / k^2 + 4 (w0 / k)^2 sin^2(k t / 2) / k^2] at lam = 1
+    k = math.hypot(w0, 1.0)
+    return 4 * j**2 * (t**2 / k**2 + 4 * (w0 / k) ** 2 * math.sin(k * t / 2) ** 2 / k**2)
+
+
+def _drive_frequency_reference(w0, j=1.5, t=0.7):
+    # 4 j^2 (lam / kp)^2 [t^2 - 2 t sin(x) / kp + (2 - 2 cos x) / kp^2], x = kp t, lam = 1, omega = 0
+    kp = math.hypot(w0, 1.0)
+    x = kp * t
+    return 4 * j**2 * (1 / kp) ** 2 * (t**2 - 2 * t * math.sin(x) / kp + (2 - 2 * math.cos(x)) / kp**2)
+
+
+@pytest.mark.parametrize("mqfi, reference", [
+    (lambda w0: static_field_mqfi("lambda", StaticFieldSystem(w0, 1.0), 1.5, 0.7).total, _static_lambda_reference),
+    (lambda w0: driving_frequency_mqfi(DrivenSystem(w0, 1.0, 0.0), 1.5, 0.7), _drive_frequency_reference),
+], ids=["static-lambda", "drive-frequency"])
+def test_field_fourth_power_overflow_only_rescales_its_rows(mqfi, reference):
+    # |field|^4 overflows above about 1.16e77; grid rows below keep the
+    # bits of a scalar call, rows above are finite instead of raising
+    grid = np.geomspace(1e70, 1e90, 21)
+    values = mqfi(grid)
+    small = grid < 1e77
+    assert small.any() and not small.all()
+    assert np.array_equal(values[small], [mqfi(float(w0)) for w0 in grid[small]])
+    for w0, value in zip(grid[~small], values[~small]):
+        assert value == pytest.approx(reference(float(w0)), rel=1e-12, abs=0.0)
+        assert mqfi(float(w0)) == value
 
 
 def test_static_field_small_time_bound():

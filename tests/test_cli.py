@@ -187,7 +187,7 @@ def test_large_field_mqfi_is_rescaled_not_overflowed(argv, reference, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     total = float(out.splitlines()[1].split("=")[1])
-    assert total == pytest.approx(reference, rel=1e-12)
+    assert total == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_finite_residuals_within_limit_pass(capsys):
