@@ -75,24 +75,33 @@ def _pow_overflows(x, n) -> bool:
 _pow_overflows_ufunc = np.frompyfunc(_pow_overflows, 2, 1)
 
 
-def _quartic_ratio(coeff: float, num, den, factor):
-    """coeff num^2 / den^4 * factor for |num| <= |den|, finite wherever den^2 is.
+def _field_ratio(coeff: float, num, den, factor, power: int):
+    """coeff num^2 factor / den^power for |num| <= |den| and power 2 or 4.
 
-    Rows where den^4 is representable get exactly the bits of the direct
-    form; the others use coeff (num/den)^2 (factor / den^2), which only
-    overflows (raising OverflowError) where den^2 does.
+    Grids where den^power is representable get exactly the bits of the
+    direct forms, (coeff num^2 factor) / den^2 and (coeff num^2 / den^4)
+    factor.  Only if the direct form raises OverflowError is a per-row mask
+    built: rows where den^power overflows use coeff (num/den)^2 factor,
+    divided by den twice for power 4, which is finite wherever factor is;
+    the other rows keep the direct form.
     """
+    def direct(n, d, f):
+        if power == 2:
+            return coeff * libm_pow(n, 2) * f / libm_pow(d, 2)
+        return coeff * libm_pow(n, 2) / libm_pow(d, 4) * f
+
     try:
-        return coeff * libm_pow(num, 2) / libm_pow(den, 4) * factor
+        return direct(num, den, factor)
     except OverflowError:
         pass
     with np.errstate(over="ignore"):   # the overflow this detects is expected
-        over = np.asarray(_pow_overflows_ufunc(den, 4), dtype=bool)
+        over = np.asarray(_pow_overflows_ufunc(den, power), dtype=bool)
     num, den, factor, over = np.broadcast_arrays(num, den, factor, over)
     out = np.empty(over.shape)
     fine = ~over
-    out[fine] = coeff * libm_pow(num[fine], 2) / libm_pow(den[fine], 4) * factor[fine]
-    out[over] = coeff * libm_pow(num[over] / den[over], 2) * (factor[over] / libm_pow(den[over], 2))
+    out[fine] = direct(num[fine], den[fine], factor[fine])
+    n, d, f = num[over], den[over], factor[over]
+    out[over] = coeff * libm_pow(n / d, 2) * (f / d / d if power == 4 else f)
     return out[()]
 
 
@@ -202,8 +211,8 @@ def static_field_mqfi(which: str, system: StaticFieldSystem, j: float, t) -> Qfi
     else:
         raise ValueError(f"unknown static-field parameter {which!r}")
     jsq4 = 4.0 * float(j) ** 2
-    quad = jsq4 * libm_pow(radial, 2) * libm_pow(t, 2) / libm_pow(k, 2)
-    osc = _quartic_ratio(jsq4 * 4.0, transverse, k, libm_pow(np.sin(k * t / 2.0), 2))
+    quad = _field_ratio(jsq4, radial, k, libm_pow(t, 2), 2)
+    osc = _field_ratio(jsq4 * 4.0, transverse, k, libm_pow(np.sin(k * t / 2.0), 2), 4)
     return QfiBreakdown(quad + osc, quad, osc)
 
 
@@ -227,11 +236,6 @@ class RotatingFrame:
     """
 
     system: DrivenSystem
-
-    def h_lab(self, rep: SpinRep, t: float) -> np.ndarray:
-        """Lab-frame Hamiltonian at time t (time dependent)."""
-        s = self.system
-        return s.omega0 * rep.jz + s.lam * (np.cos(s.omega * t) * rep.jx + np.sin(s.omega * t) * rep.jy)
 
     def h_eff(self, rep: SpinRep) -> np.ndarray:
         s = self.system
@@ -292,17 +296,24 @@ def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> float:
         series = x2 * x2 * (0.25 - x2 / 72.0 + x2 * x2 / 2880.0)
         closed = 2.0 + x * x - 2.0 * x * np.sin(x) - 2.0 * np.cos(x)
     bracket = np.where(np.abs(x) < 0.1, series, closed)[()]
-    return _quartic_ratio(4.0 * float(j) ** 2, lam, kp, bracket)
+    return _field_ratio(4.0 * float(j) ** 2, lam, kp, bracket, 4)
 
 
 def driven_static_mqfi(which: str, system: DrivenSystem, j: float, t: float) -> QfiBreakdown:
-    """Maximal QFI for estimating lam or omega0 of the driven system.
+    """Maximal QFI for estimating lam, omega0 or the drive frequency omega of the driven system.
 
-    The frame factor carries no dependence on either coupling, so this is
-    the static-field result with omega0 replaced by the detuning.  On
-    resonance (delta = 0) the lam value is exactly 4 j^2 t^2.
+    The frame factor carries no dependence on either coupling, so for lam
+    and omega0 this is the static-field result with omega0 replaced by the
+    detuning.  On resonance (delta = 0) the lam value is exactly 4 j^2 t^2.
+    For omega the total is :func:`driving_frequency_mqfi`; its quadratic
+    part is the late-time parabola 4 j^2 lam^2 t^2 / kp^2, the quadratic
+    part of the lam estimate, and the oscillatory part the remainder.
     """
     _require_observable_drive(system)
+    if which == "omega":
+        total = driving_frequency_mqfi(system, j, t)
+        quad = _field_ratio(4.0 * float(j) ** 2, system.lam, system.kp, libm_pow(t, 2), 2)
+        return QfiBreakdown(total, quad, total - quad)
     if which not in ("omega0", "lambda"):
         raise ValueError(f"unknown driven-system parameter {which!r}")
     equivalent = StaticFieldSystem(omega0=system.delta, lam=system.lam)
@@ -310,8 +321,17 @@ def driven_static_mqfi(which: str, system: DrivenSystem, j: float, t: float) -> 
 
 
 def driven_static_curve(which: str, system: DrivenSystem) -> tuple[FieldCurve, float]:
-    """Effective coefficient curve (lam, 0, delta) for the static parameters."""
+    """Effective coefficient curve (lam, 0, delta) in the frame rotating at omega.
+
+    For ``"omega"`` the frame exp(-i omega t jz) moves with the parameter too.
+    """
     _require_observable_drive(system)
+    if which == "omega":
+        lam, omega0 = system.lam, system.omega0
+        return (
+            FieldCurve(lambda w: np.array([lam, 0.0, omega0 - w]), lambda w: np.array([0.0, 0.0, -1.0])),
+            system.omega,
+        )
     if which == "omega0":
         lam, omega = system.lam, system.omega
         return (

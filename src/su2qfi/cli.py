@@ -8,11 +8,13 @@ Exit codes: 0 success, 2 parameter error, 3 oracle-validation failure,
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,9 +25,7 @@ from .cases import (
     StaticFieldSystem,
     driven_static_curve,
     driven_static_mqfi,
-    driving_frequency_mqfi,
     driving_generator,
-    rotating_frame,
     spherical_curve,
     spherical_field_mqfi,
     static_curve,
@@ -36,13 +36,13 @@ from .generator import (
     FieldCurve,
     QfiBreakdown,
     analytic_generator,
-    generator_vector,
     libm_pow,
     mqfi_closed_form,
     split_velocity,
 )
 from .numerics import (
     compose_generators,
+    generator_fd,
     generator_series_scaled,
     midpoint_su2,
     optimal_state,
@@ -70,23 +70,88 @@ DEFAULT_SERIES_ORDER = 24
 _CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
 
+class Frame(enum.Enum):
+    """The factor exp(-i omega t jz) in U(theta) = frame . exp(-i t field(theta).J)."""
+
+    FIXED = "omega is the drive-frequency parameter"
+    MOVING = "omega is theta, the estimated drive frequency"
+
+
 @dataclass(frozen=True)
-class ScenarioSpec:
+class Scenario:
+    """One CLI scenario: U(theta) = frame . exp(-i t field(theta).J).
+
+    ``breakdown(params, j, t)`` is the closed-form MQFI, ``curve(params)``
+    the (FieldCurve, anchor) of the field, and ``frame`` None for a static
+    field.
+    """
+
     required: tuple
     defaults: dict
     sweepable: tuple
+    breakdown: Callable
+    curve: Callable
+    frame: Optional[Frame] = None
+
+
+def _spherical_field(p: dict) -> SphericalField:
+    return SphericalField(p["r"], p["theta"], p["phi"])
+
+
+def _static_system(p: dict) -> StaticFieldSystem:
+    return StaticFieldSystem(p["omega0"], p["lambda"])
+
+
+def _driven_system(params: dict) -> DrivenSystem:
+    return DrivenSystem(omega0=params["omega0"], lam=params["lambda"], omega=params["omega"])
+
+
+def _spherical(which: str, required: tuple, defaults: dict, radial: bool) -> Scenario:
+    def breakdown(p, j, t):
+        total = spherical_field_mqfi(which, _spherical_field(p), j, t)
+        return QfiBreakdown(total, total, 0.0) if radial else QfiBreakdown(total, 0.0, total)
+
+    return Scenario(required, defaults, ("t", "r", "theta", "phi"), breakdown,
+                    lambda p: spherical_curve(which, _spherical_field(p)))
+
+
+def _static(which: str) -> Scenario:
+    return Scenario(("omega0", "lambda"), {}, ("t", "omega0", "lambda"),
+                    lambda p, j, t: static_field_mqfi(which, _static_system(p), j, t),
+                    lambda p: static_curve(which, _static_system(p)))
+
+
+def _driven(which: str, frame: Frame = Frame.FIXED) -> Scenario:
+    return Scenario(("omega0", "lambda", "omega"), {}, ("t", "omega0", "lambda", "omega", "Delta"),
+                    lambda p, j, t: driven_static_mqfi(which, _driven_system(p), j, t),
+                    lambda p: driven_static_curve(which, _driven_system(p)), frame)
+
+
+def _generic_curve(p: dict):
+    r = np.asarray(p["rvec"], dtype=float)
+    v = np.asarray(p["vvec"], dtype=float)
+    return FieldCurve(lambda th: r + th * v, lambda th: v), 0.0
+
+
+def _generic_breakdown(p: dict, j: float, t) -> QfiBreakdown:
+    r = np.asarray(p["rvec"], dtype=float)
+    v = np.asarray(p["vvec"], dtype=float)
+    if np.linalg.norm(r) == 0.0:
+        quad = 4.0 * j**2 * libm_pow(t, 2) * float(v @ v)
+        return QfiBreakdown(quad, quad, 0.0)
+    return mqfi_closed_form(j, split_velocity(r, v), t)
 
 
 SCENARIOS = {
-    "case1-theta": ScenarioSpec(("r",), _CASE1_DEFAULTS, ("t", "r", "theta", "phi")),
-    "case1-phi": ScenarioSpec(("r", "theta"), {"phi": 0.7}, ("t", "r", "theta", "phi")),
-    "case1-r": ScenarioSpec(("r",), _CASE1_DEFAULTS, ("t", "r", "theta", "phi")),
-    "case2-omega0": ScenarioSpec(("omega0", "lambda"), {}, ("t", "omega0", "lambda")),
-    "case2-lambda": ScenarioSpec(("omega0", "lambda"), {}, ("t", "omega0", "lambda")),
-    "case3-omega": ScenarioSpec(("omega0", "lambda", "omega"), {}, ("t", "omega0", "lambda", "omega", "Delta")),
-    "case3-lambda": ScenarioSpec(("omega0", "lambda", "omega"), {}, ("t", "omega0", "lambda", "omega", "Delta")),
-    "case3-omega0": ScenarioSpec(("omega0", "lambda", "omega"), {}, ("t", "omega0", "lambda", "omega", "Delta")),
-    "generic": ScenarioSpec(("rvec", "vvec"), {}, ("t",)),
+    "case1-theta": _spherical("theta", ("r",), _CASE1_DEFAULTS, radial=False),
+    "case1-phi": _spherical("phi", ("r", "theta"), {"phi": 0.7}, radial=False),
+    "case1-r": _spherical("r", ("r",), _CASE1_DEFAULTS, radial=True),
+    "case2-omega0": _static("omega0"),
+    "case2-lambda": _static("lambda"),
+    "case3-omega": _driven("omega", Frame.MOVING),
+    "case3-lambda": _driven("lambda"),
+    "case3-omega0": _driven("omega0"),
+    "generic": Scenario(("rvec", "vvec"), {}, ("t",), _generic_breakdown, _generic_curve),
 }
 
 FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b")
@@ -192,8 +257,10 @@ def _check_required(scenario: str, params: dict, skip=()):
         raise ValueError(f"scenario {scenario} requires --{' --'.join(missing)}")
 
 
-def _driven_system(params: dict) -> DrivenSystem:
-    return DrivenSystem(omega0=params["omega0"], lam=params["lambda"], omega=params["omega"])
+def _scenario(name: str) -> Scenario:
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    return SCENARIOS[name]
 
 
 def evaluate_point(scenario: str, params: dict, j: float, t) -> QfiBreakdown:
@@ -202,147 +269,73 @@ def evaluate_point(scenario: str, params: dict, j: float, t) -> QfiBreakdown:
     Any scalar parameter or ``t`` may instead be an array of grid values;
     the breakdown then holds the parts at every grid point.
     """
-    if scenario.startswith("case1-"):
-        which = scenario.split("-")[1]
-        field = SphericalField(params["r"], params["theta"], params["phi"])
-        total = spherical_field_mqfi(which, field, j, t)
-        if which == "r":
-            return QfiBreakdown(total, total, 0.0)
-        return QfiBreakdown(total, 0.0, total)
-    if scenario.startswith("case2-"):
-        which = scenario.split("-")[1]
-        return static_field_mqfi(which, StaticFieldSystem(params["omega0"], params["lambda"]), j, t)
-    if scenario == "case3-omega":
-        system = _driven_system(params)
-        total = driving_frequency_mqfi(system, j, t)
-        quad = 4.0 * j**2 * libm_pow(system.lam, 2) * libm_pow(t, 2) / libm_pow(system.kp, 2)
-        return QfiBreakdown(total, quad, total - quad)
-    if scenario in ("case3-lambda", "case3-omega0"):
-        which = scenario.split("-")[1]
-        return driven_static_mqfi(which, _driven_system(params), j, t)
-    if scenario == "generic":
-        r = np.asarray(params["rvec"], dtype=float)
-        v = np.asarray(params["vvec"], dtype=float)
-        if np.linalg.norm(r) == 0.0:
-            quad = 4.0 * j**2 * libm_pow(t, 2) * float(v @ v)
-            return QfiBreakdown(quad, quad, 0.0)
-        return mqfi_closed_form(j, split_velocity(r, v), t)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def _scenario_curve(scenario: str, params: dict):
-    """(FieldCurve, anchor) for scenarios whose propagator is exp(-i t field.J)."""
-    if scenario == "generic":
-        r = np.asarray(params["rvec"], dtype=float)
-        v = np.asarray(params["vvec"], dtype=float)
-        return FieldCurve(lambda th: r + th * v, lambda th: v), 0.0
-    which = scenario.split("-")[1]
-    if scenario.startswith("case1-"):
-        return spherical_curve(which, SphericalField(params["r"], params["theta"], params["phi"]))
-    if scenario.startswith("case2-"):
-        return static_curve(which, StaticFieldSystem(params["omega0"], params["lambda"]))
-    if scenario in ("case3-lambda", "case3-omega0"):
-        return driven_static_curve(which, _driven_system(params))
-    raise ValueError(f"unknown scenario {scenario!r}")
+    return _scenario(scenario).breakdown(params, j, t)
 
 
 def scenario_generator(scenario: str, params: dict, rep, t: float) -> np.ndarray:
     """Closed-form generator matrix for one scenario point."""
-    if scenario == "case3-omega":
+    spec = _scenario(scenario)
+    if spec.frame is Frame.MOVING:   # the drive frequency has its own closed form
         return driving_generator(_driven_system(params), rep, t)
-    curve, anchor = _scenario_curve(scenario, params)
+    curve, anchor = spec.curve(params)
     return analytic_generator(rep, curve, anchor, t).matrix
 
 
-def _fd_scale(scenario: str, params: dict, rep, t: float) -> float:
-    """Estimate of t * ||d_theta H|| controlling the finite-difference step."""
-    if scenario == "case3-omega":
-        system = _driven_system(params)
-        return t * rep.j * (1.0 + system.lam + abs(system.delta))
-    curve, anchor = _scenario_curve(scenario, params)
-    return t * rep.j * float(np.linalg.norm(curve.velocity(anchor)))
+def _propagator(spec: Scenario, curve: FieldCurve, params: dict, rep, t: float):
+    """theta -> U(theta) = frame . exp(-i t field(theta).J), the one model both oracles use."""
+    def field_u(theta):
+        return hermitian_expm(dot_with_J(rep, curve.field(theta)), -1j * t)
 
-
-def _generator_fd5(u_of, theta: float, step: float) -> np.ndarray:
-    """Five-point finite-difference generator, truncation O(step^4).
-
-    The validator covers evolution times where the propagator entries carry
-    phase-rounding noise of order eps * t * ||H||; the fourth-order stencil
-    tolerates a much larger step than the plain central difference, which
-    keeps that noise from being amplified by 1/step.
-    """
-    u_dag = lambda th: u_of(th).conj().T
-    d_dag = (
-        -u_dag(theta + 2 * step)
-        + 8 * u_dag(theta + step)
-        - 8 * u_dag(theta - step)
-        + u_dag(theta - 2 * step)
-    ) / (12 * step)
-    raw = 1j * d_dag @ u_of(theta)
-    return (raw + raw.conj().T) / 2
+    if spec.frame is None:
+        return field_u
+    if spec.frame is Frame.MOVING:
+        return lambda omega: hermitian_expm(rep.jz, -1j * omega * t) @ field_u(omega)
+    u1 = hermitian_expm(rep.jz, -1j * params["omega"] * t)
+    return lambda theta: u1 @ field_u(theta)
 
 
 def oracle_residuals(scenario, params, rep, t, series_order=DEFAULT_SERIES_ORDER, step=None):
     """Frobenius distances of the closed-form generator from both oracles.
 
     Returns (series residual, finite-difference residual).  The series side
-    uses the time-doubled commutator series; the finite-difference side
-    differentiates the actual propagator of the scenario.
+    is the time-doubled commutator series of the field, composed with the
+    frame generator -t jz when the frame moves with theta; the
+    finite-difference side differentiates U(theta) = frame . exp(-i t field(theta).J).
     """
+    spec = _scenario(scenario)
     closed = scenario_generator(scenario, params, rep, t)
-    h = step if step is not None else 2e-3 / max(1.0, _fd_scale(scenario, params, rep, t))
-
-    if scenario == "case3-omega":
-        system = _driven_system(params)
-        frame = rotating_frame(system)
-        h_eff = frame.h_eff(rep)
-        gen_eff = generator_series_scaled(h_eff, -np.asarray(rep.jz), t, order=series_order)
-        u2 = hermitian_expm(h_eff, -1j * t)
-        composed = compose_generators(-t * np.asarray(rep.jz), u2, gen_eff)
-        res_series = frobenius(closed - composed)
-
-        def u_of(omega):
-            sys_w = DrivenSystem(system.omega0, system.lam, omega)
-            return rotating_frame(sys_w).u_full(rep, t)
-
-        res_fd = frobenius(closed - _generator_fd5(u_of, system.omega, h))
-        return res_series, res_fd
-
-    curve, anchor = _scenario_curve(scenario, params)
+    curve, anchor = spec.curve(params)
     r = curve.field(anchor)
     v = curve.velocity(anchor)
-    series = generator_series_scaled(dot_with_J(rep, r), dot_with_J(rep, v), t, order=series_order)
-    res_series = frobenius(closed - series)
+    h_field = dot_with_J(rep, r)
+    series = generator_series_scaled(h_field, dot_with_J(rep, v), t, order=series_order)
 
-    if scenario in ("case3-lambda", "case3-omega0"):
-        system = _driven_system(params)
-        u1 = hermitian_expm(rep.jz, -1j * system.omega * t)
-
-        def u_of(theta):
-            return u1 @ hermitian_expm(dot_with_J(rep, curve.field(theta)), -1j * t)
-
-    else:
-
-        def u_of(theta):
-            return hermitian_expm(dot_with_J(rep, curve.field(theta)), -1j * t)
-
-    res_fd = frobenius(closed - _generator_fd5(u_of, anchor, h))
-    return res_series, res_fd
+    # the step scale estimates t * ||d_theta H||; a moving frame adds the
+    # size of the field it rotates
+    speed = float(np.linalg.norm(v))
+    if spec.frame is Frame.MOVING:
+        series = compose_generators(-t * np.asarray(rep.jz), hermitian_expm(h_field, -1j * t), series)
+        speed = speed + abs(r[0]) + abs(r[1]) + abs(r[2])
+    h = step if step is not None else 2e-3 / max(1.0, t * rep.j * speed)
+    u_of = _propagator(spec, curve, params, rep, t)
+    return frobenius(closed - series), frobenius(closed - generator_fd(u_of, anchor, h))
 
 
-def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
-    """||time-ordered product - U1 U2||_F for the driven system at one point.
+def trotter_cross_check(scenario: str, params: dict, rep, t: float, steps: int) -> float:
+    """||time-ordered product - U(theta)||_F for a driven scenario at one point.
 
     The midpoint product of the lab field (lam cos wt, lam sin wt, omega0)
     runs in SU(2) and is lifted once to the spin of ``rep``.
     """
+    spec = _scenario(scenario)
+    curve, anchor = spec.curve(params)
     system = _driven_system(params)
 
     def field(ts):
         return system.lam * np.cos(system.omega * ts), system.lam * np.sin(system.omega * ts), system.omega0
 
     u_ordered = su2_lift(rep, midpoint_su2(field, t, steps))
-    return frobenius(u_ordered - rotating_frame(system).u_full(rep, t))
+    return frobenius(u_ordered - _propagator(spec, curve, params, rep, t)(anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +439,14 @@ def _validation_extras(scenario, rows, j, steps):
     ``rows`` holds the (params, t) of every grid row.  Returns the comment
     lines and (row index, residual), or None when no check runs.
     """
-    if not scenario.startswith("case3-"):
+    if _scenario(scenario).frame is None:
         return [], None
     candidates = [k for k, (_, t) in enumerate(rows) if t > 0]
     if not candidates:
         return [], None
     k = min(candidates, key=lambda i: rows[i][1])
     params, t = rows[k]
-    residual = trotter_cross_check(params, build_spin_rep(j), t, steps)
+    residual = trotter_cross_check(scenario, params, build_spin_rep(j), t, steps)
     comment = f"# trotter_check t={_fmt(t)} steps={steps} residual={_fmt(residual)}"
     return [comment], (k, residual)
 

@@ -67,7 +67,7 @@ def _vec3(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 

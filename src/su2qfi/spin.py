@@ -44,10 +44,10 @@ def require_hermitian(matrix, tol: float = 1e-10, name: str = "matrix") -> np.nd
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if m.size and not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
         raise ValueError(f"{name} contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
+    dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
     if dev > tol * scale:
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
     return m
@@ -139,7 +139,7 @@ def dot_with_J(rep: SpinRep, a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("coefficient vector must be finite")
     return a[0] * rep.jx + a[1] * rep.jy + a[2] * rep.jz
 

@@ -171,6 +171,22 @@ def test_field_fourth_power_overflow_only_rescales_its_rows(mqfi, reference):
         assert mqfi(float(w0)) == value
 
 
+def test_field_square_overflow_only_rescales_its_rows():
+    # |field|^2 overflows above about 1.34e154 (omega0 = lam above 9.5e153);
+    # the quadratic part 4 j^2 (omega0 / k)^2 t^2 stays finite there
+    j, t = 1.5, 0.7
+    grid = np.geomspace(1e145, 1e165, 21)
+    values = static_field_mqfi("omega0", StaticFieldSystem(grid, grid), j, t).total
+    small = grid < 9e153
+    assert small.any() and not small.all()
+    scalar = [static_field_mqfi("omega0", StaticFieldSystem(w, w), j, t).total for w in grid[small]]
+    assert np.array_equal(values[small], scalar)
+    for w0, value in zip(grid[~small], values[~small]):
+        k = math.hypot(w0, w0)
+        reference = 4 * j**2 * (0.5 * t**2 + 2 * math.sin(k * t / 2) ** 2 / k / k)
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
 def test_static_field_small_time_bound():
     # at K t << 1 both couplings sit below the quadratic envelope 4 j^2 t^2
     rng = np.random.default_rng(55)
@@ -247,6 +263,28 @@ def test_driving_generator_matches_composition():
         gen2 = dot_with_J(rep, generator_vector([system.lam, 0.0, system.delta], [0.0, 0.0, -1.0], t))
         composed = compose_generators(-t * jz, hermitian_expm(h_eff, -1j * t), gen2)
         assert frobenius(driving_generator(system, rep, t) - composed) < 1e-10
+
+
+def test_drive_frequency_curve_and_breakdown():
+    # the "omega" curve is the rotating-frame field; composed with the frame
+    # generator -t jz its analytic generator is the drive-frequency closed form
+    rng = np.random.default_rng(58)
+    rep = build_spin_rep(1.5)
+    for _ in range(10):
+        system = DrivenSystem(rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
+        t = rng.uniform(0.1, 3)
+        curve, anchor = driven_static_curve("omega", system)
+        assert anchor == system.omega
+        np.testing.assert_array_equal(curve.field(anchor), [system.lam, 0.0, system.delta])
+        u2 = hermitian_expm(dot_with_J(rep, curve.field(anchor)), -1j * t)
+        gen2 = analytic_generator(rep, curve, anchor, t).matrix
+        composed = compose_generators(-t * np.asarray(rep.jz), u2, gen2)
+        assert frobenius(driving_generator(system, rep, t) - composed) < 1e-10
+
+        parts = driven_static_mqfi("omega", system, 1.5, t)
+        assert parts.total == driving_frequency_mqfi(system, 1.5, t)
+        assert parts.quadratic == pytest.approx(4 * 1.5**2 * system.lam**2 * t**2 / system.kp**2, rel=1e-14)
+        assert parts.oscillatory == parts.total - parts.quadratic
 
 
 def test_driving_generator_matches_finite_difference():

@@ -131,18 +131,17 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["mqfi", "case2-omega0", "--omega0", "1e200", "--lambda", "1e200", "--t", "1"],
-    ["sweep", "case2-omega0", "--omega0", "1e200", "--lambda", "1e200", "--variable", "t",
-     "--start", "0", "--stop", "1", "--points", "3"],
+    ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "1e200"],   # t^2 overflows
     ["mqfi", "case2-omega0", "--omega0", "nan", "--lambda", "1", "--t", "1"],
     ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "inf"],
     ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "-1"],
     ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "1", "--j", "0.3"],
     ["mqfi", "case1-theta", "--r", "1e308", "--t", "10"],   # finite input, non-finite r t
+    ["mqfi", "case3-omega", "--omega0", "1e200", "--lambda", "1", "--omega", "0", "--t", "1"],   # (kp t)^2
     ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
      "--start", "-1", "--stop", "1", "--points", "3"],
-], ids=["mqfi-overflow", "sweep-overflow", "nan-param", "inf-t", "negative-t", "bad-spin",
-        "nonfinite-output", "negative-t-sweep"])
+], ids=["overflowing-t", "nan-param", "inf-t", "negative-t", "bad-spin",
+        "nonfinite-output", "overflowing-kp-t", "negative-t-sweep"])
 def test_bad_input_exits_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -181,13 +180,28 @@ def test_bad_steps_exit_2(steps, capsys):
     # 4 j^2 [lam^2 t^2 / k^2 + 4 (omega0 / k)^2 sin^2(k t / 2) / k^2] with k = 1e100
     (["mqfi", "case2-lambda", "--omega0", "1e100", "--lambda", "1", "--t", "1"],
      4.0 * (1e-200 + 4.0 * math.sin(5e99) ** 2 * 1e-200)),
-], ids=["case3-omega", "case2-lambda"])
+    # |field|^2 overflows too; 4 j^2 [(omega0 / k)^2 t^2 + O(1e-400)] with k = sqrt(2) 1e200
+    (["mqfi", "case2-omega0", "--omega0", "1e200", "--lambda", "1e200", "--t", "1"], 2.0),
+    # the static lam result with omega0 -> delta = 1e200
+    (["mqfi", "case3-lambda", "--omega0", "1e200", "--lambda", "1e200", "--omega", "0", "--t", "1"], 2.0),
+    # kp = sqrt(2) 1e200 but kp t = 1.4e100: 4 j^2 (lam / kp)^2 t^2 [1 + O(1e-100)]
+    (["mqfi", "case3-omega", "--omega0", "1e200", "--lambda", "1e200", "--omega", "0", "--t", "1e-100"],
+     2e-200),
+], ids=["case3-omega", "case2-lambda", "case2-omega0-square", "case3-lambda-square", "case3-omega-square"])
 def test_large_field_mqfi_is_rescaled_not_overflowed(argv, reference, capsys):
-    # the fourth power of |field| overflows although the MQFI is about 4e-200
+    # a power of |field| overflows although the MQFI is finite
     code, out, _ = run(argv, capsys)
     assert code == 0
     total = float(out.splitlines()[1].split("=")[1])
     assert total == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_large_field_sweep_is_rescaled_not_overflowed(capsys):
+    code, out, _ = run(["sweep", "case2-omega0", "--omega0", "1e200", "--lambda", "1e200",
+                        "--variable", "t", "--start", "0", "--stop", "1", "--points", "3"], capsys)
+    assert code == 0
+    totals = [float(line.split(",")[1]) for line in out.splitlines()[3:]]
+    assert totals == pytest.approx([0.0, 0.5, 2.0], rel=1e-12, abs=0.0)
 
 
 def test_finite_residuals_within_limit_pass(capsys):
@@ -365,17 +379,22 @@ GRID_SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("scenario, fixed, t, variable, start, stop", GRID_SWEEPS,
-                         ids=[case[0] for case in GRID_SWEEPS])
-def test_grid_equals_scalar_closed_forms(scenario, fixed, t, variable, start, stop, tmp_path, capsys):
-    out = tmp_path / "grid.csv"
+def _grid_argv(scenario, fixed, t, variable, start, stop, points):
     argv = ["sweep", scenario, "--j", "1.5", "--variable", variable,
-            "--start", str(start), "--stop", str(stop), "--points", "401", "--out", str(out)]
+            "--start", str(start), "--stop", str(stop), "--points", str(points)]
     for name, value in fixed.items():
         text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         argv.append(f"--{name}={text}")
     if t is not None:
         argv.append(f"--t={t}")
+    return argv
+
+
+@pytest.mark.parametrize("scenario, fixed, t, variable, start, stop", GRID_SWEEPS,
+                         ids=[case[0] for case in GRID_SWEEPS])
+def test_grid_equals_scalar_closed_forms(scenario, fixed, t, variable, start, stop, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = _grid_argv(scenario, fixed, t, variable, start, stop, 401) + ["--out", str(out)]
     assert run(argv, capsys)[0] == 0
     for line in data_lines(out)[1:]:
         value = float(line.split(",")[0])
@@ -388,6 +407,35 @@ def test_grid_equals_scalar_closed_forms(scenario, fixed, t, variable, start, st
             params[variable] = value
         point = evaluate_point(scenario, params, 1.5, t_row)
         assert line == ",".join(map(_fmt, (value, point.total, point.quadratic, point.oscillatory)))
+
+
+# SHA-256 of the --validate data section (closed forms and both oracle
+# residual columns) of fig2b and of a 10-row GRID_SWEEPS sweep per scenario.
+VALIDATED_SHA256 = {
+    "fig2b": "617816a8900bb98e119aa26ecaa5978d3d7e25e87b9985e948fe1e6ae50243c5",
+    "case1-theta": "fa84740ddd9bc72c920c83ad06c5a348c0a31db86e48d0da4b83c454a955ba86",
+    "case1-phi": "c1bd45f656db108295a42d3d0db143e72ffb7942a124e009db777279c1a8842a",
+    "case1-r": "1b42668fc2a26f4c43bdc0e69f24a12c6d4ec3048a83f72063d820e48245ddf9",
+    "case2-omega0": "4f78c605fac0a4b94fee815c2972a5e1ba3839ab1c86c8ce19e8dd5ba5c7be05",
+    "case2-lambda": "b5de1e8628fc68574fc3bd90d2eb539a0b938542cff410da2eea1323b9788b8e",
+    "case3-omega": "a76898fea7bc5e9ce95617d7d134d4a052da12d4c81a21a1f27d77f5936b76b7",
+    "case3-lambda": "388d00b655d17b512e3c8558a74fcd3334fa00d37236b170991f519b78be1dea",
+    "case3-omega0": "88cd61c499bd0a3eeee02dc56e582803a1fe473da93c48c63bd580dd96bbf0d2",
+    "generic": "79cbddc7aee01fac0abee666dc010c4060fcecbc84b4ab18272d872e0ac2f12a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED_SHA256))
+def test_validated_data_section_is_pinned(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    if name == "fig2b":
+        argv = ["figure", "fig2b"]
+    else:
+        (case,) = [case for case in GRID_SWEEPS if case[0] == name]
+        argv = _grid_argv(*case, points=10)
+    assert run(argv + ["--validate", "--out", str(out)], capsys)[0] == 0
+    data = "".join(line + "\n" for line in data_lines(out)).encode()
+    assert hashlib.sha256(data).hexdigest() == VALIDATED_SHA256[name]
 
 
 @pytest.mark.parametrize("argv, named", [

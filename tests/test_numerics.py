@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from su2qfi import (
     trotter_propagator,
 )
 from su2qfi.cases import DrivenSystem, rotating_frame
-from su2qfi.numerics import _SU2_BLOCK_STEPS
+from su2qfi.numerics import _BLOCK_STEPS, _SU2_BLOCK_STEPS
 
 
 def random_hermitian(rng, dim):
@@ -344,28 +345,44 @@ def test_trotter_batch_equals_scalar():
     np.testing.assert_allclose(a, b, atol=1e-13)
 
 
-@pytest.mark.parametrize("steps,total_t", [(1, 0.7), (999, 1.5), (3000, 1.5), (5120, 2.0), (6147, 2.0), (12, 40.0)])
-def test_trotter_blocks_equal_one_stack(steps, total_t):
-    # Reference: every step unitary in one stack, reduced pairwise in one go.
-    # The blocked product must reproduce it bit for bit, on both the Taylor
-    # branch and (dt ||H|| > 0.8, last case) the eigendecomposition branch.
-    from su2qfi.numerics import _expm_skew_taylor, _ordered_product
+@pytest.mark.parametrize("steps,total_t", [
+    (1, 0.7), (2, 1.5), (999, 1.5), (3000, 1.5),
+    (_BLOCK_STEPS - 1, 2.0), (_BLOCK_STEPS, 2.0), (_BLOCK_STEPS + 1, 2.0),
+    (5120, 2.0), (6147, 2.0), (12, 40.0),
+])
+def test_trotter_matches_plain_ordered_product(steps, total_t):
+    # Reference: the same step exponentials, multiplied one at a time in
+    # time order, on both the Taylor branch and (dt ||H|| > 0.8, last case)
+    # the eigendecomposition branch.
+    from su2qfi.numerics import _expm_skew_taylor
 
     rep = build_spin_rep(1.5)
-    jx, jy, jz = (np.asarray(m) for m in (rep.jx, rep.jy, rep.jz))
-
-    def h_batch(ts):
-        return 1.1 * jz + 0.7 * (np.cos(0.9 * ts)[:, None, None] * jx + np.sin(0.9 * ts)[:, None, None] * jy)
-
+    h_batch = _drive_hamiltonians(rep)
     dt = total_t / steps
     hs = h_batch((np.arange(steps) + 0.5) * dt)
     scaled = -1j * dt * hs
     max_norm = float(np.sqrt(np.max(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
     if max_norm > 0.8:
-        us = np.stack([hermitian_expm(hk, -1j * dt) for hk in hs])
+        us = [hermitian_expm(hk, -1j * dt) for hk in hs]
     else:
         us = _expm_skew_taylor(scaled, max_norm)
-    assert np.array_equal(trotter_propagator(h_batch, total_t, steps, batch=True), _ordered_product(us))
+    reference = np.eye(rep.dim, dtype=complex)
+    for u in us:
+        reference = u @ reference
+    assert frobenius(trotter_propagator(h_batch, total_t, steps, batch=True) - reference) < 1e-12
+
+
+def test_trotter_memory_is_bounded_at_odd_step_count():
+    # 19 999 step unitaries at j = 3 take 15.7 MB; reducing each block as it
+    # is made keeps the peak at a few blocks whatever the parity of steps.
+    h_batch = _drive_hamiltonians(build_spin_rep(3))
+    tracemalloc.start()
+    try:
+        trotter_propagator(h_batch, 2.0, 19_999, batch=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_trotter_second_order_convergence():
