@@ -26,6 +26,7 @@ from .cases import (
     driven_static_curve,
     driven_static_mqfi,
     driving_generator,
+    rotating_frame,
     spherical_curve,
     spherical_field_mqfi,
     static_curve,
@@ -282,7 +283,7 @@ def scenario_generator(scenario: str, params: dict, rep, t: float) -> np.ndarray
 
 
 def _propagator(spec: Scenario, curve: FieldCurve, params: dict, rep, t: float):
-    """theta -> U(theta) = frame . exp(-i t field(theta).J), the one model both oracles use."""
+    """theta -> U(theta) = frame . exp(-i t field(theta).J), the propagator both oracles use."""
     def field_u(theta):
         return hermitian_expm(dot_with_J(rep, curve.field(theta)), -1j * t)
 
@@ -321,21 +322,19 @@ def oracle_residuals(scenario, params, rep, t, series_order=DEFAULT_SERIES_ORDER
     return frobenius(closed - series), frobenius(closed - generator_fd(u_of, anchor, h))
 
 
-def trotter_cross_check(scenario: str, params: dict, rep, t: float, steps: int) -> float:
-    """||time-ordered product - U(theta)||_F for a driven scenario at one point.
+def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
+    """||time-ordered product - U1 U2||_F for the driven system at one point.
 
     The midpoint product of the lab field (lam cos wt, lam sin wt, omega0)
     runs in SU(2) and is lifted once to the spin of ``rep``.
     """
-    spec = _scenario(scenario)
-    curve, anchor = spec.curve(params)
     system = _driven_system(params)
 
     def field(ts):
         return system.lam * np.cos(system.omega * ts), system.lam * np.sin(system.omega * ts), system.omega0
 
     u_ordered = su2_lift(rep, midpoint_su2(field, t, steps))
-    return frobenius(u_ordered - _propagator(spec, curve, params, rep, t)(anchor))
+    return frobenius(u_ordered - rotating_frame(system).u_full(rep, t))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +445,7 @@ def _validation_extras(scenario, rows, j, steps):
         return [], None
     k = min(candidates, key=lambda i: rows[i][1])
     params, t = rows[k]
-    residual = trotter_cross_check(scenario, params, build_spin_rep(j), t, steps)
+    residual = trotter_cross_check(params, build_spin_rep(j), t, steps)
     comment = f"# trotter_check t={_fmt(t)} steps={steps} residual={_fmt(residual)}"
     return [comment], (k, residual)
 
