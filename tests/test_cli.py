@@ -454,6 +454,27 @@ def test_degenerate_mid_grid_row_exits_2(argv, named, tmp_path, capsys):
     assert named in err
 
 
+_UNOBSERVABLE_DRIVE = ("lam and delta are both zero: the drive frequency is unobservable (MQFI 0) "
+                       "(at omega0=1.0, lam=0.0, omega=1.0)")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["case1-r", "--r", "0"], "field amplitude must be positive (at r=0.0)"),
+    (["case1-theta", "--r", "-1"], "field amplitude must be positive (at r=-1.0)"),
+    (["case2-lambda", "--omega0", "0", "--lambda", "0"],
+     "omega0 and lam are both zero, the field vanishes (at omega0=0.0, lam=0.0)"),
+    (["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1"], _UNOBSERVABLE_DRIVE),
+    (["case3-lambda", "--omega0", "1", "--lambda", "0", "--omega", "1"], _UNOBSERVABLE_DRIVE),
+    (["case3-omega0", "--omega0", "1", "--lambda", "0", "--omega", "1"], _UNOBSERVABLE_DRIVE),
+], ids=["case1-r", "case1-theta", "case2-lambda", "case3-omega", "case3-lambda", "case3-omega0"])
+def test_optimal_state_rejects_degenerate_field(argv, message, capsys):
+    # the generator path builds the scenario's system, so it rejects what the closed form rejects
+    code, out, err = run(["optimal-state"] + argv + ["--t", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"su2qfi: parameter error: {message}\n"
+
+
 # --- optimal state ----------------------------------------------------------------
 
 def test_optimal_state_balanced_for_z_generator(capsys):
