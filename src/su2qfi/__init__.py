@@ -26,7 +26,6 @@ from .generator import (
     VelocitySplit,
     analytic_generator,
     generator_vector,
-    generator_vector_from_split,
     mqfi_closed_form,
     mqfi_small_time,
     split_velocity,
@@ -50,15 +49,12 @@ from .cases import (
     RotatingFrame,
     SphericalField,
     StaticFieldSystem,
-    driven_static_curve,
     driven_static_mqfi,
     driving_frequency_mqfi,
     driving_generator,
     driving_generator_vector,
     rotating_frame,
-    spherical_curve,
     spherical_field_mqfi,
-    static_curve,
     static_field_mqfi,
 )
 
@@ -67,13 +63,12 @@ __all__ = [
     "SpinRep", "build_spin_rep", "commutator", "dot_with_J", "frobenius", "hermitian_expm",
     "su2_lift",
     "DegenerateFieldError", "FieldCurve", "GeneratorResult", "QfiBreakdown", "VelocitySplit",
-    "analytic_generator", "generator_vector", "generator_vector_from_split",
-    "mqfi_closed_form", "mqfi_small_time", "split_velocity",
+    "analytic_generator", "generator_vector", "mqfi_closed_form", "mqfi_small_time",
+    "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_step", "generator_fd",
     "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_fd",
     "qfi_of_state", "series_tail_bound", "trotter_propagator",
     "DrivenSystem", "RotatingFrame", "SphericalField", "StaticFieldSystem",
-    "driven_static_curve", "driven_static_mqfi", "driving_frequency_mqfi",
-    "driving_generator", "driving_generator_vector", "rotating_frame",
-    "spherical_curve", "spherical_field_mqfi", "static_curve", "static_field_mqfi",
+    "driven_static_mqfi", "driving_frequency_mqfi", "driving_generator",
+    "driving_generator_vector", "rotating_frame", "spherical_field_mqfi", "static_field_mqfi",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DegenerateFieldError, FieldCurve, QfiBreakdown, libm_pow
+from .generator import DegenerateFieldError, QfiBreakdown, libm_pow
 from .spin import SpinRep, dot_with_J, hermitian_expm
 
 __all__ = [
@@ -36,16 +36,13 @@ __all__ = [
     "StaticFieldSystem",
     "DrivenSystem",
     "spherical_field_mqfi",
-    "spherical_curve",
     "static_field_mqfi",
-    "static_curve",
     "RotatingFrame",
     "rotating_frame",
     "driving_generator_vector",
     "driving_generator",
     "driving_frequency_mqfi",
     "driven_static_mqfi",
-    "driven_static_curve",
 ]
 
 
@@ -171,36 +168,6 @@ def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> floa
     raise ValueError(f"unknown spherical parameter {which!r}")
 
 
-def spherical_curve(which: str, field: SphericalField) -> tuple[FieldCurve, float]:
-    """Coefficient curve for a spherical-coordinate estimation, plus its anchor.
-
-    Returns the curve through the configured field with the estimated
-    coordinate as the curve parameter, and the parameter value at which the
-    configured field is reached.
-    """
-    amp, th0, ph0 = field.r, field.theta, field.phi
-    if which == "theta":
-        def r_of(th):
-            return amp * np.array([np.sin(th) * np.cos(ph0), np.sin(th) * np.sin(ph0), np.cos(th)])
-
-        def v_of(th):
-            return amp * np.array([np.cos(th) * np.cos(ph0), np.cos(th) * np.sin(ph0), -np.sin(th)])
-
-        return FieldCurve(r_of, v_of), th0
-    if which == "phi":
-        def r_of(ph):
-            return amp * np.array([np.sin(th0) * np.cos(ph), np.sin(th0) * np.sin(ph), np.cos(th0)])
-
-        def v_of(ph):
-            return amp * np.array([-np.sin(th0) * np.sin(ph), np.sin(th0) * np.cos(ph), 0.0])
-
-        return FieldCurve(r_of, v_of), ph0
-    if which == "r":
-        direction = field.direction()
-        return FieldCurve(lambda a: a * direction, lambda a: direction), amp
-    raise ValueError(f"unknown spherical parameter {which!r}")
-
-
 def static_field_mqfi(which: str, system: StaticFieldSystem, j: float, t) -> QfiBreakdown:
     """Maximal QFI breakdown for estimating omega0 or lam of a static field."""
     k = system.k
@@ -214,17 +181,6 @@ def static_field_mqfi(which: str, system: StaticFieldSystem, j: float, t) -> Qfi
     quad = _field_ratio(jsq4, radial, k, libm_pow(t, 2), 2)
     osc = _field_ratio(jsq4 * 4.0, transverse, k, libm_pow(np.sin(k * t / 2.0), 2), 4)
     return QfiBreakdown(quad + osc, quad, osc)
-
-
-def static_curve(which: str, system: StaticFieldSystem) -> tuple[FieldCurve, float]:
-    """Coefficient curve (lam, 0, omega0) parametrized by the estimated coupling."""
-    if which == "omega0":
-        lam = system.lam
-        return FieldCurve(lambda w: np.array([lam, 0.0, w]), lambda w: np.array([0.0, 0.0, 1.0])), system.omega0
-    if which == "lambda":
-        w0 = system.omega0
-        return FieldCurve(lambda l: np.array([l, 0.0, w0]), lambda l: np.array([1.0, 0.0, 0.0])), system.lam
-    raise ValueError(f"unknown static-field parameter {which!r}")
 
 
 @dataclass(frozen=True)
@@ -257,10 +213,11 @@ def rotating_frame(system: DrivenSystem) -> RotatingFrame:
     return RotatingFrame(system)
 
 
-def _require_observable_drive(system: DrivenSystem):
+def _require_observable_drive(system: DrivenSystem) -> DrivenSystem:
     _reject_first(system.kp == 0.0,
                   "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)",
                   omega0=system.omega0, lam=system.lam, omega=system.omega)
+    return system
 
 
 def driving_generator_vector(system: DrivenSystem, t: float) -> np.ndarray:
@@ -318,30 +275,3 @@ def driven_static_mqfi(which: str, system: DrivenSystem, j: float, t: float) -> 
         raise ValueError(f"unknown driven-system parameter {which!r}")
     equivalent = StaticFieldSystem(omega0=system.delta, lam=system.lam)
     return static_field_mqfi(which, equivalent, j, t)
-
-
-def driven_static_curve(which: str, system: DrivenSystem) -> tuple[FieldCurve, float]:
-    """Effective coefficient curve (lam, 0, delta) in the frame rotating at omega.
-
-    For ``"omega"`` the frame exp(-i omega t jz) moves with the parameter too.
-    """
-    _require_observable_drive(system)
-    if which == "omega":
-        lam, omega0 = system.lam, system.omega0
-        return (
-            FieldCurve(lambda w: np.array([lam, 0.0, omega0 - w]), lambda w: np.array([0.0, 0.0, -1.0])),
-            system.omega,
-        )
-    if which == "omega0":
-        lam, omega = system.lam, system.omega
-        return (
-            FieldCurve(lambda w0: np.array([lam, 0.0, w0 - omega]), lambda w0: np.array([0.0, 0.0, 1.0])),
-            system.omega0,
-        )
-    if which == "lambda":
-        delta = system.delta
-        return (
-            FieldCurve(lambda l: np.array([l, 0.0, delta]), lambda l: np.array([1.0, 0.0, 0.0])),
-            system.lam,
-        )
-    raise ValueError(f"unknown driven-system parameter {which!r}")

@@ -8,13 +8,12 @@ Exit codes: 0 success, 2 parameter error, 3 oracle-validation failure,
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,13 +22,11 @@ from .cases import (
     DrivenSystem,
     SphericalField,
     StaticFieldSystem,
-    driven_static_curve,
+    _require_observable_drive,
     driven_static_mqfi,
     driving_generator,
     rotating_frame,
-    spherical_curve,
     spherical_field_mqfi,
-    static_curve,
     static_field_mqfi,
 )
 from .generator import (
@@ -37,12 +34,13 @@ from .generator import (
     FieldCurve,
     QfiBreakdown,
     analytic_generator,
-    libm_pow,
     mqfi_closed_form,
+    mqfi_small_time,
     split_velocity,
 )
 from .numerics import (
     compose_generators,
+    fd_step,
     generator_fd,
     generator_series_scaled,
     midpoint_su2,
@@ -66,25 +64,30 @@ DEFAULT_TROTTER_STEPS = 100_000
 MAX_TROTTER_STEPS = 10**8
 DEFAULT_SERIES_ORDER = 24
 
-# Anchor angles for scenarios where the estimated quantity does not fix the
-# whole field configuration; they only pin the curve the oracles act on.
-_CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
+@dataclass(frozen=True)
+class Family:
+    """Scenarios that estimate one named parameter of the same field(params).
 
-class Frame(enum.Enum):
-    """The factor exp(-i omega t jz) in U(theta) = frame . exp(-i t field(theta).J)."""
+    ``velocity[name](params)`` is d field / d name, and ``system(params)``
+    builds the closed forms' system, which rejects a degenerate field.  A
+    driven family evolves in the frame exp(-i omega t jz).
+    """
 
-    FIXED = "omega is the drive-frequency parameter"
-    MOVING = "omega is theta, the estimated drive frequency"
+    params: tuple
+    field: Callable
+    velocity: dict
+    system: Callable
+    driven: bool = False
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One CLI scenario: U(theta) = frame . exp(-i t field(theta).J).
 
-    ``breakdown(params, j, t)`` is the closed-form MQFI, ``curve(params)``
-    the (FieldCurve, anchor) of the field, and ``frame`` None for a static
-    field.
+    ``breakdown(params, j, t)`` is the closed-form MQFI and ``curve(params)``
+    the (FieldCurve, anchor) of the field.  Only a driven scenario has the
+    frame exp(-i omega t jz); it moves with theta when ``moving_frame``.
     """
 
     required: tuple
@@ -92,67 +95,94 @@ class Scenario:
     sweepable: tuple
     breakdown: Callable
     curve: Callable
-    frame: Optional[Frame] = None
+    driven: bool = False
+    moving_frame: bool = False
 
 
-def _spherical_field(p: dict) -> SphericalField:
-    return SphericalField(p["r"], p["theta"], p["phi"])
+def _estimate(family: Family, name: str, defaults: dict, breakdown: Callable) -> Scenario:
+    """Estimate ``name`` on the curve theta -> family.field({**params, name: theta}).
+
+    ``breakdown(name, system, j, t)`` is the closed form on the family's system.
+    """
+    def curve(p):
+        family.system(p)
+        return FieldCurve(lambda th: family.field({**p, name: th}),
+                          lambda th: family.velocity[name]({**p, name: th})), p[name]
+
+    return Scenario(tuple(k for k in family.params if k not in defaults), defaults,
+                    ("t",) + family.params + (("Delta",) if family.driven else ()),
+                    lambda p, j, t: breakdown(name, family.system(p), j, t), curve,
+                    family.driven, family.driven and name == "omega")
 
 
-def _static_system(p: dict) -> StaticFieldSystem:
-    return StaticFieldSystem(p["omega0"], p["lambda"])
+def _direction(p: dict) -> np.ndarray:
+    st = np.sin(p["theta"])
+    return np.array([st * np.cos(p["phi"]), st * np.sin(p["phi"]), np.cos(p["theta"])])
 
 
-def _driven_system(params: dict) -> DrivenSystem:
-    return DrivenSystem(omega0=params["omega0"], lam=params["lambda"], omega=params["omega"])
+# field = r (sin th cos ph, sin th sin ph, cos th)
+_SPHERICAL = Family(
+    ("r", "theta", "phi"),
+    lambda p: p["r"] * _direction(p),
+    {
+        "r": _direction,
+        "theta": lambda p: p["r"] * np.array([np.cos(p["theta"]) * np.cos(p["phi"]),
+                                              np.cos(p["theta"]) * np.sin(p["phi"]), -np.sin(p["theta"])]),
+        "phi": lambda p: p["r"] * np.array([-np.sin(p["theta"]) * np.sin(p["phi"]),
+                                            np.sin(p["theta"]) * np.cos(p["phi"]), 0.0]),
+    },
+    lambda p: SphericalField(p["r"], p["theta"], p["phi"]),
+)
+# field = (lam, 0, omega0)
+_STATIC = Family(
+    ("omega0", "lambda"),
+    lambda p: np.array([p["lambda"], 0.0, p["omega0"]]),
+    {"omega0": lambda p: np.array([0.0, 0.0, 1.0]), "lambda": lambda p: np.array([1.0, 0.0, 0.0])},
+    lambda p: StaticFieldSystem(p["omega0"], p["lambda"]),
+)
+# field = (lam, 0, omega0 - omega) in the frame rotating at the drive frequency
+_DRIVEN = Family(
+    ("omega0", "lambda", "omega"),
+    lambda p: np.array([p["lambda"], 0.0, p["omega0"] - p["omega"]]),
+    {**_STATIC.velocity, "omega": lambda p: np.array([0.0, 0.0, -1.0])},
+    lambda p: _require_observable_drive(DrivenSystem(p["omega0"], p["lambda"], p["omega"])),
+    driven=True,
+)
 
 
-def _spherical(which: str, required: tuple, defaults: dict, radial: bool) -> Scenario:
-    def breakdown(p, j, t):
-        total = spherical_field_mqfi(which, _spherical_field(p), j, t)
+def _spherical_parts(radial: bool) -> Callable:
+    """spherical_field_mqfi as a breakdown: quadratic for the amplitude, oscillatory for an angle."""
+    def breakdown(which, field, j, t):
+        total = spherical_field_mqfi(which, field, j, t)
         return QfiBreakdown(total, total, 0.0) if radial else QfiBreakdown(total, 0.0, total)
 
-    return Scenario(required, defaults, ("t", "r", "theta", "phi"), breakdown,
-                    lambda p: spherical_curve(which, _spherical_field(p)))
-
-
-def _static(which: str) -> Scenario:
-    return Scenario(("omega0", "lambda"), {}, ("t", "omega0", "lambda"),
-                    lambda p, j, t: static_field_mqfi(which, _static_system(p), j, t),
-                    lambda p: static_curve(which, _static_system(p)))
-
-
-def _driven(which: str, frame: Frame = Frame.FIXED) -> Scenario:
-    return Scenario(("omega0", "lambda", "omega"), {}, ("t", "omega0", "lambda", "omega", "Delta"),
-                    lambda p, j, t: driven_static_mqfi(which, _driven_system(p), j, t),
-                    lambda p: driven_static_curve(which, _driven_system(p)), frame)
-
-
-def _generic_curve(p: dict):
-    r = np.asarray(p["rvec"], dtype=float)
-    v = np.asarray(p["vvec"], dtype=float)
-    return FieldCurve(lambda th: r + th * v, lambda th: v), 0.0
+    return breakdown
 
 
 def _generic_breakdown(p: dict, j: float, t) -> QfiBreakdown:
-    r = np.asarray(p["rvec"], dtype=float)
-    v = np.asarray(p["vvec"], dtype=float)
-    if np.linalg.norm(r) == 0.0:
-        quad = 4.0 * j**2 * libm_pow(t, 2) * float(v @ v)
+    if np.linalg.norm(p["rvec"]) == 0.0:
+        quad = mqfi_small_time(j, p["vvec"], t)
         return QfiBreakdown(quad, quad, 0.0)
-    return mqfi_closed_form(j, split_velocity(r, v), t)
+    return mqfi_closed_form(j, split_velocity(p["rvec"], p["vvec"]), t)
 
+
+# Anchor angles for scenarios where the estimated quantity does not fix the
+# whole field configuration; they only pin the curve the oracles act on.
+_CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
 SCENARIOS = {
-    "case1-theta": _spherical("theta", ("r",), _CASE1_DEFAULTS, radial=False),
-    "case1-phi": _spherical("phi", ("r", "theta"), {"phi": 0.7}, radial=False),
-    "case1-r": _spherical("r", ("r",), _CASE1_DEFAULTS, radial=True),
-    "case2-omega0": _static("omega0"),
-    "case2-lambda": _static("lambda"),
-    "case3-omega": _driven("omega", Frame.MOVING),
-    "case3-lambda": _driven("lambda"),
-    "case3-omega0": _driven("omega0"),
-    "generic": Scenario(("rvec", "vvec"), {}, ("t",), _generic_breakdown, _generic_curve),
+    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS, _spherical_parts(radial=False)),
+    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7}, _spherical_parts(radial=False)),
+    "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, _spherical_parts(radial=True)),
+    "case2-omega0": _estimate(_STATIC, "omega0", {}, static_field_mqfi),
+    "case2-lambda": _estimate(_STATIC, "lambda", {}, static_field_mqfi),
+    "case3-omega": _estimate(_DRIVEN, "omega", {}, driven_static_mqfi),
+    "case3-lambda": _estimate(_DRIVEN, "lambda", {}, driven_static_mqfi),
+    "case3-omega0": _estimate(_DRIVEN, "omega0", {}, driven_static_mqfi),
+    # the curve r + theta v through the given field, anchored at theta = 0
+    "generic": Scenario(("rvec", "vvec"), {}, ("t",), _generic_breakdown, lambda p: (FieldCurve(
+        lambda th: np.asarray(p["rvec"], dtype=float) + th * np.asarray(p["vvec"], dtype=float),
+        lambda th: np.asarray(p["vvec"], dtype=float)), 0.0)),
 }
 
 FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b")
@@ -237,18 +267,9 @@ def _vec3_arg(text: str) -> tuple:
 def _collect_params(scenario: str, args) -> dict:
     spec = SCENARIOS[scenario]
     params = dict(spec.defaults)
-    for name, value in (
-        ("r", args.r),
-        ("theta", args.theta),
-        ("phi", args.phi),
-        ("omega0", args.omega0),
-        ("lambda", args.lam),
-        ("omega", args.omega),
-        ("rvec", args.rvec),
-        ("vvec", args.vvec),
-    ):
-        if value is not None:
-            params[name] = value
+    for name in ("r", "theta", "phi", "omega0", "lambda", "omega", "rvec", "vvec"):
+        if getattr(args, name) is not None:
+            params[name] = getattr(args, name)
     return params
 
 
@@ -273,13 +294,16 @@ def evaluate_point(scenario: str, params: dict, j: float, t) -> QfiBreakdown:
     return _scenario(scenario).breakdown(params, j, t)
 
 
+def _closed_generator(spec: Scenario, params: dict, curve: FieldCurve, anchor: float, rep, t: float):
+    if spec.moving_frame:   # the drive frequency has its own closed form
+        return driving_generator(_DRIVEN.system(params), rep, t)
+    return analytic_generator(rep, curve, anchor, t).matrix
+
+
 def scenario_generator(scenario: str, params: dict, rep, t: float) -> np.ndarray:
     """Closed-form generator matrix for one scenario point."""
     spec = _scenario(scenario)
-    if spec.frame is Frame.MOVING:   # the drive frequency has its own closed form
-        return driving_generator(_driven_system(params), rep, t)
-    curve, anchor = spec.curve(params)
-    return analytic_generator(rep, curve, anchor, t).matrix
+    return _closed_generator(spec, params, *spec.curve(params), rep, t)
 
 
 def _propagator(spec: Scenario, curve: FieldCurve, params: dict, rep, t: float):
@@ -287,9 +311,9 @@ def _propagator(spec: Scenario, curve: FieldCurve, params: dict, rep, t: float):
     def field_u(theta):
         return hermitian_expm(dot_with_J(rep, curve.field(theta)), -1j * t)
 
-    if spec.frame is None:
+    if not spec.driven:
         return field_u
-    if spec.frame is Frame.MOVING:
+    if spec.moving_frame:
         return lambda omega: hermitian_expm(rep.jz, -1j * omega * t) @ field_u(omega)
     u1 = hermitian_expm(rep.jz, -1j * params["omega"] * t)
     return lambda theta: u1 @ field_u(theta)
@@ -304,8 +328,8 @@ def oracle_residuals(scenario, params, rep, t, series_order=DEFAULT_SERIES_ORDER
     finite-difference side differentiates U(theta) = frame . exp(-i t field(theta).J).
     """
     spec = _scenario(scenario)
-    closed = scenario_generator(scenario, params, rep, t)
     curve, anchor = spec.curve(params)
+    closed = _closed_generator(spec, params, curve, anchor, rep, t)
     r = curve.field(anchor)
     v = curve.velocity(anchor)
     h_field = dot_with_J(rep, r)
@@ -314,10 +338,10 @@ def oracle_residuals(scenario, params, rep, t, series_order=DEFAULT_SERIES_ORDER
     # the step scale estimates t * ||d_theta H||; a moving frame adds the
     # size of the field it rotates
     speed = float(np.linalg.norm(v))
-    if spec.frame is Frame.MOVING:
+    if spec.moving_frame:
         series = compose_generators(-t * np.asarray(rep.jz), hermitian_expm(h_field, -1j * t), series)
         speed = speed + abs(r[0]) + abs(r[1]) + abs(r[2])
-    h = step if step is not None else 2e-3 / max(1.0, t * rep.j * speed)
+    h = step if step is not None else fd_step(t * rep.j * speed)
     u_of = _propagator(spec, curve, params, rep, t)
     return frobenius(closed - series), frobenius(closed - generator_fd(u_of, anchor, h))
 
@@ -328,7 +352,7 @@ def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
     The midpoint product of the lab field (lam cos wt, lam sin wt, omega0)
     runs in SU(2) and is lifted once to the spin of ``rep``.
     """
-    system = _driven_system(params)
+    system = DrivenSystem(omega0=params["omega0"], lam=params["lambda"], omega=params["omega"])
 
     def field(ts):
         return system.lam * np.cos(system.omega * ts), system.lam * np.sin(system.omega * ts), system.omega0
@@ -438,7 +462,7 @@ def _validation_extras(scenario, rows, j, steps):
     ``rows`` holds the (params, t) of every grid row.  Returns the comment
     lines and (row index, residual), or None when no check runs.
     """
-    if _scenario(scenario).frame is None:
+    if not _scenario(scenario).driven:
         return [], None
     candidates = [k for k, (_, t) in enumerate(rows) if t > 0]
     if not candidates:
@@ -561,7 +585,7 @@ def _add_scenario_options(parser):
     parser.add_argument("--theta", type=_finite_arg, help="polar angle (case1)")
     parser.add_argument("--phi", type=_finite_arg, help="azimuthal angle (case1)")
     parser.add_argument("--omega0", type=_finite_arg, help="transition frequency")
-    parser.add_argument("--lambda", dest="lam", type=_finite_arg, help="transverse coupling")
+    parser.add_argument("--lambda", metavar="LAM", type=_finite_arg, help="transverse coupling")
     parser.add_argument("--omega", type=_finite_arg, help="drive frequency (case3)")
     parser.add_argument("--rvec", type=_vec3_arg, help="field 3-vector x,y,z (generic)")
     parser.add_argument("--vvec", type=_vec3_arg, help="velocity 3-vector x,y,z (generic)")

@@ -36,7 +36,6 @@ __all__ = [
     "QfiBreakdown",
     "split_velocity",
     "generator_vector",
-    "generator_vector_from_split",
     "analytic_generator",
     "mqfi_closed_form",
     "mqfi_small_time",
@@ -185,26 +184,6 @@ def generator_vector(field, velocity, t: float) -> np.ndarray:
     return (r @ v) * t**3 * _f1(x) * r - t * _f2(x) * v + t**2 * _f3(x) * np.cross(r, v)
 
 
-def generator_vector_from_split(split: VelocitySplit, t: float) -> np.ndarray:
-    """Alternative coefficient-vector form built from the velocity split.
-
-    Algebraically equal to :func:`generator_vector` but carries a factor
-    1/(d|field|/dtheta); only defined when the radial speed is nonzero.
-    Kept as an independent cross-check of the primary form.
-    """
-    if split.radial_speed == 0.0:
-        raise DegenerateFieldError(
-            "radial speed is zero; the split form is singular (use generator_vector)"
-        )
-    x = split.field_norm * t
-    cross = np.cross(split.radial, split.transverse)
-    return (
-        (1.0 - np.cos(x)) / (split.field_norm * split.radial_speed) * cross
-        - t * split.radial
-        - np.sin(x) / split.field_norm * split.transverse
-    )
-
-
 def analytic_generator(rep: SpinRep, curve: FieldCurve, theta: float, t: float) -> GeneratorResult:
     """Evaluate the closed-form generator of ``curve`` at (theta, t).
 
@@ -248,7 +227,7 @@ def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
     return QfiBreakdown(quad + osc, quad, osc)
 
 
-def mqfi_small_time(j: float, velocity, t: float) -> float:
-    """Quadratic short-time value 4 j^2 t^2 |v|^2 of the maximal QFI."""
+def mqfi_small_time(j: float, velocity, t) -> float:
+    """Quadratic short-time value 4 j^2 t^2 |v|^2 of the maximal QFI; ``t`` may be an array."""
     v = _vec3(velocity, "velocity")
-    return 4.0 * float(j) ** 2 * t**2 * float(v @ v)
+    return 4.0 * float(j) ** 2 * libm_pow(t, 2) * float(v @ v)

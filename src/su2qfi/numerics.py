@@ -206,12 +206,13 @@ def generator_series_scaled(h_op, dh_op, t: float, order: int = 24, max_phase: f
 
 
 def fd_step(scale: float) -> float:
-    """Central-difference step balancing h^2 truncation against roundoff.
+    """Step of the five-point stencil in :func:`generator_fd`: 2e-3 / max(1, scale).
 
-    ``scale`` should estimate t * ||d_theta h||; the third derivative of
-    the propagator grows like scale^3, so the step shrinks as scale^(3/2).
+    ``scale`` should estimate t * ||d_theta h||; the step then moves the
+    propagator's phase by about 2e-3, small enough for the O(step^4)
+    truncation and large enough that 1/step amplifies little roundoff.
     """
-    return float(np.clip(2.5e-4 / max(1.0, scale) ** 1.5, 1e-8, 1e-4))
+    return 2e-3 / max(1.0, scale)
 
 
 def generator_fd(

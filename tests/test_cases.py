@@ -12,7 +12,6 @@ from su2qfi import (
     build_spin_rep,
     compose_generators,
     dot_with_J,
-    driven_static_curve,
     driven_static_mqfi,
     driving_frequency_mqfi,
     driving_generator,
@@ -24,13 +23,12 @@ from su2qfi import (
     hermitian_expm,
     mqfi_closed_form,
     rotating_frame,
-    spherical_curve,
     spherical_field_mqfi,
     split_velocity,
-    static_curve,
     static_field_mqfi,
     trotter_propagator,
 )
+from su2qfi.cli import SCENARIOS
 
 PI_SQ_PLUS_FOUR = 13.869604401089358  # value of the static-field MQFI at omega0 = lam = 1, t = pi/K
 
@@ -65,10 +63,10 @@ def test_spherical_field_validation():
 
 
 def test_spherical_curves_anchor_to_configured_field():
-    field = SphericalField(1.3, 0.9, 2.1)
-    expected = 1.3 * field.direction()
+    params = {"r": 1.3, "theta": 0.9, "phi": 2.1}
+    expected = 1.3 * SphericalField(**params).direction()
     for which in ("theta", "phi", "r"):
-        curve, anchor = spherical_curve(which, field)
+        curve, anchor = SCENARIOS[f"case1-{which}"].curve(params)
         np.testing.assert_allclose(curve.field(anchor), expected, atol=1e-14)
         # analytic derivative consistent with the curve itself
         h = 1e-6
@@ -79,11 +77,13 @@ def test_spherical_curves_anchor_to_configured_field():
 def test_spherical_closed_forms_match_generic_pipeline():
     rng = np.random.default_rng(51)
     for _ in range(100):
-        field = SphericalField(rng.uniform(0.2, 3.0), rng.uniform(0.1, np.pi - 0.1), rng.uniform(0, 2 * np.pi))
+        params = {"r": rng.uniform(0.2, 3.0), "theta": rng.uniform(0.1, np.pi - 0.1),
+                  "phi": rng.uniform(0, 2 * np.pi)}
+        field = SphericalField(**params)
         j = rng.choice([0.5, 1.0, 1.5, 2.0])
         t = rng.uniform(0.0, 5.0)
         which = rng.choice(["theta", "phi", "r"])
-        curve, anchor = spherical_curve(which, field)
+        curve, anchor = SCENARIOS[f"case1-{which}"].curve(params)
         split = split_velocity(curve.field(anchor), curve.velocity(anchor))
         generic = mqfi_closed_form(j, split, t).total
         closed = spherical_field_mqfi(which, field, j, t)
@@ -129,7 +129,7 @@ def test_static_field_matches_generic_pipeline():
         j = rng.choice([0.5, 1.0, 2.0])
         t = rng.uniform(0.0, 10.0)
         which = rng.choice(["omega0", "lambda"])
-        curve, anchor = static_curve(which, system)
+        curve, anchor = SCENARIOS[f"case2-{which}"].curve({"omega0": system.omega0, "lambda": system.lam})
         split = split_velocity(curve.field(anchor), curve.velocity(anchor))
         assert static_field_mqfi(which, system, j, t).total == pytest.approx(
             mqfi_closed_form(j, split, t).total, rel=1e-10, abs=1e-12
@@ -273,7 +273,8 @@ def test_drive_frequency_curve_and_breakdown():
     for _ in range(10):
         system = DrivenSystem(rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
         t = rng.uniform(0.1, 3)
-        curve, anchor = driven_static_curve("omega", system)
+        params = {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
+        curve, anchor = SCENARIOS["case3-omega"].curve(params)
         assert anchor == system.omega
         np.testing.assert_array_equal(curve.field(anchor), [system.lam, 0.0, system.delta])
         u2 = hermitian_expm(dot_with_J(rep, curve.field(anchor)), -1j * t)
@@ -363,9 +364,10 @@ def test_driven_couplings_match_generic_machinery():
     rep = build_spin_rep(1)
     for _ in range(10):
         system = DrivenSystem(rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
+        params = {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
         t = rng.uniform(0.1, 3)
         for which in ("omega0", "lambda"):
-            curve, anchor = driven_static_curve(which, system)
+            curve, anchor = SCENARIOS[f"case3-{which}"].curve(params)
             res = analytic_generator(rep, curve, anchor, t)
             assert driven_static_mqfi(which, system, 1.0, t).total == pytest.approx(
                 res.mqfi(), rel=1e-10, abs=1e-12

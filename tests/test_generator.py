@@ -11,12 +11,31 @@ from su2qfi import (
     frobenius,
     generator_fd,
     generator_vector,
-    generator_vector_from_split,
     hermitian_expm,
     mqfi_closed_form,
     mqfi_small_time,
     split_velocity,
 )
+
+
+def generator_vector_from_split(split, t):
+    """Coefficient vector of the generator built from the velocity split.
+
+    Algebraically equal to :func:`generator_vector` but carries a factor
+    1/(d|field|/dtheta); only defined when the radial speed is nonzero.
+    Kept as an independent cross-check of the primary form.
+    """
+    if split.radial_speed == 0.0:
+        raise DegenerateFieldError(
+            "radial speed is zero; the split form is singular (use generator_vector)"
+        )
+    x = split.field_norm * t
+    cross = np.cross(split.radial, split.transverse)
+    return (
+        (1.0 - np.cos(x)) / (split.field_norm * split.radial_speed) * cross
+        - t * split.radial
+        - np.sin(x) / split.field_norm * split.transverse
+    )
 
 
 def random_instance(rng, j_max=3.0):
@@ -275,6 +294,20 @@ def test_reparametrization_scaling():
 
 
 def test_fd_step_scaling():
-    assert fd_step(1.0) == pytest.approx(1e-4)  # clipped ceiling
+    # 2e-3 / max(1, scale), the step the CLI's finite-difference oracle takes
+    assert fd_step(0.0) == fd_step(1.0) == 2e-3
+    assert fd_step(40.0) == pytest.approx(5e-5, rel=1e-15)
     assert fd_step(100.0) < fd_step(10.0) < fd_step(1.0)
-    assert fd_step(1e12) >= 1e-8
+
+
+def test_fd_step_keeps_five_point_stencil_out_of_roundoff():
+    # a step shrinking as scale^-1.5 (6.8e-6 here) left an error of 9e-10
+    rep = build_spin_rep(3)
+    r, v, t = np.array([0.0, 0.0, 1.7]), np.array([0.3, -1.2, 0.8]), 2.5
+    closed = dot_with_J(rep, generator_vector(r, v, t))
+
+    def u_of(theta):
+        return hermitian_expm(dot_with_J(rep, r + theta * v), -1j * t)
+
+    fd = generator_fd(u_of, 0.0, step=fd_step(t * float(np.linalg.norm(v)) * 3))
+    assert frobenius(closed - fd) < 1e-10
