@@ -409,8 +409,39 @@ def test_grid_equals_scalar_closed_forms(scenario, fixed, t, variable, start, st
         assert line == ",".join(map(_fmt, (value, point.total, point.quadratic, point.oscillatory)))
 
 
+# Validated sweeps beyond the 10-row GRID_SWEEPS ones: 600 or more rows,
+# j = 1/2 and 3, t grids from 0 with rows that need several time doublings,
+# the --fd-step and --series-order overrides, and every driven scenario.
+VALIDATED_ARGV = {
+    "case2-omega0-700-rows": ["sweep", "case2-omega0", "--omega0=0.7", "--lambda=1.3", "--variable=t",
+                              "--start=0", "--stop=80", "--points=700"],
+    "case1-theta-half": ["sweep", "case1-theta", "--r=2.5", "--theta=0.9", "--phi=0.3", "--j=0.5",
+                         "--variable=t", "--start=0", "--stop=30", "--points=300"],
+    "generic-j3": ["sweep", "generic", "--rvec=0.9,-0.6,1.4", "--vvec=0.3,0.8,-0.5", "--j=3",
+                   "--variable=t", "--start=0", "--stop=25", "--points=650"],
+    "case2-lambda-overrides": ["sweep", "case2-lambda", "--omega0=1.1", "--lambda=0.4", "--t=7.5",
+                               "--variable=lambda", "--start=-3", "--stop=3", "--points=257",
+                               "--fd-step=5e-4", "--series-order=30"],
+    "case1-phi-series-order": ["sweep", "case1-phi", "--r=1.7", "--theta=2.2", "--phi=0.5", "--t=4",
+                               "--variable=theta", "--start=-3", "--stop=3", "--points=120",
+                               "--series-order=16"],
+    "case1-r-j3": ["sweep", "case1-r", "--r=0.8", "--theta=1.2", "--phi=2.5", "--j=3", "--t=6",
+                   "--variable=r", "--start=0.1", "--stop=9", "--points=100", "--fd-step=1e-3"],
+    "case3-omega-delta-j3": ["sweep", "case3-omega", "--omega0=0.4", "--lambda=1.2", "--t=1.5", "--j=3",
+                             "--variable=Delta", "--start=-4", "--stop=4", "--points=301"],
+    "case3-omega-t-600": ["sweep", "case3-omega", "--omega0=2.0", "--lambda=1.5", "--omega=0.5",
+                          "--variable=t", "--start=0", "--stop=40", "--points=600"],
+    "case3-lambda-half": ["sweep", "case3-lambda", "--omega0=1.3", "--lambda=0.8", "--omega=0.9", "--j=0.5",
+                          "--variable=t", "--start=0", "--stop=30", "--points=600"],
+    "case3-lambda-delta": ["sweep", "case3-lambda", "--omega0=1", "--lambda=0.7", "--t=2.2", "--j=1.5",
+                           "--variable=Delta", "--start=-3", "--stop=3", "--points=150"],
+    "case3-omega0-lambda": ["sweep", "case3-omega0", "--omega0=0.6", "--lambda=1.0", "--omega=1.4", "--j=2",
+                            "--t=3.3", "--variable=lambda", "--start=-2", "--stop=2", "--points=200"],
+}
+
 # SHA-256 of the --validate data section (closed forms and both oracle
-# residual columns) of fig2b and of a 10-row GRID_SWEEPS sweep per scenario.
+# residual columns) of fig2b, of a 10-row GRID_SWEEPS sweep per scenario and
+# of each VALIDATED_ARGV sweep.
 VALIDATED_SHA256 = {
     "fig2b": "617816a8900bb98e119aa26ecaa5978d3d7e25e87b9985e948fe1e6ae50243c5",
     "case1-theta": "fa84740ddd9bc72c920c83ad06c5a348c0a31db86e48d0da4b83c454a955ba86",
@@ -422,6 +453,17 @@ VALIDATED_SHA256 = {
     "case3-lambda": "388d00b655d17b512e3c8558a74fcd3334fa00d37236b170991f519b78be1dea",
     "case3-omega0": "88cd61c499bd0a3eeee02dc56e582803a1fe473da93c48c63bd580dd96bbf0d2",
     "generic": "79cbddc7aee01fac0abee666dc010c4060fcecbc84b4ab18272d872e0ac2f12a",
+    "case2-omega0-700-rows": "997d6eef664b223b95cb40493fd0f6804bdbf49b0bb016f336803fce9be7c1b0",
+    "case1-theta-half": "1d9690f26cf8003141041cc3bfb43400bdf9fae844f212b8044969067b4954f8",
+    "generic-j3": "1c66117bbe5997f58dc1fbc3be64bb5aa0e663700f4c790134868e5b98022494",
+    "case2-lambda-overrides": "5b3f808b662aaca8bd0bb9be17bf111529b80f9c306a1fb9c276499699277e2d",
+    "case1-phi-series-order": "022e47a034b61fc411bd5e29a6c291745f01be4c1caad57c9506672b321d4fd1",
+    "case1-r-j3": "0cb7105cb07844bb37064a196a36deae3e983184405a603c30ed72d70968e39c",
+    "case3-omega-delta-j3": "ac5f77a6bcb4ec99b363da093a2df676016f0cecd17bf9898384e09102895b42",
+    "case3-omega-t-600": "12526ddef782c606457a8684242976e3c24fc30c18d0980bfba47b0bc15f600b",
+    "case3-lambda-half": "a91e7d32a37a0b6212696b14b084d3a2927bad8553773a7b361854279a9961f3",
+    "case3-lambda-delta": "801b91ead8fbf5cad5fdb9778070a310fd856cec796c5921df7d468852e1e40e",
+    "case3-omega0-lambda": "8c262d336ff40fb3c9552e908f72d2e8c95caf2dc28f679bef743f38c45fd91b",
 }
 
 
@@ -430,6 +472,8 @@ def test_validated_data_section_is_pinned(name, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
     if name == "fig2b":
         argv = ["figure", "fig2b"]
+    elif name in VALIDATED_ARGV:
+        argv = VALIDATED_ARGV[name]
     else:
         (case,) = [case for case in GRID_SWEEPS if case[0] == name]
         argv = _grid_argv(*case, points=10)
