@@ -33,6 +33,8 @@ from .generator import (
 from .numerics import (
     OptimalStateResult,
     compose_generators,
+    fd_generator,
+    fd_points,
     fd_step,
     generator_fd,
     generator_series,
@@ -65,7 +67,7 @@ __all__ = [
     "DegenerateFieldError", "FieldCurve", "GeneratorResult", "QfiBreakdown", "VelocitySplit",
     "analytic_generator", "generator_vector", "mqfi_closed_form", "mqfi_small_time",
     "split_velocity",
-    "OptimalStateResult", "compose_generators", "fd_step", "generator_fd",
+    "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step", "generator_fd",
     "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_fd",
     "qfi_of_state", "series_tail_bound", "trotter_propagator",
     "DrivenSystem", "RotatingFrame", "SphericalField", "StaticFieldSystem",

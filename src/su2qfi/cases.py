@@ -220,21 +220,37 @@ def _require_observable_drive(system: DrivenSystem) -> DrivenSystem:
     return system
 
 
-def driving_generator_vector(system: DrivenSystem, t: float) -> np.ndarray:
-    """Coefficient vector of the drive-frequency generator, gen = coeffs . J."""
+def _pow_or_inf(x, n):
+    """libm ``pow`` of a nonnegative x that gives inf where it overflows, as numpy scalars do."""
+    with np.errstate(over="ignore"):
+        big = np.asarray(_pow_overflows_ufunc(x, n), dtype=bool)
+    if not big.any():
+        return libm_pow(x, n)
+    return np.where(big, np.inf, libm_pow(np.where(big, 0.0, x), n))[()]
+
+
+def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
+    """Coefficient vector of the drive-frequency generator, gen = coeffs . J.
+
+    The system's fields and ``t`` may be arrays; they broadcast, the
+    coefficient vectors stack on a last axis of length 3, and each point
+    gets the bits of its own call.
+    """
     _require_observable_drive(system)
     kp, lam, delta = system.kp, system.lam, system.delta
     x = kp * t
-    if abs(x) < 1e-2:
+    # Both branches run on every point; the one not taken may overflow.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x2 = x * x
-        g1 = 1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0          # (sin x - x cos x)/x^3
-        g2 = -0.5 + x2 / 8.0 - x2 * x2 / 144.0                # (1 - cos x - x sin x)/x^2
-    else:
-        g1 = (np.sin(x) - x * np.cos(x)) / x**3
-        g2 = (1.0 - np.cos(x) - x * np.sin(x)) / x**2
-    c1 = t**3 * g1
-    c2 = t**2 * g2
-    return np.array([-lam * delta * c1, lam * c2, lam**2 * c1])
+        small = np.abs(x) < 1e-2
+        g1 = np.where(small, 1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0,               # (sin x - x cos x)/x^3
+                      (np.sin(x) - x * np.cos(x)) / _pow_or_inf(x, 3))
+        g2 = np.where(small, -0.5 + x2 / 8.0 - x2 * x2 / 144.0,                     # (1 - cos x - x sin x)/x^2
+                      (1.0 - np.cos(x) - x * np.sin(x)) / _pow_or_inf(x, 2))
+    c1 = libm_pow(t, 3) * g1
+    c2 = libm_pow(t, 2) * g2
+    parts = np.broadcast_arrays(-lam * delta * c1, lam * c2, libm_pow(lam, 2) * c1)
+    return np.stack(parts, axis=-1)
 
 
 def driving_generator(system: DrivenSystem, rep: SpinRep, t: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from .cases import (
     StaticFieldSystem,
     _require_observable_drive,
     driven_static_mqfi,
-    driving_generator,
+    driving_generator_vector,
     rotating_frame,
     spherical_field_mqfi,
     static_field_mqfi,
@@ -33,21 +33,22 @@ from .generator import (
     DegenerateFieldError,
     FieldCurve,
     QfiBreakdown,
-    analytic_generator,
+    generator_vector,
     mqfi_closed_form,
     mqfi_small_time,
     split_velocity,
 )
 from .numerics import (
     compose_generators,
+    fd_generator,
+    fd_points,
     fd_step,
-    generator_fd,
     generator_series_scaled,
     midpoint_su2,
     optimal_state,
     qfi_of_state,
 )
-from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, su2_lift, twice_spin
+from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, row_dot, su2_lift, twice_spin
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -64,6 +65,12 @@ DEFAULT_TROTTER_STEPS = 100_000
 MAX_TROTTER_STEPS = 10**8
 DEFAULT_SERIES_ORDER = 24
 
+# Grid rows per oracle chunk.  Above j = 3 a chunk holds fewer rows, so its
+# stack of five stencil propagators per row never outgrows that of 256
+# spin-3 rows (about 1 MiB); memory does not grow with the grid.
+CHUNK_ROWS = 256
+_CHUNK_ENTRIES = CHUNK_ROWS * 7 * 7
+
 
 @dataclass(frozen=True)
 class Family:
@@ -71,7 +78,9 @@ class Family:
 
     ``velocity[name](params)`` is d field / d name, and ``system(params)``
     builds the closed forms' system, which rejects a degenerate field.  A
-    driven family evolves in the frame exp(-i omega t jz).
+    driven family evolves in the frame exp(-i omega t jz).  Parameters may
+    be arrays; fields and velocities broadcast over them, with the vector
+    on a last axis of length 3.
     """
 
     params: tuple
@@ -86,7 +95,8 @@ class Scenario:
     """One CLI scenario: U(theta) = frame . exp(-i t field(theta).J).
 
     ``breakdown(params, j, t)`` is the closed-form MQFI and ``curve(params)``
-    the (FieldCurve, anchor) of the field.  Only a driven scenario has the
+    the (FieldCurve, anchor) of the field; the curve broadcasts over array
+    parameters and parameter values.  Only a driven scenario has the
     frame exp(-i omega t jz); it moves with theta when ``moving_frame``.
     """
 
@@ -115,36 +125,45 @@ def _estimate(family: Family, name: str, defaults: dict, breakdown: Callable) ->
                     family.driven, family.driven and name == "omega")
 
 
+def _vec(x, y, z) -> np.ndarray:
+    """(x, y, z) on a last axis of length 3; array components broadcast."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def _times_r(p: dict, vector: np.ndarray) -> np.ndarray:
+    return np.asarray(p["r"])[..., None] * vector
+
+
 def _direction(p: dict) -> np.ndarray:
     st = np.sin(p["theta"])
-    return np.array([st * np.cos(p["phi"]), st * np.sin(p["phi"]), np.cos(p["theta"])])
+    return _vec(st * np.cos(p["phi"]), st * np.sin(p["phi"]), np.cos(p["theta"]))
 
 
 # field = r (sin th cos ph, sin th sin ph, cos th)
 _SPHERICAL = Family(
     ("r", "theta", "phi"),
-    lambda p: p["r"] * _direction(p),
+    lambda p: _times_r(p, _direction(p)),
     {
         "r": _direction,
-        "theta": lambda p: p["r"] * np.array([np.cos(p["theta"]) * np.cos(p["phi"]),
-                                              np.cos(p["theta"]) * np.sin(p["phi"]), -np.sin(p["theta"])]),
-        "phi": lambda p: p["r"] * np.array([-np.sin(p["theta"]) * np.sin(p["phi"]),
-                                            np.sin(p["theta"]) * np.cos(p["phi"]), 0.0]),
+        "theta": lambda p: _times_r(p, _vec(np.cos(p["theta"]) * np.cos(p["phi"]),
+                                             np.cos(p["theta"]) * np.sin(p["phi"]), -np.sin(p["theta"]))),
+        "phi": lambda p: _times_r(p, _vec(-np.sin(p["theta"]) * np.sin(p["phi"]),
+                                           np.sin(p["theta"]) * np.cos(p["phi"]), 0.0)),
     },
     lambda p: SphericalField(p["r"], p["theta"], p["phi"]),
 )
 # field = (lam, 0, omega0)
 _STATIC = Family(
     ("omega0", "lambda"),
-    lambda p: np.array([p["lambda"], 0.0, p["omega0"]]),
-    {"omega0": lambda p: np.array([0.0, 0.0, 1.0]), "lambda": lambda p: np.array([1.0, 0.0, 0.0])},
+    lambda p: _vec(p["lambda"], 0.0, p["omega0"]),
+    {"omega0": lambda p: _vec(0.0, 0.0, 1.0), "lambda": lambda p: _vec(1.0, 0.0, 0.0)},
     lambda p: StaticFieldSystem(p["omega0"], p["lambda"]),
 )
 # field = (lam, 0, omega0 - omega) in the frame rotating at the drive frequency
 _DRIVEN = Family(
     ("omega0", "lambda", "omega"),
-    lambda p: np.array([p["lambda"], 0.0, p["omega0"] - p["omega"]]),
-    {**_STATIC.velocity, "omega": lambda p: np.array([0.0, 0.0, -1.0])},
+    lambda p: _vec(p["lambda"], 0.0, p["omega0"] - p["omega"]),
+    {**_STATIC.velocity, "omega": lambda p: _vec(0.0, 0.0, -1.0)},
     lambda p: _require_observable_drive(DrivenSystem(p["omega0"], p["lambda"], p["omega"])),
     driven=True,
 )
@@ -181,7 +200,7 @@ SCENARIOS = {
     "case3-omega0": _estimate(_DRIVEN, "omega0", {}, driven_static_mqfi),
     # the curve r + theta v through the given field, anchored at theta = 0
     "generic": Scenario(("rvec", "vvec"), {}, ("t",), _generic_breakdown, lambda p: (FieldCurve(
-        lambda th: np.asarray(p["rvec"], dtype=float) + th * np.asarray(p["vvec"], dtype=float),
+        lambda th: np.asarray(p["rvec"], dtype=float) + np.asarray(th)[..., None] * np.asarray(p["vvec"], dtype=float),
         lambda th: np.asarray(p["vvec"], dtype=float)), 0.0)),
 }
 
@@ -264,12 +283,24 @@ def _vec3_arg(text: str) -> tuple:
 # scenario plumbing
 
 
+_SCENARIO_OPTIONS = ("r", "theta", "phi", "omega0", "lambda", "omega", "rvec", "vvec")
+
+
 def _collect_params(scenario: str, args) -> dict:
+    """The scenario's own parameters: its defaults and the options it takes.
+
+    Raises ValueError naming an option that the scenario does not take.
+    """
     spec = SCENARIOS[scenario]
+    own = spec.required + tuple(spec.defaults)
     params = dict(spec.defaults)
-    for name in ("r", "theta", "phi", "omega0", "lambda", "omega", "rvec", "vvec"):
-        if getattr(args, name) is not None:
-            params[name] = getattr(args, name)
+    for name in _SCENARIO_OPTIONS:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in own:
+            raise ValueError(f"scenario {scenario} does not take --{name}")
+        params[name] = value
     return params
 
 
@@ -294,56 +325,63 @@ def evaluate_point(scenario: str, params: dict, j: float, t) -> QfiBreakdown:
     return _scenario(scenario).breakdown(params, j, t)
 
 
-def _closed_generator(spec: Scenario, params: dict, curve: FieldCurve, anchor: float, rep, t: float):
+def _closed_vector(spec: Scenario, params: dict, curve: FieldCurve, anchor, t) -> np.ndarray:
     if spec.moving_frame:   # the drive frequency has its own closed form
-        return driving_generator(_DRIVEN.system(params), rep, t)
-    return analytic_generator(rep, curve, anchor, t).matrix
+        return driving_generator_vector(_DRIVEN.system(params), t)
+    return generator_vector(curve.field(anchor), curve.velocity(anchor), t)
 
 
 def scenario_generator(scenario: str, params: dict, rep, t: float) -> np.ndarray:
     """Closed-form generator matrix for one scenario point."""
     spec = _scenario(scenario)
-    return _closed_generator(spec, params, *spec.curve(params), rep, t)
+    return dot_with_J(rep, _closed_vector(spec, params, *spec.curve(params), t))
 
 
-def _propagator(spec: Scenario, curve: FieldCurve, params: dict, rep, t: float):
-    """theta -> U(theta) = frame . exp(-i t field(theta).J), the propagator both oracles use."""
-    def field_u(theta):
-        return hermitian_expm(dot_with_J(rep, curve.field(theta)), -1j * t)
+def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, series_order: int, step):
+    """(series, finite-difference) residual columns of ``rows`` grid rows.
 
-    if not spec.driven:
-        return field_u
-    if spec.moving_frame:
-        return lambda omega: hermitian_expm(rep.jz, -1j * omega * t) @ field_u(omega)
-    u1 = hermitian_expm(rep.jz, -1j * params["omega"] * t)
-    return lambda theta: u1 @ field_u(theta)
-
-
-def oracle_residuals(scenario, params, rep, t, series_order=DEFAULT_SERIES_ORDER, step=None):
-    """Frobenius distances of the closed-form generator from both oracles.
-
-    Returns (series residual, finite-difference residual).  The series side
-    is the time-doubled commutator series of the field, composed with the
-    frame generator -t jz when the frame moves with theta; the
-    finite-difference side differentiates U(theta) = frame . exp(-i t field(theta).J).
+    Each parameter and ``t`` is one value for every row or an array of one
+    value per row.  Both oracles run over stacks of rows; each row gets the
+    bits of its own evaluation.  The series side is the time-doubled
+    commutator series of the field, composed with the frame generator -t jz
+    when the frame moves with theta; the finite-difference side
+    differentiates U(theta) = frame . exp(-i t field(theta).J).
     """
-    spec = _scenario(scenario)
     curve, anchor = spec.curve(params)
-    closed = _closed_generator(spec, params, curve, anchor, rep, t)
-    r = curve.field(anchor)
-    v = curve.velocity(anchor)
+    ts = np.broadcast_to(np.asarray(t, dtype=float), (rows,))
+    r = np.broadcast_to(curve.field(anchor), (rows, 3))
+    v = np.broadcast_to(curve.velocity(anchor), (rows, 3))
+    closed = dot_with_J(rep, np.broadcast_to(_closed_vector(spec, params, curve, anchor, ts), (rows, 3)))
     h_field = dot_with_J(rep, r)
-    series = generator_series_scaled(h_field, dot_with_J(rep, v), t, order=series_order)
+    series = generator_series_scaled(h_field, dot_with_J(rep, v), ts, order=series_order)
 
     # the step scale estimates t * ||d_theta H||; a moving frame adds the
     # size of the field it rotates
-    speed = float(np.linalg.norm(v))
+    speed = np.sqrt(row_dot(v, v))
     if spec.moving_frame:
-        series = compose_generators(-t * np.asarray(rep.jz), hermitian_expm(h_field, -1j * t), series)
-        speed = speed + abs(r[0]) + abs(r[1]) + abs(r[2])
-    h = step if step is not None else fd_step(t * rep.j * speed)
-    u_of = _propagator(spec, curve, params, rep, t)
-    return frobenius(closed - series), frobenius(closed - generator_fd(u_of, anchor, h))
+        frame = -ts[:, None, None] * np.asarray(rep.jz)
+        series = compose_generators(frame, hermitian_expm(h_field, -1j * ts), series)
+        speed = speed + np.abs(r[:, 0]) + np.abs(r[:, 1]) + np.abs(r[:, 2])
+    steps = fd_step(ts * rep.j * speed) if step is None else np.full(rows, float(step))
+
+    # U at the five stencil points of each row: parameters on rows, points on a second axis
+    stencil, _ = spec.curve({k: (x[:, None] if isinstance(x, np.ndarray) else x) for k, x in params.items()})
+    thetas = fd_points(anchor, steps)
+    us = hermitian_expm(dot_with_J(rep, stencil.field(thetas)), (-1j * ts)[:, None])
+    if spec.driven:
+        omega = thetas if spec.moving_frame else np.broadcast_to(params["omega"], (rows,))[:, None]
+        us = hermitian_expm(rep.jz, -1j * omega * ts[:, None]) @ us
+    return frobenius(closed - series), frobenius(closed - fd_generator(us, steps))
+
+
+def oracle_residuals(scenario, params, rep, t, series_order=DEFAULT_SERIES_ORDER, step=None):
+    """Frobenius distances of the closed-form generator from both oracles at one point.
+
+    Returns (series residual, finite-difference residual): the one-row case
+    of the grid evaluation that ``--validate`` runs.
+    """
+    series, fd = _oracle_rows(_scenario(scenario), params, rep, t, 1, series_order, step)
+    return float(series[0]), float(fd[0])
 
 
 def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
@@ -380,12 +418,9 @@ def _grid_params(variable: str, grid: np.ndarray, fixed: dict, fixed_t, t_rule=N
     return params, t
 
 
-def _grid_row(params: dict, t, k: int):
-    """Scalar parameters and evolution time of grid row ``k``."""
-    def at(x):
-        return float(x[k]) if isinstance(x, np.ndarray) else x
-
-    return {name: at(value) for name, value in params.items()}, at(t)
+def _rows_of(x, rows: slice):
+    """The grid rows ``rows`` of a per-row array; a value shared by every row as is."""
+    return x[rows] if isinstance(x, np.ndarray) else x
 
 
 def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
@@ -406,6 +441,29 @@ def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
     return columns
 
 
+def _oracle_columns(scenario, params, j, t, variable, grid, series_order, step) -> np.ndarray:
+    """(series, fd) residual columns of the whole grid, evaluated in chunks of rows.
+
+    A failed oracle check raises ValueError naming its first offending row.
+    """
+    spec = _scenario(scenario)
+    rep = build_spin_rep(j)
+    chunk = max(1, min(CHUNK_ROWS, _CHUNK_ENTRIES // rep.dim**2))
+    residuals = np.empty((2, grid.size))
+    for lo in range(0, grid.size, chunk):
+        rows = slice(lo, lo + chunk)
+        part = {name: _rows_of(value, rows) for name, value in params.items()}
+        try:
+            residuals[:, rows] = _oracle_rows(spec, part, rep, _rows_of(t, rows), grid[rows].size,
+                                              series_order, step)
+        except ValueError as err:
+            if getattr(err, "row", None) is None:
+                raise
+            k = lo + err.row
+            raise ValueError(f"{err} at row {k} ({variable}={_fmt(grid[k])})") from None
+    return residuals
+
+
 def _run_sweep(scenario, variable, grid, fixed, j, fixed_t, args, t_rule=None) -> int:
     """Evaluate, optionally validate, and emit one sweep; return the exit code."""
     params, t = _grid_params(variable, grid, fixed, fixed_t, t_rule)
@@ -413,15 +471,11 @@ def _run_sweep(scenario, variable, grid, fixed, j, fixed_t, args, t_rule=None) -
     if not args.validate:
         _emit_sweep(scenario, variable, columns, fixed, j, args.out)
         return EXIT_OK
-    rep = build_spin_rep(j)
-    rows = [_grid_row(params, t, k) for k in range(grid.size)]
-    residuals = np.array(
-        [oracle_residuals(scenario, p, rep, tk, args.series_order, args.fd_step) for p, tk in rows]
-    )
-    columns["residual_series"], columns["residual_fd"] = residuals.T
-    comments, trotter = _validation_extras(scenario, rows, j, args.steps)
+    residuals = _oracle_columns(scenario, params, j, t, variable, grid, args.series_order, args.fd_step)
+    columns["residual_series"], columns["residual_fd"] = residuals
+    comments, trotter = _validation_extras(scenario, params, t, grid.size, j, args.steps)
     _emit_sweep(scenario, variable, columns, fixed, j, args.out, comments)
-    return _validation_verdict({"series": residuals[:, 0], "fd": residuals[:, 1]}, trotter)
+    return _validation_verdict({"series": residuals[0], "fd": residuals[1]}, trotter, (variable, grid))
 
 
 def _params_for_header(params: dict) -> str:
@@ -456,30 +510,33 @@ def _emit_sweep(scenario, variable, columns, fixed, j, out_path, comments=()):
     _write_lines(lines, out_path)
 
 
-def _validation_extras(scenario, rows, j, steps):
+def _validation_extras(scenario, params, t, rows: int, j, steps):
     """Per-run trotter cross-check for driven scenarios (one representative row).
 
-    ``rows`` holds the (params, t) of every grid row.  Returns the comment
-    lines and (row index, residual), or None when no check runs.
+    ``params`` and ``t`` hold one value per grid row or one for all rows;
+    the check runs on the row with the smallest positive t.  Returns the
+    comment lines and (row index, residual), or None when no check runs.
     """
     if not _scenario(scenario).driven:
         return [], None
-    candidates = [k for k, (_, t) in enumerate(rows) if t > 0]
-    if not candidates:
+    times = np.broadcast_to(np.asarray(t, dtype=float), (rows,))
+    k = int(np.argmin(np.where(times > 0, times, np.inf)))
+    if not times[k] > 0:
         return [], None
-    k = min(candidates, key=lambda i: rows[i][1])
-    params, t = rows[k]
-    residual = trotter_cross_check(params, build_spin_rep(j), t, steps)
-    comment = f"# trotter_check t={_fmt(t)} steps={steps} residual={_fmt(residual)}"
+    point = {name: (float(value[k]) if isinstance(value, np.ndarray) else value) for name, value in params.items()}
+    residual = trotter_cross_check(point, build_spin_rep(j), float(times[k]), steps)
+    comment = f"# trotter_check t={_fmt(times[k])} steps={steps} residual={_fmt(residual)}"
     return [comment], (k, residual)
 
 
-def _validation_verdict(residuals: dict, trotter=None) -> int:
+def _validation_verdict(residuals: dict, trotter=None, swept=None) -> int:
     """EXIT_VALIDATION when any residual is not finite or exceeds RESIDUAL_LIMIT.
 
-    ``residuals`` maps an oracle name to its per-row residual column and
-    ``trotter`` is the (row, residual) of the time-ordered cross-check.
-    stderr names the row and oracle of the worst failure; NaN counts as worst.
+    ``residuals`` maps an oracle name to its per-row residual column,
+    ``trotter`` is the (row, residual) of the time-ordered cross-check and
+    ``swept`` the (variable, grid) of the rows.  stderr names the row,
+    its swept value and the oracle of the worst failure, with the margin
+    residual / RESIDUAL_LIMIT; NaN counts as worst.
     """
     failures = [
         (oracle, int(k), float(column[k]))
@@ -491,8 +548,9 @@ def _validation_verdict(residuals: dict, trotter=None) -> int:
     if not failures:
         return EXIT_OK
     oracle, k, value = max(failures, key=lambda f: math.inf if math.isnan(f[2]) else f[2])
-    print(f"validation failed: {oracle} residual {_fmt(value)} at row {k} "
-          f"is not within {RESIDUAL_LIMIT:g}", file=sys.stderr)
+    where = "" if swept is None else f" ({swept[0]}={_fmt(swept[1][k])})"
+    print(f"validation failed: {oracle} residual {_fmt(value)} at row {k}{where} "
+          f"is not within {RESIDUAL_LIMIT:g} (margin {value / RESIDUAL_LIMIT:.3g})", file=sys.stderr)
     return EXIT_VALIDATION
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spin import SpinRep, dot_with_J
+from .spin import SpinRep, dot_with_J, reject_first, row_dot
 
 __all__ = [
     "DegenerateFieldError",
@@ -62,13 +62,20 @@ def libm_pow(x, n):
     return out.astype(float) if isinstance(out, np.ndarray) else out
 
 
+def _vec3_rows(x, name: str) -> np.ndarray:
+    """A 3-vector or a stack (..., 3) of them, each finite."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim < 1 or v.shape[-1] != 3:
+        raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
+    reject_first(~np.isfinite(v).all(axis=-1), lambda k: f"{name} must be finite")
+    return v
+
+
 def _vec3(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    return v
+    return _vec3_rows(v, name)
 
 
 @dataclass(frozen=True)
@@ -78,18 +85,19 @@ class FieldCurve:
     ``v_of`` is the analytic derivative when supplied; otherwise the
     velocity falls back to a central difference with step
     1e-6 * max(1, |theta|), which balances truncation against roundoff
-    for double precision.
+    for double precision.  Curves whose callables broadcast take an array
+    of theta (``v_of`` required) and return a stack (..., 3).
     """
 
     r_of: Callable[[float], np.ndarray]
     v_of: Optional[Callable[[float], np.ndarray]] = None
 
     def field(self, theta: float) -> np.ndarray:
-        return _vec3(self.r_of(theta), "field")
+        return _vec3_rows(self.r_of(theta), "field")
 
     def velocity(self, theta: float) -> np.ndarray:
         if self.v_of is not None:
-            return _vec3(self.v_of(theta), "velocity")
+            return _vec3_rows(self.v_of(theta), "velocity")
         h = 1e-6 * max(1.0, abs(theta))
         return (self.field(theta + h) - self.field(theta - h)) / (2 * h)
 
@@ -134,12 +142,18 @@ class GeneratorResult:
 def split_velocity(field, velocity) -> VelocitySplit:
     """Split ``velocity`` into components parallel and orthogonal to ``field``.
 
-    Raises DegenerateFieldError when |field| = 0 since the radial direction
-    is then undefined.
+    |field| is the direct norm; only where its square overflows is it
+    taken from the field scaled by its largest component.  Raises
+    DegenerateFieldError when |field| = 0 since the radial direction is
+    then undefined.
     """
     r = _vec3(field, "field")
     v = _vec3(velocity, "velocity")
-    r_norm = float(np.linalg.norm(r))
+    with np.errstate(over="ignore"):   # handled below
+        r_norm = float(np.linalg.norm(r))
+    if not np.isfinite(r_norm):
+        largest = float(np.max(np.abs(r)))
+        r_norm = largest * float(np.linalg.norm(r / largest))
     if r_norm == 0.0:
         raise DegenerateFieldError("field vanishes, radial direction undefined")
     unit = r / r_norm
@@ -149,39 +163,43 @@ def split_velocity(field, velocity) -> VelocitySplit:
 
 
 # Stable evaluations of the trigonometric quotients; the series branches
-# keep relative accuracy near x = 0 where the closed forms cancel.
+# keep relative accuracy near x = 0 where the closed forms cancel.  Both
+# branches run on every point of an array and the series one is kept for
+# |x| < 1e-2; libm_pow gives each point the bits of a scalar call.
 
-def _f1(x: float) -> float:
-    if abs(x) < 1e-2:
-        x2 = x * x
-        return -1.0 / 6.0 + x2 / 120.0 - x2 * x2 / 5040.0
-    return (np.sin(x) - x) / x**3
-
-
-def _f2(x: float) -> float:
-    if abs(x) < 1e-2:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return np.sin(x) / x
+def _f1(x):
+    x2 = x * x
+    series = -1.0 / 6.0 + x2 / 120.0 - x2 * x2 / 5040.0
+    return np.where(np.abs(x) < 1e-2, series, (np.sin(x) - x) / libm_pow(x, 3))
 
 
-def _f3(x: float) -> float:
-    if abs(x) < 1e-2:
-        x2 = x * x
-        return 0.5 - x2 / 24.0 + x2 * x2 / 720.0
-    return (1.0 - np.cos(x)) / x**2
+def _f2(x):
+    x2 = x * x
+    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    return np.where(np.abs(x) < 1e-2, series, np.sin(x) / x)
 
 
-def generator_vector(field, velocity, t: float) -> np.ndarray:
+def _f3(x):
+    x2 = x * x
+    series = 0.5 - x2 / 24.0 + x2 * x2 / 720.0
+    return np.where(np.abs(x) < 1e-2, series, (1.0 - np.cos(x)) / libm_pow(x, 2))
+
+
+def generator_vector(field, velocity, t) -> np.ndarray:
     """Coefficient vector of the generator, gen = coeffs . J.
 
     Polynomial in the field components, so the |field| -> 0 limit
-    coeffs = -t * velocity comes out without a branch.
+    coeffs = -t * velocity comes out without a branch.  ``field`` and
+    ``velocity`` may be stacks (..., 3) and ``t`` an array; they broadcast,
+    and each row gets the bits of its own call.
     """
-    r = _vec3(field, "field")
-    v = _vec3(velocity, "velocity")
-    x = float(np.linalg.norm(r)) * t
-    return (r @ v) * t**3 * _f1(x) * r - t * _f2(x) * v + t**2 * _f3(x) * np.cross(r, v)
+    r = _vec3_rows(field, "field")
+    v = _vec3_rows(velocity, "velocity")
+    x = np.sqrt(row_dot(r, r)) * t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # the branch not kept
+        f1, f2, f3 = _f1(x), _f2(x), _f3(x)
+    radial = (row_dot(r, v) * libm_pow(t, 3) * f1)[..., None]
+    return radial * r - (t * f2)[..., None] * v + (libm_pow(t, 2) * f3)[..., None] * np.cross(r, v)
 
 
 def analytic_generator(rep: SpinRep, curve: FieldCurve, theta: float, t: float) -> GeneratorResult:
@@ -217,13 +235,12 @@ def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
         quad = jsq4 * libm_pow(t, 2) * float(split.velocity @ split.velocity)
         return QfiBreakdown(quad, quad, 0.0)
     quad = jsq4 * float(split.radial @ split.radial) * libm_pow(t, 2)
-    osc = (
-        4.0
-        * jsq4
-        * float(split.transverse @ split.transverse)
-        / split.field_norm**2
-        * libm_pow(np.sin(split.field_norm * t / 2.0), 2)
-    )
+    transverse = 4.0 * jsq4 * float(split.transverse @ split.transverse)
+    try:
+        ratio = transverse / split.field_norm**2
+    except OverflowError:   # |field|^2 overflows, the ratio need not
+        ratio = transverse / split.field_norm / split.field_norm
+    osc = ratio * libm_pow(np.sin(split.field_norm * t / 2.0), 2)
     return QfiBreakdown(quad + osc, quad, osc)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spin import frobenius, hermitian_expm, require_hermitian
+from .spin import frobenius, hermitian_expm, reject_first, require_hermitian
 
 __all__ = [
     "OptimalStateResult",
@@ -26,6 +26,8 @@ __all__ = [
     "generator_series_scaled",
     "series_tail_bound",
     "generator_fd",
+    "fd_generator",
+    "fd_points",
     "fd_step",
     "trotter_propagator",
     "midpoint_su2",
@@ -49,15 +51,19 @@ def _require_state(psi, dim: int) -> np.ndarray:
     return s
 
 
+def _unitary_deviation(m: np.ndarray) -> np.ndarray:
+    """||U^dag U - I||_F of each matrix of a stack (..., n, n)."""
+    return np.linalg.norm(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
+
+
 def _require_unitary(u, name: str = "matrix") -> np.ndarray:
-    """Check one square matrix, or a stack of them in one operation, for unitarity."""
+    """Check one square matrix, or each matrix of a stack (..., n, n), for unitarity."""
     m = np.asarray(u, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    dev = np.linalg.norm(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
-    worst = float(dev.max())
-    if worst > _UNITARY_TOL:
-        raise ValueError(f"{name} is not unitary (||U^dag U - I||_F = {worst:.3e})")
+    dev = _unitary_deviation(m)
+    reject_first(dev > _UNITARY_TOL,
+                 lambda k: f"{name} is not unitary (||U^dag U - I||_F = {np.max(dev[k]):.3e})")
     return m
 
 
@@ -129,7 +135,21 @@ def optimal_state(h_op, phase: float = 0.0) -> OptimalStateResult:
     )
 
 
-def generator_series(h_op, dh_op, t: float, order: int) -> np.ndarray:
+def _series_coefficients(t: float, order: int) -> list:
+    """i (it)^(k+1) / (k+1)! for k = 1..order, in Python complex arithmetic.
+
+    numpy's complex power and division round differently, so every row of
+    a stack takes its coefficients from this one scalar recursion.
+    """
+    out = []
+    coeff = (1j * t) ** 2 / 2.0  # (it)^{k+1} / (k+1)! at k = 1
+    for k in range(1, order + 1):
+        out.append(1j * coeff)
+        coeff = coeff * (1j * t) / (k + 2)
+    return out
+
+
+def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     """Truncated nested-commutator series for the generator.
 
     Partial sum through k = ``order`` of
@@ -142,6 +162,9 @@ def generator_series(h_op, dh_op, t: float, order: int) -> np.ndarray:
     intermediate terms grow like (2||h||t)^k / k! and double precision (or
     any fixed noise on the inputs) is amplified accordingly.  For large
     phases use :func:`generator_series_scaled`.
+
+    ``h_op`` and ``dh_op`` may be stacks (..., n, n) with ``t`` one time or
+    one per matrix; each matrix gets the bits of its own call.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -149,13 +172,13 @@ def generator_series(h_op, dh_op, t: float, order: int) -> np.ndarray:
     dh = require_hermitian(dh_op, name="hamiltonian derivative")
     if h.shape != dh.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {dh.shape}")
-    result = -t * dh
+    ts = np.broadcast_to(np.asarray(t, dtype=float), h.shape[:-2])
+    coeffs = np.reshape([_series_coefficients(tk, order) for tk in ts.ravel().tolist()], ts.shape + (order,))
+    result = -ts[..., None, None] * dh
     nested = dh
-    coeff = (1j * t) ** 2 / 2.0  # (it)^{k+1} / (k+1)! at k = 1
-    for k in range(1, order + 1):
+    for k in range(order):
         nested = h @ nested - nested @ h
-        result = result + 1j * coeff * nested
-        coeff = coeff * (1j * t) / (k + 2)
+        result = result + coeffs[..., k, None, None] * nested
     return result
 
 
@@ -173,7 +196,7 @@ def series_tail_bound(h_op, t: float, order: int) -> float:
     return math.exp(n * math.log(x) - math.lgamma(n + 1))
 
 
-def generator_series_scaled(h_op, dh_op, t: float, order: int = 24, max_phase: float = 1.0) -> np.ndarray:
+def generator_series_scaled(h_op, dh_op, t, order: int = 24, max_phase: float = 1.0) -> np.ndarray:
     """Series generator extended to arbitrary ||h|| t by time doubling.
 
     Evaluates the nested-commutator series on a sub-interval tau = t / 2^s
@@ -182,37 +205,61 @@ def generator_series_scaled(h_op, dh_op, t: float, order: int = 24, max_phase: f
     generator with the exact composition rule for time-independent h:
 
         gen(2 tau) = gen(tau) + U(tau)^dag gen(tau) U(tau).
+
+    ``h_op`` and ``dh_op`` may be stacks (..., n, n) with ``t`` one time or
+    one per matrix.  Each matrix gets its own doubling count s and the bits
+    of its own call; a non-finite phase names the first offending row.
     """
     if not max_phase > 0:
         raise ValueError(f"max_phase must be positive, got {max_phase}")
     h = require_hermitian(h_op, name="hamiltonian")
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if h.size else 0.0
-    doublings = 0
-    phase = norm * abs(t)
-    if not math.isfinite(phase):
-        raise ValueError(f"phase ||h|| t = {phase} is not finite; time doubling cannot reduce it")
-    while phase > max_phase:
-        phase /= 2.0
-        doublings += 1
-    tau = t / 2**doublings
-    gen = generator_series(h, dh_op, tau, order)
-    if doublings == 0:
+    lead, dim = h.shape[:-2], h.shape[-1]
+    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) if h.size else np.zeros(lead)
+    ts = np.broadcast_to(np.asarray(t, dtype=float), lead)
+    phases = norms * np.abs(ts)
+    reject_first(~np.isfinite(phases),
+                 lambda k: f"phase ||h|| t = {phases[k]} is not finite; time doubling cannot reduce it")
+    taus, doublings = [], []
+    for phase, tk in zip(phases.ravel().tolist(), ts.ravel().tolist()):
+        count = 0
+        while phase > max_phase:
+            phase /= 2.0
+            count += 1
+        taus.append(tk / 2**count)
+        doublings.append(count)
+    gen = generator_series(h, dh_op, np.reshape(taus, lead), order)
+    counts = np.array(doublings, dtype=int)
+    rows = np.flatnonzero(counts)
+    if not rows.size:
         return gen
-    u = hermitian_expm(h, -1j * tau)
-    for _ in range(doublings):
-        gen = gen + u.conj().T @ gen @ u
-        u = u @ u
-    return gen
+    gen = gen.reshape(-1, dim, dim)
+    g = gen[rows]
+    u = hermitian_expm(h.reshape(-1, dim, dim)[rows], np.array([-1j * taus[k] for k in rows]))
+    counts = counts[rows]
+    for step in range(int(counts.max())):
+        live = np.flatnonzero(counts > step)
+        gl, ul = g[live], u[live]
+        g[live] = gl + np.swapaxes(ul.conj(), -1, -2) @ gl @ ul
+        u[live] = ul @ ul
+    gen[rows] = g
+    return gen.reshape(lead + (dim, dim))
 
 
-def fd_step(scale: float) -> float:
+def fd_step(scale):
     """Step of the five-point stencil in :func:`generator_fd`: 2e-3 / max(1, scale).
 
     ``scale`` should estimate t * ||d_theta h||; the step then moves the
     propagator's phase by about 2e-3, small enough for the O(step^4)
     truncation and large enough that 1/step amplifies little roundoff.
+    An array of scales gives an array of steps.
     """
-    return 2e-3 / max(1.0, scale)
+    return 2e-3 / np.maximum(1.0, scale)
+
+
+def fd_points(theta, step) -> np.ndarray:
+    """The stencil points theta + (2, 1, -1, -2, 0) step on a new last axis."""
+    theta, step = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(step, dtype=float))
+    return np.stack([theta + 2 * step, theta + step, theta - step, theta - 2 * step, theta], axis=-1)
 
 
 def generator_fd(
@@ -226,12 +273,27 @@ def generator_fd(
     Parameters
     ----------
     u_of : callable
-        theta -> unitary propagator; all five evaluations are checked for
-        unitarity (tolerance 1e-8 in Frobenius norm).
+        theta -> unitary propagator, evaluated at the five
+        :func:`fd_points` and differentiated by :func:`fd_generator`.
     step : float, optional
         Stencil step; default 1e-3 * max(1, |theta|).
     full_output : bool
         When True, also return the anti-Hermitian residue ||M - M^dag||_F.
+    """
+    h = step if step is not None else 1e-3 * max(1.0, abs(theta))
+    if h <= 0:
+        raise ValueError(f"step must be positive, got {h}")
+    us = np.stack([u_of(th) for th in fd_points(theta, h).tolist()])
+    return fd_generator(us, h, full_output)
+
+
+def fd_generator(us, step, full_output: bool = False):
+    """Five-point finite-difference generator from propagators at the stencil points.
+
+    ``us`` holds U at the :func:`fd_points` on its third-to-last axis,
+    (..., 5, n, n), and ``step`` is the stencil step, one or one per row.
+    All five propagators are checked for unitarity (tolerance 1e-8 in
+    Frobenius norm).
 
     The derivative is the five-point central stencil, truncation O(step^4).
     Propagators at long evolution times carry phase-rounding noise of order
@@ -242,25 +304,32 @@ def generator_fd(
     The residue is the primary sanity signal for a misconfigured step: the
     analytic operator is exactly Hermitian, so anything beyond the
     truncation scale means the difference quotient is dominated by noise.
-    A residue above 10 h^2 (1 + ||gen||_F)^3 raises.
+    A residue above 10 h^2 (1 + ||gen||_F)^3 raises, naming the first
+    offending row of a stack.
     """
-    h = step if step is not None else 1e-3 * max(1.0, abs(theta))
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    thetas = (theta + 2 * h, theta + h, theta - h, theta - 2 * h, theta)
-    us = _require_unitary(np.stack([u_of(th) for th in thetas]), "U(theta + k step)")
-    d_dag = (-us[0] + 8 * us[1] - 8 * us[2] + us[3]).conj().T / (12 * h)
-    raw = 1j * d_dag @ us[4]
-    herm = (raw + raw.conj().T) / 2
-    residue = frobenius(raw - raw.conj().T)
-    bound = 10.0 * h**2 * (1.0 + frobenius(herm)) ** 3
-    if residue > bound:
-        raise ValueError(
-            f"anti-Hermitian residue {residue:.3e} exceeds {bound:.3e}; "
-            f"finite-difference step {h:.3e} is misconfigured"
-        )
+    us = np.asarray(us, dtype=complex)
+    if us.ndim < 3 or us.shape[-3] != 5 or us.shape[-1] != us.shape[-2]:
+        raise ValueError(f"expected square propagators at 5 stencil points, got shape {us.shape}")
+    lead = us.shape[:-3]
+    hs = np.broadcast_to(np.asarray(step, dtype=float), lead)
+    reject_first(~(hs > 0), lambda k: f"step must be positive, got {hs[k]}")
+    dev = _unitary_deviation(us).max(axis=-1)
+    reject_first(dev > _UNITARY_TOL,
+                 lambda k: f"U(theta + k step) is not unitary (||U^dag U - I||_F = {dev[k]:.3e})")
+    u = [us[..., i, :, :] for i in range(5)]
+    d_dag = np.swapaxes((-u[0] + 8 * u[1] - 8 * u[2] + u[3]).conj(), -1, -2) / (12 * hs[..., None, None])
+    raw = 1j * d_dag @ u[4]
+    raw_dag = np.swapaxes(raw.conj(), -1, -2)
+    herm = (raw + raw_dag) / 2
+    residue = np.asarray(frobenius(raw - raw_dag))
+    norms = np.asarray(frobenius(herm))
+    bound = np.reshape([10.0 * h**2 * (1.0 + norm) ** 3
+                        for h, norm in zip(hs.ravel().tolist(), norms.ravel().tolist())], lead)
+    reject_first(residue > bound, lambda k: (
+        f"anti-Hermitian residue {residue[k]:.3e} exceeds {bound[k]:.3e}; "
+        f"finite-difference step {hs[k]:.3e} is misconfigured"))
     if full_output:
-        return herm, residue
+        return herm, residue[()]
     return herm
 
 
@@ -406,10 +475,13 @@ def midpoint_su2(field_of_t: Callable, total_time: float, steps: int) -> tuple:
 
 
 def compose_generators(h1_gen, u2, h2_gen) -> np.ndarray:
-    """Generator of a two-factor evolution U = U1 U2: gen2 + U2^dag gen1 U2."""
+    """Generator of a two-factor evolution U = U1 U2: gen2 + U2^dag gen1 U2.
+
+    The arguments may be stacks (..., n, n) of equal shape.
+    """
     g1 = require_hermitian(h1_gen, name="first generator")
     g2 = require_hermitian(h2_gen, name="second generator")
     u = _require_unitary(u2, "U2")
     if g1.shape != g2.shape or g1.shape != u.shape:
         raise ValueError(f"dimension mismatch: {g1.shape}, {g2.shape}, {u.shape}")
-    return g2 + u.conj().T @ g1 @ u
+    return g2 + np.swapaxes(u.conj(), -1, -2) @ g1 @ u

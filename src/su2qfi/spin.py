@@ -23,6 +23,8 @@ __all__ = [
     "hermitian_expm",
     "su2_lift",
     "frobenius",
+    "row_dot",
+    "reject_first",
     "require_hermitian",
 ]
 
@@ -30,9 +32,45 @@ __all__ = [
 MAX_SPIN = 50
 
 
-def frobenius(matrix) -> float:
-    """Frobenius norm as a plain float."""
-    return float(np.linalg.norm(matrix))
+def row_dot(a, b):
+    """Dot products over the last axis, each through the BLAS ``ddot`` of a 1-D ``a @ b``.
+
+    An elementwise sum or ``einsum`` adds in another order, so only this
+    form gives every row the bits of a per-row call (strides included).
+    """
+    return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def frobenius(matrix):
+    """Frobenius norm: a float for one matrix, an array of norms for a stack (..., n, n).
+
+    A stack gives each matrix the bits of ``np.linalg.norm`` on it alone.
+    """
+    m = np.asarray(matrix)
+    if m.ndim <= 2:
+        return float(np.linalg.norm(m))
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(row_dot(part, part) for part in parts))
+
+
+def reject_first(bad, message) -> None:
+    """Raise ValueError(message(k)) for the first flagged row k, in row order.
+
+    ``bad`` is one flag for a single matrix (k is then ``()``), or flags
+    whose first axis runs over the rows of a stack; further axes are
+    reduced with any.  The error of a stack carries ``row = k``, so a
+    caller holding a slice of a larger grid can name the row in its own terms.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    if bad.ndim == 0:
+        raise ValueError(message(()))
+    k = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+    err = ValueError(message(k))
+    err.row = k
+    raise err
 
 
 def require_hermitian(matrix, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
@@ -40,16 +78,18 @@ def require_hermitian(matrix, tol: float = 1e-10, name: str = "matrix") -> np.nd
 
     The deviation max|M - M^dag| is compared against ``tol`` scaled by the
     largest matrix element (with a floor of 1 so the zero matrix passes).
+    A stack (..., n, n) checks each matrix against its own scale and names
+    its first offending row.
     """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if m.size and not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
-        raise ValueError(f"{name} contains non-finite entries")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 1.0)
-    dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-    if dev > tol * scale:
-        raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
+    if not m.size:
+        return m
+    reject_first(~np.isfinite(m).all(axis=(-2, -1)), lambda k: f"{name} contains non-finite entries")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    dev = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
+    reject_first(dev > tol * scale, lambda k: f"{name} is not Hermitian (deviation {np.max(dev[k]):.3e})")
     return m
 
 
@@ -135,13 +175,14 @@ def dot_with_J(rep: SpinRep, a) -> np.ndarray:
     """Contract a real 3-vector with the spin generators: a_x jx + a_y jy + a_z jz.
 
     The result is Hermitian with eigenvalues |a| * m for m = j, ..., -j.
+    A stack of vectors (..., 3) gives the stack of matrices (..., dim, dim).
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
+    if a.ndim < 1 or a.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("coefficient vector must be finite")
-    return a[0] * rep.jx + a[1] * rep.jy + a[2] * rep.jz
+    reject_first(~np.isfinite(a).all(axis=-1), lambda k: "coefficient vector must be finite")
+    x, y, z = (a[..., k, None, None] for k in range(3))
+    return x * rep.jx + y * rep.jy + z * rep.jz
 
 
 def commutator(a, b) -> np.ndarray:
@@ -158,17 +199,20 @@ def hermitian_expm(matrix, scale) -> np.ndarray:
 
     Diagonalizing M = V diag(w) V^dag and exponentiating the spectrum keeps
     the result exactly normal; for purely imaginary ``scale`` the output is
-    unitary to machine precision regardless of ||M||.
+    unitary to machine precision regardless of ||M||.  ``matrix`` may be a
+    stack (..., n, n) and ``scale`` an array; they broadcast over the
+    leading axes, and each matrix gets the bits of its own call.
     """
     m = require_hermitian(matrix, name="expm operand")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as err:
         raise np.linalg.LinAlgError(
-            f"eigendecomposition failed for {m.shape[0]}x{m.shape[1]} matrix "
-            f"(max |entry| {np.max(np.abs(m)):.3e}, frobenius {frobenius(m):.3e}): {err}"
+            f"eigendecomposition failed for {m.shape[-2]}x{m.shape[-1]} matrix "
+            f"(max |entry| {np.max(np.abs(m)):.3e}, frobenius {np.max(frobenius(m)):.3e}): {err}"
         ) from err
-    return (v * np.exp(scale * w)) @ v.conj().T
+    phases = np.exp(np.asarray(scale)[..., None] * w)
+    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def su2_lift(rep: SpinRep, q) -> np.ndarray:

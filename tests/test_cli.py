@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,50 @@ def test_validation_failure_exits_3(tmp_path, capsys):
     assert code == 3
     assert "validation failed" in err
     assert out.exists()  # the CSV with the offending residuals is still written
+
+
+def test_validation_failure_names_swept_value_and_margin(tmp_path, capsys):
+    code, _, err = run(
+        ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
+         "--start", "0.5", "--stop", "1.5", "--points", "3", "--validate",
+         "--fd-step", "0.5", "--out", str(tmp_path / "sweep.csv")], capsys
+    )
+    assert code == 3
+    assert err == ("validation failed: fd residual 0.016461095470234211 at row 2 (t=1.5) "
+                   "is not within 1e-06 (margin 1.65e+04)\n")
+
+
+def test_failed_oracle_check_names_its_first_row(tmp_path, capsys):
+    # a step far below roundoff makes the stencil's anti-Hermitian residue fail on every row
+    code, out, err = run(
+        ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
+         "--start", "0.5", "--stop", "1.5", "--points", "300", "--validate", "--fd-step", "1e-13"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("su2qfi: parameter error: anti-Hermitian residue ")
+    assert err.endswith("finite-difference step 1.000e-13 is misconfigured at row 0 (t=0.5)\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--r", "5", "--t", "1"], "--r"),
+    (["mqfi", "case1-theta", "--r", "1", "--rvec", "1,2,3", "--t", "1"], "--rvec"),
+    (["sweep", "case3-lambda", "--omega0", "1", "--lambda", "1", "--omega", "1", "--phi", "0.2",
+      "--variable", "t", "--start", "0", "--stop", "1"], "--phi"),
+    (["optimal-state", "generic", "--rvec", "0,0,1", "--vvec", "0,0,1", "--lambda", "1", "--t", "1"], "--lambda"),
+], ids=["mqfi", "vector-option", "sweep", "optimal-state"])
+def test_option_the_scenario_does_not_take_exits_2(argv, option, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"su2qfi: parameter error: scenario {argv[1]} does not take {option}\n"
+
+
+def test_generic_field_beyond_squared_norm_overflow(capsys):
+    # |rvec|^2 overflows, the radial split does not: MQFI = 4 j^2 t^2 |v|^2
+    code, out, _ = run(["mqfi", "generic", "--rvec", "1e200,0,0", "--vvec", "1,0,0", "--t", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["total=4", "quadratic=4", "oscillatory=0"]
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):
@@ -568,3 +613,20 @@ def test_optimal_state_matches_scenario_value(capsys):
     record = json.loads(out)
     expected = static_field_mqfi("omega0", StaticFieldSystem(1.0, 1.0), 1.0, 1.0)
     assert record["qfi"] == pytest.approx(expected.total, rel=1e-9)
+
+
+def test_validated_sweep_memory_does_not_grow_with_the_grid(tmp_path, capsys):
+    # The oracles run over chunks of rows, so a 5000-row validated sweep
+    # peaks below the 3.7 MiB that the per-row loop reached; one stack over
+    # the whole grid would need about six times that.
+    argv = ["sweep", "case2-omega0", "--omega0=0.7", "--lambda=1.3", "--variable=t", "--start=0",
+            "--stop=20", "--validate"]
+    assert run(argv + ["--points=20", "--out", str(tmp_path / "warm.csv")], capsys)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--points=5000", "--out", str(tmp_path / "grid.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20

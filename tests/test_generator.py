@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -311,3 +313,19 @@ def test_fd_step_keeps_five_point_stencil_out_of_roundoff():
 
     fd = generator_fd(u_of, 0.0, step=fd_step(t * float(np.linalg.norm(v)) * 3))
     assert frobenius(closed - fd) < 1e-10
+
+
+def test_split_velocity_keeps_direct_norm_where_finite():
+    # a grid of field sizes across the overflow of |field|^2 near 1.3e154:
+    # rows with a finite direct norm keep its bits, the others are scaled
+    rng = np.random.default_rng(71)
+    v = np.array([0.3, -1.1, 0.4])
+    for size in np.logspace(-150, 300, 181):
+        r = rng.normal(size=3) * size
+        with np.errstate(over="ignore"):
+            direct = float(np.linalg.norm(r))
+        norm = split_velocity(r, v).field_norm
+        if np.isfinite(direct):
+            assert norm == direct
+        else:
+            assert norm == pytest.approx(math.hypot(*r), rel=4e-16)

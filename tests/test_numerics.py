@@ -15,6 +15,8 @@ from su2qfi import (
     dot_with_J,
     fd_step,
     frobenius,
+    fd_generator,
+    fd_points,
     generator_fd,
     generator_series,
     generator_series_scaled,
@@ -552,3 +554,25 @@ def test_generator_oracles_pairwise_agreement():
         assert frobenius(closed - series) < 1e-7
         assert frobenius(closed - fd) < 1e-7
         assert frobenius(series - fd) < 1e-7
+
+
+def test_stacked_oracles_match_per_matrix_calls_and_name_first_bad_row():
+    rng = np.random.default_rng(72)
+    rep = build_spin_rep(1.5)
+    r = rng.normal(size=(40, 3))
+    v = rng.normal(size=(40, 3))
+    t = rng.uniform(0.0, 30.0, 40)
+    h, dh = dot_with_J(rep, r), dot_with_J(rep, v)
+    stacked = generator_series_scaled(h, dh, t)
+    for k in range(40):
+        np.testing.assert_array_equal(stacked[k], generator_series_scaled(h[k], dh[k], t[k]))
+    us = np.stack([[hermitian_expm(dot_with_J(rep, r[k] + p * v[k]), -1j * t[k])
+                    for p in fd_points(0.0, 1e-3)] for k in range(40)])
+    herm = fd_generator(us, np.full(40, 1e-3))
+    for k in range(40):
+        np.testing.assert_array_equal(herm[k], fd_generator(us[k], 1e-3))
+    us[7, 2] *= 1.001
+    us[19, 0] *= 1.001
+    with pytest.raises(ValueError, match="not unitary") as err:
+        fd_generator(us, 1e-3)
+    assert err.value.row == 7
