@@ -51,13 +51,11 @@ from .cases import (
     RotatingFrame,
     SphericalField,
     StaticFieldSystem,
-    driven_static_mqfi,
     driving_frequency_mqfi,
     driving_generator,
     driving_generator_vector,
     rotating_frame,
     spherical_field_mqfi,
-    static_field_mqfi,
 )
 
 __all__ = [
@@ -71,6 +69,6 @@ __all__ = [
     "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_fd",
     "qfi_of_state", "series_tail_bound", "trotter_propagator",
     "DrivenSystem", "RotatingFrame", "SphericalField", "StaticFieldSystem",
-    "driven_static_mqfi", "driving_frequency_mqfi", "driving_generator",
-    "driving_generator_vector", "rotating_frame", "spherical_field_mqfi", "static_field_mqfi",
+    "driving_frequency_mqfi", "driving_generator", "driving_generator_vector", "rotating_frame",
+    "spherical_field_mqfi",
 ]

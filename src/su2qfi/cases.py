@@ -1,23 +1,23 @@
-"""Closed-form maximal QFI for three concrete estimation scenarios.
+"""Systems and the two closed forms that know more than the field vector.
 
 Spherical field
     field = r (sin th cos ph, sin th sin ph, cos th); estimating the
     direction angles gives a purely oscillatory MQFI (16 j^2 sin^2(rt/2),
     with an extra sin^2 th for the azimuth), estimating the amplitude the
-    purely quadratic 4 j^2 t^2.
+    purely quadratic 4 j^2 t^2.  Here |field| = r exactly, which the
+    vector form would recover from the components only to rounding.
 
 Static two-component field
-    h = omega0 jz + lam jx, K = sqrt(lam^2 + omega0^2).  Estimating omega0:
-    mqfi = 4 j^2 [omega0^2 t^2 / K^2 + (4 lam^2 / K^4) sin^2(K t / 2)];
-    estimating lam swaps omega0 and lam in the two numerators.
+    h = omega0 jz + lam jx, the field vector (lam, 0, omega0).  Its MQFI
+    for omega0 or lam is generator.mqfi_closed_form of that vector.
 
 Circularly driven field
     h(t) = omega0 jz + lam (jx cos wt + jy sin wt).  A frame rotating at
     the drive frequency w makes the dynamics static with
     h_eff = delta jz + lam jx, delta = omega0 - w, so the lab propagator
     factors as U = exp(-i w t jz) exp(-i h_eff t).  Estimating omega0 or
-    lam reduces to the static formulas with omega0 -> delta; estimating w
-    composes the generators of the two factors, giving mqfi =
+    lam is the static case with omega0 -> delta; estimating w composes
+    the generators of the two factors (a moving frame), giving mqfi =
     4 j^2 (lam^2 / kp^4) [2 + kp^2 t^2 - 2 kp t sin(kp t) - 2 cos(kp t)]
     with kp = sqrt(lam^2 + delta^2), stationary and maximal on resonance.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DegenerateFieldError, QfiBreakdown, libm_pow
+from .generator import DegenerateFieldError, _field_ratio, _pow_or_inf, libm_pow
 from .spin import SpinRep, dot_with_J, hermitian_expm
 
 __all__ = [
@@ -36,13 +36,11 @@ __all__ = [
     "StaticFieldSystem",
     "DrivenSystem",
     "spherical_field_mqfi",
-    "static_field_mqfi",
     "RotatingFrame",
     "rotating_frame",
     "driving_generator_vector",
     "driving_generator",
     "driving_frequency_mqfi",
-    "driven_static_mqfi",
 ]
 
 
@@ -59,47 +57,6 @@ def _reject_first(bad, message: str, **values):
             f"{name}={float(np.broadcast_to(v, bad.shape).flat[k])!r}" for name, v in values.items()
         )
         raise DegenerateFieldError(f"{message} (at {at})")
-
-
-def _pow_overflows(x, n) -> bool:
-    try:
-        pow(x, n)
-    except OverflowError:
-        return True
-    return False
-
-
-_pow_overflows_ufunc = np.frompyfunc(_pow_overflows, 2, 1)
-
-
-def _field_ratio(coeff: float, num, den, factor, power: int):
-    """coeff num^2 factor / den^power for |num| <= |den| and power 2 or 4.
-
-    Grids where den^power is representable get exactly the bits of the
-    direct forms, (coeff num^2 factor) / den^2 and (coeff num^2 / den^4)
-    factor.  Only if the direct form raises OverflowError is a per-row mask
-    built: rows where den^power overflows use coeff (num/den)^2 factor,
-    divided by den twice for power 4, which is finite wherever factor is;
-    the other rows keep the direct form.
-    """
-    def direct(n, d, f):
-        if power == 2:
-            return coeff * libm_pow(n, 2) * f / libm_pow(d, 2)
-        return coeff * libm_pow(n, 2) / libm_pow(d, 4) * f
-
-    try:
-        return direct(num, den, factor)
-    except OverflowError:
-        pass
-    with np.errstate(over="ignore"):   # the overflow this detects is expected
-        over = np.asarray(_pow_overflows_ufunc(den, power), dtype=bool)
-    num, den, factor, over = np.broadcast_arrays(num, den, factor, over)
-    out = np.empty(over.shape)
-    fine = ~over
-    out[fine] = direct(num[fine], den[fine], factor[fine])
-    n, d, f = num[over], den[over], factor[over]
-    out[over] = coeff * libm_pow(n / d, 2) * (f / d / d if power == 4 else f)
-    return out[()]
 
 
 # The systems below accept arrays for any field, as long as they broadcast
@@ -168,21 +125,6 @@ def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> floa
     raise ValueError(f"unknown spherical parameter {which!r}")
 
 
-def static_field_mqfi(which: str, system: StaticFieldSystem, j: float, t) -> QfiBreakdown:
-    """Maximal QFI breakdown for estimating omega0 or lam of a static field."""
-    k = system.k
-    if which == "omega0":
-        radial, transverse = system.omega0, system.lam
-    elif which == "lambda":
-        radial, transverse = system.lam, system.omega0
-    else:
-        raise ValueError(f"unknown static-field parameter {which!r}")
-    jsq4 = 4.0 * float(j) ** 2
-    quad = _field_ratio(jsq4, radial, k, libm_pow(t, 2), 2)
-    osc = _field_ratio(jsq4 * 4.0, transverse, k, libm_pow(np.sin(k * t / 2.0), 2), 4)
-    return QfiBreakdown(quad + osc, quad, osc)
-
-
 @dataclass(frozen=True)
 class RotatingFrame:
     """Factored propagator of the driven system, U = U1(t) U2(t).
@@ -218,15 +160,6 @@ def _require_observable_drive(system: DrivenSystem) -> DrivenSystem:
                   "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)",
                   omega0=system.omega0, lam=system.lam, omega=system.omega)
     return system
-
-
-def _pow_or_inf(x, n):
-    """libm ``pow`` of a nonnegative x that gives inf where it overflows, as numpy scalars do."""
-    with np.errstate(over="ignore"):
-        big = np.asarray(_pow_overflows_ufunc(x, n), dtype=bool)
-    if not big.any():
-        return libm_pow(x, n)
-    return np.where(big, np.inf, libm_pow(np.where(big, 0.0, x), n))[()]
 
 
 def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
@@ -271,23 +204,3 @@ def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> float:
     bracket = np.where(np.abs(x) < 0.1, series, closed)[()]
     return _field_ratio(4.0 * float(j) ** 2, lam, kp, bracket, 4)
 
-
-def driven_static_mqfi(which: str, system: DrivenSystem, j: float, t: float) -> QfiBreakdown:
-    """Maximal QFI for estimating lam, omega0 or the drive frequency omega of the driven system.
-
-    The frame factor carries no dependence on either coupling, so for lam
-    and omega0 this is the static-field result with omega0 replaced by the
-    detuning.  On resonance (delta = 0) the lam value is exactly 4 j^2 t^2.
-    For omega the total is :func:`driving_frequency_mqfi`; its quadratic
-    part is the late-time parabola 4 j^2 lam^2 t^2 / kp^2, the quadratic
-    part of the lam estimate, and the oscillatory part the remainder.
-    """
-    _require_observable_drive(system)
-    if which == "omega":
-        total = driving_frequency_mqfi(system, j, t)
-        quad = _field_ratio(4.0 * float(j) ** 2, system.lam, system.kp, libm_pow(t, 2), 2)
-        return QfiBreakdown(total, quad, total - quad)
-    if which not in ("omega0", "lambda"):
-        raise ValueError(f"unknown driven-system parameter {which!r}")
-    equivalent = StaticFieldSystem(omega0=system.delta, lam=system.lam)
-    return static_field_mqfi(which, equivalent, j, t)

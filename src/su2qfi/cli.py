@@ -23,17 +23,18 @@ from .cases import (
     SphericalField,
     StaticFieldSystem,
     _require_observable_drive,
-    driven_static_mqfi,
+    driving_frequency_mqfi,
     driving_generator_vector,
     rotating_frame,
     spherical_field_mqfi,
-    static_field_mqfi,
 )
 from .generator import (
     DegenerateFieldError,
     FieldCurve,
     QfiBreakdown,
+    _field_ratio,
     generator_vector,
+    libm_pow,
     mqfi_closed_form,
     mqfi_small_time,
     split_velocity,
@@ -109,20 +110,27 @@ class Scenario:
     moving_frame: bool = False
 
 
-def _estimate(family: Family, name: str, defaults: dict, breakdown: Callable) -> Scenario:
+def _estimate(family: Family, name: str, defaults: dict, breakdown: Callable | None = None) -> Scenario:
     """Estimate ``name`` on the curve theta -> family.field({**params, name: theta}).
 
-    ``breakdown(name, system, j, t)`` is the closed form on the family's system.
+    ``breakdown(name, system, j, t)`` is a closed form on the family's
+    system; without one the MQFI is :func:`mqfi_closed_form` of the field
+    and its velocity.
     """
     def curve(p):
         family.system(p)
         return FieldCurve(lambda th: family.field({**p, name: th}),
                           lambda th: family.velocity[name]({**p, name: th})), p[name]
 
+    def parts(p, j, t):
+        system = family.system(p)
+        if breakdown is None:
+            return mqfi_closed_form(j, split_velocity(family.field(p), family.velocity[name](p)), t)
+        return breakdown(name, system, j, t)
+
     return Scenario(tuple(k for k in family.params if k not in defaults), defaults,
                     ("t",) + family.params + (("Delta",) if family.driven else ()),
-                    lambda p, j, t: breakdown(name, family.system(p), j, t), curve,
-                    family.driven, family.driven and name == "omega")
+                    parts, curve, family.driven, family.driven and name == "omega")
 
 
 def _vec(x, y, z) -> np.ndarray:
@@ -169,17 +177,25 @@ _DRIVEN = Family(
 )
 
 
-def _spherical_parts(radial: bool) -> Callable:
-    """spherical_field_mqfi as a breakdown: quadratic for the amplitude, oscillatory for an angle."""
-    def breakdown(which, field, j, t):
-        total = spherical_field_mqfi(which, field, j, t)
-        return QfiBreakdown(total, total, 0.0) if radial else QfiBreakdown(total, 0.0, total)
+def _spherical_parts(name, field, j, t) -> QfiBreakdown:
+    """spherical_field_mqfi: quadratic for the amplitude r, oscillatory for an angle."""
+    total = spherical_field_mqfi(name, field, j, t)
+    return QfiBreakdown(total, total, 0.0) if name == "r" else QfiBreakdown(total, 0.0, total)
 
-    return breakdown
+
+def _drive_frequency_parts(name, system, j, t) -> QfiBreakdown:
+    """driving_frequency_mqfi split at its late-time parabola 4 j^2 lam^2 t^2 / kp^2.
+
+    The parabola is the quadratic part of the lam estimate on the same
+    field; the oscillatory part is the remainder and may be negative.
+    """
+    total = driving_frequency_mqfi(system, j, t)
+    quad = _field_ratio(4.0 * float(j) ** 2, system.lam, system.kp, libm_pow(t, 2), 2)
+    return QfiBreakdown(total, quad, total - quad)
 
 
 def _generic_breakdown(p: dict, j: float, t) -> QfiBreakdown:
-    if np.linalg.norm(p["rvec"]) == 0.0:
+    if not np.any(p["rvec"]):
         quad = mqfi_small_time(j, p["vvec"], t)
         return QfiBreakdown(quad, quad, 0.0)
     return mqfi_closed_form(j, split_velocity(p["rvec"], p["vvec"]), t)
@@ -190,14 +206,14 @@ def _generic_breakdown(p: dict, j: float, t) -> QfiBreakdown:
 _CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
 SCENARIOS = {
-    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS, _spherical_parts(radial=False)),
-    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7}, _spherical_parts(radial=False)),
-    "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, _spherical_parts(radial=True)),
-    "case2-omega0": _estimate(_STATIC, "omega0", {}, static_field_mqfi),
-    "case2-lambda": _estimate(_STATIC, "lambda", {}, static_field_mqfi),
-    "case3-omega": _estimate(_DRIVEN, "omega", {}, driven_static_mqfi),
-    "case3-lambda": _estimate(_DRIVEN, "lambda", {}, driven_static_mqfi),
-    "case3-omega0": _estimate(_DRIVEN, "omega0", {}, driven_static_mqfi),
+    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS, _spherical_parts),
+    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7}, _spherical_parts),
+    "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, _spherical_parts),
+    "case2-omega0": _estimate(_STATIC, "omega0", {}),
+    "case2-lambda": _estimate(_STATIC, "lambda", {}),
+    "case3-omega": _estimate(_DRIVEN, "omega", {}, _drive_frequency_parts),
+    "case3-lambda": _estimate(_DRIVEN, "lambda", {}),
+    "case3-omega0": _estimate(_DRIVEN, "omega0", {}),
     # the curve r + theta v through the given field, anchored at theta = 0
     "generic": Scenario(("rvec", "vvec"), {}, ("t",), _generic_breakdown, lambda p: (FieldCurve(
         lambda th: np.asarray(p["rvec"], dtype=float) + np.asarray(th)[..., None] * np.asarray(p["vvec"], dtype=float),
@@ -428,8 +444,7 @@ def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
 
     Raises ValueError naming the first grid value where a part is not finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        breakdown = evaluate_point(scenario, params, j, t)
+    breakdown = evaluate_point(scenario, params, j, t)
     columns = {variable: grid}
     for name in ("total", "quadratic", "oscillatory"):
         column = np.broadcast_to(getattr(breakdown, name), grid.shape)
@@ -707,7 +722,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        # every output is checked for finiteness; numpy's warnings would repeat it on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (DegenerateFieldError, ValueError) as err:
         print(f"su2qfi: parameter error: {err}", file=sys.stderr)
         return EXIT_PARAMS

@@ -14,9 +14,11 @@ f2 = sin(x)/x, f3 = (1 - cos x)/x^2.  This form is free of divisions by
 The maximal QFI over input states equals the squared eigenvalue spread of
 gen and splits into a quadratic and an oscillatory part,
 
-    mqfi = 4 j^2 [ |v_r|^2 t^2 + 4 (|v_t|^2 / |field|^2) sin^2(|field| t / 2) ],
+    mqfi = 4 j^2 [ (field.v)^2 t^2 / |field|^2
+                   + 4 (|field x v|^2 / |field|^4) sin^2(|field| t / 2) ],
 
-sourced by the radial and the transverse velocity respectively.
+sourced by the radial and the transverse velocity respectively.  This one
+closed form serves every field known only as a vector.
 """
 
 from __future__ import annotations
@@ -62,6 +64,67 @@ def libm_pow(x, n):
     return out.astype(float) if isinstance(out, np.ndarray) else out
 
 
+def _pow_or_inf_scalar(x, n):
+    try:
+        return pow(x, n)
+    except OverflowError:
+        return np.inf
+
+
+_pow_or_inf_ufunc = np.frompyfunc(_pow_or_inf_scalar, 2, 1)
+
+
+def _pow_or_inf(x, n):
+    """``libm_pow`` that gives inf where it overflows, as numpy scalars do."""
+    with np.errstate(over="ignore"):   # the overflow it reports as inf
+        out = _pow_or_inf_ufunc(x, n)
+    return out.astype(float) if isinstance(out, np.ndarray) else out
+
+
+_TINY = np.finfo(float).tiny   # the smallest normal double
+
+
+def _normal(x):
+    """Whether the nonnegative x is a normal double: neither zero, subnormal nor infinite."""
+    return (x >= _TINY) & (x < np.inf)
+
+
+def _field_ratio(coeff: float, num, den, factor, power: int, root=None):
+    """coeff num^2 factor / den^power for a nonzero den and power 2 or 4.
+
+    ``root``, given only with power 4, is a square root of ``factor``.
+    Rows where den^power, num^2 and a factor with a root are normal
+    doubles (or num or that factor is zero) get exactly the bits of the
+    direct forms, (coeff num^2 factor) / den^2 and (coeff num^2 / den^4)
+    factor.  The other rows use coeff (num/den)^2 factor, with factor
+    divided by den twice for power 4, or (root/den)^2 where that factor is
+    subnormal: accurate wherever num/den, factor / den^(power-2) and the
+    value are normal.
+    """
+    def direct(num_sq, den_pow, f):
+        return coeff * num_sq * f / den_pow if power == 2 else coeff * num_sq / den_pow * f
+
+    try:
+        num_sq, den_pow = libm_pow(num, 2), libm_pow(den, power)
+    except OverflowError:
+        num_sq, den_pow = _pow_or_inf(num, 2), _pow_or_inf(den, power)
+    fine = (_normal(num_sq) | (num == 0.0)) & _normal(den_pow)
+    if root is not None:
+        fine &= _normal(factor) | (factor == 0.0)
+    if np.all(fine):
+        return direct(num_sq, den_pow, factor)
+    num, den, factor, num_sq, den_pow, fine = np.broadcast_arrays(num, den, factor, num_sq, den_pow, fine)
+    out = np.empty(fine.shape)
+    out[fine] = direct(num_sq[fine], den_pow[fine], factor[fine])
+    n, d, f = num[~fine], den[~fine], factor[~fine]
+    if power == 4:
+        f = f / d / d
+    if root is not None:   # a subnormal factor has lost digits that root / den keeps
+        f = np.where(factor[~fine] >= _TINY, f, libm_pow(np.broadcast_to(root, fine.shape)[~fine] / d, 2))
+    out[~fine] = coeff * libm_pow(n / d, 2) * f
+    return out[()]
+
+
 def _vec3_rows(x, name: str) -> np.ndarray:
     """A 3-vector or a stack (..., 3) of them, each finite."""
     v = np.asarray(x, dtype=float)
@@ -104,13 +167,29 @@ class FieldCurve:
 
 @dataclass(frozen=True)
 class VelocitySplit:
-    """Decomposition of the curve velocity along and across the field."""
+    """Decomposition of the curve velocity along and across the field.
 
+    The scalars are floats for one point, or arrays for a stack of points;
+    the closed form needs only them, the components are derived on use.
+    """
+
+    field: np.ndarray
     velocity: np.ndarray
-    radial: np.ndarray
-    transverse: np.ndarray
     field_norm: float
-    radial_speed: float  # d|field|/dtheta = velocity . unit(field)
+    along: float    # field . velocity = |field| radial_speed
+    across: float   # |field x velocity| = |field| |transverse|
+
+    @property
+    def radial_speed(self):   # d|field|/dtheta = velocity . unit(field)
+        return row_dot(self.velocity, self.field / self.field_norm[..., None])
+
+    @property
+    def radial(self) -> np.ndarray:
+        return self.radial_speed[..., None] * self.field / self.field_norm[..., None]
+
+    @property
+    def transverse(self) -> np.ndarray:
+        return self.velocity - self.radial
 
 
 @dataclass(frozen=True)
@@ -142,24 +221,22 @@ class GeneratorResult:
 def split_velocity(field, velocity) -> VelocitySplit:
     """Split ``velocity`` into components parallel and orthogonal to ``field``.
 
-    |field| is the direct norm; only where its square overflows is it
-    taken from the field scaled by its largest component.  Raises
-    DegenerateFieldError when |field| = 0 since the radial direction is
-    then undefined.
+    ``field`` and ``velocity`` may be stacks (..., 3); they broadcast, and
+    each row gets the bits of its own call.  Norms are nested ``np.hypot``
+    calls, which neither overflow nor underflow for a finite nonzero
+    field.  Raises DegenerateFieldError when |field| = 0 since the radial
+    direction is then undefined.
     """
-    r = _vec3(field, "field")
-    v = _vec3(velocity, "velocity")
-    with np.errstate(over="ignore"):   # handled below
-        r_norm = float(np.linalg.norm(r))
-    if not np.isfinite(r_norm):
-        largest = float(np.max(np.abs(r)))
-        r_norm = largest * float(np.linalg.norm(r / largest))
-    if r_norm == 0.0:
+    r, v = np.broadcast_arrays(_vec3_rows(field, "field"), _vec3_rows(velocity, "velocity"))
+    (x, y, z), (a, b, c) = np.moveaxis(r, -1, 0), np.moveaxis(v, -1, 0)
+    r_norm = _norm(x, y, z)
+    if np.any(r_norm == 0.0):
         raise DegenerateFieldError("field vanishes, radial direction undefined")
-    unit = r / r_norm
-    speed = float(v @ unit)
-    radial = speed * unit
-    return VelocitySplit(v, radial, v - radial, r_norm, speed)
+    return VelocitySplit(r, v, r_norm, x * a + y * b + z * c, _norm(y * c - z * b, z * a - x * c, x * b - y * a))
+
+
+def _norm(x, y, z):
+    return np.hypot(np.hypot(x, y), z)
 
 
 # Stable evaluations of the trigonometric quotients; the series branches
@@ -224,23 +301,17 @@ def analytic_generator(rep: SpinRep, curve: FieldCurve, theta: float, t: float) 
 
 
 def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
-    """Maximal QFI 4 j^2 [vr^2 t^2 + 4 (vt^2/r^2) sin^2(rt/2)] and its parts.
+    """Maximal QFI 4 j^2 [(r.v)^2 t^2/|r|^2 + 4 (|r x v|^2/|r|^4) sin^2(|r| t/2)] and its parts.
 
-    ``t`` may be an array of times; the parts then broadcast over it.  A
-    split with ``field_norm == 0`` (multiplicative-parameter limit) puts
-    the whole 4 j^2 t^2 |v|^2 value in the quadratic part.
+    The split and ``t`` may be arrays; the parts then broadcast over them.
+    Powers that leave the normal double range are divided out one factor
+    at a time (:func:`_field_ratio`), so tiny and huge fields stay accurate.
     """
     jsq4 = 4.0 * float(j) ** 2
-    if split.field_norm == 0.0:
-        quad = jsq4 * libm_pow(t, 2) * float(split.velocity @ split.velocity)
-        return QfiBreakdown(quad, quad, 0.0)
-    quad = jsq4 * float(split.radial @ split.radial) * libm_pow(t, 2)
-    transverse = 4.0 * jsq4 * float(split.transverse @ split.transverse)
-    try:
-        ratio = transverse / split.field_norm**2
-    except OverflowError:   # |field|^2 overflows, the ratio need not
-        ratio = transverse / split.field_norm / split.field_norm
-    osc = ratio * libm_pow(np.sin(split.field_norm * t / 2.0), 2)
+    r = split.field_norm
+    quad = _field_ratio(jsq4, split.along, r, libm_pow(t, 2), 2)
+    half = np.sin(r * t / 2.0)
+    osc = _field_ratio(4.0 * jsq4, split.across, r, libm_pow(half, 2), 4, root=half)
     return QfiBreakdown(quad + osc, quad, osc)
 
 

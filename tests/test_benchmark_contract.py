@@ -1,0 +1,52 @@
+"""The benchmark's use of the library: the names it imports and its second path.
+
+``perfbench/checks.py`` imports names from ``su2qfi`` and recomputes sampled
+sweep rows through ``mqfi_closed_form(j, split_velocity(field, velocity), t)``.
+A renamed function or a second closed form that drifts from the CLI's would
+fail every benchmark operation; these tests fail first.
+"""
+
+import ast
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import su2qfi
+from su2qfi.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "su2qfi" for alias in node.names]
+    assert names
+    assert [name for name in names if not hasattr(su2qfi, name)] == []
+
+
+@pytest.mark.parametrize("scenario", ["case2-omega0", "case2-lambda", "case3-lambda", "case3-omega0", "generic"])
+def test_second_path_equals_cli_rows_bit_for_bit(scenario, tmp_path):
+    # seeded benchmark sweeps (t, or Delta for the driven scenarios), every row
+    checks, workloads = _load("checks"), _load("workloads")
+    rng = random.Random(f"contract:{scenario}")
+    out = tmp_path / "sweep.csv"
+    for _ in range(4):
+        op = workloads._sweep(rng, scenario, rng.choice([0.5, 1.0, 3.0]), 200, False)
+        assert main([*op.argv, "--out", str(out)]) == 0
+        lines = checks.data_section(out).decode().splitlines()
+        assert lines[0] == f"{op.variable},total,quadratic,oscillatory"
+        for line in lines[1:]:
+            value, *parts = map(float, line.split(","))
+            assert tuple(parts) == checks._reference_row(op, value), (op.argv, line)

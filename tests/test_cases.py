@@ -12,7 +12,6 @@ from su2qfi import (
     build_spin_rep,
     compose_generators,
     dot_with_J,
-    driven_static_mqfi,
     driving_frequency_mqfi,
     driving_generator,
     driving_generator_vector,
@@ -25,12 +24,40 @@ from su2qfi import (
     rotating_frame,
     spherical_field_mqfi,
     split_velocity,
-    static_field_mqfi,
     trotter_propagator,
 )
-from su2qfi.cli import SCENARIOS
+from su2qfi.cli import SCENARIOS, evaluate_point
 
 PI_SQ_PLUS_FOUR = 13.869604401089358  # value of the static-field MQFI at omega0 = lam = 1, t = pi/K
+
+
+def paper_static_mqfi(which, omega0, lam, j, t):
+    """The paper's static-field MQFI as (total, quadratic, oscillatory).
+
+    4 j^2 [a^2 t^2 / K^2 + (4 b^2 / K^4) sin^2(K t / 2)], K = sqrt(lam^2 + omega0^2),
+    with (a, b) = (omega0, lam) for estimating omega0 and (lam, omega0) for lam.
+    """
+    k = math.hypot(lam, omega0)
+    a, b = (omega0, lam) if which == "omega0" else (lam, omega0)
+    quad = 4 * j**2 * a**2 * t**2 / k**2
+    osc = 16 * j**2 * b**2 / k**4 * math.sin(k * t / 2) ** 2
+    return quad + osc, quad, osc
+
+
+def paper_driven_mqfi(which, system, j, t):
+    """The paper's driven-field MQFI for omega0 or lam: the static result with omega0 -> delta."""
+    return paper_static_mqfi(which, system.delta, system.lam, j, t)
+
+
+def static_mqfi(which, system, j, t):
+    """The library's case2 MQFI breakdown: the one vector closed form on (lam, 0, omega0)."""
+    return evaluate_point(f"case2-{which}", {"omega0": system.omega0, "lambda": system.lam}, j, t)
+
+
+def driven_mqfi(which, system, j, t):
+    """The library's case3 MQFI breakdown for omega, lam or omega0."""
+    params = {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
+    return evaluate_point(f"case3-{which}", params, j, t)
 
 
 # --- spherical field ----------------------------------------------------------
@@ -95,29 +122,30 @@ def test_spherical_closed_forms_match_generic_pipeline():
 def test_static_field_reference_value():
     system = StaticFieldSystem(1.0, 1.0)
     t = np.pi / system.k
-    out = static_field_mqfi("omega0", system, 1.0, t)
+    out = static_mqfi("omega0", system, 1.0, t)
     assert out.total == pytest.approx(PI_SQ_PLUS_FOUR, rel=1e-12)
     assert out.quadratic == pytest.approx(np.pi**2, rel=1e-12)
     assert out.oscillatory == pytest.approx(4.0, rel=1e-12)
+    assert paper_static_mqfi("omega0", 1.0, 1.0, 1.0, t) == pytest.approx((PI_SQ_PLUS_FOUR, np.pi**2, 4.0), rel=1e-12)
 
 
 def test_static_field_pure_oscillation_without_z_component():
     system = StaticFieldSystem(0.0, 2.0)
-    out = static_field_mqfi("omega0", system, 1.0, 0.7)
+    out = static_mqfi("omega0", system, 1.0, 0.7)
     assert out.quadratic == 0.0
     assert out.total == pytest.approx(4.0 * 4.0 / 4.0 * np.sin(0.7) ** 2, rel=1e-12)
 
 
 def test_static_field_suppressed_by_strong_transverse_coupling():
-    reference = static_field_mqfi("omega0", StaticFieldSystem(1.0, 1e-9), 1.0, np.pi).total
+    reference = static_mqfi("omega0", StaticFieldSystem(1.0, 1e-9), 1.0, np.pi).total
     strong = StaticFieldSystem(1.0, 1000.0)
-    suppressed = static_field_mqfi("omega0", strong, 1.0, np.pi / strong.k).total
+    suppressed = static_mqfi("omega0", strong, 1.0, np.pi / strong.k).total
     assert suppressed < 1e-3 * reference
 
 
 def test_static_field_swap_symmetry():
-    a = static_field_mqfi("omega0", StaticFieldSystem(0.4, 1.7), 1.5, 2.0)
-    b = static_field_mqfi("lambda", StaticFieldSystem(1.7, 0.4), 1.5, 2.0)
+    a = static_mqfi("omega0", StaticFieldSystem(0.4, 1.7), 1.5, 2.0)
+    b = static_mqfi("lambda", StaticFieldSystem(1.7, 0.4), 1.5, 2.0)
     assert a.total == pytest.approx(b.total, rel=1e-12)
     assert a.quadratic == pytest.approx(b.quadratic, rel=1e-12)
 
@@ -131,9 +159,9 @@ def test_static_field_matches_generic_pipeline():
         which = rng.choice(["omega0", "lambda"])
         curve, anchor = SCENARIOS[f"case2-{which}"].curve({"omega0": system.omega0, "lambda": system.lam})
         split = split_velocity(curve.field(anchor), curve.velocity(anchor))
-        assert static_field_mqfi(which, system, j, t).total == pytest.approx(
-            mqfi_closed_form(j, split, t).total, rel=1e-10, abs=1e-12
-        )
+        reference = paper_static_mqfi(which, system.omega0, system.lam, j, t)
+        assert reference[0] == pytest.approx(mqfi_closed_form(j, split, t).total, rel=1e-10, abs=1e-12)
+        assert static_mqfi(which, system, j, t).total == pytest.approx(reference[0], rel=1e-10, abs=1e-12)
 
 
 def test_static_field_rejects_vanishing_couplings():
@@ -155,7 +183,7 @@ def _drive_frequency_reference(w0, j=1.5, t=0.7):
 
 
 @pytest.mark.parametrize("mqfi, reference", [
-    (lambda w0: static_field_mqfi("lambda", StaticFieldSystem(w0, 1.0), 1.5, 0.7).total, _static_lambda_reference),
+    (lambda w0: static_mqfi("lambda", StaticFieldSystem(w0, 1.0), 1.5, 0.7).total, _static_lambda_reference),
     (lambda w0: driving_frequency_mqfi(DrivenSystem(w0, 1.0, 0.0), 1.5, 0.7), _drive_frequency_reference),
 ], ids=["static-lambda", "drive-frequency"])
 def test_field_fourth_power_overflow_only_rescales_its_rows(mqfi, reference):
@@ -176,10 +204,10 @@ def test_field_square_overflow_only_rescales_its_rows():
     # the quadratic part 4 j^2 (omega0 / k)^2 t^2 stays finite there
     j, t = 1.5, 0.7
     grid = np.geomspace(1e145, 1e165, 21)
-    values = static_field_mqfi("omega0", StaticFieldSystem(grid, grid), j, t).total
+    values = static_mqfi("omega0", StaticFieldSystem(grid, grid), j, t).total
     small = grid < 9e153
     assert small.any() and not small.all()
-    scalar = [static_field_mqfi("omega0", StaticFieldSystem(w, w), j, t).total for w in grid[small]]
+    scalar = [static_mqfi("omega0", StaticFieldSystem(w, w), j, t).total for w in grid[small]]
     assert np.array_equal(values[small], scalar)
     for w0, value in zip(grid[~small], values[~small]):
         k = math.hypot(w0, w0)
@@ -196,7 +224,7 @@ def test_static_field_small_time_bound():
         t = 0.01 / system.k
         envelope = 4 * j**2 * t**2  # |velocity| = 1 for both couplings
         for which in ("omega0", "lambda"):
-            total = static_field_mqfi(which, system, j, t).total
+            total = static_mqfi(which, system, j, t).total
             assert total <= envelope * (1 + 1e-9)
 
 
@@ -282,7 +310,7 @@ def test_drive_frequency_curve_and_breakdown():
         composed = compose_generators(-t * np.asarray(rep.jz), u2, gen2)
         assert frobenius(driving_generator(system, rep, t) - composed) < 1e-10
 
-        parts = driven_static_mqfi("omega", system, 1.5, t)
+        parts = driven_mqfi("omega", system, 1.5, t)
         assert parts.total == driving_frequency_mqfi(system, 1.5, t)
         assert parts.quadratic == pytest.approx(4 * 1.5**2 * system.lam**2 * t**2 / system.kp**2, rel=1e-14)
         assert parts.oscillatory == parts.total - parts.quadratic
@@ -351,10 +379,11 @@ def test_drive_frequency_rejects_unobservable_point():
 
 def test_driven_couplings_on_resonance():
     system = DrivenSystem(1.0, 1.0, 1.0)
-    out = driven_static_mqfi("lambda", system, 1.0, 2.0)
+    out = driven_mqfi("lambda", system, 1.0, 2.0)
     assert out.total == pytest.approx(16.0, abs=1e-12)
     assert out.oscillatory == 0.0
-    out0 = driven_static_mqfi("omega0", system, 1.0, 2.0)
+    assert paper_driven_mqfi("lambda", system, 1.0, 2.0)[0] == pytest.approx(16.0, abs=1e-12)
+    out0 = driven_mqfi("omega0", system, 1.0, 2.0)
     assert out0.quadratic == 0.0
     assert out0.total == pytest.approx(4.0 * 4.0 * np.sin(1.0) ** 2, rel=1e-12)
 
@@ -369,9 +398,10 @@ def test_driven_couplings_match_generic_machinery():
         for which in ("omega0", "lambda"):
             curve, anchor = SCENARIOS[f"case3-{which}"].curve(params)
             res = analytic_generator(rep, curve, anchor, t)
-            assert driven_static_mqfi(which, system, 1.0, t).total == pytest.approx(
+            assert paper_driven_mqfi(which, system, 1.0, t)[0] == pytest.approx(
                 res.mqfi(), rel=1e-10, abs=1e-12
             )
+            assert driven_mqfi(which, system, 1.0, t).total == pytest.approx(res.mqfi(), rel=1e-10, abs=1e-12)
 
             u1 = hermitian_expm(np.asarray(rep.jz), -1j * system.omega * t)
 
@@ -384,4 +414,4 @@ def test_driven_couplings_match_generic_machinery():
 
 def test_driven_couplings_reject_unobservable_point():
     with pytest.raises(DegenerateFieldError):
-        driven_static_mqfi("lambda", DrivenSystem(1.0, 0.0, 1.0), 1.0, 1.0)
+        driven_mqfi("lambda", DrivenSystem(1.0, 0.0, 1.0), 1.0, 1.0)

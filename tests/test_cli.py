@@ -1,13 +1,23 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from su2qfi import static_field_mqfi, StaticFieldSystem
+from su2qfi import mqfi_closed_form, split_velocity
 from su2qfi.cli import MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
+
+
+def static_omega0_mqfi(omega0, lam, j, t):
+    """The library's closed form for estimating omega0 of the static field (lam, 0, omega0)."""
+    return mqfi_closed_form(j, split_velocity([lam, 0.0, omega0], [0.0, 0.0, 1.0]), t)
 
 
 def run(argv, capsys):
@@ -61,7 +71,7 @@ def test_mqfi_json_output(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["scenario"] == "case2-omega0"
-    expected = static_field_mqfi("omega0", StaticFieldSystem(1.0, 1.0), 1.0, 1.0)
+    expected = static_omega0_mqfi(1.0, 1.0, 1.0, 1.0)
     assert record["total"] == pytest.approx(expected.total, rel=1e-15)
     # stable key ordering for diff-based use
     assert list(record) == sorted(record)
@@ -194,6 +204,42 @@ def test_bad_input_exits_2(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_overflowing_validated_sweep_prints_one_stderr_line():
+    # r t overflows in the oracles; numpy's warnings stay off the real stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "su2qfi", "sweep", "case1-r", "--theta", "1", "--phi", "0.5", "--t", "10",
+         "--variable", "r", "--start", "1e306", "--stop", "3e307", "--points", "600", "--validate"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("su2qfi: parameter error: ")
+
+
+def _scenario_options(scenario, s):
+    if scenario.startswith("case1-"):
+        return [f"--r={s!r}", "--theta=1", "--phi=0.5"] if scenario != "case1-phi" else [f"--r={s!r}", "--theta=1"]
+    if scenario.startswith("case2-"):
+        return [f"--omega0={s!r}", f"--lambda={-s!r}"]
+    if scenario.startswith("case3-"):
+        return [f"--omega0={s!r}", f"--lambda={s!r}", f"--omega={s / 2!r}"]
+    return [f"--rvec={s!r},{-s!r},{s!r}", "--vvec=0.3,-1.1,0.4"]
+
+
+@pytest.mark.parametrize("scenario", ["case1-theta", "case1-phi", "case1-r", "case2-omega0", "case2-lambda",
+                                      "case3-omega", "case3-lambda", "case3-omega0", "generic"])
+def test_finite_inputs_from_tiny_to_huge_never_raise(scenario, capsys):
+    # every size from 1e-300 to 1e300 ends in an answer or one parameter-error line
+    for s in (1e-300, 1e-200, 1e-100, 1e-80, 1.0, 1e80, 1e100, 1e200, 1e300):
+        for t in ("1e-300", "1", "1e300"):
+            options = _scenario_options(scenario, s)
+            for argv in (["mqfi", scenario, *options, f"--t={t}"],
+                         ["sweep", scenario, *options, "--variable=t", "--start=0", f"--stop={t}", "--points=3"]):
+                code, out, err = run(argv, capsys)
+                assert (code, err) in ((0, ""), (2, err)), argv
+                assert err.count("\n") == int(code == 2) and "Traceback" not in err, argv
+
+
 @pytest.mark.parametrize("residuals, trotter, named", [
     ({"series": [0.0, float("nan")], "fd": [0.0, 0.0]}, None, "series residual nan at row 1"),
     ({"series": [0.0, 0.0], "fd": [float("inf"), 1.0]}, None, "fd residual inf at row 0"),
@@ -249,6 +295,63 @@ def test_large_field_sweep_is_rescaled_not_overflowed(capsys):
     assert totals == pytest.approx([0.0, 0.5, 2.0], rel=1e-12, abs=0.0)
 
 
+def _paper_mqfi(j, r, v, t):
+    """4 j^2 [(r.v)^2 t^2 / |r|^2 + 4 |r x v|^2 / |r|^4 sin^2(|r| t / 2)] at 50 digits."""
+    with mpmath.workdps(50):
+        r, v, t = [mpmath.mpf(x) for x in r], [mpmath.mpf(x) for x in v], mpmath.mpf(t)
+        dot = r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
+        cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
+        norm = mpmath.sqrt(sum(x * x for x in r))
+        osc = 4 * sum(x * x for x in cross) / norm**4 * mpmath.sin(norm * t / 2) ** 2
+        return float(4 * j**2 * (dot**2 * t**2 / norm**2 + osc))
+
+
+def _paper_drive_frequency_mqfi(j, lam, delta, t):
+    """4 j^2 (lam^2 / kp^4) [2 + x^2 - 2 x sin x - 2 cos x], x = kp t, with 50 digits left after the bracket cancels."""
+    with mpmath.workdps(50):
+        lam, delta, t = mpmath.mpf(lam), mpmath.mpf(delta), mpmath.mpf(t)
+        kp = mpmath.sqrt(lam**2 + delta**2)
+        x = kp * t
+    with mpmath.workdps(50 + max(0, int(-4 * mpmath.log10(x)))):
+        bracket = 2 + x**2 - 2 * x * mpmath.sin(x) - 2 * mpmath.cos(x)
+        return float(4 * j**2 * lam**2 / kp**4 * bracket)
+
+
+_FIELD_SIZES = np.logspace(-300, 300, 121)
+
+
+@pytest.mark.parametrize("scenario", ["case2-omega0", "case2-lambda", "case3-lambda", "case3-omega0", "generic",
+                                      "case3-omega"])
+def test_mqfi_matches_high_precision_formula_from_tiny_to_huge_fields(scenario, capsys):
+    # |field| from 1e-300 to 1e300 at t = 1, where |field|^2, |field|^4 and
+    # sin^2(|field| t / 2) underflow or overflow; case3-omega from kp = 1e-70,
+    # below which the x^4 of its series bracket underflows, up to 1e150,
+    # above which (kp t)^2 overflows
+    sizes = _FIELD_SIZES
+    if scenario == "case3-omega":
+        sizes = sizes[(sizes >= 1e-70) & (sizes <= 1e150)]
+    for s in sizes.tolist():
+        omega0, lam, omega = 1.2 * s, 0.8 * s, 0.6 * s
+        if scenario == "generic":
+            r, v = (0.36 * s, -0.48 * s, 0.8 * s), (0.3, -1.1, 0.4)
+            options = [f"--rvec={','.join(map(repr, r))}", "--vvec=0.3,-1.1,0.4"]
+        else:
+            options = [f"--omega0={omega0!r}", f"--lambda={lam!r}"]
+            if scenario.startswith("case3-"):
+                options.append(f"--omega={omega!r}")
+            else:
+                omega = 0.0
+            r = (lam, 0.0, mpmath.mpf(omega0) - mpmath.mpf(omega))
+            v = (0.0, 0.0, 1.0) if scenario.endswith("omega0") else (1.0, 0.0, 0.0)
+        code, out, err = run(["mqfi", scenario, *options, "--t=1", "--j=1.5", "--json"], capsys)
+        assert (code, err) == (0, "")
+        if scenario == "case3-omega":
+            expected = _paper_drive_frequency_mqfi(1.5, lam, r[2], 1.0)
+        else:
+            expected = _paper_mqfi(1.5, r, v, 1.0)
+        assert json.loads(out)["total"] == pytest.approx(expected, rel=1e-12, abs=0.0), s
+
+
 def test_finite_residuals_within_limit_pass(capsys):
     assert _validation_verdict({"series": np.array([1e-9]), "fd": np.array([0.0])}, (0, 1e-7)) == 0
     assert capsys.readouterr().err == ""
@@ -267,9 +370,8 @@ def test_sweep_values_match_library(tmp_path, capsys):
     header, rows = parse_csv(out)
     assert header == ["t", "total", "quadratic", "oscillatory"]
     assert rows.shape == (21, 4)
-    system = StaticFieldSystem(0.4, 1.2)
     for t, total, quad, osc in rows:
-        expected = static_field_mqfi("omega0", system, 1.5, t)
+        expected = static_omega0_mqfi(0.4, 1.2, 1.5, t)
         assert total == pytest.approx(expected.total, rel=1e-15, abs=1e-15)
         assert quad == pytest.approx(expected.quadratic, rel=1e-15, abs=1e-15)
         assert osc == pytest.approx(expected.oscillatory, rel=1e-15, abs=1e-15)
@@ -341,9 +443,8 @@ def test_figure_quadratic_column_is_first_term(tmp_path, capsys):
     out = tmp_path / "fig1b.csv"
     assert run(["figure", "fig1b", "--out", str(out)], capsys)[0] == 0
     _, rows = parse_csv(out)
-    system = StaticFieldSystem(1.0, 1.0)
     k = 137
-    expected = static_field_mqfi("omega0", system, 1.0, rows[k, 0])
+    expected = static_omega0_mqfi(1.0, 1.0, 1.0, rows[k, 0])
     assert rows[k, 2] == pytest.approx(expected.quadratic, rel=1e-15)
     assert rows[k, 1] == pytest.approx(expected.total, rel=1e-15)
     # with balanced couplings the oscillation is a minor correction at late times
@@ -497,10 +598,10 @@ VALIDATED_SHA256 = {
     "case3-omega": "a76898fea7bc5e9ce95617d7d134d4a052da12d4c81a21a1f27d77f5936b76b7",
     "case3-lambda": "388d00b655d17b512e3c8558a74fcd3334fa00d37236b170991f519b78be1dea",
     "case3-omega0": "88cd61c499bd0a3eeee02dc56e582803a1fe473da93c48c63bd580dd96bbf0d2",
-    "generic": "79cbddc7aee01fac0abee666dc010c4060fcecbc84b4ab18272d872e0ac2f12a",
+    "generic": "c47862c935972a3aaf8ae91986e641ebab29f73dbb7c55e1e533bb1253d525cf",
     "case2-omega0-700-rows": "997d6eef664b223b95cb40493fd0f6804bdbf49b0bb016f336803fce9be7c1b0",
     "case1-theta-half": "1d9690f26cf8003141041cc3bfb43400bdf9fae844f212b8044969067b4954f8",
-    "generic-j3": "1c66117bbe5997f58dc1fbc3be64bb5aa0e663700f4c790134868e5b98022494",
+    "generic-j3": "56fe6b6cdf3903186fc31ec9044dc6860c3afd14763f0bc54dcd220f61a6fbc3",
     "case2-lambda-overrides": "5b3f808b662aaca8bd0bb9be17bf111529b80f9c306a1fb9c276499699277e2d",
     "case1-phi-series-order": "022e47a034b61fc411bd5e29a6c291745f01be4c1caad57c9506672b321d4fd1",
     "case1-r-j3": "0cb7105cb07844bb37064a196a36deae3e983184405a603c30ed72d70968e39c",
@@ -611,7 +712,7 @@ def test_optimal_state_matches_scenario_value(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    expected = static_field_mqfi("omega0", StaticFieldSystem(1.0, 1.0), 1.0, 1.0)
+    expected = static_omega0_mqfi(1.0, 1.0, 1.0, 1.0)
     assert record["qfi"] == pytest.approx(expected.total, rel=1e-9)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from su2qfi import (
     mqfi_small_time,
     split_velocity,
 )
+from su2qfi.cli import main
 
 
 def generator_vector_from_split(split, t):
@@ -252,14 +254,14 @@ def test_mqfi_zero_time():
     assert mqfi_closed_form(2.0, s, 0.0).total == 0.0
 
 
-def test_mqfi_multiplicative_limit_is_quadratic():
-    from su2qfi import VelocitySplit
-
-    v = np.array([0.0, 0.0, 1.5])
-    degenerate = VelocitySplit(v, v, np.zeros(3), 0.0, 1.5)
-    b = mqfi_closed_form(1.0, degenerate, 2.0)
-    assert b.total == pytest.approx(4 * 4 * 2.25, rel=1e-12)
-    assert b.oscillatory == 0.0
+def test_mqfi_multiplicative_limit_is_quadratic(capsys):
+    # a vanishing field puts the whole 4 j^2 t^2 |v|^2 in the quadratic part
+    assert mqfi_small_time(1.0, [0.0, 0.0, 1.5], 2.0) == pytest.approx(4 * 4 * 2.25, rel=1e-12)
+    assert main(["mqfi", "generic", "--rvec", "0,0,0", "--vvec", "0,0,1.5", "--t", "2", "--json"]) == 0
+    b = json.loads(capsys.readouterr().out)
+    assert b["total"] == pytest.approx(4 * 4 * 2.25, rel=1e-12)
+    assert b["quadratic"] == b["total"]
+    assert b["oscillatory"] == 0.0
 
 
 def test_small_time_value():
@@ -315,17 +317,17 @@ def test_fd_step_keeps_five_point_stencil_out_of_roundoff():
     assert frobenius(closed - fd) < 1e-10
 
 
-def test_split_velocity_keeps_direct_norm_where_finite():
-    # a grid of field sizes across the overflow of |field|^2 near 1.3e154:
-    # rows with a finite direct norm keep its bits, the others are scaled
+def test_split_velocity_norm_is_within_one_ulp_of_hypot():
+    # nested np.hypot neither overflows nor underflows: 50 fields at each of
+    # 601 sizes from 1e-300 to 1e300, split as one stack
     rng = np.random.default_rng(71)
-    v = np.array([0.3, -1.1, 0.4])
-    for size in np.logspace(-150, 300, 181):
-        r = rng.normal(size=3) * size
-        with np.errstate(over="ignore"):
-            direct = float(np.linalg.norm(r))
-        norm = split_velocity(r, v).field_norm
-        if np.isfinite(direct):
-            assert norm == direct
-        else:
-            assert norm == pytest.approx(math.hypot(*r), rel=4e-16)
+    sizes = np.repeat(np.logspace(-300, 300, 601), 50)
+    r = rng.normal(size=(sizes.size, 3)) * sizes[:, None]
+    split = split_velocity(r, [0.3, -1.1, 0.4])
+    exact = np.array([math.hypot(*row) for row in r])
+    assert np.all(np.abs(split.field_norm - exact) <= np.spacing(exact))
+    for k in rng.choice(sizes.size, 20, replace=False):
+        one = split_velocity(r[k], [0.3, -1.1, 0.4])
+        assert (one.field_norm, one.along, one.across) == (
+            split.field_norm[k], split.along[k], split.across[k])
+    assert split_velocity([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]).field_norm == 1e-200
