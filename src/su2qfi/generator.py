@@ -169,8 +169,7 @@ class FieldCurve:
 class VelocitySplit:
     """Decomposition of the curve velocity along and across the field.
 
-    The scalars are floats for one point, or arrays for a stack of points;
-    the closed form needs only them, the components are derived on use.
+    Scalars are floats for one point or arrays for a stack; components are derived on use.
     """
 
     field: np.ndarray
@@ -228,7 +227,8 @@ def split_velocity(field, velocity) -> VelocitySplit:
     direction is then undefined.
     """
     r, v = np.broadcast_arrays(_vec3_rows(field, "field"), _vec3_rows(velocity, "velocity"))
-    (x, y, z), (a, b, c) = np.moveaxis(r, -1, 0), np.moveaxis(v, -1, 0)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    a, b, c = v[..., 0], v[..., 1], v[..., 2]
     r_norm = _norm(x, y, z)
     if np.any(r_norm == 0.0):
         raise DegenerateFieldError("field vanishes, radial direction undefined")
