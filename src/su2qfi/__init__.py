@@ -48,13 +48,10 @@ from .numerics import (
 )
 from .cases import (
     DrivenSystem,
-    RotatingFrame,
     SphericalField,
     StaticFieldSystem,
     driving_frequency_mqfi,
-    driving_generator,
     driving_generator_vector,
-    rotating_frame,
     spherical_field_mqfi,
 )
 
@@ -68,7 +65,6 @@ __all__ = [
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step", "generator_fd",
     "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_fd",
     "qfi_of_state", "series_tail_bound", "trotter_propagator",
-    "DrivenSystem", "RotatingFrame", "SphericalField", "StaticFieldSystem",
-    "driving_frequency_mqfi", "driving_generator", "driving_generator_vector", "rotating_frame",
-    "spherical_field_mqfi",
+    "DrivenSystem", "SphericalField", "StaticFieldSystem",
+    "driving_frequency_mqfi", "driving_generator_vector", "spherical_field_mqfi",
 ]

@@ -29,17 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import DegenerateFieldError, _field_ratio, _pow_or_inf, libm_pow
-from .spin import SpinRep, dot_with_J, hermitian_expm
+from .spin import reject_first
 
 __all__ = [
     "SphericalField",
     "StaticFieldSystem",
     "DrivenSystem",
     "spherical_field_mqfi",
-    "RotatingFrame",
-    "rotating_frame",
     "driving_generator_vector",
-    "driving_generator",
     "driving_frequency_mqfi",
 ]
 
@@ -51,12 +48,11 @@ def _reject_first(bad, message: str, **values):
     set entry, so a grid reports its first offending point.
     """
     bad = np.asarray(bad)
-    if bad.any():
-        k = int(np.argmax(bad.ravel()))
-        at = ", ".join(
-            f"{name}={float(np.broadcast_to(v, bad.shape).flat[k])!r}" for name, v in values.items()
-        )
-        raise DegenerateFieldError(f"{message} (at {at})")
+
+    def at(k):
+        return ", ".join(f"{name}={float(np.broadcast_to(v, bad.shape).flat[k])!r}" for name, v in values.items())
+
+    reject_first(bad.ravel(), lambda k: f"{message} (at {at(k)})", DegenerateFieldError)
 
 
 # The systems below accept arrays for any field, as long as they broadcast
@@ -73,10 +69,6 @@ class SphericalField:
 
     def __post_init__(self):
         _reject_first(~(np.asarray(self.r) > 0), "field amplitude must be positive", r=self.r)
-
-    def direction(self) -> np.ndarray:
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        return np.array([st * np.cos(self.phi), st * np.sin(self.phi), ct])
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,11 @@ class DrivenSystem:
     lam: float
     omega: float
 
+    def __post_init__(self):
+        _reject_first(self.kp == 0.0,
+                      "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)",
+                      omega0=self.omega0, lam=self.lam, omega=self.omega)
+
     @property
     def delta(self) -> float:
         """Detuning between the transition and the drive."""
@@ -125,43 +122,6 @@ def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> floa
     raise ValueError(f"unknown spherical parameter {which!r}")
 
 
-@dataclass(frozen=True)
-class RotatingFrame:
-    """Factored propagator of the driven system, U = U1(t) U2(t).
-
-    U1 = exp(-i omega t jz) undoes the frame rotation, U2 = exp(-i h_eff t)
-    evolves under the static effective Hamiltonian h_eff = delta jz + lam jx.
-    """
-
-    system: DrivenSystem
-
-    def h_eff(self, rep: SpinRep) -> np.ndarray:
-        s = self.system
-        return s.delta * rep.jz + s.lam * rep.jx
-
-    def factored(self, rep: SpinRep, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(U1, U2) whose product is the lab-frame propagator at time t."""
-        u1 = hermitian_expm(rep.jz, -1j * self.system.omega * t)
-        u2 = hermitian_expm(self.h_eff(rep), -1j * t)
-        return u1, u2
-
-    def u_full(self, rep: SpinRep, t: float) -> np.ndarray:
-        u1, u2 = self.factored(rep, t)
-        return u1 @ u2
-
-
-def rotating_frame(system: DrivenSystem) -> RotatingFrame:
-    """Reduce the driven system to its static rotating-frame form."""
-    return RotatingFrame(system)
-
-
-def _require_observable_drive(system: DrivenSystem) -> DrivenSystem:
-    _reject_first(system.kp == 0.0,
-                  "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)",
-                  omega0=system.omega0, lam=system.lam, omega=system.omega)
-    return system
-
-
 def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
     """Coefficient vector of the drive-frequency generator, gen = coeffs . J.
 
@@ -169,7 +129,6 @@ def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
     coefficient vectors stack on a last axis of length 3, and each point
     gets the bits of its own call.
     """
-    _require_observable_drive(system)
     kp, lam, delta = system.kp, system.lam, system.delta
     x = kp * t
     # Both branches run on every point; the one not taken may overflow.
@@ -186,14 +145,8 @@ def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
     return np.stack(parts, axis=-1)
 
 
-def driving_generator(system: DrivenSystem, rep: SpinRep, t: float) -> np.ndarray:
-    """Generator matrix for estimating the drive frequency."""
-    return dot_with_J(rep, driving_generator_vector(system, t))
-
-
 def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> float:
     """Maximal QFI for estimating the drive frequency omega."""
-    _require_observable_drive(system)
     kp, lam = system.kp, system.lam
     x = kp * t
     # Both branches run on every point; the one not taken may overflow.

@@ -22,10 +22,8 @@ from .cases import (
     DrivenSystem,
     SphericalField,
     StaticFieldSystem,
-    _require_observable_drive,
     driving_frequency_mqfi,
     driving_generator_vector,
-    rotating_frame,
     spherical_field_mqfi,
 )
 from .generator import (
@@ -172,7 +170,7 @@ _DRIVEN = Family(
     ("omega0", "lambda", "omega"),
     lambda p: _vec(p["lambda"], 0.0, p["omega0"] - p["omega"]),
     {**_STATIC.velocity, "omega": lambda p: _vec(0.0, 0.0, -1.0)},
-    lambda p: _require_observable_drive(DrivenSystem(p["omega0"], p["lambda"], p["omega"])),
+    lambda p: DrivenSystem(p["omega0"], p["lambda"], p["omega"]),
     driven=True,
 )
 
@@ -353,6 +351,12 @@ def scenario_generator(scenario: str, params: dict, rep, t: float) -> np.ndarray
     return dot_with_J(rep, _closed_vector(spec, params, *spec.curve(params), t))
 
 
+def _propagator(rep, field, t, omega=None) -> np.ndarray:
+    """exp(-i omega t jz) exp(-i t field.J), or exp(-i t field.J) without omega; stacks broadcast."""
+    u = hermitian_expm(dot_with_J(rep, field), -1j * t)
+    return u if omega is None else hermitian_expm(rep.jz, -1j * omega * t) @ u
+
+
 def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, series_order: int, step):
     """(series, finite-difference) residual columns of ``rows`` grid rows.
 
@@ -383,36 +387,27 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, series_order: 
     # U at the five stencil points of each row: parameters on rows, points on a second axis
     stencil, _ = spec.curve({k: (x[:, None] if isinstance(x, np.ndarray) else x) for k, x in params.items()})
     thetas = fd_points(anchor, steps)
-    us = hermitian_expm(dot_with_J(rep, stencil.field(thetas)), (-1j * ts)[:, None])
+    omega = None
     if spec.driven:
         omega = thetas if spec.moving_frame else np.broadcast_to(params["omega"], (rows,))[:, None]
-        us = hermitian_expm(rep.jz, -1j * omega * ts[:, None]) @ us
+    us = _propagator(rep, stencil.field(thetas), ts[:, None], omega)
     return frobenius(closed - series), frobenius(closed - fd_generator(us, steps))
 
 
-def oracle_residuals(scenario, params, rep, t, series_order=DEFAULT_SERIES_ORDER, step=None):
-    """Frobenius distances of the closed-form generator from both oracles at one point.
-
-    Returns (series residual, finite-difference residual): the one-row case
-    of the grid evaluation that ``--validate`` runs.
-    """
-    series, fd = _oracle_rows(_scenario(scenario), params, rep, t, 1, series_order, step)
-    return float(series[0]), float(fd[0])
-
-
 def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
-    """||time-ordered product - U1 U2||_F for the driven system at one point.
+    """||time-ordered product - driven-frame propagator||_F for the driven system at one point.
 
     The midpoint product of the lab field (lam cos wt, lam sin wt, omega0)
-    runs in SU(2) and is lifted once to the spin of ``rep``.
+    runs in SU(2) and is lifted once to the spin of ``rep``; it is compared
+    with the propagator the finite-difference oracle differentiates.
     """
-    system = DrivenSystem(omega0=params["omega0"], lam=params["lambda"], omega=params["omega"])
+    lam, omega, omega0 = params["lambda"], params["omega"], params["omega0"]
 
     def field(ts):
-        return system.lam * np.cos(system.omega * ts), system.lam * np.sin(system.omega * ts), system.omega0
+        return lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0
 
     u_ordered = su2_lift(rep, midpoint_su2(field, t, steps))
-    return frobenius(u_ordered - rotating_frame(system).u_full(rep, t))
+    return frobenius(u_ordered - _propagator(rep, _DRIVEN.field(params), t, omega))
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,13 @@ def _field_ratio(coeff: float, num, den, factor, power: int, root=None):
     """coeff num^2 factor / den^power for a nonzero den and power 2 or 4.
 
     ``root``, given only with power 4, is a square root of ``factor``.
-    Rows where den^power, num^2 and a factor with a root are normal
-    doubles (or num or that factor is zero) get exactly the bits of the
-    direct forms, (coeff num^2 factor) / den^2 and (coeff num^2 / den^4)
-    factor.  The other rows use coeff (num/den)^2 factor, with factor
-    divided by den twice for power 4, or (root/den)^2 where that factor is
-    subnormal: accurate wherever num/den, factor / den^(power-2) and the
-    value are normal.
+    Rows where den^power, num^2, the bracketed product and a factor with
+    a root are normal doubles (or are zero because num or that factor is)
+    get exactly the bits of the direct forms, (coeff num^2 factor) / den^2
+    and (coeff num^2 / den^4) factor.  The other rows use coeff (num/den)^2
+    factor, with factor divided by den twice for power 4, or (root/den)^2
+    where that factor is subnormal: accurate wherever num/den,
+    factor / den^(power-2) and the value are normal.
     """
     def direct(num_sq, den_pow, f):
         return coeff * num_sq * f / den_pow if power == 2 else coeff * num_sq / den_pow * f
@@ -108,7 +108,10 @@ def _field_ratio(coeff: float, num, den, factor, power: int, root=None):
         num_sq, den_pow = libm_pow(num, 2), libm_pow(den, power)
     except OverflowError:
         num_sq, den_pow = _pow_or_inf(num, 2), _pow_or_inf(den, power)
-    fine = (_normal(num_sq) | (num == 0.0)) & _normal(den_pow)
+    with np.errstate(all="ignore"):   # an out-of-range product only sends its row to the rescaled form
+        first = coeff * np.asarray(num_sq) * factor if power == 2 else coeff * np.asarray(num_sq) / den_pow
+    zero = (num == 0.0) | (factor == 0.0) if power == 2 else num == 0.0
+    fine = (_normal(num_sq) | (num == 0.0)) & _normal(den_pow) & (_normal(first) | zero)
     if root is not None:
         fine &= _normal(factor) | (factor == 0.0)
     if np.all(fine):

@@ -54,8 +54,8 @@ def frobenius(matrix):
     return np.sqrt(sum(row_dot(part, part) for part in parts))
 
 
-def reject_first(bad, message) -> None:
-    """Raise ValueError(message(k)) for the first flagged row k, in row order.
+def reject_first(bad, message, error=ValueError) -> None:
+    """Raise error(message(k)) for the first flagged row k, in row order.
 
     ``bad`` is one flag for a single matrix (k is then ``()``), or flags
     whose first axis runs over the rows of a stack; further axes are
@@ -66,9 +66,9 @@ def reject_first(bad, message) -> None:
     if not bad.any():
         return
     if bad.ndim == 0:
-        raise ValueError(message(()))
+        raise error(message(()))
     k = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
-    err = ValueError(message(k))
+    err = error(message(k))
     err.row = k
     raise err
 

@@ -13,7 +13,6 @@ from su2qfi import (
     compose_generators,
     dot_with_J,
     driving_frequency_mqfi,
-    driving_generator,
     driving_generator_vector,
     fd_step,
     frobenius,
@@ -21,12 +20,11 @@ from su2qfi import (
     generator_vector,
     hermitian_expm,
     mqfi_closed_form,
-    rotating_frame,
     spherical_field_mqfi,
     split_velocity,
     trotter_propagator,
 )
-from su2qfi.cli import SCENARIOS, evaluate_point
+from su2qfi.cli import _DRIVEN, SCENARIOS, _propagator, evaluate_point
 
 PI_SQ_PLUS_FOUR = 13.869604401089358  # value of the static-field MQFI at omega0 = lam = 1, t = pi/K
 
@@ -49,6 +47,20 @@ def paper_driven_mqfi(which, system, j, t):
     return paper_static_mqfi(which, system.delta, system.lam, j, t)
 
 
+def driven_params(system):
+    return {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
+
+
+def driven_propagator(system, rep, t):
+    """The lab propagator exp(-i omega t jz) exp(-i t h_eff) that the CLI's oracles use."""
+    return _propagator(rep, _DRIVEN.field(driven_params(system)), t, system.omega)
+
+
+def driving_generator(system, rep, t):
+    """Generator matrix for estimating the drive frequency."""
+    return dot_with_J(rep, driving_generator_vector(system, t))
+
+
 def static_mqfi(which, system, j, t):
     """The library's case2 MQFI breakdown: the one vector closed form on (lam, 0, omega0)."""
     return evaluate_point(f"case2-{which}", {"omega0": system.omega0, "lambda": system.lam}, j, t)
@@ -56,8 +68,7 @@ def static_mqfi(which, system, j, t):
 
 def driven_mqfi(which, system, j, t):
     """The library's case3 MQFI breakdown for omega, lam or omega0."""
-    params = {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
-    return evaluate_point(f"case3-{which}", params, j, t)
+    return evaluate_point(f"case3-{which}", driven_params(system), j, t)
 
 
 # --- spherical field ----------------------------------------------------------
@@ -91,7 +102,7 @@ def test_spherical_field_validation():
 
 def test_spherical_curves_anchor_to_configured_field():
     params = {"r": 1.3, "theta": 0.9, "phi": 2.1}
-    expected = 1.3 * SphericalField(**params).direction()
+    expected = 1.3 * np.array([np.sin(0.9) * np.cos(2.1), np.sin(0.9) * np.sin(2.1), np.cos(0.9)])
     for which in ("theta", "phi", "r"):
         curve, anchor = SCENARIOS[f"case1-{which}"].curve(params)
         np.testing.assert_allclose(curve.field(anchor), expected, atol=1e-14)
@@ -233,24 +244,22 @@ def test_static_field_small_time_bound():
 def test_rotating_frame_static_limit():
     system = DrivenSystem(1.2, 0.8, 0.0)
     rep = build_spin_rep(1)
-    frame = rotating_frame(system)
-    u1, u2 = frame.factored(rep, 1.7)
+    u1 = _propagator(rep, np.zeros(3), 1.7, system.omega)   # the frame factor alone
     np.testing.assert_allclose(u1, np.eye(3), atol=1e-12)
     direct = hermitian_expm(dot_with_J(rep, [0.8, 0.0, 1.2]), -1.7j)
-    assert frobenius(u1 @ u2 - direct) < 1e-12
+    assert frobenius(driven_propagator(system, rep, 1.7) - direct) < 1e-12
 
 
 def test_rotating_frame_resonant_effective_hamiltonian():
     system = DrivenSystem(1.0, 0.6, 1.0)
     rep = build_spin_rep(0.5)
-    frame = rotating_frame(system)
-    np.testing.assert_allclose(frame.h_eff(rep), 0.6 * np.asarray(rep.jx), atol=1e-15)
+    h_eff = dot_with_J(rep, _DRIVEN.field(driven_params(system)))
+    np.testing.assert_allclose(h_eff, 0.6 * np.asarray(rep.jx), atol=1e-15)
 
 
 def test_rotating_frame_matches_time_ordered_product():
     system = DrivenSystem(1.0, 1.0, 0.5)
     rep = build_spin_rep(0.5)
-    frame = rotating_frame(system)
     total_t = 2.0
 
     def h_batch(ts):
@@ -261,7 +270,7 @@ def test_rotating_frame_matches_time_ordered_product():
         )
 
     u_trotter = trotter_propagator(h_batch, total_t, 100_000, batch=True)
-    assert frobenius(u_trotter - frame.u_full(rep, total_t)) < 1e-6
+    assert frobenius(u_trotter - driven_propagator(system, rep, total_t)) < 1e-6
 
 
 # --- drive-frequency estimation ----------------------------------------------------
@@ -301,8 +310,7 @@ def test_drive_frequency_curve_and_breakdown():
     for _ in range(10):
         system = DrivenSystem(rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
         t = rng.uniform(0.1, 3)
-        params = {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
-        curve, anchor = SCENARIOS["case3-omega"].curve(params)
+        curve, anchor = SCENARIOS["case3-omega"].curve(driven_params(system))
         assert anchor == system.omega
         np.testing.assert_array_equal(curve.field(anchor), [system.lam, 0.0, system.delta])
         u2 = hermitian_expm(dot_with_J(rep, curve.field(anchor)), -1j * t)
@@ -322,8 +330,7 @@ def test_driving_generator_matches_finite_difference():
     t = 1.0
 
     def u_of(omega):
-        sys_w = DrivenSystem(system.omega0, system.lam, omega)
-        return rotating_frame(sys_w).u_full(rep, t)
+        return driven_propagator(DrivenSystem(system.omega0, system.lam, omega), rep, t)
 
     closed = driving_generator(system, rep, t)
     fd = generator_fd(u_of, system.omega, step=fd_step(t * 2.5))
@@ -370,6 +377,20 @@ def test_drive_frequency_large_time_envelope():
         assert driving_frequency_mqfi(system, 1.0, t) == pytest.approx(4 * t**2, rel=1e-9)
 
 
+def test_driven_system_rejects_unobservable_drive_when_built():
+    message = "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)"
+    with pytest.raises(DegenerateFieldError) as err:
+        DrivenSystem(1.0, 0.0, 1.0)
+    assert str(err.value) == f"{message} (at omega0=1.0, lam=0.0, omega=1.0)"
+    # a grid names its first offending entry, in broadcast row-major order
+    with pytest.raises(DegenerateFieldError) as err:
+        DrivenSystem(np.array([[1.0], [2.0]]), np.array([0.5, 0.0, 0.0]), 2.0)
+    assert str(err.value) == f"{message} (at omega0=2.0, lam=0.0, omega=2.0)"
+    with pytest.raises(DegenerateFieldError) as err:
+        DrivenSystem(np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.0]), np.array([1.0, 1.0, 3.0]))
+    assert str(err.value) == f"{message} (at omega0=3.0, lam=0.0, omega=3.0)"
+
+
 def test_drive_frequency_rejects_unobservable_point():
     with pytest.raises(DegenerateFieldError):
         driving_frequency_mqfi(DrivenSystem(1.0, 0.0, 1.0), 1.0, 1.0)  # lam = 0, delta = 0
@@ -393,7 +414,7 @@ def test_driven_couplings_match_generic_machinery():
     rep = build_spin_rep(1)
     for _ in range(10):
         system = DrivenSystem(rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
-        params = {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
+        params = driven_params(system)
         t = rng.uniform(0.1, 3)
         for which in ("omega0", "lambda"):
             curve, anchor = SCENARIOS[f"case3-{which}"].curve(params)

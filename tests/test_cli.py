@@ -352,6 +352,19 @@ def test_mqfi_matches_high_precision_formula_from_tiny_to_huge_fields(scenario, 
         assert json.loads(out)["total"] == pytest.approx(expected, rel=1e-12, abs=0.0), s
 
 
+@pytest.mark.parametrize("rvec, vvec, t", [
+    # 4 j^2 (r.v)^2 t^2 underflows before the division by |r|^2
+    ("1e-86,0,0", "1e-57,0,0", "1e-65"),
+    # 16 j^2 |r x v|^2 / |r|^4 overflows before sin^2(|r| t / 2) brings it back
+    ("1e-70,0,0", "0,1e84,0", "1"),
+])
+def test_generic_mqfi_matches_high_precision_formula_where_a_direct_product_leaves_range(rvec, vvec, t, capsys):
+    code, out, err = run(["mqfi", "generic", f"--rvec={rvec}", f"--vvec={vvec}", f"--t={t}", "--json"], capsys)
+    assert (code, err) == (0, "")
+    expected = _paper_mqfi(1.0, [float(x) for x in rvec.split(",")], [float(x) for x in vvec.split(",")], float(t))
+    assert json.loads(out)["total"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_finite_residuals_within_limit_pass(capsys):
     assert _validation_verdict({"series": np.array([1e-9]), "fd": np.array([0.0])}, (0, 1e-7)) == 0
     assert capsys.readouterr().err == ""
@@ -489,6 +502,18 @@ def test_figure_validation_with_custom_trotter_steps(tmp_path, capsys):
     with open(out) as handle:
         comments = [line for line in handle if line.startswith("#")]
     assert any("steps=20000" in line for line in comments)
+
+
+@pytest.mark.parametrize("fig, check", [
+    ("fig2a", "# trotter_check t=1 steps=100000 residual=4.4731557339633152e-11"),
+    ("fig2b", "# trotter_check t=0.20000000000000001 steps=100000 residual=1.0551150057666689e-13"),
+])
+def test_figure_trotter_check_line_is_pinned(fig, check, tmp_path, capsys):
+    # the time-ordered product against the driven-frame propagator of the oracles
+    out = tmp_path / f"{fig}.csv"
+    assert run(["figure", fig, "--validate", "--out", str(out)], capsys)[0] == 0
+    with open(out) as handle:
+        assert [line.rstrip("\n") for line in handle if line.startswith("# trotter_check")] == [check]
 
 
 # SHA-256 of each plain preset's data section (header and rows).

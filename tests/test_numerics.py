@@ -30,7 +30,7 @@ from su2qfi import (
     su2_lift,
     trotter_propagator,
 )
-from su2qfi.cases import DrivenSystem, rotating_frame
+from su2qfi.cli import _DRIVEN, _propagator
 from su2qfi.numerics import _BLOCK_STEPS, _SU2_BLOCK_STEPS
 
 
@@ -457,10 +457,10 @@ def test_su2_lift_full_turn_sign(j, sign):
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 5.0])
 def test_midpoint_su2_matches_rotating_frame(j):
-    system = DrivenSystem(omega0=1.1, lam=0.7, omega=0.9)
+    field = _DRIVEN.field({"omega0": 1.1, "lambda": 0.7, "omega": 0.9})
     rep = build_spin_rep(j)
     lifted = su2_lift(rep, midpoint_su2(_drive_field, 2.5, 100_000))
-    assert frobenius(lifted - rotating_frame(system).u_full(rep, 2.5)) < 1e-6
+    assert frobenius(lifted - _propagator(rep, field, 2.5, 0.9)) < 1e-6
 
 
 def test_midpoint_su2_and_lift_reject_bad_input():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "su2qfi").glob("*.py"))
 MODULES = ("su2qfi", "su2qfi.spin", "su2qfi.generator", "su2qfi.numerics", "su2qfi.cases")
 
 
@@ -26,3 +28,18 @@ def test_readme_python_blocks_run():
         with contextlib.redirect_stdout(out):
             exec(compile(block, str(README), "exec"), {})
         assert out.getvalue()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_every_imported_name_is_used_or_exported(path):
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {element.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for element in node.value.elts}
+    assert sorted(imported - used - exported) == []
