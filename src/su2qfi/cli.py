@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 parameter error, 3 oracle-validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,6 +64,10 @@ DEFAULT_TROTTER_STEPS = 100_000
 # about 0.2 us per step, so the cap bounds one cross-check to about 20 s.
 MAX_TROTTER_STEPS = 10**8
 DEFAULT_SERIES_ORDER = 24
+# With ||h|| tau <= 1 after time doubling, the k-th series term is at most
+# 2^k / (k+1)! of the first, below double roundoff from k = 30 on; the cap
+# leaves room above that and bounds the coefficient table at order x rows.
+MAX_SERIES_ORDER = 100
 
 # Grid rows per oracle chunk.  Above j = 3 a chunk holds fewer rows, so its
 # stack of five stencil propagators per row never outgrows that of 256
@@ -286,6 +291,16 @@ def _steps_arg(text: str) -> int:
     return value
 
 
+def _order_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer series order, got {text!r}")
+    if not 1 <= value <= MAX_SERIES_ORDER:
+        raise argparse.ArgumentTypeError(f"series order must be in [1, {MAX_SERIES_ORDER}], got {text!r}")
+    return value
+
+
 def _vec3_arg(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
@@ -369,11 +384,13 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, series_order: 
     """
     curve, anchor = spec.curve(params)
     ts = np.broadcast_to(np.asarray(t, dtype=float), (rows,))
-    r = np.broadcast_to(curve.field(anchor), (rows, 3))
-    v = np.broadcast_to(curve.velocity(anchor), (rows, 3))
+    field, velocity = curve.field(anchor), curve.velocity(anchor)
+    r, v = np.broadcast_to(field, (rows, 3)), np.broadcast_to(velocity, (rows, 3))
     closed = dot_with_J(rep, np.broadcast_to(_closed_vector(spec, params, curve, anchor, ts), (rows, 3)))
-    h_field = dot_with_J(rep, r)
-    series = generator_series_scaled(h_field, dot_with_J(rep, v), ts, order=series_order)
+    # h and dh keep the field's own shape: (3,) when only t varies, so the
+    # series builds one commutator chain and one eigendecomposition per chunk
+    h_field = dot_with_J(rep, field)
+    series = generator_series_scaled(h_field, dot_with_J(rep, velocity), ts, order=series_order)
 
     # the step scale estimates t * ||d_theta H||; a moving frame adds the
     # size of the field it rotates
@@ -665,8 +682,9 @@ def _add_validate_options(parser):
     parser.add_argument("--steps", type=_steps_arg, default=DEFAULT_TROTTER_STEPS,
                         help=f"time-ordered product steps for the driven-system cross-check "
                              f"(1 to {MAX_TROTTER_STEPS})")
-    parser.add_argument("--series-order", type=int, default=DEFAULT_SERIES_ORDER,
-                        help="truncation order of the commutator-series oracle")
+    parser.add_argument("--series-order", type=_order_arg, default=DEFAULT_SERIES_ORDER,
+                        help=f"truncation order of the commutator-series oracle "
+                             f"(1 to {MAX_SERIES_ORDER}, default {DEFAULT_SERIES_ORDER})")
     parser.add_argument("--fd-step", type=_positive_arg, default=None,
                         help="override the finite-difference oracle step")
 
@@ -711,9 +729,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

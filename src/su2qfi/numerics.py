@@ -135,18 +135,57 @@ def optimal_state(h_op, phase: float = 0.0) -> OptimalStateResult:
     )
 
 
-def _series_coefficients(t: float, order: int) -> list:
-    """i (it)^(k+1) / (k+1)! for k = 1..order, in Python complex arithmetic.
+def _series_coefficients(t, order: int) -> np.ndarray:
+    """i (it)^(k+1) / (k+1)! for k = 1..order, on a new last axis of ``t``'s shape.
 
-    numpy's complex power and division round differently, so every row of
-    a stack takes its coefficients from this one scalar recursion.
+    One array recursion over every time, repeating each real operation of
+    Python's complex arithmetic (the float converted to complex(t, 0.0)
+    first), so every coefficient has the bits of the scalar recursion
+
+        coeff = (1j * t) ** 2 / 2.0
+        for k in 1..order: i * coeff, then coeff = coeff * (1j * t) / (k + 2)
+
+    signed zeros and NaN included; numpy's own complex power and division
+    round differently.  Where ``(1j * t) ** 2`` overflows this raises
+    OverflowError, as Python's power does.
     """
-    out = []
-    coeff = (1j * t) ** 2 / 2.0  # (it)^{k+1} / (k+1)! at k = 1
-    for k in range(1, order + 1):
-        out.append(1j * coeff)
-        coeff = coeff * (1j * t) / (k + 2)
+    with np.errstate(all="ignore"):
+        t = np.asarray(t, dtype=float)
+        it = (0.0 * t - 0.0, 0.0 + t)                       # 1j * t
+        sq = _complex_product(it, it)                        # ** 2 multiplies 1 by it * it
+        sq = (sq[0] - 0.0 * sq[1], sq[1] + 0.0 * sq[0])
+        if np.isinf(sq[0]).any() or np.isinf(sq[1]).any():
+            raise OverflowError("complex exponentiation")
+        coeff = _complex_quotient(sq, 2.0)
+        out = np.empty(t.shape + (order,), dtype=complex)
+        for k in range(1, order + 1):
+            out.real[..., k - 1] = 0.0 * coeff[0] - coeff[1]    # 1j * coeff
+            out.imag[..., k - 1] = 0.0 * coeff[1] + coeff[0]
+            if k < order:
+                coeff = _complex_quotient(_complex_product(coeff, it), float(k + 2))
     return out
+
+
+def _complex_product(a, b):
+    """Python's complex a * b on (real, imag) pairs of arrays."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _complex_quotient(a, d: float):
+    """Python's complex a / d for a positive float d, taken as complex(d, 0.0).
+
+    Smith's rule then divides by d with the ratio 0.0 / d = 0.0.
+    """
+    return (a[0] + a[1] * 0.0) / d, (a[1] - a[0] * 0.0) / d
+
+
+def _series_inputs(h_op, dh_op):
+    """The validated h and dh, of one matrix size."""
+    h = require_hermitian(h_op, name="hamiltonian")
+    dh = require_hermitian(dh_op, name="hamiltonian derivative")
+    if h.shape[-2:] != dh.shape[-2:]:
+        raise ValueError(f"dimension mismatch: {h.shape} vs {dh.shape}")
+    return h, dh
 
 
 def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
@@ -163,17 +202,18 @@ def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     any fixed noise on the inputs) is amplified accordingly.  For large
     phases use :func:`generator_series_scaled`.
 
-    ``h_op`` and ``dh_op`` may be stacks (..., n, n) with ``t`` one time or
-    one per matrix; each matrix gets the bits of its own call.
+    ``h_op`` and ``dh_op`` may be stacks (..., n, n) and ``t`` an array of
+    times; their leading axes broadcast.  The nested commutators are formed
+    once over the leading axes of ``h`` and ``dh`` alone, so one (n, n) pair
+    with a vector of times builds its chain once, and only the coefficients
+    are per time.  Every matrix of the result has the bits of its own
+    call with one h, one dh and one t.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    h = require_hermitian(h_op, name="hamiltonian")
-    dh = require_hermitian(dh_op, name="hamiltonian derivative")
-    if h.shape != dh.shape:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {dh.shape}")
-    ts = np.broadcast_to(np.asarray(t, dtype=float), h.shape[:-2])
-    coeffs = np.reshape([_series_coefficients(tk, order) for tk in ts.ravel().tolist()], ts.shape + (order,))
+    h, dh = _series_inputs(h_op, dh_op)
+    ts = np.asarray(t, dtype=float)
+    coeffs = _series_coefficients(ts, order)
     result = -ts[..., None, None] * dh
     nested = dh
     for k in range(order):
@@ -206,36 +246,45 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24, max_phase: float = 
 
         gen(2 tau) = gen(tau) + U(tau)^dag gen(tau) U(tau).
 
-    ``h_op`` and ``dh_op`` may be stacks (..., n, n) with ``t`` one time or
-    one per matrix.  Each matrix gets its own doubling count s and the bits
-    of its own call; a non-finite phase names the first offending row.
+    ``h_op`` and ``dh_op`` may be stacks (..., n, n) and ``t`` an array of
+    times; their leading axes broadcast, as in :func:`generator_series`.
+    The nested commutators, the norms ||h|| and the eigendecomposition of h
+    behind U(tau) are computed once over the leading axes of ``h`` (and
+    ``dh``) alone; the doubling count s, the coefficients and the doublings
+    are per row of the result.  Every matrix of the result has the bits of
+    its own call with one h, one dh and one t; a non-finite phase names the
+    first offending row.
     """
     if not max_phase > 0:
         raise ValueError(f"max_phase must be positive, got {max_phase}")
-    h = require_hermitian(h_op, name="hamiltonian")
-    lead, dim = h.shape[:-2], h.shape[-1]
-    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) if h.size else np.zeros(lead)
-    ts = np.broadcast_to(np.asarray(t, dtype=float), lead)
-    phases = norms * np.abs(ts)
+    h, dh = _series_inputs(h_op, dh_op)
+    ts = np.asarray(t, dtype=float)
+    dim = h.shape[-1]
+    lead = np.broadcast_shapes(h.shape[:-2], dh.shape[:-2], ts.shape)
+    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) if h.size else np.zeros(h.shape[:-2])
+    phases = np.broadcast_to(norms * np.abs(ts), lead)
     reject_first(~np.isfinite(phases),
                  lambda k: f"phase ||h|| t = {phases[k]} is not finite; time doubling cannot reduce it")
-    taus, doublings = [], []
-    for phase, tk in zip(phases.ravel().tolist(), ts.ravel().tolist()):
-        count = 0
-        while phase > max_phase:
-            phase /= 2.0
-            count += 1
-        taus.append(tk / 2**count)
-        doublings.append(count)
-    gen = generator_series(h, dh_op, np.reshape(taus, lead), order)
-    counts = np.array(doublings, dtype=int)
+    counts = np.zeros(lead, dtype=int)
+    halved = phases.copy()
+    over = halved > max_phase
+    while over.any():
+        halved[over] /= 2.0
+        counts[over] += 1
+        over = halved > max_phase
+    if counts.size and counts.max() > 1023:   # 2**s leaves the float range
+        raise OverflowError("int too large to convert to float")
+    taus = ts / np.ldexp(1.0, counts)
+    gen = generator_series(h, dh, taus, order)
     rows = np.flatnonzero(counts)
     if not rows.size:
         return gen
     gen = gen.reshape(-1, dim, dim)
     g = gen[rows]
-    u = hermitian_expm(h.reshape(-1, dim, dim)[rows], np.array([-1j * taus[k] for k in rows]))
-    counts = counts[rows]
+    if h.ndim > 2:   # the rows' own matrices; a single h is diagonalized once
+        h = np.broadcast_to(h, lead + (dim, dim)).reshape(-1, dim, dim)[rows]
+    u = hermitian_expm(h, -1j * taus.reshape(-1)[rows])
+    counts = counts.reshape(-1)[rows]
     for step in range(int(counts.max())):
         live = np.flatnonzero(counts > step)
         gl, ul = g[live], u[live]

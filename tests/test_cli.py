@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from su2qfi import mqfi_closed_form, split_velocity
-from su2qfi.cli import MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
+from su2qfi.cli import MAX_SERIES_ORDER, MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
 
 
 def static_omega0_mqfi(omega0, lam, j, t):
@@ -262,6 +262,34 @@ def test_bad_steps_exit_2(steps, capsys):
     assert code == 2
     assert out == ""
     assert "steps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["0", "-1", str(MAX_SERIES_ORDER + 1), str(10**6), "2.5"],
+                         ids=["zero", "negative", "cap-plus-1", "million", "not-an-integer"])
+def test_bad_series_order_exits_2(order, capsys):
+    # rejected at parse time, before any coefficient table is built
+    code, out, err = run(_STEPS_SWEEP + ["--series-order", order], capsys)
+    assert code == 2
+    assert out == ""
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert "--series-order" in line and order in line and "Traceback" not in err
+
+
+def test_back_to_back_main_calls_do_not_share_options(tmp_path, capsys):
+    # main reuses one parser; each call still starts from the defaults
+    sweep = ["sweep", "case3-lambda", "--omega0=1", "--lambda=1", "--omega=1", "--variable=t",
+             "--start=0.5", "--stop=2", "--points=3"]
+    csvs = [tmp_path / f"{k}.csv" for k in range(4)]
+    codes = [run(sweep + argv + ["--out", str(out)], capsys)[0] for argv, out in
+             zip((["--validate", "--steps=5"], [], ["--validate"], ["--series-order=16"]), csvs)]
+    assert codes == [3, 0, 0, 0]   # five midpoint steps miss the trotter check's 1e-6
+    checks = [[line for line in open(out) if line.startswith("# trotter_check")] for out in csvs]
+    headers = [data_lines(out)[0] for out in csvs]
+    assert "steps=5 " in checks[0][0] and "steps=100000 " in checks[2][0]
+    assert checks[1] == checks[3] == []
+    assert headers[0] == headers[2] == "t,total,quadratic,oscillatory,residual_series,residual_fd"
+    assert headers[1] == headers[3] == "t,total,quadratic,oscillatory"
+    assert data_lines(csvs[1]) == data_lines(csvs[3])
 
 
 @pytest.mark.parametrize("argv, reference", [

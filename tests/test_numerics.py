@@ -31,7 +31,7 @@ from su2qfi import (
     trotter_propagator,
 )
 from su2qfi.cli import _DRIVEN, _propagator
-from su2qfi.numerics import _BLOCK_STEPS, _SU2_BLOCK_STEPS
+from su2qfi.numerics import _BLOCK_STEPS, _SU2_BLOCK_STEPS, _series_coefficients
 
 
 def random_hermitian(rng, dim):
@@ -226,6 +226,13 @@ def test_series_scaled_rejects_unreachable_phase(t, max_phase):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+def test_series_scaled_doubling_count_beyond_the_float_range_overflows():
+    # a finite phase above 2^1023 needs 2^1024 doublings, which no double holds
+    rep = build_spin_rep(1)
+    with pytest.raises(OverflowError):
+        generator_series_scaled(rep.jz, rep.jx, [1.0, 1.5e308])
 
 
 def test_series_scaled_random_directions():
@@ -554,6 +561,82 @@ def test_generator_oracles_pairwise_agreement():
         assert frobenius(closed - series) < 1e-7
         assert frobenius(closed - fd) < 1e-7
         assert frobenius(series - fd) < 1e-7
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _moving_frame_series(rep, h, dh, t):
+    """The CLI's series side for a frame moving with theta: -t jz composed with the field's series."""
+    frame = -np.asarray(t)[..., None, None] * np.asarray(rep.jz)
+    return compose_generators(frame, hermitian_expm(h, -1j * np.asarray(t)),
+                              generator_series_scaled(h, dh, t))
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 3.0])
+def test_shared_field_series_has_the_bits_of_the_stacked_call(j):
+    # one (n, n) h and dh with a vector of times: the chain is built once,
+    # and every row keeps the bits of a stack of copies and of its own call
+    rng = np.random.default_rng(int(2 * j))
+    rep = build_spin_rep(j)
+    h, dh = dot_with_J(rep, rng.normal(size=3)), dot_with_J(rep, rng.normal(size=3))
+    t = np.concatenate([[0.0, 1e-300, 0.05], rng.uniform(0.0, 40.0, 60)])   # 0 to about 8 doublings
+    hs, dhs = np.repeat(h[None], t.size, axis=0), np.repeat(dh[None], t.size, axis=0)
+    for fn in (lambda a, b, x: generator_series(a, b, x, 12), generator_series_scaled,
+               lambda a, b, x: _moving_frame_series(rep, a, b, x)):
+        shared = fn(h, dh, t)
+        assert_same_bits(shared, fn(hs, dhs, t))
+        for k in (0, 1, 2, 30, t.size - 1):
+            assert_same_bits(shared[k], fn(h, dh, t[k]))
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 3.0])
+def test_per_row_field_with_shared_velocity_has_the_bits_of_the_stacked_call(j):
+    # a parameter sweep: h per row, dh and t shared
+    rng = np.random.default_rng(10 + int(2 * j))
+    rep = build_spin_rep(j)
+    hs = dot_with_J(rep, rng.normal(size=(50, 3)) * rng.uniform(0.0, 20.0, (50, 1)))
+    dh = dot_with_J(rep, rng.normal(size=3))
+    dhs = np.repeat(dh[None], 50, axis=0)
+    for fn in (lambda a, b: generator_series(a, b, 0.7, 10), lambda a, b: generator_series_scaled(a, b, 1.3)):
+        assert_same_bits(fn(hs, dh), fn(hs, dhs))
+
+
+def _scalar_series_coefficients(t, order):
+    """The per-time recursion in Python complex arithmetic that the array recursion repeats."""
+    out, coeff = [], (1j * t) ** 2 / 2.0
+    for k in range(1, order + 1):
+        out.append(1j * coeff)
+        coeff = coeff * (1j * t) / (k + 2)
+    return out
+
+
+def test_series_coefficients_have_the_bits_of_the_scalar_recursion():
+    rng = np.random.default_rng(2024)
+    top = 1.3407807929942596e154   # the largest t whose (it)^2 stays finite
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-160, np.nan, -np.nan,
+               np.inf, -np.inf, top, -top, 1e154, 1e77, -1e77]
+    t = np.concatenate([special,
+                        rng.uniform(-40.0, 40.0, 50_000),
+                        rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-323.0, 154.0, 50_000)])
+    t[rng.integers(16, t.size, 50)] *= 0.0   # zeros among the others, signs kept
+    order = 30
+    expected = np.array([_scalar_series_coefficients(x, order) for x in t.tolist()])
+    assert_same_bits(_series_coefficients(t, order), expected)
+    assert_same_bits(_series_coefficients(t.reshape(2, -1), order), expected.reshape(2, -1, order))
+
+
+@pytest.mark.parametrize("t", [np.nextafter(1.3407807929942596e154, np.inf), -2e154, 1e300])
+def test_series_coefficients_overflow_like_the_scalar_recursion(t):
+    with pytest.raises(OverflowError):
+        _scalar_series_coefficients(t, 3)
+    with pytest.raises(OverflowError):
+        _series_coefficients(np.array([0.5, t, 1.0]), 3)
+    with pytest.raises(OverflowError):
+        generator_series(np.eye(2), np.eye(2), [0.0, t], 3)
 
 
 def test_stacked_oracles_match_per_matrix_calls_and_name_first_bad_row():
