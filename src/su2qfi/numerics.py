@@ -179,15 +179,6 @@ def _complex_quotient(a, d: float):
     return (a[0] + a[1] * 0.0) / d, (a[1] - a[0] * 0.0) / d
 
 
-def _series_inputs(h_op, dh_op):
-    """The validated h and dh, of one matrix size."""
-    h = require_hermitian(h_op, name="hamiltonian")
-    dh = require_hermitian(dh_op, name="hamiltonian derivative")
-    if h.shape[-2:] != dh.shape[-2:]:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {dh.shape}")
-    return h, dh
-
-
 def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     """Truncated nested-commutator series for the generator.
 
@@ -211,7 +202,10 @@ def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    h, dh = _series_inputs(h_op, dh_op)
+    h = require_hermitian(h_op, name="hamiltonian")
+    dh = require_hermitian(dh_op, name="hamiltonian derivative")
+    if h.shape[-2:] != dh.shape[-2:]:
+        raise ValueError(f"dimension mismatch: {h.shape} vs {dh.shape}")
     ts = np.asarray(t, dtype=float)
     coeffs = _series_coefficients(ts, order)
     result = -ts[..., None, None] * dh
@@ -257,10 +251,10 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24, max_phase: float = 
     """
     if not max_phase > 0:
         raise ValueError(f"max_phase must be positive, got {max_phase}")
-    h, dh = _series_inputs(h_op, dh_op)
+    h = require_hermitian(h_op, name="hamiltonian")
     ts = np.asarray(t, dtype=float)
     dim = h.shape[-1]
-    lead = np.broadcast_shapes(h.shape[:-2], dh.shape[:-2], ts.shape)
+    lead = np.broadcast_shapes(h.shape[:-2], np.shape(dh_op)[:-2], ts.shape)
     norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) if h.size else np.zeros(h.shape[:-2])
     phases = np.broadcast_to(norms * np.abs(ts), lead)
     reject_first(~np.isfinite(phases),
@@ -275,7 +269,7 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24, max_phase: float = 
     if counts.size and counts.max() > 1023:   # 2**s leaves the float range
         raise OverflowError("int too large to convert to float")
     taus = ts / np.ldexp(1.0, counts)
-    gen = generator_series(h, dh, taus, order)
+    gen = generator_series(h, dh_op, taus, order)
     rows = np.flatnonzero(counts)
     if not rows.size:
         return gen
