@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .spin import (
     SpinRep,
     build_spin_rep,
-    commutator,
     dot_with_J,
     frobenius,
     hermitian_expm,
@@ -43,7 +42,6 @@ from .numerics import (
     optimal_state,
     qfi_fd,
     qfi_of_state,
-    series_tail_bound,
     trotter_propagator,
 )
 from .cases import (
@@ -57,14 +55,14 @@ from .cases import (
 
 __all__ = [
     "__version__",
-    "SpinRep", "build_spin_rep", "commutator", "dot_with_J", "frobenius", "hermitian_expm",
+    "SpinRep", "build_spin_rep", "dot_with_J", "frobenius", "hermitian_expm",
     "su2_lift",
     "DegenerateFieldError", "FieldCurve", "GeneratorResult", "QfiBreakdown", "VelocitySplit",
     "analytic_generator", "generator_vector", "mqfi_closed_form", "mqfi_small_time",
     "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step", "generator_fd",
     "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_fd",
-    "qfi_of_state", "series_tail_bound", "trotter_propagator",
+    "qfi_of_state", "trotter_propagator",
     "DrivenSystem", "SphericalField", "StaticFieldSystem",
     "driving_frequency_mqfi", "driving_generator_vector", "spherical_field_mqfi",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "optimal_state",
     "generator_series",
     "generator_series_scaled",
-    "series_tail_bound",
     "generator_fd",
     "fd_generator",
     "fd_points",
@@ -186,9 +185,9 @@ def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
 
         gen = -t dh + i sum_k (it)^{k+1} / (k+1)!  [h, [h, ... [h, dh]]]
 
-    with k nested commutators in the k-th term.  The tail magnitude is
-    bounded by :func:`series_tail_bound`.  Note the partial sum is only as
-    well conditioned as its largest term: once 2 ||h|| t is large the
+    with k nested commutators in the k-th term.  The dropped tail is about
+    (2 ||h|| t)^(order+2) / (order+2)!, but the partial sum is only as well
+    conditioned as its largest term: once 2 ||h|| t is large the
     intermediate terms grow like (2||h||t)^k / k! and double precision (or
     any fixed noise on the inputs) is amplified accordingly.  For large
     phases use :func:`generator_series_scaled`.
@@ -216,26 +215,12 @@ def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     return result
 
 
-def series_tail_bound(h_op, t: float, order: int) -> float:
-    """Crude bound (2 ||h|| t)^(order+2) / (order+2)! on the dropped tail.
-
-    Uses the spectral norm; a diagnostic for choosing the truncation order,
-    not a guaranteed error estimate for the finite-precision sum.
-    """
-    h = require_hermitian(h_op, name="hamiltonian")
-    x = 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(h)))) * abs(t)
-    if x == 0.0:
-        return 0.0
-    n = order + 2
-    return math.exp(n * math.log(x) - math.lgamma(n + 1))
-
-
-def generator_series_scaled(h_op, dh_op, t, order: int = 24, max_phase: float = 1.0) -> np.ndarray:
+def generator_series_scaled(h_op, dh_op, t, order: int = 24) -> np.ndarray:
     """Series generator extended to arbitrary ||h|| t by time doubling.
 
     Evaluates the nested-commutator series on a sub-interval tau = t / 2^s
-    chosen so that ||h|| tau <= ``max_phase`` (where the partial sum is
-    fully converged and well conditioned), then builds up the full-time
+    chosen so that ||h|| tau <= 1 (where the partial sum is fully
+    converged and well conditioned), then builds up the full-time
     generator with the exact composition rule for time-independent h:
 
         gen(2 tau) = gen(tau) + U(tau)^dag gen(tau) U(tau).
@@ -249,8 +234,6 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24, max_phase: float = 
     its own call with one h, one dh and one t; a non-finite phase names the
     first offending row.
     """
-    if not max_phase > 0:
-        raise ValueError(f"max_phase must be positive, got {max_phase}")
     h = require_hermitian(h_op, name="hamiltonian")
     ts = np.asarray(t, dtype=float)
     dim = h.shape[-1]
@@ -261,11 +244,11 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24, max_phase: float = 
                  lambda k: f"phase ||h|| t = {phases[k]} is not finite; time doubling cannot reduce it")
     counts = np.zeros(lead, dtype=int)
     halved = phases.copy()
-    over = halved > max_phase
+    over = halved > 1.0
     while over.any():
         halved[over] /= 2.0
         counts[over] += 1
-        over = halved > max_phase
+        over = halved > 1.0
     if counts.size and counts.max() > 1023:   # 2**s leaves the float range
         raise OverflowError("int too large to convert to float")
     taus = ts / np.ldexp(1.0, counts)
@@ -305,12 +288,7 @@ def fd_points(theta, step) -> np.ndarray:
     return np.stack([theta + 2 * step, theta + step, theta - step, theta - 2 * step, theta], axis=-1)
 
 
-def generator_fd(
-    u_of: Callable[[float], np.ndarray],
-    theta: float,
-    step: Optional[float] = None,
-    full_output: bool = False,
-):
+def generator_fd(u_of: Callable[[float], np.ndarray], theta: float, step: Optional[float] = None) -> np.ndarray:
     """Finite-difference generator i (d_theta U^dag) U, Hermitian-symmetrized.
 
     Parameters
@@ -320,17 +298,15 @@ def generator_fd(
         :func:`fd_points` and differentiated by :func:`fd_generator`.
     step : float, optional
         Stencil step; default 1e-3 * max(1, |theta|).
-    full_output : bool
-        When True, also return the anti-Hermitian residue ||M - M^dag||_F.
     """
     h = step if step is not None else 1e-3 * max(1.0, abs(theta))
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
     us = np.stack([u_of(th) for th in fd_points(theta, h).tolist()])
-    return fd_generator(us, h, full_output)
+    return fd_generator(us, h)
 
 
-def fd_generator(us, step, full_output: bool = False):
+def fd_generator(us, step) -> np.ndarray:
     """Five-point finite-difference generator from propagators at the stencil points.
 
     ``us`` holds U at the :func:`fd_points` on its third-to-last axis,
@@ -344,11 +320,11 @@ def fd_generator(us, step, full_output: bool = False):
     than the plain central difference, which keeps that noise from being
     amplified by 1/step.
 
-    The residue is the primary sanity signal for a misconfigured step: the
-    analytic operator is exactly Hermitian, so anything beyond the
-    truncation scale means the difference quotient is dominated by noise.
-    A residue above 10 h^2 (1 + ||gen||_F)^3 raises, naming the first
-    offending row of a stack.
+    The anti-Hermitian residue ||M - M^dag||_F is the sanity signal for a
+    misconfigured step: the analytic operator is exactly Hermitian, so
+    anything beyond the truncation scale means the difference quotient is
+    dominated by noise.  A residue above 10 h^2 (1 + ||gen||_F)^3 raises,
+    naming the first offending row of a stack.
     """
     us = np.asarray(us, dtype=complex)
     if us.ndim < 3 or us.shape[-3] != 5 or us.shape[-1] != us.shape[-2]:
@@ -371,8 +347,6 @@ def fd_generator(us, step, full_output: bool = False):
     reject_first(residue > bound, lambda k: (
         f"anti-Hermitian residue {residue[k]:.3e} exceeds {bound[k]:.3e}; "
         f"finite-difference step {hs[k]:.3e} is misconfigured"))
-    if full_output:
-        return herm, residue[()]
     return herm
 
 
@@ -407,12 +381,7 @@ def _ordered_product(stack: np.ndarray) -> np.ndarray:
 _BLOCK_STEPS = 1024
 
 
-def trotter_propagator(
-    h_of_t: Callable,
-    total_time: float,
-    steps: int,
-    batch: bool = False,
-) -> np.ndarray:
+def trotter_propagator(h_of_t: Callable, total_time: float, steps: int) -> np.ndarray:
     """Midpoint product formula for the time-ordered propagator.
 
     Returns the ordered product of exp(-i H(t_k) dt) over the midpoints
@@ -420,9 +389,8 @@ def trotter_propagator(
     smooth H(t); the per-factor exponentials are accurate to ~1e-19 so the
     result stays unitary to well below 1e-10 even at 1e5 steps.
 
-    With ``batch=True``, ``h_of_t`` receives an array of midpoints and must
-    return the stacked (len, dim, dim) Hamiltonians; this avoids the
-    Python-loop overhead of 1e5 scalar calls.
+    ``h_of_t`` receives an array of midpoints and must return the stacked
+    (len, dim, dim) Hamiltonians, so no step costs a Python call.
 
     The steps run in blocks of ``_BLOCK_STEPS``, each reduced pairwise to
     one unitary and folded in time order, so memory does not grow with
@@ -435,12 +403,9 @@ def trotter_propagator(
     total = None
     for lo in range(0, steps, _BLOCK_STEPS):
         mids = (np.arange(lo, min(lo + _BLOCK_STEPS, steps)) + 0.5) * dt
-        if batch:
-            hs = np.asarray(h_of_t(mids), dtype=complex)
-            if hs.ndim != 3 or hs.shape[0] != mids.size:
-                raise ValueError(f"batch h_of_t must return ({mids.size}, dim, dim), got {hs.shape}")
-        else:
-            hs = np.stack([np.asarray(h_of_t(tk), dtype=complex) for tk in mids])
+        hs = np.asarray(h_of_t(mids), dtype=complex)
+        if hs.ndim != 3 or hs.shape[0] != mids.size:
+            raise ValueError(f"h_of_t must return ({mids.size}, dim, dim), got {hs.shape}")
         scaled = -1j * dt * hs
         norm = float(np.sqrt(np.max(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
         if norm > 0.8:

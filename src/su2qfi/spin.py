@@ -19,7 +19,6 @@ __all__ = [
     "build_spin_rep",
     "twice_spin",
     "dot_with_J",
-    "commutator",
     "hermitian_expm",
     "su2_lift",
     "frobenius",
@@ -73,10 +72,10 @@ def reject_first(bad, message, error=ValueError) -> None:
     raise err
 
 
-def require_hermitian(matrix, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
+def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     """Validate that ``matrix`` is square and Hermitian, return it as complex ndarray.
 
-    The deviation max|M - M^dag| is compared against ``tol`` scaled by the
+    The deviation max|M - M^dag| is compared against 1e-10 times the
     largest matrix element (with a floor of 1 so the zero matrix passes).
     A stack (..., n, n) checks each matrix against its own scale and names
     its first offending row.
@@ -89,7 +88,7 @@ def require_hermitian(matrix, tol: float = 1e-10, name: str = "matrix") -> np.nd
     reject_first(~np.isfinite(m).all(axis=(-2, -1)), lambda k: f"{name} contains non-finite entries")
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     dev = np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(axis=(-2, -1))
-    reject_first(dev > tol * scale, lambda k: f"{name} is not Hermitian (deviation {np.max(dev[k]):.3e})")
+    reject_first(dev > 1e-10 * scale, lambda k: f"{name} is not Hermitian (deviation {np.max(dev[k]):.3e})")
     return m
 
 
@@ -183,15 +182,6 @@ def dot_with_J(rep: SpinRep, a) -> np.ndarray:
     reject_first(~np.isfinite(a).all(axis=-1), lambda k: "coefficient vector must be finite")
     x, y, z = (a[..., k, None, None] for k in range(3))
     return x * rep.jx + y * rep.jy + z * rep.jz
-
-
-def commutator(a, b) -> np.ndarray:
-    """Matrix commutator A B - B A."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 def hermitian_expm(matrix, scale) -> np.ndarray:

@@ -18,7 +18,6 @@ from su2qfi import (
     SphericalField,
     StaticFieldSystem,
     build_spin_rep,
-    commutator,
     dot_with_J,
     driving_frequency_mqfi,
     driving_generator_vector,
@@ -87,7 +86,7 @@ def test_criterion_01_algebra_suite():
         rep = build_spin_rep(j)
         cyclic = [(rep.jx, rep.jy, rep.jz), (rep.jy, rep.jz, rep.jx), (rep.jz, rep.jx, rep.jy)]
         for a, b, c in cyclic:
-            dev = frobenius(commutator(a, b) - 1j * c)
+            dev = frobenius(a @ b - b @ a - 1j * c)
             if dev > 1e-12:
                 failures.append(f"commutation at j={j}: {dev:.2e}")
         casimir = rep.jx @ rep.jx + rep.jy @ rep.jy + rep.jz @ rep.jz
@@ -211,7 +210,7 @@ def test_criterion_06_rotating_frame_vs_time_ordering():
         total_t = rng.uniform(0.1, 3.0)
         for j in (0.5, 1.0):
             rep = build_spin_rep(j)
-            u_trotter = trotter_propagator(lab_hamiltonian_batch(rep, system), total_t, 100_000, batch=True)
+            u_trotter = trotter_propagator(lab_hamiltonian_batch(rep, system), total_t, 100_000)
             field = _DRIVEN.field({"omega0": system.omega0, "lambda": system.lam, "omega": system.omega})
             dev = frobenius(u_trotter - _propagator(rep, field, total_t, system.omega))
             if dev > 1e-6:
@@ -242,7 +241,7 @@ def test_criterion_07_drive_frequency_mqfi():
 
         def u_of(omega, system=system, rep=rep, t=t):
             shifted = DrivenSystem(system.omega0, system.lam, omega)
-            return trotter_propagator(lab_hamiltonian_batch(rep, shifted), t, 20_000, batch=True)
+            return trotter_propagator(lab_hamiltonian_batch(rep, shifted), t, 20_000)
 
         fd_value = qfi_fd(u_of, system.omega, psi, step=1e-4)
         closed = driving_frequency_mqfi(system, j, t)

@@ -269,7 +269,7 @@ def test_rotating_frame_matches_time_ordered_product():
             cos * np.asarray(rep.jx) + sin * np.asarray(rep.jy)
         )
 
-    u_trotter = trotter_propagator(h_batch, total_t, 100_000, batch=True)
+    u_trotter = trotter_propagator(h_batch, total_t, 100_000)
     assert frobenius(u_trotter - driven_propagator(system, rep, total_t)) < 1e-6
 
 

@@ -11,8 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from su2qfi import mqfi_closed_form, split_velocity
-from su2qfi.cli import MAX_SERIES_ORDER, MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
+from su2qfi import __version__, mqfi_closed_form, split_velocity
+from su2qfi.cli import MAX_POINTS, MAX_SERIES_ORDER, MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
 
 
 def static_omega0_mqfi(omega0, lam, j, t):
@@ -195,13 +195,39 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     ["mqfi", "case3-omega", "--omega0", "1e200", "--lambda", "1", "--omega", "0", "--t", "1"],   # (kp t)^2
     ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
      "--start", "-1", "--stop", "1", "--points", "3"],
+    ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
+     "--start", "0", "--stop", "1", "--points", str(MAX_POINTS + 1)],
+    ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
+     "--start", "0", "--stop", "1", "--points", str(10**13)],
+    ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
+     "--start", "0", "--stop", "1", "--points", "1e3"],
+    ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
+     "--start", "0", "--stop", "1", "--t", "5"],
+    ["figure", "fig1a", "--validate", "--series-order", "0"],
+    ["figure", "fig1a", "--validate", "--steps", "0"],
 ], ids=["overflowing-t", "nan-param", "inf-t", "negative-t", "bad-spin",
-        "nonfinite-output", "overflowing-kp-t", "negative-t-sweep"])
+        "nonfinite-output", "overflowing-kp-t", "negative-t-sweep", "points-cap-plus-1", "points-1e13",
+        "points-float-text", "t-on-t-sweep", "figure-series-order-0", "figure-steps-0"])
 def test_bad_input_exits_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
+    assert err.count("\n") == 1 and err.startswith("su2qfi: parameter error: ")
     assert "Traceback" not in err
+
+
+def test_t_on_a_t_sweep_is_named(capsys):
+    code, _, err = run(["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
+                        "--start", "0", "--stop", "1", "--t", "5"], capsys)
+    assert code == 2
+    assert "--t" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["--version"]])
+def test_help_and_version_exit_0(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == "" and (out.startswith("usage: su2qfi") or out == f"su2qfi {__version__}\n")
 
 
 def test_overflowing_validated_sweep_prints_one_stderr_line():

@@ -20,6 +20,12 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
+def test_readme_names_every_exported_name():
+    text = README.read_text()
+    su2qfi = importlib.import_module("su2qfi")
+    assert [name for name in su2qfi.__all__ if name != "__version__" and not re.search(rf"\b{name}\b", text)] == []
+
+
 def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
     assert blocks

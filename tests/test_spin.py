@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from su2qfi import build_spin_rep, commutator, dot_with_J, frobenius, hermitian_expm
+from su2qfi import build_spin_rep, dot_with_J, frobenius, hermitian_expm
 
 SPINS = [0.5, 1, 1.5, 2, 5, 10]
 
@@ -36,7 +36,7 @@ def test_commutation_relations(j):
     rep = build_spin_rep(j)
     triples = [(rep.jx, rep.jy, rep.jz), (rep.jy, rep.jz, rep.jx), (rep.jz, rep.jx, rep.jy)]
     for a, b, c in triples:
-        assert frobenius(commutator(a, b) - 1j * c) < 1e-12
+        assert frobenius(a @ b - b @ a - 1j * c) < 1e-12
 
 
 @pytest.mark.parametrize("j", SPINS)
@@ -141,7 +141,8 @@ def test_commutator_su2_closure():
     rep = build_spin_rep(1.5)
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([0.0, 1.0, 0.0])
-    lhs = commutator(dot_with_J(rep, a), dot_with_J(rep, b))
+    ja, jb = dot_with_J(rep, a), dot_with_J(rep, b)
+    lhs = ja @ jb - jb @ ja
     rhs = 1j * dot_with_J(rep, np.cross(a, b))
     assert frobenius(lhs - rhs) < 1e-12
 
@@ -149,18 +150,13 @@ def test_commutator_su2_closure():
 def test_commutator_of_generators():
     for j in (0.5, 1, 3.5):
         rep = build_spin_rep(j)
-        assert frobenius(commutator(rep.jx, rep.jy) - 1j * rep.jz) < 1e-12
+        assert frobenius(rep.jx @ rep.jy - rep.jy @ rep.jx - 1j * rep.jz) < 1e-12
 
 
 def test_commutator_with_self_vanishes():
     rep = build_spin_rep(2)
     m = dot_with_J(rep, [0.3, -1.2, 0.5])
-    assert frobenius(commutator(m, m)) == 0.0
-
-
-def test_commutator_dimension_mismatch():
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
+    assert frobenius(m @ m - m @ m) == 0.0
 
 
 def test_conjugation_equals_nested_commutator_series():
@@ -177,7 +173,7 @@ def test_conjugation_equals_nested_commutator_series():
     total = b.copy()
     nested = b.copy()
     for n in range(1, order + 1):
-        nested = commutator(a, nested) / n
+        nested = (a @ nested - nested @ a) / n
         total = total + nested
     norm_a = float(np.linalg.norm(a, 2))
     tail = (2 * norm_a) ** (order + 1) / math.factorial(order + 1) * frobenius(b) * np.exp(2 * norm_a)
