@@ -35,14 +35,11 @@ from .numerics import (
     fd_generator,
     fd_points,
     fd_step,
-    generator_fd,
     generator_series,
     generator_series_scaled,
     midpoint_su2,
     optimal_state,
-    qfi_fd,
     qfi_of_state,
-    trotter_propagator,
 )
 from .cases import (
     DrivenSystem,
@@ -60,9 +57,8 @@ __all__ = [
     "DegenerateFieldError", "FieldCurve", "GeneratorResult", "QfiBreakdown", "VelocitySplit",
     "analytic_generator", "generator_vector", "mqfi_closed_form", "mqfi_small_time",
     "split_velocity",
-    "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step", "generator_fd",
-    "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_fd",
-    "qfi_of_state", "trotter_propagator",
+    "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",
+    "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_of_state",
     "DrivenSystem", "SphericalField", "StaticFieldSystem",
     "driving_frequency_mqfi", "driving_generator_vector", "spherical_field_mqfi",
 ]

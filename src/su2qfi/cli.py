@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 parameter error, 3 oracle-validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -68,10 +69,11 @@ DEFAULT_SERIES_ORDER = 24
 # 2^k / (k+1)! of the first, below double roundoff from k = 30 on; the cap
 # leaves room above that and bounds the coefficient table at order x rows.
 MAX_SERIES_ORDER = 100
-# A sweep holds every row's CSV text and Python floats until it is written,
-# about 350 bytes a row, so the cap bounds one plain sweep to about 400 MiB
-# and 5 s (10^6 rows: 384 MiB peak, 4.8 s on a 2-vCPU Xeon, Python 3.11).
+# A sweep's CSV is written in blocks of EMIT_ROWS rows, so its memory is its
+# numeric columns; the cap bounds the time of one plain sweep to about 5 s.
 MAX_POINTS = 10**6
+# Rows formatted per write; one block's text and Python floats take about 1 MB.
+EMIT_ROWS = 4096
 
 # Grid rows per oracle chunk.  Above j = 3 a chunk holds fewer rows, so its
 # stack of five stencil propagators per row never outgrows that of 256
@@ -513,25 +515,21 @@ def _params_for_header(params: dict) -> str:
     return " ".join(parts)
 
 
-def _write_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    with open(out_path, "w") as handle:
-        handle.write(text)
-
-
 def _emit_sweep(scenario, variable, columns, fixed, j, out_path, comments=()):
-    lines = [
+    """Write the sweep's CSV to ``out_path`` (stdout for None), one block of rows at a time."""
+    header = [
         f"# su2qfi scenario={scenario} j={_fmt(j)} variable={variable} {_params_for_header(fixed)}".rstrip(),
         f"# version={__version__} timestamp={datetime.now(timezone.utc).isoformat()}",
+        *comments,
+        ",".join(columns),
     ]
-    lines.extend(comments)
-    lines.append(",".join(columns))
     row_format = ",".join([_NUMBER] * len(columns))
-    lines.extend(row_format % row for row in zip(*(column.tolist() for column in columns.values())))
-    _write_lines(lines, out_path)
+    values = list(columns.values())
+    with contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as handle:
+        handle.write("\n".join(header) + "\n")
+        for lo in range(0, len(values[0]), EMIT_ROWS):
+            block = zip(*(column[lo:lo + EMIT_ROWS].tolist() for column in values))
+            handle.write("\n".join(row_format % row for row in block) + "\n")
 
 
 def _validation_extras(scenario, params, t, rows: int, j, steps):
@@ -639,6 +637,9 @@ def _cmd_optimal_state(args) -> int:
     gen = scenario_generator(args.scenario, params, rep, args.t)
     result = optimal_state(gen, args.phase)
     attained = 0.0 if result.degenerate else qfi_of_state(gen, result.state)
+    if not (np.isfinite([attained, result.lambda_max, result.lambda_min]).all() and np.isfinite(result.state).all()):
+        raise ValueError(f"optimal state is not finite in double precision (qfi {_fmt(attained)}, "
+                         f"lambda_max {_fmt(result.lambda_max)}, lambda_min {_fmt(result.lambda_min)})")
     record = {
         "scenario": args.scenario,
         "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},

@@ -2,16 +2,16 @@
 
 Everything here is deliberately independent of the closed forms in
 :mod:`su2qfi.generator`: a truncated nested-commutator series, a
-finite-difference derivative of the propagator, the pure-state QFI as a
-variance, optimal-state construction, and a midpoint product formula for
-time-ordered evolution.  The closed forms are tested against these.
+five-point finite-difference derivative of stacked propagators, the
+pure-state QFI as a variance, optimal-state construction, and a midpoint
+product formula for time-ordered evolution in SU(2).  The closed forms are
+tested against these.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -20,15 +20,12 @@ from .spin import frobenius, hermitian_expm, reject_first, require_hermitian
 __all__ = [
     "OptimalStateResult",
     "qfi_of_state",
-    "qfi_fd",
     "optimal_state",
     "generator_series",
     "generator_series_scaled",
-    "generator_fd",
     "fd_generator",
     "fd_points",
     "fd_step",
-    "trotter_propagator",
     "midpoint_su2",
     "compose_generators",
 ]
@@ -77,24 +74,6 @@ def qfi_of_state(h_op, psi) -> float:
     mean = float(np.real(np.vdot(s, w)))
     second = float(np.real(np.vdot(w, w)))
     return 4.0 * (second - mean**2)
-
-
-def qfi_fd(u_of: Callable[[float], np.ndarray], theta: float, psi0, step: Optional[float] = None) -> float:
-    """QFI from the parameter derivative of the evolved state.
-
-    Evaluates 4 (<dpsi|dpsi> - |<psi|dpsi>|^2) with |psi(theta)> =
-    U(theta)|psi0> and a central difference for |dpsi>.  Cross-validates
-    the variance formula together with the finite-difference generator.
-    """
-    h = step if step is not None else 1e-5 * max(1.0, abs(theta))
-    u0 = _require_unitary(u_of(theta), "U(theta)")
-    s0 = _require_state(psi0, u0.shape[0])
-    plus = u_of(theta + h) @ s0
-    minus = u_of(theta - h) @ s0
-    psi = u0 @ s0
-    dpsi = (plus - minus) / (2 * h)
-    overlap = np.vdot(psi, dpsi)
-    return 4.0 * float(np.real(np.vdot(dpsi, dpsi)) - abs(overlap) ** 2)
 
 
 @dataclass(frozen=True)
@@ -272,7 +251,7 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24) -> np.ndarray:
 
 
 def fd_step(scale):
-    """Step of the five-point stencil in :func:`generator_fd`: 2e-3 / max(1, scale).
+    """Step of the five-point stencil in :func:`fd_generator`: 2e-3 / max(1, scale).
 
     ``scale`` should estimate t * ||d_theta h||; the step then moves the
     propagator's phase by about 2e-3, small enough for the O(step^4)
@@ -286,24 +265,6 @@ def fd_points(theta, step) -> np.ndarray:
     """The stencil points theta + (2, 1, -1, -2, 0) step on a new last axis."""
     theta, step = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(step, dtype=float))
     return np.stack([theta + 2 * step, theta + step, theta - step, theta - 2 * step, theta], axis=-1)
-
-
-def generator_fd(u_of: Callable[[float], np.ndarray], theta: float, step: Optional[float] = None) -> np.ndarray:
-    """Finite-difference generator i (d_theta U^dag) U, Hermitian-symmetrized.
-
-    Parameters
-    ----------
-    u_of : callable
-        theta -> unitary propagator, evaluated at the five
-        :func:`fd_points` and differentiated by :func:`fd_generator`.
-    step : float, optional
-        Stencil step; default 1e-3 * max(1, |theta|).
-    """
-    h = step if step is not None else 1e-3 * max(1.0, abs(theta))
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    us = np.stack([u_of(th) for th in fd_points(theta, h).tolist()])
-    return fd_generator(us, h)
 
 
 def fd_generator(us, step) -> np.ndarray:
@@ -348,73 +309,6 @@ def fd_generator(us, step) -> np.ndarray:
         f"anti-Hermitian residue {residue[k]:.3e} exceeds {bound[k]:.3e}; "
         f"finite-difference step {hs[k]:.3e} is misconfigured"))
     return herm
-
-
-def _expm_skew_taylor(stack: np.ndarray, scale: float) -> np.ndarray:
-    """Taylor-by-Horner exp of a stack of small anti-Hermitian matrices."""
-    terms = 4
-    while scale ** (terms + 1) / math.factorial(terms + 1) > 1e-19 and terms < 24:
-        terms += 1
-    dim = stack.shape[-1]
-    eye = np.eye(dim, dtype=complex)
-    out = eye + stack / terms
-    for k in range(terms - 1, 0, -1):
-        out = eye + (stack / k) @ out
-    return out
-
-
-def _ordered_product(stack: np.ndarray) -> np.ndarray:
-    """Product U_n ... U_2 U_1 of a stack [U_1, ..., U_n] by pairwise reduction."""
-    us = stack
-    while us.shape[0] > 1:
-        if us.shape[0] % 2 == 1:
-            tail = us[-1:]
-            us = np.concatenate([np.matmul(us[1:-1:2], us[0:-1:2]), tail])
-        else:
-            us = np.matmul(us[1::2], us[0::2])
-    return us[0]
-
-
-# Steps per block of the midpoint product.  One block's step unitaries and
-# their temporaries stay in cache (0.8 MB per array at j = 3), where stacks
-# over all 1e5 steps would take hundreds of MB of freshly faulted memory.
-_BLOCK_STEPS = 1024
-
-
-def trotter_propagator(h_of_t: Callable, total_time: float, steps: int) -> np.ndarray:
-    """Midpoint product formula for the time-ordered propagator.
-
-    Returns the ordered product of exp(-i H(t_k) dt) over the midpoints
-    t_k = (k - 1/2) dt, latest factor leftmost.  Second order in dt for
-    smooth H(t); the per-factor exponentials are accurate to ~1e-19 so the
-    result stays unitary to well below 1e-10 even at 1e5 steps.
-
-    ``h_of_t`` receives an array of midpoints and must return the stacked
-    (len, dim, dim) Hamiltonians, so no step costs a Python call.
-
-    The steps run in blocks of ``_BLOCK_STEPS``, each reduced pairwise to
-    one unitary and folded in time order, so memory does not grow with
-    ``steps``.  Each block takes a Taylor exponential when every step has
-    ||dt H||_F <= 0.8, and an eigendecomposition per step otherwise.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    dt = total_time / steps
-    total = None
-    for lo in range(0, steps, _BLOCK_STEPS):
-        mids = (np.arange(lo, min(lo + _BLOCK_STEPS, steps)) + 0.5) * dt
-        hs = np.asarray(h_of_t(mids), dtype=complex)
-        if hs.ndim != 3 or hs.shape[0] != mids.size:
-            raise ValueError(f"h_of_t must return ({mids.size}, dim, dim), got {hs.shape}")
-        scaled = -1j * dt * hs
-        norm = float(np.sqrt(np.max(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
-        if norm > 0.8:
-            us = np.stack([hermitian_expm(hk, -1j * dt) for hk in hs])
-        else:
-            us = _expm_skew_taylor(scaled, norm)
-        block = _ordered_product(us)
-        total = block if total is None else block @ total
-    return total
 
 
 def _quaternion_product(a, b):

@@ -23,20 +23,19 @@ from su2qfi import (
     driving_generator_vector,
     fd_step,
     frobenius,
-    generator_fd,
     generator_series,
     generator_vector,
     hermitian_expm,
     mqfi_closed_form,
     mqfi_small_time,
     optimal_state,
-    qfi_fd,
     qfi_of_state,
     spherical_field_mqfi,
     split_velocity,
-    trotter_propagator,
 )
 from su2qfi.cli import _DRIVEN, _propagator, main as cli_main
+
+from reference_oracles import generator_fd, qfi_fd, trotter_propagator
 
 
 def report(number, name, failures, elapsed, limit=None):

@@ -16,15 +16,15 @@ from su2qfi import (
     driving_generator_vector,
     fd_step,
     frobenius,
-    generator_fd,
     generator_vector,
     hermitian_expm,
     mqfi_closed_form,
     spherical_field_mqfi,
     split_velocity,
-    trotter_propagator,
 )
 from su2qfi.cli import _DRIVEN, SCENARIOS, _propagator, evaluate_point
+
+from reference_oracles import generator_fd, trotter_propagator
 
 PI_SQ_PLUS_FOUR = 13.869604401089358  # value of the static-field MQFI at omega0 = lam = 1, t = pi/K
 

@@ -205,9 +205,14 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
      "--start", "0", "--stop", "1", "--t", "5"],
     ["figure", "fig1a", "--validate", "--series-order", "0"],
     ["figure", "fig1a", "--validate", "--steps", "0"],
+    # the squared eigenvalue spreads, 4e310 and 2.5e313, are above the double range
+    ["optimal-state", "generic", "--rvec", "0,0,1", "--vvec", "0,0,1e155", "--j", "1", "--t", "1"],
+    ["optimal-state", "generic", "--rvec", "5e-324,-1e-300,3.14159", "--vvec", "0.5,-1e-300,1e155",
+     "--j", "50", "--t", "0.5"],
 ], ids=["overflowing-t", "nan-param", "inf-t", "negative-t", "bad-spin",
         "nonfinite-output", "overflowing-kp-t", "negative-t-sweep", "points-cap-plus-1", "points-1e13",
-        "points-float-text", "t-on-t-sweep", "figure-series-order-0", "figure-steps-0"])
+        "points-float-text", "t-on-t-sweep", "figure-series-order-0", "figure-steps-0",
+        "optimal-state-infinite-qfi", "optimal-state-nan-qfi"])
 def test_bad_input_exits_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -810,3 +815,19 @@ def test_validated_sweep_memory_does_not_grow_with_the_grid(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 4 * 2**20
+
+
+def test_plain_sweep_memory_is_its_columns(tmp_path, capsys):
+    # The CSV is written in blocks of rows: a 100k-row sweep peaks at its four
+    # columns and one block (about 6 MB), where formatting every row before
+    # the first write took about 32 MB.
+    argv = ["sweep", "case2-omega0", "--omega0=0.7", "--lambda=1.3", "--variable=t", "--start=0", "--stop=20"]
+    assert run(argv + ["--points=20", "--out", str(tmp_path / "warm.csv")], capsys)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--points=100000", "--out", str(tmp_path / "grid.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12e6

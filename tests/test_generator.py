@@ -12,7 +12,6 @@ from su2qfi import (
     dot_with_J,
     fd_step,
     frobenius,
-    generator_fd,
     generator_vector,
     hermitian_expm,
     mqfi_closed_form,
@@ -20,6 +19,8 @@ from su2qfi import (
     split_velocity,
 )
 from su2qfi.cli import main
+
+from reference_oracles import generator_fd
 
 
 def generator_vector_from_split(split, t):

@@ -18,20 +18,19 @@ from su2qfi import (
     frobenius,
     fd_generator,
     fd_points,
-    generator_fd,
     generator_series,
     generator_series_scaled,
     generator_vector,
     hermitian_expm,
     midpoint_su2,
     optimal_state,
-    qfi_fd,
     qfi_of_state,
     su2_lift,
-    trotter_propagator,
 )
 from su2qfi.cli import _DRIVEN, _propagator
-from su2qfi.numerics import _BLOCK_STEPS, _SU2_BLOCK_STEPS, _series_coefficients
+from su2qfi.numerics import _SU2_BLOCK_STEPS, _series_coefficients
+
+from reference_oracles import _BLOCK_STEPS, generator_fd, qfi_fd, trotter_propagator
 
 
 def random_hermitian(rng, dim):
@@ -345,7 +344,7 @@ def test_trotter_matches_plain_ordered_product(steps, total_t):
     # Reference: the same step exponentials, multiplied one at a time in
     # time order, on both the Taylor branch and (dt ||H|| > 0.8, last case)
     # the eigendecomposition branch.
-    from su2qfi.numerics import _expm_skew_taylor
+    from reference_oracles import _expm_skew_taylor
 
     rep = build_spin_rep(1.5)
     h_batch = _drive_hamiltonians(rep)

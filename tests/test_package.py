@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "su2qfi").glob("*.py"))
+SOURCES = [*sorted((Path(__file__).resolve().parents[1] / "src" / "su2qfi").glob("*.py")),
+           Path(__file__).resolve().parent / "reference_oracles.py"]
 MODULES = ("su2qfi", "su2qfi.spin", "su2qfi.generator", "su2qfi.numerics", "su2qfi.cases")
 
 
