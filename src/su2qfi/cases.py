@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import DegenerateFieldError, _field_ratio, _pow_or_inf, libm_pow
-from .spin import reject_first
+from .generator import _field_ratio, _finite_cubes, _reject_first
+from .spin import libm_pow
 
 __all__ = [
     "SphericalField",
@@ -39,20 +39,6 @@ __all__ = [
     "driving_generator_vector",
     "driving_frequency_mqfi",
 ]
-
-
-def _reject_first(bad, message: str, **values):
-    """Raise DegenerateFieldError if any entry of ``bad`` is set.
-
-    The message names ``values`` (broadcast against ``bad``) at the first
-    set entry, so a grid reports its first offending point.
-    """
-    bad = np.asarray(bad)
-
-    def at(k):
-        return ", ".join(f"{name}={float(np.broadcast_to(v, bad.shape).flat[k])!r}" for name, v in values.items())
-
-    reject_first(bad.ravel(), lambda k: f"{message} (at {at(k)})", DegenerateFieldError)
 
 
 # The systems below accept arrays for any field, as long as they broadcast
@@ -122,24 +108,48 @@ def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> floa
     raise ValueError(f"unknown spherical parameter {which!r}")
 
 
+def _spherical_generator_vector(which: str, field: SphericalField, t) -> np.ndarray:
+    """Coefficient vector of the generator for estimating a direction angle, with |field| = r exactly.
+
+    With x = r t it is -sin(x) e_theta + 2 sin^2(x/2) e_phi for theta and
+    sin(theta) [-sin(x) e_phi - 2 sin^2(x/2) e_theta] for phi; the vector
+    form would get the vanishing radial speed only by cancellation.  The
+    fields and ``t`` may be arrays, the vectors stacking on a last axis.
+    """
+    x = field.r * t
+    sin_x, versine = np.sin(x), 2.0 * libm_pow(np.sin(x / 2.0), 2)   # versine = 1 - cos x
+    ct, st, cp, sp = np.cos(field.theta), np.sin(field.theta), np.cos(field.phi), np.sin(field.phi)
+    e_theta = (ct * cp, ct * sp, -st)
+    e_phi = (-sp, cp, 0.0)
+    if which == "theta":
+        parts = [-sin_x * a + versine * b for a, b in zip(e_theta, e_phi)]
+    elif which == "phi":
+        parts = [st * (-sin_x * b - versine * a) for a, b in zip(e_theta, e_phi)]
+    else:
+        raise ValueError(f"unknown spherical direction angle {which!r}")
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
 def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
     """Coefficient vector of the drive-frequency generator, gen = coeffs . J.
 
     The system's fields and ``t`` may be arrays; they broadcast, the
     coefficient vectors stack on a last axis of length 3, and each point
-    gets the bits of its own call.
+    gets the bits of its own call.  A point whose t^3 or (kp t)^3 is not
+    finite raises ValueError.
     """
     kp, lam, delta = system.kp, system.lam, system.delta
     x = kp * t
+    x3, t3 = _finite_cubes(x, t, "kp t")
     # Both branches run on every point; the one not taken may overflow.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x2 = x * x
         small = np.abs(x) < 1e-2
         g1 = np.where(small, 1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0,               # (sin x - x cos x)/x^3
-                      (np.sin(x) - x * np.cos(x)) / _pow_or_inf(x, 3))
+                      (np.sin(x) - x * np.cos(x)) / x3)
         g2 = np.where(small, -0.5 + x2 / 8.0 - x2 * x2 / 144.0,                     # (1 - cos x - x sin x)/x^2
-                      (1.0 - np.cos(x) - x * np.sin(x)) / _pow_or_inf(x, 2))
-    c1 = libm_pow(t, 3) * g1
+                      (1.0 - np.cos(x) - x * np.sin(x)) / libm_pow(x, 2))
+    c1 = t3 * g1
     c2 = libm_pow(t, 2) * g2
     parts = np.broadcast_arrays(-lam * delta * c1, lam * c2, libm_pow(lam, 2) * c1)
     return np.stack(parts, axis=-1)

@@ -24,17 +24,16 @@ from .cases import (
     DrivenSystem,
     SphericalField,
     StaticFieldSystem,
+    _spherical_generator_vector,
     driving_frequency_mqfi,
     driving_generator_vector,
     spherical_field_mqfi,
 )
 from .generator import (
-    DegenerateFieldError,
     FieldCurve,
     QfiBreakdown,
     _field_ratio,
     generator_vector,
-    libm_pow,
     mqfi_closed_form,
     mqfi_small_time,
     split_velocity,
@@ -49,7 +48,7 @@ from .numerics import (
     optimal_state,
     qfi_of_state,
 )
-from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, row_dot, su2_lift, twice_spin
+from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, libm_pow, row_dot, su2_lift, twice_spin
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -104,27 +103,31 @@ class Family:
 class Scenario:
     """One CLI scenario: U(theta) = frame . exp(-i t field(theta).J).
 
-    ``breakdown(params, j, t)`` is the closed-form MQFI and ``curve(params)``
-    the (FieldCurve, anchor) of the field; the curve broadcasts over array
-    parameters and parameter values.  Only a driven scenario has the
-    frame exp(-i omega t jz); it moves with theta when ``moving_frame``.
+    ``breakdown(params, j, t)`` is the closed-form MQFI, ``generator(params,
+    t)`` the closed-form generator's coefficient 3-vector and
+    ``curve(params)`` the (FieldCurve, anchor) of the field; all three
+    broadcast over array parameters and times.  Only a driven scenario has
+    the frame exp(-i omega t jz); it moves with theta when ``moving_frame``.
     """
 
     required: tuple
     defaults: dict
     sweepable: tuple
     breakdown: Callable
+    generator: Callable
     curve: Callable
     driven: bool = False
     moving_frame: bool = False
 
 
-def _estimate(family: Family, name: str, defaults: dict, breakdown: Callable | None = None) -> Scenario:
+def _estimate(family: Family, name: str, defaults: dict,
+              breakdown: Callable | None = None, generator: Callable | None = None) -> Scenario:
     """Estimate ``name`` on the curve theta -> family.field({**params, name: theta}).
 
-    ``breakdown(name, system, j, t)`` is a closed form on the family's
-    system; without one the MQFI is :func:`mqfi_closed_form` of the field
-    and its velocity.
+    ``breakdown(name, system, j, t)`` and ``generator(name, system, t)`` are
+    closed forms on the family's system; without them the MQFI is
+    :func:`mqfi_closed_form` and the generator :func:`generator_vector` of
+    the field and its velocity.
     """
     def curve(p):
         family.system(p)
@@ -137,9 +140,15 @@ def _estimate(family: Family, name: str, defaults: dict, breakdown: Callable | N
             return mqfi_closed_form(j, split_velocity(family.field(p), family.velocity[name](p)), t)
         return breakdown(name, system, j, t)
 
+    def vector(p, t):
+        system = family.system(p)
+        if generator is None:
+            return generator_vector(family.field(p), family.velocity[name](p), t)
+        return generator(name, system, t)
+
     return Scenario(tuple(k for k in family.params if k not in defaults), defaults,
                     ("t",) + family.params + (("Delta",) if family.driven else ()),
-                    parts, curve, family.driven, family.driven and name == "omega")
+                    parts, vector, curve, family.driven, family.driven and name == "omega")
 
 
 def _vec(x, y, z) -> np.ndarray:
@@ -215,16 +224,19 @@ def _generic_breakdown(p: dict, j: float, t) -> QfiBreakdown:
 _CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
 SCENARIOS = {
-    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS, _spherical_parts),
-    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7}, _spherical_parts),
+    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS, _spherical_parts, _spherical_generator_vector),
+    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7}, _spherical_parts, _spherical_generator_vector),
+    # the velocity is radial, so the vector form has nothing to cancel
     "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, _spherical_parts),
     "case2-omega0": _estimate(_STATIC, "omega0", {}),
     "case2-lambda": _estimate(_STATIC, "lambda", {}),
-    "case3-omega": _estimate(_DRIVEN, "omega", {}, _drive_frequency_parts),
+    "case3-omega": _estimate(_DRIVEN, "omega", {}, _drive_frequency_parts,
+                             lambda name, system, t: driving_generator_vector(system, t)),
     "case3-lambda": _estimate(_DRIVEN, "lambda", {}),
     "case3-omega0": _estimate(_DRIVEN, "omega0", {}),
     # the curve r + theta v through the given field, anchored at theta = 0
-    "generic": Scenario(("rvec", "vvec"), {}, ("t",), _generic_breakdown, lambda p: (FieldCurve(
+    "generic": Scenario(("rvec", "vvec"), {}, ("t",), _generic_breakdown,
+                        lambda p, t: generator_vector(p["rvec"], p["vvec"], t), lambda p: (FieldCurve(
         lambda th: np.asarray(p["rvec"], dtype=float) + np.asarray(th)[..., None] * np.asarray(p["vvec"], dtype=float),
         lambda th: np.asarray(p["vvec"], dtype=float)), 0.0)),
 }
@@ -353,16 +365,9 @@ def evaluate_point(scenario: str, params: dict, j: float, t) -> QfiBreakdown:
     return _scenario(scenario).breakdown(params, j, t)
 
 
-def _closed_vector(spec: Scenario, params: dict, curve: FieldCurve, anchor, t) -> np.ndarray:
-    if spec.moving_frame:   # the drive frequency has its own closed form
-        return driving_generator_vector(_DRIVEN.system(params), t)
-    return generator_vector(curve.field(anchor), curve.velocity(anchor), t)
-
-
 def scenario_generator(scenario: str, params: dict, rep, t: float) -> np.ndarray:
     """Closed-form generator matrix for one scenario point."""
-    spec = _scenario(scenario)
-    return dot_with_J(rep, _closed_vector(spec, params, *spec.curve(params), t))
+    return dot_with_J(rep, _scenario(scenario).generator(params, t))
 
 
 def _propagator(rep, field, t, omega=None) -> np.ndarray:
@@ -385,7 +390,7 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, series_order: 
     ts = np.broadcast_to(np.asarray(t, dtype=float), (rows,))
     field, velocity = curve.field(anchor), curve.velocity(anchor)
     r, v = np.broadcast_to(field, (rows, 3)), np.broadcast_to(velocity, (rows, 3))
-    closed = dot_with_J(rep, np.broadcast_to(_closed_vector(spec, params, curve, anchor, ts), (rows, 3)))
+    closed = dot_with_J(rep, np.broadcast_to(spec.generator(params, ts), (rows, 3)))
     # h and dh keep the field's own shape: (3,) when only t varies, so the
     # series builds one commutator chain and one eigendecomposition per chunk
     h_field = dot_with_J(rep, field)
@@ -470,7 +475,8 @@ def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
 def _oracle_columns(scenario, params, j, t, variable, grid, series_order, step) -> np.ndarray:
     """(series, fd) residual columns of the whole grid, evaluated in chunks of rows.
 
-    A failed oracle check raises ValueError naming its first offending row.
+    A failed oracle check, or an oracle that overflows, raises ValueError
+    naming its first offending row.
     """
     spec = _scenario(scenario)
     rep = build_spin_rep(j)
@@ -482,7 +488,7 @@ def _oracle_columns(scenario, params, j, t, variable, grid, series_order, step) 
         try:
             residuals[:, rows] = _oracle_rows(spec, part, rep, _rows_of(t, rows), grid[rows].size,
                                               series_order, step)
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             if getattr(err, "row", None) is None:
                 raise
             k = lo + err.row
@@ -752,11 +758,8 @@ def main(argv=None) -> int:
         # every output is checked for finiteness; numpy's warnings would repeat it on stderr
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (DegenerateFieldError, ValueError) as err:
+    except (ValueError, OverflowError) as err:   # DegenerateFieldError is a ValueError
         print(f"su2qfi: parameter error: {err}", file=sys.stderr)
-        return EXIT_PARAMS
-    except OverflowError as err:
-        print("su2qfi: parameter error: the closed form overflows double precision", file=sys.stderr)
         return EXIT_PARAMS
     except OSError as err:
         print(f"su2qfi: i/o error: {err}", file=sys.stderr)

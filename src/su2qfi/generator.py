@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spin import SpinRep, dot_with_J, reject_first, row_dot
+from .spin import SpinRep, dot_with_J, libm_pow, reject_first, row_dot
 
 __all__ = [
     "DegenerateFieldError",
@@ -48,37 +48,18 @@ class DegenerateFieldError(ValueError):
     """The coefficient field vanishes where a direction (or scale) is required."""
 
 
-_pow_ufunc = np.frompyfunc(pow, 2, 1)
+def _reject_first(bad, message: str, error=DegenerateFieldError, **values):
+    """Raise ``error`` if any entry of ``bad`` is set.
 
-
-def libm_pow(x, n):
-    """Elementwise ``x ** n`` through the C library ``pow`` that Python floats use.
-
-    numpy's array power (``**``, ``np.power``, ``np.square``) takes other
-    code paths and differs from ``pow`` in the last bit for a share of
-    inputs, so a closed form evaluated over a grid would not reproduce its
-    scalar values.  Scalars give a float, arrays a float array; overflow
-    raises ``OverflowError`` as it does for Python floats.
+    The message names ``values`` (broadcast against ``bad``) at the first
+    set entry, so a grid reports its first offending point.
     """
-    out = _pow_ufunc(x, n)
-    return out.astype(float) if isinstance(out, np.ndarray) else out
+    bad = np.asarray(bad)
 
+    def at(k):
+        return ", ".join(f"{name}={float(np.broadcast_to(v, bad.shape).flat[k])!r}" for name, v in values.items())
 
-def _pow_or_inf_scalar(x, n):
-    try:
-        return pow(x, n)
-    except OverflowError:
-        return np.inf
-
-
-_pow_or_inf_ufunc = np.frompyfunc(_pow_or_inf_scalar, 2, 1)
-
-
-def _pow_or_inf(x, n):
-    """``libm_pow`` that gives inf where it overflows, as numpy scalars do."""
-    with np.errstate(over="ignore"):   # the overflow it reports as inf
-        out = _pow_or_inf_ufunc(x, n)
-    return out.astype(float) if isinstance(out, np.ndarray) else out
+    reject_first(bad.ravel(), lambda k: f"{message} (at {at(k)})", error)
 
 
 _TINY = np.finfo(float).tiny   # the smallest normal double
@@ -104,10 +85,7 @@ def _field_ratio(coeff: float, num, den, factor, power: int, root=None):
     def direct(num_sq, den_pow, f):
         return coeff * num_sq * f / den_pow if power == 2 else coeff * num_sq / den_pow * f
 
-    try:
-        num_sq, den_pow = libm_pow(num, 2), libm_pow(den, power)
-    except OverflowError:
-        num_sq, den_pow = _pow_or_inf(num, 2), _pow_or_inf(den, power)
+    num_sq, den_pow = libm_pow(num, 2), libm_pow(den, power)
     with np.errstate(all="ignore"):   # an out-of-range product only sends its row to the rescaled form
         first = coeff * np.asarray(num_sq) * factor if power == 2 else coeff * np.asarray(num_sq) / den_pow
     zero = (num == 0.0) | (factor == 0.0) if power == 2 else num == 0.0
@@ -217,7 +195,7 @@ class GeneratorResult:
     t: float
 
     def mqfi(self) -> float:
-        return (self.lambda_max - self.lambda_min) ** 2
+        return libm_pow(self.lambda_max - self.lambda_min, 2)
 
 
 def split_velocity(field, velocity) -> VelocitySplit:
@@ -247,10 +225,11 @@ def _norm(x, y, z):
 # branches run on every point of an array and the series one is kept for
 # |x| < 1e-2; libm_pow gives each point the bits of a scalar call.
 
-def _f1(x):
+def _f1(x, x3):
+    """(sin x - x) / x^3, given x^3 from :func:`_finite_cubes`."""
     x2 = x * x
     series = -1.0 / 6.0 + x2 / 120.0 - x2 * x2 / 5040.0
-    return np.where(np.abs(x) < 1e-2, series, (np.sin(x) - x) / libm_pow(x, 3))
+    return np.where(np.abs(x) < 1e-2, series, (np.sin(x) - x) / x3)
 
 
 def _f2(x):
@@ -265,20 +244,34 @@ def _f3(x):
     return np.where(np.abs(x) < 1e-2, series, (1.0 - np.cos(x)) / libm_pow(x, 2))
 
 
+def _finite_cubes(x, t, name: str):
+    """(x^3, t^3) for a generator vector that divides by x^3 and multiplies by t^3.
+
+    An infinite x^3 would make its quotient a silent zero, so ValueError
+    names t and x (called ``name``) at the first point where either is not finite.
+    """
+    x3, t3 = libm_pow(x, 3), libm_pow(t, 3)
+    _reject_first(~(np.isfinite(x3) & np.isfinite(t3)), f"t^3 or ({name})^3 is not finite in double precision",
+                  ValueError, t=t, **{name: x})
+    return x3, t3
+
+
 def generator_vector(field, velocity, t) -> np.ndarray:
     """Coefficient vector of the generator, gen = coeffs . J.
 
     Polynomial in the field components, so the |field| -> 0 limit
     coeffs = -t * velocity comes out without a branch.  ``field`` and
     ``velocity`` may be stacks (..., 3) and ``t`` an array; they broadcast,
-    and each row gets the bits of its own call.
+    and each row gets the bits of its own call.  A row whose t^3 or
+    (|field| t)^3 is not finite raises ValueError (see :func:`_finite_cubes`).
     """
     r = _vec3_rows(field, "field")
     v = _vec3_rows(velocity, "velocity")
     x = np.sqrt(row_dot(r, r)) * t
+    x3, t3 = _finite_cubes(x, t, "|field| t")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # the branch not kept
-        f1, f2, f3 = _f1(x), _f2(x), _f3(x)
-    radial = (row_dot(r, v) * libm_pow(t, 3) * f1)[..., None]
+        f1, f2, f3 = _f1(x, x3), _f2(x), _f3(x)
+    radial = (row_dot(r, v) * t3 * f1)[..., None]
     return radial * r - (t * f2)[..., None] * v + (libm_pow(t, 2) * f3)[..., None] * np.cross(r, v)
 
 

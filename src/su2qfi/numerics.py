@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spin import frobenius, hermitian_expm, reject_first, require_hermitian
+from .spin import frobenius, hermitian_expm, libm_pow, reject_first, require_hermitian
 
 __all__ = [
     "OptimalStateResult",
@@ -73,7 +73,7 @@ def qfi_of_state(h_op, psi) -> float:
     w = h @ s
     mean = float(np.real(np.vdot(s, w)))
     second = float(np.real(np.vdot(w, w)))
-    return 4.0 * (second - mean**2)
+    return 4.0 * (second - libm_pow(mean, 2))
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class OptimalStateResult:
     degenerate: bool
 
     def mqfi(self) -> float:
-        return 0.0 if self.degenerate else (self.lambda_max - self.lambda_min) ** 2
+        return 0.0 if self.degenerate else libm_pow(self.lambda_max - self.lambda_min, 2)
 
 
 def optimal_state(h_op, phase: float = 0.0) -> OptimalStateResult:
@@ -125,15 +125,15 @@ def _series_coefficients(t, order: int) -> np.ndarray:
 
     signed zeros and NaN included; numpy's own complex power and division
     round differently.  Where ``(1j * t) ** 2`` overflows this raises
-    OverflowError, as Python's power does.
+    OverflowError, as Python's power does, naming the first such row.
     """
     with np.errstate(all="ignore"):
         t = np.asarray(t, dtype=float)
         it = (0.0 * t - 0.0, 0.0 + t)                       # 1j * t
         sq = _complex_product(it, it)                        # ** 2 multiplies 1 by it * it
         sq = (sq[0] - 0.0 * sq[1], sq[1] + 0.0 * sq[0])
-        if np.isinf(sq[0]).any() or np.isinf(sq[1]).any():
-            raise OverflowError("complex exponentiation")
+        reject_first(np.isinf(sq[0]) | np.isinf(sq[1]),
+                     lambda k: f"(it)^2 overflows double precision at t = {t[k]}", error=OverflowError)
         coeff = _complex_quotient(sq, 2.0)
         out = np.empty(t.shape + (order,), dtype=complex)
         for k in range(1, order + 1):
@@ -228,8 +228,8 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24) -> np.ndarray:
         halved[over] /= 2.0
         counts[over] += 1
         over = halved > 1.0
-    if counts.size and counts.max() > 1023:   # 2**s leaves the float range
-        raise OverflowError("int too large to convert to float")
+    reject_first(counts > 1023, lambda k: (   # 2**s leaves the float range
+        f"phase ||h|| t = {phases[k]} needs more than 1023 time doublings"), error=OverflowError)
     taus = ts / np.ldexp(1.0, counts)
     gen = generator_series(h, dh_op, taus, order)
     rows = np.flatnonzero(counts)
@@ -285,7 +285,8 @@ def fd_generator(us, step) -> np.ndarray:
     misconfigured step: the analytic operator is exactly Hermitian, so
     anything beyond the truncation scale means the difference quotient is
     dominated by noise.  A residue above 10 h^2 (1 + ||gen||_F)^3 raises,
-    naming the first offending row of a stack.
+    naming the first offending row of a stack; a bound above the double
+    range is inf, so such a row passes this check.
     """
     us = np.asarray(us, dtype=complex)
     if us.ndim < 3 or us.shape[-3] != 5 or us.shape[-1] != us.shape[-2]:
@@ -303,8 +304,7 @@ def fd_generator(us, step) -> np.ndarray:
     herm = (raw + raw_dag) / 2
     residue = np.asarray(frobenius(raw - raw_dag))
     norms = np.asarray(frobenius(herm))
-    bound = np.reshape([10.0 * h**2 * (1.0 + norm) ** 3
-                        for h, norm in zip(hs.ravel().tolist(), norms.ravel().tolist())], lead)
+    bound = np.asarray(10.0 * libm_pow(hs, 2) * libm_pow(1.0 + norms, 3))
     reject_first(residue > bound, lambda k: (
         f"anti-Hermitian residue {residue[k]:.3e} exceeds {bound[k]:.3e}; "
         f"finite-difference step {hs[k]:.3e} is misconfigured"))

@@ -40,6 +40,33 @@ def row_dot(a, b):
     return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
 
 
+_pow_ufunc = np.frompyfunc(pow, 2, 1)
+
+
+def libm_pow(x, n):
+    """Elementwise ``x ** n`` through the C library ``pow`` that Python floats use.
+
+    numpy's array power (``**``, ``np.power``, ``np.square``) takes other
+    code paths and differs from ``pow`` in the last bit for a share of
+    inputs, so a closed form evaluated over a grid would not reproduce its
+    scalar values.  Scalars give a float, arrays a float array.  A power
+    above the double range gives inf (-inf for an odd power of a negative
+    base), as numpy's own power does; callers check their results for
+    finiteness and name the offending row.
+    """
+    try:
+        out = _pow_ufunc(x, n)
+    except OverflowError:   # Python's pow raises there; redo each element, giving inf where it raised
+        def power(a, b):
+            try:
+                return pow(a, b)
+            except OverflowError:
+                return math.copysign(math.inf, a) if b % 2 == 1 else math.inf
+        with np.errstate(over="ignore"):   # libm's flag for the overflow given as inf
+            out = np.frompyfunc(power, 2, 1)(x, n)
+    return out.astype(float) if isinstance(out, np.ndarray) else out
+
+
 def frobenius(matrix):
     """Frobenius norm: a float for one matrix, an array of norms for a stack (..., n, n).
 

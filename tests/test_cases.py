@@ -22,6 +22,7 @@ from su2qfi import (
     spherical_field_mqfi,
     split_velocity,
 )
+from su2qfi.cases import _spherical_generator_vector
 from su2qfi.cli import _DRIVEN, SCENARIOS, _propagator, evaluate_point
 
 from reference_oracles import generator_fd, trotter_propagator
@@ -126,6 +127,33 @@ def test_spherical_closed_forms_match_generic_pipeline():
         generic = mqfi_closed_form(j, split, t).total
         closed = spherical_field_mqfi(which, field, j, t)
         assert closed == pytest.approx(generic, rel=1e-10, abs=1e-12)
+
+
+def test_spherical_angle_generators_match_the_vector_form():
+    # |field| = r exactly; the vector form agrees where it loses no digits
+    rng = np.random.default_rng(52)
+    for _ in range(100):
+        params = {"r": rng.uniform(0.2, 3.0), "theta": rng.uniform(0.1, np.pi - 0.1),
+                  "phi": rng.uniform(0, 2 * np.pi)}
+        t, which = rng.uniform(0.0, 5.0), rng.choice(["theta", "phi"])
+        curve, anchor = SCENARIOS[f"case1-{which}"].curve(params)
+        exact = _spherical_generator_vector(which, SphericalField(**params), t)
+        np.testing.assert_allclose(exact, generator_vector(curve.field(anchor), curve.velocity(anchor), t),
+                                   rtol=0, atol=1e-13)
+        assert 4 * (exact @ exact) == pytest.approx(spherical_field_mqfi(which, SphericalField(**params), 1.0, t),
+                                                    rel=1e-13, abs=1e-15)
+    with pytest.raises(ValueError):
+        _spherical_generator_vector("r", SphericalField(1.0, 1.0, 1.0), 1.0)
+
+
+def test_spherical_angle_generator_is_exact_for_a_huge_field():
+    # r t = 1e80: the vector form's radial speed cancels only to rounding of r
+    field = SphericalField(1e80, 1.0, 0.5)
+    for which in ("theta", "phi"):
+        coeffs = _spherical_generator_vector(which, field, 1.0)
+        assert 4 * (coeffs @ coeffs) == pytest.approx(spherical_field_mqfi(which, field, 1.0, 1.0), rel=1e-14)
+        grid = _spherical_generator_vector(which, SphericalField(1e80, np.array([1.0, 0.4]), 0.5), np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(grid[0], coeffs)
 
 
 # --- static field ---------------------------------------------------------------
@@ -286,6 +314,15 @@ def test_driving_generator_zero_time():
     system = DrivenSystem(1.0, 1.0, 0.3)
     rep = build_spin_rep(1)
     assert frobenius(driving_generator(system, rep, 0.0)) == 0.0
+
+
+def test_driving_generator_rejects_points_whose_cubes_overflow():
+    # (kp t)^3 = inf would make g1 a silent zero and the QFI 4.5e-06 instead of 3.2
+    with pytest.raises(ValueError, match=r"t\^3 or \(kp t\)\^3 is not finite .*\(at t=1\.0, kp t="):
+        driving_generator_vector(DrivenSystem(1e103, 1e103, 5e102), 1.0)
+    with pytest.raises(ValueError) as err:
+        driving_generator_vector(DrivenSystem(1.0, 1.0, 0.3), np.array([1.0, 2.0, 1e103]))
+    assert err.value.row == 2
 
 
 def test_driving_generator_matches_composition():

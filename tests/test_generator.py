@@ -113,6 +113,20 @@ def test_vanishing_field_limit():
     np.testing.assert_allclose(generator_vector([1e-9, 0, 0], v, 2.0), -2.0 * v, atol=1e-8)
 
 
+def test_generator_vector_rejects_rows_whose_cubes_overflow():
+    # an infinite (|field| t)^3 would make f1 a silent zero; t^3 multiplies the radial part
+    r, v = np.array([0.6, 0.0, 0.8]), np.array([0.3, -1.1, 0.4])
+    for t, bad in (([1.0, 6e102, 2.0], 1), ([1.0, 2.0, 1e200], 2)):
+        with pytest.raises(ValueError, match=r"t\^3 or \(\|field\| t\)\^3 is not finite") as err:
+            generator_vector(r, v, np.array(t))
+        assert err.value.row == bad
+        np.testing.assert_array_equal(generator_vector(r, v, np.array(t[:bad])),
+                                      [generator_vector(r, v, x) for x in t[:bad]])
+    with pytest.raises(ValueError, match=r"\(at t=1\.0, \|field\| t=1e\+103\)"):
+        generator_vector([1e103, 0.0, 0.0], v, 1.0)
+    assert np.isfinite(generator_vector(r, v, 5e102)).all()   # (5e102)^3 is still finite
+
+
 def test_norm_identity():
     rng = np.random.default_rng(12)
     for _ in range(100):

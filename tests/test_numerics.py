@@ -228,8 +228,9 @@ def test_series_scaled_rejects_unreachable_phase():
 def test_series_scaled_doubling_count_beyond_the_float_range_overflows():
     # a finite phase above 2^1023 needs 2^1024 doublings, which no double holds
     rep = build_spin_rep(1)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="more than 1023 time doublings") as err:
         generator_series_scaled(rep.jz, rep.jx, [1.0, 1.5e308])
+    assert err.value.row == 1
 
 
 def test_series_scaled_random_directions():
@@ -614,10 +615,12 @@ def test_series_coefficients_have_the_bits_of_the_scalar_recursion():
 def test_series_coefficients_overflow_like_the_scalar_recursion(t):
     with pytest.raises(OverflowError):
         _scalar_series_coefficients(t, 3)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError) as err:
         _series_coefficients(np.array([0.5, t, 1.0]), 3)
-    with pytest.raises(OverflowError):
+    assert err.value.row == 1
+    with pytest.raises(OverflowError) as err:
         generator_series(np.eye(2), np.eye(2), [0.0, t], 3)
+    assert err.value.row == 1
 
 
 def test_stacked_oracles_match_per_matrix_calls_and_name_first_bad_row():

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from su2qfi import build_spin_rep, dot_with_J, frobenius, hermitian_expm
+from su2qfi.spin import libm_pow
 
 SPINS = [0.5, 1, 1.5, 2, 5, 10]
 
@@ -178,3 +180,16 @@ def test_conjugation_equals_nested_commutator_series():
     norm_a = float(np.linalg.norm(a, 2))
     tail = (2 * norm_a) ** (order + 1) / math.factorial(order + 1) * frobenius(b) * np.exp(2 * norm_a)
     assert frobenius(exact - total) < max(tail, 1e-13)
+
+
+def test_libm_pow_gives_inf_above_the_double_range_and_pow_elsewhere():
+    x = np.array([2.0, 1e200, -1e200, 3.3, -0.7, 1e-200, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cubes, squares = libm_pow(x, 3), libm_pow(x, 2)
+        assert libm_pow(1e200, 2) == math.inf and libm_pow(-1e200, 3) == -math.inf
+    assert cubes.dtype == squares.dtype == float
+    for got, n, overflow in ((cubes, 3, [math.inf, -math.inf]), (squares, 2, [math.inf, math.inf])):
+        assert got[1:3].tolist() == overflow
+        assert [pow(v, n) for v in x[[0, 3, 4, 5, 6]].tolist()] == got[[0, 3, 4, 5, 6]].tolist()
+    assert libm_pow(3.3, 3) == pow(3.3, 3) and isinstance(libm_pow(3.3, 3), float)
