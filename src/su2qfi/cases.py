@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import _field_ratio, _finite_cubes, _reject_first
+from .generator import QfiBreakdown, _field_ratio, _finite_cubes, _reject_first
 from .spin import libm_pow
 
 __all__ = [
@@ -96,16 +96,19 @@ class DrivenSystem:
         return np.hypot(self.lam, self.delta)
 
 
-def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> float:
-    """Maximal QFI for estimating one spherical coordinate of the field."""
+def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> QfiBreakdown:
+    """Maximal QFI for estimating one spherical coordinate: all quadratic for r, all oscillatory for an angle."""
     jsq4 = 4.0 * float(j) ** 2
-    if which == "theta":
-        return 4.0 * jsq4 * libm_pow(np.sin(field.r * t / 2.0), 2)
-    if which == "phi":
-        return 4.0 * jsq4 * libm_pow(np.sin(field.theta), 2) * libm_pow(np.sin(field.r * t / 2.0), 2)
     if which == "r":
-        return jsq4 * libm_pow(t, 2)
-    raise ValueError(f"unknown spherical parameter {which!r}")
+        quad = jsq4 * libm_pow(t, 2)
+        return QfiBreakdown(quad, quad, 0.0)
+    if which == "theta":
+        osc = 4.0 * jsq4 * libm_pow(np.sin(field.r * t / 2.0), 2)
+    elif which == "phi":
+        osc = 4.0 * jsq4 * libm_pow(np.sin(field.theta), 2) * libm_pow(np.sin(field.r * t / 2.0), 2)
+    else:
+        raise ValueError(f"unknown spherical parameter {which!r}")
+    return QfiBreakdown(osc, 0.0, osc)
 
 
 def _spherical_generator_vector(which: str, field: SphericalField, t) -> np.ndarray:
@@ -155,8 +158,13 @@ def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
     return np.stack(parts, axis=-1)
 
 
-def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> float:
-    """Maximal QFI for estimating the drive frequency omega."""
+def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> QfiBreakdown:
+    """Maximal QFI for estimating the drive frequency omega.
+
+    The quadratic part is the late-time parabola 4 j^2 lam^2 t^2 / kp^2,
+    the quadratic part of the lam estimate on the same field; the
+    oscillatory part is the remainder and may be negative.
+    """
     kp, lam = system.kp, system.lam
     x = kp * t
     # Both branches run on every point; the one not taken may overflow.
@@ -165,5 +173,7 @@ def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> float:
         series = x2 * x2 * (0.25 - x2 / 72.0 + x2 * x2 / 2880.0)
         closed = 2.0 + x * x - 2.0 * x * np.sin(x) - 2.0 * np.cos(x)
     bracket = np.where(np.abs(x) < 0.1, series, closed)[()]
-    return _field_ratio(4.0 * float(j) ** 2, lam, kp, bracket, 4)
-
+    jsq4 = 4.0 * float(j) ** 2
+    total = _field_ratio(jsq4, lam, kp, bracket, 4)
+    quad = _field_ratio(jsq4, lam, kp, libm_pow(t, 2), 2)
+    return QfiBreakdown(total, quad, total - quad)

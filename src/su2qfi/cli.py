@@ -19,20 +19,17 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cases
 from .cases import (
     DrivenSystem,
     SphericalField,
     StaticFieldSystem,
     _spherical_generator_vector,
-    driving_frequency_mqfi,
     driving_generator_vector,
-    spherical_field_mqfi,
 )
 from .generator import (
     FieldCurve,
     QfiBreakdown,
-    _field_ratio,
     generator_vector,
     mqfi_closed_form,
     mqfi_small_time,
@@ -48,7 +45,7 @@ from .numerics import (
     optimal_state,
     qfi_of_state,
 )
-from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, libm_pow, row_dot, su2_lift, twice_spin
+from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, row_dot, su2_lift, twice_spin
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -63,11 +60,6 @@ DEFAULT_TROTTER_STEPS = 100_000
 # The SU(2) midpoint product needs memory independent of the step count and
 # about 0.2 us per step, so the cap bounds one cross-check to about 20 s.
 MAX_TROTTER_STEPS = 10**8
-DEFAULT_SERIES_ORDER = 24
-# With ||h|| tau <= 1 after time doubling, the k-th series term is at most
-# 2^k / (k+1)! of the first, below double roundoff from k = 30 on; the cap
-# leaves room above that and bounds the coefficient table at order x rows.
-MAX_SERIES_ORDER = 100
 # A sweep's CSV is written in blocks of EMIT_ROWS rows, so its memory is its
 # numeric columns; the cap bounds the time of one plain sweep to about 5 s.
 MAX_POINTS = 10**6
@@ -195,27 +187,9 @@ _DRIVEN = Family(
 )
 
 
-def _spherical_parts(name, field, j, t) -> QfiBreakdown:
-    """spherical_field_mqfi: quadratic for the amplitude r, oscillatory for an angle."""
-    total = spherical_field_mqfi(name, field, j, t)
-    return QfiBreakdown(total, total, 0.0) if name == "r" else QfiBreakdown(total, 0.0, total)
-
-
-def _drive_frequency_parts(name, system, j, t) -> QfiBreakdown:
-    """driving_frequency_mqfi split at its late-time parabola 4 j^2 lam^2 t^2 / kp^2.
-
-    The parabola is the quadratic part of the lam estimate on the same
-    field; the oscillatory part is the remainder and may be negative.
-    """
-    total = driving_frequency_mqfi(system, j, t)
-    quad = _field_ratio(4.0 * float(j) ** 2, system.lam, system.kp, libm_pow(t, 2), 2)
-    return QfiBreakdown(total, quad, total - quad)
-
-
 def _generic_breakdown(p: dict, j: float, t) -> QfiBreakdown:
     if not np.any(p["rvec"]):
-        quad = mqfi_small_time(j, p["vvec"], t)
-        return QfiBreakdown(quad, quad, 0.0)
+        return mqfi_small_time(j, p["vvec"], t)
     return mqfi_closed_form(j, split_velocity(p["rvec"], p["vvec"]), t)
 
 
@@ -223,14 +197,18 @@ def _generic_breakdown(p: dict, j: float, t) -> QfiBreakdown:
 # whole field configuration; they only pin the curve the oracles act on.
 _CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
+# su2qfi.cases closed forms are looked up on each call, so a wrapper set on that module sees them
 SCENARIOS = {
-    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS, _spherical_parts, _spherical_generator_vector),
-    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7}, _spherical_parts, _spherical_generator_vector),
+    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS,
+                             lambda *a: cases.spherical_field_mqfi(*a), _spherical_generator_vector),
+    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7},
+                           lambda *a: cases.spherical_field_mqfi(*a), _spherical_generator_vector),
     # the velocity is radial, so the vector form has nothing to cancel
-    "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, _spherical_parts),
+    "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, lambda *a: cases.spherical_field_mqfi(*a)),
     "case2-omega0": _estimate(_STATIC, "omega0", {}),
     "case2-lambda": _estimate(_STATIC, "lambda", {}),
-    "case3-omega": _estimate(_DRIVEN, "omega", {}, _drive_frequency_parts,
+    "case3-omega": _estimate(_DRIVEN, "omega", {},
+                             lambda name, system, j, t: cases.driving_frequency_mqfi(system, j, t),
                              lambda name, system, t: driving_generator_vector(system, t)),
     "case3-lambda": _estimate(_DRIVEN, "lambda", {}),
     "case3-omega0": _estimate(_DRIVEN, "omega0", {}),
@@ -242,6 +220,9 @@ SCENARIOS = {
 }
 
 FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b")
+
+# fig1d evolves each row for t = pi / K, with K = hypot(lambda, omega0) its field size.
+_FIG1D_GRID = np.linspace(0.0, 1000.0, 2001)
 
 # fig2b samples once per drive period, offset away from the zeros of the
 # oscillation; a dense grid would show excursions of order 1/t around the
@@ -257,7 +238,7 @@ FIGURE_PRESETS = {
     "fig1a": dict(scenario="case2-omega0", variable="t", grid=np.linspace(0.0, 20.0, 2001), fixed={"omega0": 0.1, "lambda": 1.0}, j=1.0),
     "fig1b": dict(scenario="case2-omega0", variable="t", grid=np.linspace(0.0, 20.0, 2001), fixed={"omega0": 1.0, "lambda": 1.0}, j=1.0),
     "fig1c": dict(scenario="case2-omega0", variable="t", grid=np.linspace(0.0, 20.0, 2001), fixed={"omega0": 10.0, "lambda": 1.0}, j=1.0),
-    "fig1d": dict(scenario="case2-omega0", variable="lambda", grid=np.linspace(0.0, 1000.0, 2001), fixed={"omega0": 1.0}, j=1.0, t_rule="pi_over_k"),
+    "fig1d": dict(scenario="case2-omega0", variable="lambda", grid=_FIG1D_GRID, fixed={"omega0": 1.0}, j=1.0, t=np.pi / np.hypot(_FIG1D_GRID, 1.0)),
     "fig2a": dict(scenario="case3-omega", variable="Delta", grid=np.linspace(-5.0, 5.0, 1001), fixed={"omega0": 0.0, "lambda": 1.0}, j=1.0, t=1.0),
     "fig2b": dict(scenario="case3-omega", variable="t", grid=_fig2b_grid(), fixed={"omega0": 1.0, "lambda": 1.0, "omega": 1.0}, j=1.0),
 }
@@ -365,18 +346,13 @@ def evaluate_point(scenario: str, params: dict, j: float, t) -> QfiBreakdown:
     return _scenario(scenario).breakdown(params, j, t)
 
 
-def scenario_generator(scenario: str, params: dict, rep, t: float) -> np.ndarray:
-    """Closed-form generator matrix for one scenario point."""
-    return dot_with_J(rep, _scenario(scenario).generator(params, t))
-
-
 def _propagator(rep, field, t, omega=None) -> np.ndarray:
     """exp(-i omega t jz) exp(-i t field.J), or exp(-i t field.J) without omega; stacks broadcast."""
     u = hermitian_expm(dot_with_J(rep, field), -1j * t)
     return u if omega is None else hermitian_expm(rep.jz, -1j * omega * t) @ u
 
 
-def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, series_order: int, step):
+def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     """(series, finite-difference) residual columns of ``rows`` grid rows.
 
     Each parameter and ``t`` is one value for every row or an array of one
@@ -394,7 +370,7 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, series_order: 
     # h and dh keep the field's own shape: (3,) when only t varies, so the
     # series builds one commutator chain and one eigendecomposition per chunk
     h_field = dot_with_J(rep, field)
-    series = generator_series_scaled(h_field, dot_with_J(rep, velocity), ts, order=series_order)
+    series = generator_series_scaled(h_field, dot_with_J(rep, velocity), ts)
 
     # the step scale estimates t * ||d_theta H||; a moving frame adds the
     # size of the field it rotates
@@ -435,7 +411,7 @@ def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
 # sweep / figure execution
 
 
-def _grid_params(variable: str, grid: np.ndarray, fixed: dict, fixed_t, t_rule=None):
+def _grid_params(variable: str, grid: np.ndarray, fixed: dict, fixed_t):
     """Scenario parameters and evolution time with ``variable`` set to the whole grid."""
     params = dict(fixed)
     t = fixed_t
@@ -445,8 +421,6 @@ def _grid_params(variable: str, grid: np.ndarray, fixed: dict, fixed_t, t_rule=N
         params["omega"] = params["omega0"] - grid
     else:
         params[variable] = grid
-    if t_rule == "pi_over_k":
-        t = np.pi / np.hypot(params["lambda"], params["omega0"])
     return params, t
 
 
@@ -455,12 +429,26 @@ def _rows_of(x, rows: slice):
     return x[rows] if isinstance(x, np.ndarray) else x
 
 
+@contextlib.contextmanager
+def _naming_rows(variable: str, grid: np.ndarray, lo: int):
+    """Re-raise an error that carries ``row`` (counted from grid row ``lo``) naming that grid row."""
+    try:
+        yield
+    except (ValueError, OverflowError) as err:
+        if getattr(err, "row", None) is None:
+            raise
+        k = lo + err.row
+        raise ValueError(f"{err} at row {k} ({variable}={_fmt(grid[k])})") from None
+
+
 def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
     """The grid and the three MQFI parts over it, from one closed-form call.
 
-    Raises ValueError naming the first grid value where a part is not finite.
+    Raises ValueError naming the first grid row that the closed form
+    rejects, or the first grid value where a part is not finite.
     """
-    breakdown = evaluate_point(scenario, params, j, t)
+    with _naming_rows(variable, grid, 0):
+        breakdown = evaluate_point(scenario, params, j, t)
     columns = {variable: grid}
     for name in ("total", "quadratic", "oscillatory"):
         column = np.broadcast_to(getattr(breakdown, name), grid.shape)
@@ -472,7 +460,7 @@ def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
     return columns
 
 
-def _oracle_columns(scenario, params, j, t, variable, grid, series_order, step) -> np.ndarray:
+def _oracle_columns(scenario, params, j, t, variable, grid, step) -> np.ndarray:
     """(series, fd) residual columns of the whole grid, evaluated in chunks of rows.
 
     A failed oracle check, or an oracle that overflows, raises ValueError
@@ -485,25 +473,19 @@ def _oracle_columns(scenario, params, j, t, variable, grid, series_order, step) 
     for lo in range(0, grid.size, chunk):
         rows = slice(lo, lo + chunk)
         part = {name: _rows_of(value, rows) for name, value in params.items()}
-        try:
-            residuals[:, rows] = _oracle_rows(spec, part, rep, _rows_of(t, rows), grid[rows].size,
-                                              series_order, step)
-        except (ValueError, OverflowError) as err:
-            if getattr(err, "row", None) is None:
-                raise
-            k = lo + err.row
-            raise ValueError(f"{err} at row {k} ({variable}={_fmt(grid[k])})") from None
+        with _naming_rows(variable, grid, lo):
+            residuals[:, rows] = _oracle_rows(spec, part, rep, _rows_of(t, rows), grid[rows].size, step)
     return residuals
 
 
-def _run_sweep(scenario, variable, grid, fixed, j, fixed_t, args, t_rule=None) -> int:
+def _run_sweep(scenario, variable, grid, fixed, j, fixed_t, args) -> int:
     """Evaluate, optionally validate, and emit one sweep; return the exit code."""
-    params, t = _grid_params(variable, grid, fixed, fixed_t, t_rule)
+    params, t = _grid_params(variable, grid, fixed, fixed_t)
     columns = _closed_form_columns(scenario, params, j, t, variable, grid)
     if not args.validate:
         _emit_sweep(scenario, variable, columns, fixed, j, args.out)
         return EXIT_OK
-    residuals = _oracle_columns(scenario, params, j, t, variable, grid, args.series_order, args.fd_step)
+    residuals = _oracle_columns(scenario, params, j, t, variable, grid, args.fd_step)
     columns["residual_series"], columns["residual_fd"] = residuals
     comments, trotter = _validation_extras(scenario, params, t, grid.size, j, args.steps)
     _emit_sweep(scenario, variable, columns, fixed, j, args.out, comments)
@@ -614,6 +596,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"scenario {args.scenario} cannot sweep {args.variable!r}")
     if not args.start < args.stop:
         raise ValueError(f"sweep needs start < stop, got [{args.start}, {args.stop}]")
+    if not math.isfinite(args.stop - args.start):
+        raise ValueError(f"sweep range [{args.start}, {args.stop}] is wider than the double range")
     params = _collect_params(args.scenario, args)
     skip = (args.variable, "omega") if args.variable == "Delta" else (args.variable,)
     if args.variable == "Delta" and "omega" in params:
@@ -633,14 +617,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_figure(args) -> int:
     preset = FIGURE_PRESETS[args.id]
     return _run_sweep(preset["scenario"], preset["variable"], preset["grid"], preset["fixed"],
-                      preset["j"], preset.get("t"), args, t_rule=preset.get("t_rule"))
+                      preset["j"], preset.get("t"), args)
 
 
 def _cmd_optimal_state(args) -> int:
     params = _collect_params(args.scenario, args)
     _check_required(args.scenario, params)
-    rep = build_spin_rep(args.j)
-    gen = scenario_generator(args.scenario, params, rep, args.t)
+    gen = dot_with_J(build_spin_rep(args.j), _scenario(args.scenario).generator(params, args.t))
     result = optimal_state(gen, args.phase)
     attained = 0.0 if result.degenerate else qfi_of_state(gen, result.state)
     if not (np.isfinite([attained, result.lambda_max, result.lambda_min]).all() and np.isfinite(result.state).all()):
@@ -687,10 +670,6 @@ def _add_validate_options(parser):
                         default=DEFAULT_TROTTER_STEPS,
                         help=f"time-ordered product steps for the driven-system cross-check "
                              f"(1 to {MAX_TROTTER_STEPS})")
-    parser.add_argument("--series-order", type=_int_range_arg("series order", "series order", 1, MAX_SERIES_ORDER),
-                        default=DEFAULT_SERIES_ORDER,
-                        help=f"truncation order of the commutator-series oracle "
-                             f"(1 to {MAX_SERIES_ORDER}, default {DEFAULT_SERIES_ORDER})")
     parser.add_argument("--fd-step", type=_positive_arg, default=None,
                         help="override the finite-difference oracle step")
 

@@ -311,7 +311,8 @@ def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
     return QfiBreakdown(quad + osc, quad, osc)
 
 
-def mqfi_small_time(j: float, velocity, t) -> float:
-    """Quadratic short-time value 4 j^2 t^2 |v|^2 of the maximal QFI; ``t`` may be an array."""
+def mqfi_small_time(j: float, velocity, t) -> QfiBreakdown:
+    """Short-time value 4 j^2 t^2 |v|^2 of the maximal QFI, all quadratic; ``t`` may be an array."""
     v = _vec3(velocity, "velocity")
-    return 4.0 * float(j) ** 2 * libm_pow(t, 2) * float(v @ v)
+    quad = 4.0 * float(j) ** 2 * libm_pow(t, 2) * float(v @ v)
+    return QfiBreakdown(quad, quad, 0.0)

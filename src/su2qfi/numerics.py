@@ -231,7 +231,11 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24) -> np.ndarray:
     reject_first(counts > 1023, lambda k: (   # 2**s leaves the float range
         f"phase ||h|| t = {phases[k]} needs more than 1023 time doublings"), error=OverflowError)
     taus = ts / np.ldexp(1.0, counts)
-    gen = generator_series(h, dh_op, taus, order)
+    # gen(h, dh, tau) = gen(h / s, dh, tau s) / s: with s = 2^e, ||h|| < 2^e,
+    # the chain [h/s, [h/s, ... dh]] cannot overflow, and a power of two
+    # commutes with rounding; e >= 0 keeps tau s from underflowing
+    scale = np.ldexp(1.0, np.maximum(np.frexp(norms)[1], 0))
+    gen = generator_series(h / scale[..., None, None], dh_op, taus * scale, order) / scale[..., None, None]
     rows = np.flatnonzero(counts)
     if not rows.size:
         return gen

@@ -150,14 +150,14 @@ def test_criterion_04_spherical_field_values():
         r = rng.uniform(0.2, 3.0)
         t = rng.uniform(0.1, 4.0)
         field = SphericalField(r, rng.uniform(0.1, np.pi - 0.1), rng.uniform(0, 2 * np.pi))
-        polar = spherical_field_mqfi("theta", field, j, np.pi / r)
+        polar = spherical_field_mqfi("theta", field, j, np.pi / r).total
         if abs(polar - 16 * j**2) > 1e-12 * 16 * j**2:
             failures.append(f"polar optimum: {polar} vs {16 * j ** 2}")
         equator = SphericalField(r, np.pi / 2, field.phi)
-        azimuth = spherical_field_mqfi("phi", equator, j, np.pi / r)
+        azimuth = spherical_field_mqfi("phi", equator, j, np.pi / r).total
         if abs(azimuth - 16 * j**2) > 1e-12 * 16 * j**2:
             failures.append(f"azimuth optimum: {azimuth} vs {16 * j ** 2}")
-        amplitude = spherical_field_mqfi("r", field, j, t)
+        amplitude = spherical_field_mqfi("r", field, j, t).total
         if abs(amplitude - 4 * j**2 * t**2) > 1e-12 * max(1.0, 4 * j**2 * t**2):
             failures.append(f"amplitude value: {amplitude} vs {4 * j ** 2 * t ** 2}")
     report(4, "spherical-field closed values", failures, time.perf_counter() - start)
@@ -225,7 +225,7 @@ def test_criterion_07_drive_frequency_mqfi():
         system = DrivenSystem(rng.uniform(0.0, 3.0), rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0))
         j = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
         t = rng.uniform(0.05, 3.0)
-        closed = driving_frequency_mqfi(system, j, t)
+        closed = driving_frequency_mqfi(system, j, t).total
         spread_sq = (2 * j * np.linalg.norm(driving_generator_vector(system, t))) ** 2
         if rel_err(closed, spread_sq) > 1e-9:
             failures.append(f"norm identity: {rel_err(closed, spread_sq):.2e}")
@@ -243,7 +243,7 @@ def test_criterion_07_drive_frequency_mqfi():
             return trotter_propagator(lab_hamiltonian_batch(rep, shifted), t, 20_000)
 
         fd_value = qfi_fd(u_of, system.omega, psi, step=1e-4)
-        closed = driving_frequency_mqfi(system, j, t)
+        closed = driving_frequency_mqfi(system, j, t).total
         if rel_err(fd_value, closed) > 1e-5:
             failures.append(f"state-derivative QFI: {rel_err(fd_value, closed):.2e}")
     report(7, "drive-frequency MQFI", failures, time.perf_counter() - start)
@@ -255,8 +255,8 @@ def test_criterion_08_resonance(tmp_path):
     h = 1e-5
     for lam in (0.5, 1.0, 2.0):
         for t in (1.0, 5.0):
-            up = driving_frequency_mqfi(DrivenSystem(h, lam, 0.0), 1.0, t)
-            dn = driving_frequency_mqfi(DrivenSystem(-h, lam, 0.0), 1.0, t)
+            up = driving_frequency_mqfi(DrivenSystem(h, lam, 0.0), 1.0, t).total
+            dn = driving_frequency_mqfi(DrivenSystem(-h, lam, 0.0), 1.0, t).total
             slope = abs(up - dn) / (2 * h)
             if slope > 1e-6:
                 failures.append(f"detuning slope at lam={lam}, t={t}: {slope:.2e}")
@@ -297,7 +297,7 @@ def test_criterion_09_small_time_limit():
         v = rng.normal(size=3)
         v *= rng.uniform(0.1, 3.0) / np.linalg.norm(v)
         t = 1e-3 / float(np.linalg.norm(r))
-        small = mqfi_small_time(j, v, t)
+        small = mqfi_small_time(j, v, t).total
         closed = mqfi_closed_form(j, split_velocity(r, v), t).total
         if rel_err(small, closed) > 1e-6:
             failures.append(f"small-time mismatch: {rel_err(small, closed):.2e}")

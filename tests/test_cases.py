@@ -77,21 +77,21 @@ def driven_mqfi(which, system, j, t):
 def test_polar_angle_optimum():
     for j, r in ((0.5, 1.0), (1.0, 2.5), (2.0, 0.3)):
         field = SphericalField(r, 1.1, 0.4)
-        assert spherical_field_mqfi("theta", field, j, np.pi / r) == pytest.approx(16 * j**2, abs=1e-12)
+        assert spherical_field_mqfi("theta", field, j, np.pi / r).total == pytest.approx(16 * j**2, abs=1e-12)
 
 
 def test_azimuth_optimum_at_equator():
     field = SphericalField(1.0, np.pi / 2, 0.3)
-    assert spherical_field_mqfi("phi", field, 1.0, np.pi) == pytest.approx(16.0, abs=1e-12)
+    assert spherical_field_mqfi("phi", field, 1.0, np.pi).total == pytest.approx(16.0, abs=1e-12)
     tilted = SphericalField(1.0, np.pi / 3, 0.3)
-    assert spherical_field_mqfi("phi", tilted, 1.0, np.pi) == pytest.approx(
+    assert spherical_field_mqfi("phi", tilted, 1.0, np.pi).total == pytest.approx(
         16.0 * np.sin(np.pi / 3) ** 2, rel=1e-12
     )
 
 
 def test_amplitude_grows_quadratically():
     field = SphericalField(0.7, 1.0, 2.0)
-    assert spherical_field_mqfi("r", field, 1.0, 3.0) == pytest.approx(36.0, abs=1e-12)
+    assert spherical_field_mqfi("r", field, 1.0, 3.0).total == pytest.approx(36.0, abs=1e-12)
 
 
 def test_spherical_field_validation():
@@ -125,7 +125,7 @@ def test_spherical_closed_forms_match_generic_pipeline():
         curve, anchor = SCENARIOS[f"case1-{which}"].curve(params)
         split = split_velocity(curve.field(anchor), curve.velocity(anchor))
         generic = mqfi_closed_form(j, split, t).total
-        closed = spherical_field_mqfi(which, field, j, t)
+        closed = spherical_field_mqfi(which, field, j, t).total
         assert closed == pytest.approx(generic, rel=1e-10, abs=1e-12)
 
 
@@ -140,7 +140,7 @@ def test_spherical_angle_generators_match_the_vector_form():
         exact = _spherical_generator_vector(which, SphericalField(**params), t)
         np.testing.assert_allclose(exact, generator_vector(curve.field(anchor), curve.velocity(anchor), t),
                                    rtol=0, atol=1e-13)
-        assert 4 * (exact @ exact) == pytest.approx(spherical_field_mqfi(which, SphericalField(**params), 1.0, t),
+        assert 4 * (exact @ exact) == pytest.approx(spherical_field_mqfi(which, SphericalField(**params), 1.0, t).total,
                                                     rel=1e-13, abs=1e-15)
     with pytest.raises(ValueError):
         _spherical_generator_vector("r", SphericalField(1.0, 1.0, 1.0), 1.0)
@@ -151,7 +151,7 @@ def test_spherical_angle_generator_is_exact_for_a_huge_field():
     field = SphericalField(1e80, 1.0, 0.5)
     for which in ("theta", "phi"):
         coeffs = _spherical_generator_vector(which, field, 1.0)
-        assert 4 * (coeffs @ coeffs) == pytest.approx(spherical_field_mqfi(which, field, 1.0, 1.0), rel=1e-14)
+        assert 4 * (coeffs @ coeffs) == pytest.approx(spherical_field_mqfi(which, field, 1.0, 1.0).total, rel=1e-14)
         grid = _spherical_generator_vector(which, SphericalField(1e80, np.array([1.0, 0.4]), 0.5), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(grid[0], coeffs)
 
@@ -223,7 +223,7 @@ def _drive_frequency_reference(w0, j=1.5, t=0.7):
 
 @pytest.mark.parametrize("mqfi, reference", [
     (lambda w0: static_mqfi("lambda", StaticFieldSystem(w0, 1.0), 1.5, 0.7).total, _static_lambda_reference),
-    (lambda w0: driving_frequency_mqfi(DrivenSystem(w0, 1.0, 0.0), 1.5, 0.7), _drive_frequency_reference),
+    (lambda w0: driving_frequency_mqfi(DrivenSystem(w0, 1.0, 0.0), 1.5, 0.7).total, _drive_frequency_reference),
 ], ids=["static-lambda", "drive-frequency"])
 def test_field_fourth_power_overflow_only_rescales_its_rows(mqfi, reference):
     # |field|^4 overflows above about 1.16e77; grid rows below keep the
@@ -307,7 +307,7 @@ def test_driving_generator_vanishes_without_coupling():
     system = DrivenSystem(1.5, 0.0, 0.5)  # lam = 0, detuning 1.0
     rep = build_spin_rep(1)
     assert frobenius(driving_generator(system, rep, 2.0)) < 1e-14
-    assert driving_frequency_mqfi(system, 1.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+    assert driving_frequency_mqfi(system, 1.0, 2.0).total == pytest.approx(0.0, abs=1e-14)
 
 
 def test_driving_generator_zero_time():
@@ -356,7 +356,7 @@ def test_drive_frequency_curve_and_breakdown():
         assert frobenius(driving_generator(system, rep, t) - composed) < 1e-10
 
         parts = driven_mqfi("omega", system, 1.5, t)
-        assert parts.total == driving_frequency_mqfi(system, 1.5, t)
+        assert parts.total == driving_frequency_mqfi(system, 1.5, t).total
         assert parts.quadratic == pytest.approx(4 * 1.5**2 * system.lam**2 * t**2 / system.kp**2, rel=1e-14)
         assert parts.oscillatory == parts.total - parts.quadratic
 
@@ -377,7 +377,7 @@ def test_driving_generator_matches_finite_difference():
 def test_drive_frequency_mqfi_reference_value():
     # resonance, lam = 1, j = 1, t = 2*pi: the trigonometric terms cancel
     system = DrivenSystem(1.0, 1.0, 1.0)
-    assert driving_frequency_mqfi(system, 1.0, 2 * np.pi) == pytest.approx(16 * np.pi**2, rel=1e-12)
+    assert driving_frequency_mqfi(system, 1.0, 2 * np.pi).total == pytest.approx(16 * np.pi**2, rel=1e-12)
 
 
 def test_drive_frequency_mqfi_equals_vector_norm_form():
@@ -388,21 +388,21 @@ def test_drive_frequency_mqfi_equals_vector_norm_form():
         t = rng.uniform(0.05, 5)
         coeffs = driving_generator_vector(system, t)
         expected = (2 * j * np.linalg.norm(coeffs)) ** 2
-        assert driving_frequency_mqfi(system, j, t) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        assert driving_frequency_mqfi(system, j, t).total == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
 def test_drive_frequency_resonance_is_stationary():
     h = 1e-5
     for lam in (0.5, 1.0, 2.0):
         for t in (1.0, 5.0):
-            up = driving_frequency_mqfi(DrivenSystem(h, lam, 0.0), 1.0, t)
-            dn = driving_frequency_mqfi(DrivenSystem(-h, lam, 0.0), 1.0, t)
+            up = driving_frequency_mqfi(DrivenSystem(h, lam, 0.0), 1.0, t).total
+            dn = driving_frequency_mqfi(DrivenSystem(-h, lam, 0.0), 1.0, t).total
             assert abs(up - dn) / (2 * h) < 1e-6
 
 
 def test_drive_frequency_resonance_is_grid_optimum():
     deltas = np.linspace(-5.0, 5.0, 1001)
-    values = [driving_frequency_mqfi(DrivenSystem(d, 1.0, 0.0), 1.0, 1.0) for d in deltas]
+    values = [driving_frequency_mqfi(DrivenSystem(d, 1.0, 0.0), 1.0, 1.0).total for d in deltas]
     assert int(np.argmax(values)) == 500  # delta = 0
 
 
@@ -411,7 +411,7 @@ def test_drive_frequency_large_time_envelope():
     system = DrivenSystem(2.0, 1.0, 2.0)
     for k in (1, 5, 20):
         t = 2 * np.pi * k
-        assert driving_frequency_mqfi(system, 1.0, t) == pytest.approx(4 * t**2, rel=1e-9)
+        assert driving_frequency_mqfi(system, 1.0, t).total == pytest.approx(4 * t**2, rel=1e-9)
 
 
 def test_driven_system_rejects_unobservable_drive_when_built():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from su2qfi import __version__, mqfi_closed_form, split_velocity
-from su2qfi.cli import MAX_POINTS, MAX_SERIES_ORDER, MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
+from su2qfi.cli import MAX_POINTS, MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
 
 
 def static_omega0_mqfi(omega0, lam, j, t):
@@ -142,6 +142,17 @@ def test_validation_failure_names_swept_value_and_margin(tmp_path, capsys):
                    "is not within 1e-06 (margin 1.65e+04)\n")
 
 
+def test_series_oracle_of_a_huge_field_is_finite(tmp_path, capsys):
+    # ||h|| = 1e14: the commutator chain of the unscaled field overflowed, and 0 * inf gave NaN at t = 0
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(["sweep", "case2-omega0", "--omega0", "1e14", "--lambda", "1", "--variable", "t",
+                        "--start", "0", "--stop", "1e-9", "--points", "3", "--validate", "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    residuals = rows[:, header.index("residual_series"):]
+    assert np.all(np.isfinite(residuals)) and np.all(residuals < 1e-6)
+
+
 def test_failed_oracle_check_names_its_first_row(tmp_path, capsys):
     # a step far below roundoff makes the stencil's anti-Hermitian residue fail on every row
     code, out, err = run(
@@ -205,6 +216,11 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
      "--start", "0", "--stop", "1", "--t", "5"],
     ["figure", "fig1a", "--validate", "--series-order", "0"],
     ["figure", "fig1a", "--validate", "--steps", "0"],
+    # stop - start overflows, which np.linspace would turn into inf and NaN grid values
+    ["sweep", "case2-lambda", "--omega0", "1", "--t", "1", "--variable", "lambda",
+     "--start=-1e308", "--stop=1e308", "--points", "3"],
+    ["sweep", "case3-omega", "--omega0", "1", "--lambda", "1", "--t", "1", "--variable", "Delta",
+     "--start=-1e308", "--stop=1e308", "--points", "3"],
     # the squared eigenvalue spreads, 4e310 and 2.5e313, are above the double range
     ["optimal-state", "generic", "--rvec", "0,0,1", "--vvec", "0,0,1e155", "--j", "1", "--t", "1"],
     ["optimal-state", "generic", "--rvec", "5e-324,-1e-300,3.14159", "--vvec", "0.5,-1e-300,1e155",
@@ -212,6 +228,7 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
 ], ids=["overflowing-t", "nan-param", "inf-t", "negative-t", "bad-spin",
         "nonfinite-output", "overflowing-kp-t", "negative-t-sweep", "points-cap-plus-1", "points-1e13",
         "points-float-text", "t-on-t-sweep", "figure-series-order-0", "figure-steps-0",
+        "range-wider-than-doubles-lambda", "range-wider-than-doubles-delta",
         "optimal-state-infinite-qfi", "optimal-state-nan-qfi"])
 def test_bad_input_exits_2(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -324,15 +341,12 @@ def test_bad_steps_exit_2(steps, capsys):
     assert "steps" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("order", ["0", "-1", str(MAX_SERIES_ORDER + 1), str(10**6), "2.5"],
-                         ids=["zero", "negative", "cap-plus-1", "million", "not-an-integer"])
-def test_bad_series_order_exits_2(order, capsys):
-    # rejected at parse time, before any coefficient table is built
-    code, out, err = run(_STEPS_SWEEP + ["--series-order", order], capsys)
+def test_series_order_is_an_unknown_option(capsys):
+    # the series oracle runs at generator_series_scaled's own order
+    code, out, err = run(_STEPS_SWEEP + ["--series-order", "16"], capsys)
     assert code == 2
     assert out == ""
-    (line,) = [line for line in err.splitlines() if "error:" in line]
-    assert "--series-order" in line and order in line and "Traceback" not in err
+    assert err == "su2qfi: parameter error: unrecognized arguments: --series-order 16\n"
 
 
 def test_back_to_back_main_calls_do_not_share_options(tmp_path, capsys):
@@ -341,7 +355,7 @@ def test_back_to_back_main_calls_do_not_share_options(tmp_path, capsys):
              "--start=0.5", "--stop=2", "--points=3"]
     csvs = [tmp_path / f"{k}.csv" for k in range(4)]
     codes = [run(sweep + argv + ["--out", str(out)], capsys)[0] for argv, out in
-             zip((["--validate", "--steps=5"], [], ["--validate"], ["--series-order=16"]), csvs)]
+             zip((["--validate", "--steps=5"], [], ["--validate"], ["--fd-step=1e-3"]), csvs)]
     assert codes == [3, 0, 0, 0]   # five midpoint steps miss the trotter check's 1e-6
     checks = [[line for line in open(out) if line.startswith("# trotter_check")] for out in csvs]
     headers = [data_lines(out)[0] for out in csvs]
@@ -670,7 +684,7 @@ def test_grid_equals_scalar_closed_forms(scenario, fixed, t, variable, start, st
 
 # Validated sweeps beyond the 10-row GRID_SWEEPS ones: 600 or more rows,
 # j = 1/2 and 3, t grids from 0 with rows that need several time doublings,
-# the --fd-step and --series-order overrides, and every driven scenario.
+# the --fd-step override, and every driven scenario.
 VALIDATED_ARGV = {
     "case2-omega0-700-rows": ["sweep", "case2-omega0", "--omega0=0.7", "--lambda=1.3", "--variable=t",
                               "--start=0", "--stop=80", "--points=700"],
@@ -680,10 +694,9 @@ VALIDATED_ARGV = {
                    "--variable=t", "--start=0", "--stop=25", "--points=650"],
     "case2-lambda-overrides": ["sweep", "case2-lambda", "--omega0=1.1", "--lambda=0.4", "--t=7.5",
                                "--variable=lambda", "--start=-3", "--stop=3", "--points=257",
-                               "--fd-step=5e-4", "--series-order=30"],
+                               "--fd-step=5e-4"],
     "case1-phi-series-order": ["sweep", "case1-phi", "--r=1.7", "--theta=2.2", "--phi=0.5", "--t=4",
-                               "--variable=theta", "--start=-3", "--stop=3", "--points=120",
-                               "--series-order=16"],
+                               "--variable=theta", "--start=-3", "--stop=3", "--points=120"],
     "case1-r-j3": ["sweep", "case1-r", "--r=0.8", "--theta=1.2", "--phi=2.5", "--j=3", "--t=6",
                    "--variable=r", "--start=0.1", "--stop=9", "--points=100", "--fd-step=1e-3"],
     "case3-omega-delta-j3": ["sweep", "case3-omega", "--omega0=0.4", "--lambda=1.2", "--t=1.5", "--j=3",
@@ -716,7 +729,7 @@ VALIDATED_SHA256 = {
     "case1-theta-half": "69cde04aaafbf6562dc85b961406b28c9d087cf19c5a3869a8341b263b70d2b9",
     "generic-j3": "56fe6b6cdf3903186fc31ec9044dc6860c3afd14763f0bc54dcd220f61a6fbc3",
     "case2-lambda-overrides": "5b3f808b662aaca8bd0bb9be17bf111529b80f9c306a1fb9c276499699277e2d",
-    "case1-phi-series-order": "3e063447aa7dd92a2f60856d65a647bfa35da2cf62911fa9d88f895e9609c086",
+    "case1-phi-series-order": "bf3b6901e4cb118619187751f3a44e2cbb63b35a0bf264a460b89f4bdb4c709f",
     "case1-r-j3": "0cb7105cb07844bb37064a196a36deae3e983184405a603c30ed72d70968e39c",
     "case3-omega-delta-j3": "ac5f77a6bcb4ec99b363da093a2df676016f0cecd17bf9898384e09102895b42",
     "case3-omega-t-600": "12526ddef782c606457a8684242976e3c24fc30c18d0980bfba47b0bc15f600b",
@@ -748,6 +761,9 @@ def test_validated_data_section_is_pinned(name, tmp_path, capsys):
       "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"], "omega=1.0"),
     (["sweep", "case3-omega", "--omega0", "1", "--lambda", "0", "--t", "1",
       "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"], "omega=1.0"),
+    # the closed form names its grid row as the oracles do
+    (["sweep", "case2-lambda", "--omega0", "0", "--t", "1", "--variable", "lambda", "--start", "-1", "--stop", "1",
+      "--points", "3"], "the field vanishes (at omega0=0.0, lam=0.0) at row 1 (lambda=0)"),
 ])
 def test_degenerate_mid_grid_row_exits_2(argv, named, tmp_path, capsys):
     out = tmp_path / "grid.csv"

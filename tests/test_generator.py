@@ -271,7 +271,7 @@ def test_mqfi_zero_time():
 
 def test_mqfi_multiplicative_limit_is_quadratic(capsys):
     # a vanishing field puts the whole 4 j^2 t^2 |v|^2 in the quadratic part
-    assert mqfi_small_time(1.0, [0.0, 0.0, 1.5], 2.0) == pytest.approx(4 * 4 * 2.25, rel=1e-12)
+    assert mqfi_small_time(1.0, [0.0, 0.0, 1.5], 2.0).total == pytest.approx(4 * 4 * 2.25, rel=1e-12)
     assert main(["mqfi", "generic", "--rvec", "0,0,0", "--vvec", "0,0,1.5", "--t", "2", "--json"]) == 0
     b = json.loads(capsys.readouterr().out)
     assert b["total"] == pytest.approx(4 * 4 * 2.25, rel=1e-12)
@@ -280,8 +280,8 @@ def test_mqfi_multiplicative_limit_is_quadratic(capsys):
 
 
 def test_small_time_value():
-    assert mqfi_small_time(1.0, [1.0, 0.0, 0.0], 2.0) == pytest.approx(16.0)
-    assert mqfi_small_time(1.0, [0.0, 0.0, 0.0], 2.0) == 0.0
+    assert mqfi_small_time(1.0, [1.0, 0.0, 0.0], 2.0).total == pytest.approx(16.0)
+    assert mqfi_small_time(1.0, [0.0, 0.0, 0.0], 2.0).total == 0.0
 
 
 def test_small_time_matches_closed_form():
@@ -289,7 +289,7 @@ def test_small_time_matches_closed_form():
     for _ in range(50):
         j, r, v, _ = random_instance(rng)
         t = 1e-3 / np.linalg.norm(r)  # |field| * t = 1e-3
-        small = mqfi_small_time(j, v, t)
+        small = mqfi_small_time(j, v, t).total
         full = mqfi_closed_form(j, split_velocity(r, v), t).total
         assert small == pytest.approx(full, rel=1e-6)
 

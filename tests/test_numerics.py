@@ -233,6 +233,23 @@ def test_series_scaled_doubling_count_beyond_the_float_range_overflows():
     assert err.value.row == 1
 
 
+def test_series_scaled_field_scaling_keeps_the_bits_and_avoids_overflow():
+    # the chain is formed on h / 2^e: within ||h|| t <= 1 every matrix keeps
+    # the bits of the unscaled partial sum, and a huge field no longer
+    # overflows the chain (0 * inf made the t = 0 generator NaN)
+    rng = np.random.default_rng(15)
+    for j in (0.5, 1.0, 3.0):
+        rep = build_spin_rep(j)
+        for _ in range(100):
+            r = rng.normal(size=3)
+            r *= 10 ** rng.uniform(-3, 3) / np.linalg.norm(r)
+            h, dh = dot_with_J(rep, r), dot_with_J(rep, rng.normal(size=3))
+            t = rng.uniform(0.0, 1.0) / np.max(np.abs(np.linalg.eigvalsh(h)))
+            assert np.array_equal(generator_series_scaled(h, dh, t), generator_series(h, dh, t, 24))
+    rep = build_spin_rep(1)
+    assert np.all(generator_series_scaled(dot_with_J(rep, [1.0, 0.0, 1e14]), rep.jz, 0.0) == 0.0)
+
+
 def test_series_scaled_random_directions():
     rng = np.random.default_rng(14)
     for _ in range(20):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from su2qfi.cli import build_parser
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = [*sorted((Path(__file__).resolve().parents[1] / "src" / "su2qfi").glob("*.py")),
            Path(__file__).resolve().parent / "reference_oracles.py"]
@@ -25,6 +27,24 @@ def test_readme_names_every_exported_name():
     text = README.read_text()
     su2qfi = importlib.import_module("su2qfi")
     assert [name for name in su2qfi.__all__ if name != "__version__" and not re.search(rf"\b{name}\b", text)] == []
+
+
+def _parser_options(parser):
+    """Every long option of ``parser`` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(name for name in action.option_strings if name.startswith("--"))
+        if isinstance(action.choices, dict):   # the subcommands' parsers
+            for sub in action.choices.values():
+                options |= _parser_options(sub)
+    return options
+
+
+def test_readme_and_parser_name_the_same_options():
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text())) - {"--no-build-isolation"}
+    options = _parser_options(build_parser())
+    assert sorted(options - named) == []
+    assert sorted(named - options) == []
 
 
 def test_readme_python_blocks_run():
