@@ -341,12 +341,15 @@ def test_bad_steps_exit_2(steps, capsys):
     assert "steps" in err and "Traceback" not in err
 
 
-def test_series_order_is_an_unknown_option(capsys):
-    # the series oracle runs at generator_series_scaled's own order
-    code, out, err = run(_STEPS_SWEEP + ["--series-order", "16"], capsys)
+@pytest.mark.parametrize("order", ["0", "-1", "101", str(10**6), "2.5", "16"],
+                         ids=["zero", "negative", "cap-plus-1", "million", "not-an-integer", "in-old-range"])
+def test_bad_series_order_exits_2(order, capsys):
+    # --series-order is gone: the series oracle runs at generator_series_scaled's own
+    # order, so every value, in the old range [1, 100] or not, is an unknown option
+    code, out, err = run(_STEPS_SWEEP + ["--series-order", order], capsys)
     assert code == 2
     assert out == ""
-    assert err == "su2qfi: parameter error: unrecognized arguments: --series-order 16\n"
+    assert err == f"su2qfi: parameter error: unrecognized arguments: --series-order {order}\n"
 
 
 def test_back_to_back_main_calls_do_not_share_options(tmp_path, capsys):
