@@ -171,6 +171,12 @@ def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     any fixed noise on the inputs) is amplified accordingly.  For large
     phases use :func:`generator_series_scaled`.
 
+    The chain is formed on h / 2^e at the time t 2^e and the sum divided by
+    2^e, with 2^e the power of two above the largest absolute row sum of h
+    (an upper bound on ||h||, e >= 0 so t 2^e cannot underflow).  A power
+    of two commutes with rounding, so the bits are those of the unscaled
+    sum wherever it is finite, and a large field cannot overflow the chain.
+
     ``h_op`` and ``dh_op`` may be stacks (..., n, n) and ``t`` an array of
     times; their leading axes broadcast.  The nested commutators are formed
     once over the leading axes of ``h`` and ``dh`` alone, so one (n, n) pair
@@ -184,14 +190,16 @@ def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     dh = require_hermitian(dh_op, name="hamiltonian derivative")
     if h.shape[-2:] != dh.shape[-2:]:
         raise ValueError(f"dimension mismatch: {h.shape} vs {dh.shape}")
-    ts = np.asarray(t, dtype=float)
+    scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(h).sum(axis=-1).max(axis=-1, initial=0.0))[1], 0))
+    h = h / scale[..., None, None]
+    ts = np.asarray(t, dtype=float) * scale   # an overflow names t 2^e
     coeffs = _series_coefficients(ts, order)
     result = -ts[..., None, None] * dh
     nested = dh
     for k in range(order):
         nested = h @ nested - nested @ h
         result = result + coeffs[..., k, None, None] * nested
-    return result
+    return result / scale[..., None, None]
 
 
 def generator_series_scaled(h_op, dh_op, t, order: int = 24) -> np.ndarray:
@@ -231,11 +239,7 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24) -> np.ndarray:
     reject_first(counts > 1023, lambda k: (   # 2**s leaves the float range
         f"phase ||h|| t = {phases[k]} needs more than 1023 time doublings"), error=OverflowError)
     taus = ts / np.ldexp(1.0, counts)
-    # gen(h, dh, tau) = gen(h / s, dh, tau s) / s: with s = 2^e, ||h|| < 2^e,
-    # the chain [h/s, [h/s, ... dh]] cannot overflow, and a power of two
-    # commutes with rounding; e >= 0 keeps tau s from underflowing
-    scale = np.ldexp(1.0, np.maximum(np.frexp(norms)[1], 0))
-    gen = generator_series(h / scale[..., None, None], dh_op, taus * scale, order) / scale[..., None, None]
+    gen = generator_series(h, dh_op, taus, order)
     rows = np.flatnonzero(counts)
     if not rows.size:
         return gen
@@ -315,35 +319,17 @@ def fd_generator(us, step) -> np.ndarray:
     return herm
 
 
-def _quaternion_product(a, b):
-    """Hamilton product a b of quaternions given as (w, x, y, z) components.
+def _su2_product(a, b):
+    """Matrix product U_a U_b of SU(2) elements given as Cayley-Klein pairs (alpha, beta).
 
-    With U = w I - i (x sx + y sy + z sz) this is the matrix product U_a U_b.
+    U = [[alpha, -conj(beta)], [beta, conj(alpha)]], so the product is the
+    first column of U_a U_b.
     """
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by + ay * bw + az * bx - ax * bz,
-        aw * bz + az * bw + ax * by - ay * bx,
-    )
+    return a[0] * b[0] - a[1].conjugate() * b[1], a[1] * b[0] + a[0].conjugate() * b[1]
 
 
-def _ordered_quaternion_product(q):
-    """Product q_n ... q_2 q_1 of component arrays [q_1, ..., q_n] by pairwise reduction.
-
-    An odd count is padded with the identity, which multiplies exactly.
-    """
-    while q[0].size > 1:
-        if q[0].size % 2:
-            q = tuple(np.append(c, unit) for c, unit in zip(q, (1.0, 0.0, 0.0, 0.0)))
-        q = _quaternion_product(tuple(c[1::2] for c in q), tuple(c[0::2] for c in q))
-    return tuple(float(c[0]) for c in q)
-
-
-# Steps per block of the SU(2) midpoint product: a block's component arrays
-# (32 kB each) stay in cache, and memory does not grow with the step count.
+# Steps per block of the SU(2) midpoint product: a block's two complex arrays
+# (64 kB each) stay in cache, and memory does not grow with the step count.
 _SU2_BLOCK_STEPS = 4096
 
 
@@ -354,18 +340,23 @@ def midpoint_su2(field_of_t: Callable, total_time: float, steps: int) -> tuple:
     the midpoints t_k = (k - 1/2) dt, latest factor leftmost, in the
     convention U = w I - i (x sx + y sy + z sz) of SU(2).  Every spin-j
     propagator of a field coupled linearly to J is the image of this one
-    group element; :func:`su2qfi.spin.su2_lift` maps it to spin j.  Each
-    step is (cos(theta/2), sin(theta/2) n) with theta n = dt a(t_k).
+    group element; :func:`su2qfi.spin.su2_lift` maps it to spin j.
+
+    The product runs on the Cayley-Klein pair of U = [[alpha, -conj(beta)],
+    [beta, conj(alpha)]], alpha = w - i z and beta = y - i x.  With
+    theta n = dt a(t_k), a step is alpha = cos(theta/2) - i sin(theta/2) n_z,
+    beta = sin(theta/2) (n_y - i n_x).
 
     ``field_of_t`` maps an array of times to the three field-component
     arrays (scalars broadcast).  The steps run in blocks of
-    ``_SU2_BLOCK_STEPS``, each reduced pairwise and folded in time order,
-    so cost is O(steps) and memory is independent of ``steps`` and of j.
+    ``_SU2_BLOCK_STEPS``, each reduced pairwise (an odd count padded with
+    the identity) and folded in time order, so cost is O(steps) and memory
+    is independent of ``steps`` and of j.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     dt = total_time / steps
-    total = (1.0, 0.0, 0.0, 0.0)
+    total = (1.0 + 0.0j, 0.0j)
     for lo in range(0, steps, _SU2_BLOCK_STEPS):
         mids = (np.arange(lo, min(lo + _SU2_BLOCK_STEPS, steps)) + 0.5) * dt
         field = np.broadcast_arrays(mids, *(np.asarray(c, dtype=float) for c in field_of_t(mids)))[1:]
@@ -375,9 +366,16 @@ def midpoint_su2(field_of_t: Callable, total_time: float, steps: int) -> tuple:
         half = 0.5 * dt * norm
         # sin(theta/2) / |a|, with its limit dt/2 at a zero field
         scale = np.divide(np.sin(half), norm, out=np.full(norm.shape, 0.5 * dt), where=norm > 0)
-        block = (np.cos(half), scale * field[0], scale * field[1], scale * field[2])
-        total = _quaternion_product(_ordered_quaternion_product(block), total)
-    return total
+        alpha, beta = np.empty(mids.size, complex), np.empty(mids.size, complex)
+        alpha.real, alpha.imag = np.cos(half), -scale * field[2]
+        beta.real, beta.imag = scale * field[1], -scale * field[0]
+        while alpha.size > 1:   # q_n ... q_1 of [q_1, ..., q_n], pairwise
+            if alpha.size % 2:
+                alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
+            alpha, beta = _su2_product((alpha[1::2], beta[1::2]), (alpha[0::2], beta[0::2]))
+        total = _su2_product((alpha[0], beta[0]), total)
+    alpha, beta = total
+    return float(alpha.real), float(-beta.imag), float(beta.real), float(-alpha.imag)
 
 
 def compose_generators(h1_gen, u2, h2_gen) -> np.ndarray:

@@ -610,8 +610,8 @@ def test_figure_validation_with_custom_trotter_steps(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fig, check", [
-    ("fig2a", "# trotter_check t=1 steps=100000 residual=4.4731557339633152e-11"),
-    ("fig2b", "# trotter_check t=0.20000000000000001 steps=100000 residual=1.0551150057666689e-13"),
+    ("fig2a", "# trotter_check t=1 steps=100000 residual=4.4731540906389787e-11"),
+    ("fig2b", "# trotter_check t=0.20000000000000001 steps=100000 residual=1.055436957448281e-13"),
 ])
 def test_figure_trotter_check_line_is_pinned(fig, check, tmp_path, capsys):
     # the time-ordered product against the driven-frame propagator of the oracles

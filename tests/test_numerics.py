@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import su2qfi
 
@@ -233,6 +234,17 @@ def test_series_scaled_doubling_count_beyond_the_float_range_overflows():
     assert err.value.row == 1
 
 
+def _unscaled_series(h, dh, t, order):
+    """The partial sum of generator_series with its chain formed on h itself."""
+    h, dh, t = np.asarray(h, dtype=complex), np.asarray(dh, dtype=complex), np.asarray(t, dtype=float)
+    coeffs = _series_coefficients(t, order)
+    result, nested = -t[..., None, None] * dh, dh
+    for k in range(order):
+        nested = h @ nested - nested @ h
+        result = result + coeffs[..., k, None, None] * nested
+    return result
+
+
 def test_series_scaled_field_scaling_keeps_the_bits_and_avoids_overflow():
     # the chain is formed on h / 2^e: within ||h|| t <= 1 every matrix keeps
     # the bits of the unscaled partial sum, and a huge field no longer
@@ -245,9 +257,28 @@ def test_series_scaled_field_scaling_keeps_the_bits_and_avoids_overflow():
             r *= 10 ** rng.uniform(-3, 3) / np.linalg.norm(r)
             h, dh = dot_with_J(rep, r), dot_with_J(rep, rng.normal(size=3))
             t = rng.uniform(0.0, 1.0) / np.max(np.abs(np.linalg.eigvalsh(h)))
-            assert np.array_equal(generator_series_scaled(h, dh, t), generator_series(h, dh, t, 24))
+            assert_same_bits(generator_series_scaled(h, dh, t), _unscaled_series(h, dh, t, 24))
     rep = build_spin_rep(1)
     assert np.all(generator_series_scaled(dot_with_J(rep, [1.0, 0.0, 1e14]), rep.jz, 0.0) == 0.0)
+
+
+def test_series_field_scaling_keeps_the_bits_and_avoids_overflow():
+    # generator_series itself scales h by a power of two: a huge field gives
+    # the exact zero generator at t = 0, and in-range stacks and time vectors
+    # keep the bits of the unscaled partial sum
+    rep = build_spin_rep(1)
+    huge = generator_series(dot_with_J(rep, [1.0, 0.0, 1e14]), rep.jz, 0.0, 24)
+    assert np.all(huge == 0.0)
+    rng = np.random.default_rng(16)
+    for j in (0.5, 1.0, 1.5, 3.0):
+        rep = build_spin_rep(j)
+        r = rng.normal(size=(60, 3)) * 10 ** rng.uniform(-3, 3, (60, 1))
+        h, dh = dot_with_J(rep, r), dot_with_J(rep, rng.normal(size=(60, 3)))
+        t = rng.uniform(0.0, 3.0, 60) / np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+        for order in (1, 10, 24):
+            assert_same_bits(generator_series(h, dh, t, order), _unscaled_series(h, dh, t, order))
+        ts = np.linspace(0.0, 2.0, 7) / np.max(np.abs(np.linalg.eigvalsh(h[0])))
+        assert_same_bits(generator_series(h[0], dh[0], ts, 24), _unscaled_series(h[0], dh[0], ts, 24))
 
 
 def test_series_scaled_random_directions():
@@ -414,15 +445,15 @@ def test_trotter_rejects_bad_steps():
 
 # --- SU(2) midpoint product ----------------------------------------------------
 
-def _drive_field(ts):
-    return 0.7 * np.cos(0.9 * ts), 0.7 * np.sin(0.9 * ts), 1.1
+def _drive_field(ts, lam=0.7, omega=0.9, omega0=1.1):
+    return lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0
 
 
-def _drive_hamiltonians(rep):
+def _drive_hamiltonians(rep, lam=0.7, omega=0.9, omega0=1.1):
     jx, jy, jz = (np.asarray(m) for m in (rep.jx, rep.jy, rep.jz))
 
     def h_batch(ts):
-        return 1.1 * jz + 0.7 * (np.cos(0.9 * ts)[:, None, None] * jx + np.sin(0.9 * ts)[:, None, None] * jy)
+        return omega0 * jz + lam * (np.cos(omega * ts)[:, None, None] * jx + np.sin(omega * ts)[:, None, None] * jy)
 
     return h_batch
 
@@ -478,6 +509,74 @@ def test_midpoint_su2_and_lift_reject_bad_input():
     for q in [(2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 0.0), (1.0, np.inf, 0.0, 0.0)]:
         with pytest.raises(ValueError):
             su2_lift(rep, q)
+
+
+def _hamilton(a, b):
+    """Hamilton product a b of (w, x, y, z), the matrix product U_a U_b for U = w I - i v.sigma."""
+    aw, av, bw, bv = a[0], np.array(a[1:]), b[0], np.array(b[1:])
+    return (aw * bw - av @ bv, *(aw * bv + bw * av + np.cross(av, bv)))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_midpoint_su2_single_step_is_half_angle_quaternion(axis, sign):
+    # the (alpha, beta) pair maps back to (cos h, sin h n) with h = dt |a| / 2
+    n = np.zeros(3)
+    n[axis] = sign
+    q = midpoint_su2(lambda ts: tuple(1.3 * n), 0.9, 1)
+    half = 0.5 * 0.9 * 1.3
+    np.testing.assert_allclose(q, (math.cos(half), *(math.sin(half) * n)), rtol=0, atol=1e-16)
+
+
+def test_midpoint_su2_two_steps_compose_as_hamilton_product():
+    # two non-commuting steps, the later one leftmost
+    first, second = np.array([0.4, -1.1, 0.7]), np.array([-0.9, 0.3, 1.6])
+    dt = 0.8
+
+    def field(ts):
+        return tuple(np.where(ts < dt, first[i], second[i]) for i in range(3))
+
+    def step(a):
+        half = 0.5 * dt * np.linalg.norm(a)
+        return (math.cos(half), *(math.sin(half) * a / np.linalg.norm(a)))
+
+    q = midpoint_su2(field, 2 * dt, 2)
+    np.testing.assert_allclose(q, _hamilton(step(second), step(first)), rtol=0, atol=1e-15)
+    assert not np.allclose(q, _hamilton(step(first), step(second)), rtol=0, atol=1e-3)
+
+
+def test_midpoint_su2_returns_python_floats():
+    for steps in (1, 2, _SU2_BLOCK_STEPS + 1):
+        q = midpoint_su2(_drive_field, 1.5, steps)
+        assert len(q) == 4 and all(type(c) is float for c in q)
+
+
+@pytest.mark.parametrize("total_t", [1.5, 2.5, 4.0])
+def test_midpoint_su2_stays_unit_over_a_million_steps(total_t):
+    # each step rounds cos(theta/2) next to 1 once, and a field of constant
+    # size repeats that rounding at every step: the drift is up to about
+    # steps * eps (5.6e-11 at t = 2.5, 1.6e-10 at t = 1.5)
+    steps = 1_000_000
+    q = midpoint_su2(_drive_field, total_t, steps)
+    assert abs(sum(c * c for c in q) - 1.0) < steps * np.finfo(float).eps
+
+
+_BOUNDARY_STEPS = st.one_of(
+    st.integers(1, 5),
+    st.builds(lambda k, d: min(max(k * _SU2_BLOCK_STEPS + d, 1), 3 * _SU2_BLOCK_STEPS + 1),
+              st.integers(1, 3), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(j=st.sampled_from([0.5, 1.0, 1.5]), steps=_BOUNDARY_STEPS,
+       lam=st.floats(-2.0, 2.0), omega=st.floats(-5.0, 5.0), omega0=st.floats(-2.0, 2.0),
+       total_t=st.floats(0.0, 5.0))
+def test_su2_lift_of_midpoint_product_matches_matrix_product_property(j, steps, lam, omega, omega0, total_t):
+    rep = build_spin_rep(j)
+    lifted = su2_lift(rep, midpoint_su2(lambda ts: _drive_field(ts, lam, omega, omega0), total_t, steps))
+    reference = trotter_propagator(_drive_hamiltonians(rep, lam, omega, omega0), total_t, steps)
+    assert frobenius(lifted - reference) < 1e-11
 
 
 # --- generator composition -----------------------------------------------------
