@@ -36,7 +36,6 @@ from .numerics import (
     fd_points,
     fd_step,
     generator_series,
-    generator_series_scaled,
     midpoint_su2,
     optimal_state,
     qfi_of_state,
@@ -58,7 +57,7 @@ __all__ = [
     "analytic_generator", "generator_vector", "mqfi_closed_form", "mqfi_small_time",
     "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",
-    "generator_series", "generator_series_scaled", "midpoint_su2", "optimal_state", "qfi_of_state",
+    "generator_series", "midpoint_su2", "optimal_state", "qfi_of_state",
     "DrivenSystem", "SphericalField", "StaticFieldSystem",
     "driving_frequency_mqfi", "driving_generator_vector", "spherical_field_mqfi",
 ]

@@ -40,7 +40,7 @@ from .numerics import (
     fd_generator,
     fd_points,
     fd_step,
-    generator_series_scaled,
+    generator_series,
     midpoint_su2,
     optimal_state,
     qfi_of_state,
@@ -371,7 +371,7 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     # h and dh keep the field's own shape: (3,) when only t varies, so the
     # series builds one commutator chain and one eigendecomposition per chunk
     h_field = dot_with_J(rep, field)
-    series = generator_series_scaled(h_field, dot_with_J(rep, velocity), ts)
+    series = generator_series(h_field, dot_with_J(rep, velocity), ts)
 
     # the step scale estimates t * ||d_theta H||; a moving frame adds the
     # size of the field it rotates

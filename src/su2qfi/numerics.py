@@ -1,11 +1,11 @@
 """Numerical oracles for the parametrization generator and the QFI.
 
 Everything here is deliberately independent of the closed forms in
-:mod:`su2qfi.generator`: a truncated nested-commutator series, a
-five-point finite-difference derivative of stacked propagators, the
-pure-state QFI as a variance, optimal-state construction, and a midpoint
-product formula for time-ordered evolution in SU(2).  The closed forms are
-tested against these.
+:mod:`su2qfi.generator`: a truncated nested-commutator series extended to
+any phase by time doubling, a five-point finite-difference derivative of
+stacked propagators, the pure-state QFI as a variance, optimal-state
+construction, and a midpoint product formula for time-ordered evolution in
+SU(2).  The closed forms are tested against these.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "qfi_of_state",
     "optimal_state",
     "generator_series",
-    "generator_series_scaled",
     "fd_generator",
     "fd_points",
     "fd_step",
@@ -113,63 +112,41 @@ def optimal_state(h_op, phase: float = 0.0) -> OptimalStateResult:
     )
 
 
+# Real and imaginary parts of i^(k+2) for k = 1, 2, 3, 0 (mod 4).
+_UNIT_RE = np.array([-0.0, 1.0, 0.0, -1.0])
+_UNIT_IM = np.array([-1.0, -0.0, 1.0, 0.0])
+
+
 def _series_coefficients(t, order: int) -> np.ndarray:
     """i (it)^(k+1) / (k+1)! for k = 1..order, on a new last axis of ``t``'s shape.
 
-    One array recursion over every time, repeating each real operation of
-    Python's complex arithmetic (the float converted to complex(t, 0.0)
-    first), so every coefficient has the bits of the scalar recursion
+    The k-th coefficient is i^(k+2) s_k with the real recursion
 
-        coeff = (1j * t) ** 2 / 2.0
-        for k in 1..order: i * coeff, then coeff = coeff * (1j * t) / (k + 2)
+        s_1 = (t t) / 2,   s_k = s_(k-1) t / (k+1),
 
-    signed zeros and NaN included; numpy's own complex power and division
-    round differently.  Where ``(1j * t) ** 2`` overflows this raises
-    OverflowError, as Python's power does, naming the first such row.
+    It rounds as the scalar loop ``coeff = (1j * t) ** 2 / 2.0``, then
+    ``coeff = coeff * (1j * t) / (k + 2)``, does, so every nonzero finite
+    part has that loop's bits; the signed zeros of the units keep the zero
+    parts too wherever s_k is a normal double.  Where t is finite and
+    ``t t`` overflows this raises OverflowError, as Python's power does,
+    naming the first such row.
     """
     with np.errstate(all="ignore"):
         t = np.asarray(t, dtype=float)
-        it = (0.0 * t - 0.0, 0.0 + t)                       # 1j * t
-        sq = _complex_product(it, it)                        # ** 2 multiplies 1 by it * it
-        sq = (sq[0] - 0.0 * sq[1], sq[1] + 0.0 * sq[0])
-        reject_first(np.isinf(sq[0]) | np.isinf(sq[1]),
+        s = np.empty(t.shape + (order,))
+        s[..., 0] = t * t / 2.0
+        reject_first(np.isfinite(t) & np.isinf(s[..., 0]),
                      lambda k: f"(it)^2 overflows double precision at t = {t[k]}", error=OverflowError)
-        coeff = _complex_quotient(sq, 2.0)
-        out = np.empty(t.shape + (order,), dtype=complex)
-        for k in range(1, order + 1):
-            out.real[..., k - 1] = 0.0 * coeff[0] - coeff[1]    # 1j * coeff
-            out.imag[..., k - 1] = 0.0 * coeff[1] + coeff[0]
-            if k < order:
-                coeff = _complex_quotient(_complex_product(coeff, it), float(k + 2))
+        for k in range(1, order):
+            s[..., k] = s[..., k - 1] * t / (k + 2)
+        out = np.empty(s.shape, dtype=complex)
+        units = np.arange(order) % 4
+        out.real, out.imag = _UNIT_RE[units] * s, _UNIT_IM[units] * s
     return out
 
 
-def _complex_product(a, b):
-    """Python's complex a * b on (real, imag) pairs of arrays."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _complex_quotient(a, d: float):
-    """Python's complex a / d for a positive float d, taken as complex(d, 0.0).
-
-    Smith's rule then divides by d with the ratio 0.0 / d = 0.0.
-    """
-    return (a[0] + a[1] * 0.0) / d, (a[1] - a[0] * 0.0) / d
-
-
-def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
-    """Truncated nested-commutator series for the generator.
-
-    Partial sum through k = ``order`` of
-
-        gen = -t dh + i sum_k (it)^{k+1} / (k+1)!  [h, [h, ... [h, dh]]]
-
-    with k nested commutators in the k-th term.  The dropped tail is about
-    (2 ||h|| t)^(order+2) / (order+2)!, but the partial sum is only as well
-    conditioned as its largest term: once 2 ||h|| t is large the
-    intermediate terms grow like (2||h||t)^k / k! and double precision (or
-    any fixed noise on the inputs) is amplified accordingly.  For large
-    phases use :func:`generator_series_scaled`.
+def _partial_sum(h, dh, t, order: int) -> np.ndarray:
+    """Partial sum through k = ``order`` of the series of :func:`generator_series`.
 
     The chain is formed on h / 2^e at the time t 2^e and the sum divided by
     2^e, with 2^e the power of two above the largest absolute row sum of h
@@ -177,19 +154,10 @@ def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     of two commutes with rounding, so the bits are those of the unscaled
     sum wherever it is finite, and a large field cannot overflow the chain.
 
-    ``h_op`` and ``dh_op`` may be stacks (..., n, n) and ``t`` an array of
-    times; their leading axes broadcast.  The nested commutators are formed
-    once over the leading axes of ``h`` and ``dh`` alone, so one (n, n) pair
-    with a vector of times builds its chain once, and only the coefficients
-    are per time.  Every matrix of the result has the bits of its own
-    call with one h, one dh and one t.
+    The nested commutators are formed once over the leading axes of ``h``
+    and ``dh`` alone, so one (n, n) pair with a vector of times builds its
+    chain once, and only the coefficients are per time.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    h = require_hermitian(h_op, name="hamiltonian")
-    dh = require_hermitian(dh_op, name="hamiltonian derivative")
-    if h.shape[-2:] != dh.shape[-2:]:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {dh.shape}")
     scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(h).sum(axis=-1).max(axis=-1, initial=0.0))[1], 0))
     h = h / scale[..., None, None]
     ts = np.asarray(t, dtype=float) * scale   # an overflow names t 2^e
@@ -202,29 +170,40 @@ def generator_series(h_op, dh_op, t, order: int) -> np.ndarray:
     return result / scale[..., None, None]
 
 
-def generator_series_scaled(h_op, dh_op, t, order: int = 24) -> np.ndarray:
-    """Series generator extended to arbitrary ||h|| t by time doubling.
+def generator_series(h_op, dh_op, t, order: int = 24) -> np.ndarray:
+    """Truncated nested-commutator series for the generator, at any phase.
 
-    Evaluates the nested-commutator series on a sub-interval tau = t / 2^s
-    chosen so that ||h|| tau <= 1 (where the partial sum is fully
-    converged and well conditioned), then builds up the full-time
-    generator with the exact composition rule for time-independent h:
+    The series, with k nested commutators in the k-th term, is
+
+        gen = -t dh + i sum_k (it)^{k+1} / (k+1)!  [h, [h, ... [h, dh]]].
+
+    Its partial sum through k = ``order`` drops a tail of about
+    (2 ||h|| t)^(order+2) / (order+2)!, but is only as well conditioned as
+    its largest term, which grows like (2 ||h|| t)^k / k!.  So the sum is
+    taken on a sub-interval tau = t / 2^s chosen so that ||h|| tau <= 1
+    (where it is fully converged and well conditioned), and the full-time
+    generator is built up with the exact composition rule for
+    time-independent h:
 
         gen(2 tau) = gen(tau) + U(tau)^dag gen(tau) U(tau).
 
     ``h_op`` and ``dh_op`` may be stacks (..., n, n) and ``t`` an array of
-    times; their leading axes broadcast, as in :func:`generator_series`.
-    The nested commutators, the norms ||h|| and the eigendecomposition of h
-    behind U(tau) are computed once over the leading axes of ``h`` (and
-    ``dh``) alone; the doubling count s, the coefficients and the doublings
-    are per row of the result.  Every matrix of the result has the bits of
-    its own call with one h, one dh and one t; a non-finite phase names the
-    first offending row.
+    times; their leading axes broadcast.  The nested commutators, the norms
+    ||h|| and the eigendecomposition of h behind U(tau) are computed once
+    over the leading axes of ``h`` (and ``dh``) alone; the doubling count
+    s, the coefficients and the doublings are per row of the result.  Every
+    matrix of the result has the bits of its own call with one h, one dh
+    and one t; a non-finite phase names the first offending row.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     h = require_hermitian(h_op, name="hamiltonian")
+    dh = require_hermitian(dh_op, name="hamiltonian derivative")
+    if h.shape[-2:] != dh.shape[-2:]:
+        raise ValueError(f"dimension mismatch: {h.shape} vs {dh.shape}")
     ts = np.asarray(t, dtype=float)
     dim = h.shape[-1]
-    lead = np.broadcast_shapes(h.shape[:-2], np.shape(dh_op)[:-2], ts.shape)
+    lead = np.broadcast_shapes(h.shape[:-2], dh.shape[:-2], ts.shape)
     norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) if h.size else np.zeros(h.shape[:-2])
     phases = np.broadcast_to(norms * np.abs(ts), lead)
     reject_first(~np.isfinite(phases),
@@ -239,7 +218,7 @@ def generator_series_scaled(h_op, dh_op, t, order: int = 24) -> np.ndarray:
     reject_first(counts > 1023, lambda k: (   # 2**s leaves the float range
         f"phase ||h|| t = {phases[k]} needs more than 1023 time doublings"), error=OverflowError)
     taus = ts / np.ldexp(1.0, counts)
-    gen = generator_series(h, dh_op, taus, order)
+    gen = _partial_sum(h, dh, taus, order)
     rows = np.flatnonzero(counts)
     if not rows.size:
         return gen

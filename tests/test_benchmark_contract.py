@@ -3,11 +3,15 @@
 ``perfbench/checks.py`` imports names from ``su2qfi`` and recomputes sampled
 sweep rows through ``mqfi_closed_form(j, split_velocity(field, velocity), t)``.
 A renamed function or a second closed form that drifts from the CLI's would
-fail every benchmark operation; these tests fail first.
+fail every benchmark operation; these tests fail first.  The benchmark also
+checks each preset's data section against ``perfbench/preset_refs.json``;
+for the validated fig1a-d and fig2a sections that is the only pin, so a
+test here compares all twelve.
 """
 
 import ast
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -18,6 +22,7 @@ import su2qfi
 from su2qfi.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PRESET_REFS = json.loads((PERFBENCH / "preset_refs.json").read_text())
 
 
 def _load(name):
@@ -50,3 +55,13 @@ def test_second_path_equals_cli_rows_bit_for_bit(scenario, tmp_path):
         for line in lines[1:]:
             value, *parts = map(float, line.split(","))
             assert tuple(parts) == checks._reference_row(op, value), (op.argv, line)
+
+
+@pytest.mark.parametrize("key", sorted(PRESET_REFS))
+def test_preset_data_section_matches_the_benchmark_reference(key, tmp_path):
+    checks = _load("checks")
+    fig, validate = key.removesuffix("+validate"), key.endswith("+validate")
+    assert checks.preset_key(fig, validate) == key
+    out = tmp_path / "preset.csv"
+    assert main(["figure", fig, "--out", str(out)] + (["--validate"] if validate else [])) == 0
+    assert checks.fingerprint(checks.data_section(out)) == PRESET_REFS[key]

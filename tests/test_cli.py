@@ -344,8 +344,8 @@ def test_bad_steps_exit_2(steps, capsys):
 @pytest.mark.parametrize("order", ["0", "-1", "101", str(10**6), "2.5", "16"],
                          ids=["zero", "negative", "cap-plus-1", "million", "not-an-integer", "in-old-range"])
 def test_bad_series_order_exits_2(order, capsys):
-    # --series-order is gone: the series oracle runs at generator_series_scaled's own
-    # order, so every value, in the old range [1, 100] or not, is an unknown option
+    # --series-order is gone: the series oracle runs at generator_series's default
+    # order, 24, so every value, in the old range [1, 100] or not, is an unknown option
     code, out, err = run(_STEPS_SWEEP + ["--series-order", order], capsys)
     assert code == 2
     assert out == ""

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from su2qfi import (
     fd_generator,
     fd_points,
     generator_series,
-    generator_series_scaled,
     generator_vector,
     hermitian_expm,
     midpoint_su2,
@@ -29,7 +29,7 @@ from su2qfi import (
     su2_lift,
 )
 from su2qfi.cli import _DRIVEN, _propagator
-from su2qfi.numerics import _SU2_BLOCK_STEPS, _series_coefficients
+from su2qfi.numerics import _SU2_BLOCK_STEPS, _partial_sum, _series_coefficients
 
 from reference_oracles import _BLOCK_STEPS, generator_fd, qfi_fd, trotter_propagator
 
@@ -184,8 +184,8 @@ def test_series_input_validation():
 
 
 def test_series_tail_bound_behaviour():
-    # the partial-sum error falls as the order rises and stays within the
-    # tail estimate (2 ||h|| t)^(order+2) / (order+2)! of the docstring
+    # the error falls as the order rises and stays within the docstring's
+    # tail estimate (2 ||h|| t)^(order+2) / (order+2)! of the undoubled sum
     rep = build_spin_rep(1)
     h = dot_with_J(rep, [0.0, 0.0, 1.5])
     v = np.array([1.0, 0.5, -0.2])
@@ -203,7 +203,7 @@ def test_series_scaled_handles_large_phase():
     v = np.array([0.0, 0.0, 1.0])
     t = 20.0  # |field| t ~ 201
     closed = dot_with_J(rep, generator_vector(r, v, t))
-    scaled = generator_series_scaled(dot_with_J(rep, r), dot_with_J(rep, v), t)
+    scaled = generator_series(dot_with_J(rep, r), dot_with_J(rep, v), t)
     assert frobenius(closed - scaled) < 1e-9
 
 
@@ -212,10 +212,10 @@ def test_series_scaled_rejects_unreachable_phase():
     # Run in a child process so a regression hangs only until the timeout.
     code = (
         "from su2qfi import build_spin_rep\n"
-        "from su2qfi.numerics import generator_series_scaled\n"
+        "from su2qfi.numerics import generator_series\n"
         "rep = build_spin_rep(1)\n"
         "try:\n"
-        "    generator_series_scaled(2 * rep.jz, rep.jx, 1e308)\n"
+        "    generator_series(2 * rep.jz, rep.jx, 1e308)\n"
         "except ValueError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"
@@ -230,12 +230,12 @@ def test_series_scaled_doubling_count_beyond_the_float_range_overflows():
     # a finite phase above 2^1023 needs 2^1024 doublings, which no double holds
     rep = build_spin_rep(1)
     with pytest.raises(OverflowError, match="more than 1023 time doublings") as err:
-        generator_series_scaled(rep.jz, rep.jx, [1.0, 1.5e308])
+        generator_series(rep.jz, rep.jx, [1.0, 1.5e308])
     assert err.value.row == 1
 
 
 def _unscaled_series(h, dh, t, order):
-    """The partial sum of generator_series with its chain formed on h itself."""
+    """What _partial_sum computes, with its chain formed on h itself rather than h / 2^e."""
     h, dh, t = np.asarray(h, dtype=complex), np.asarray(dh, dtype=complex), np.asarray(t, dtype=float)
     coeffs = _series_coefficients(t, order)
     result, nested = -t[..., None, None] * dh, dh
@@ -257,17 +257,17 @@ def test_series_scaled_field_scaling_keeps_the_bits_and_avoids_overflow():
             r *= 10 ** rng.uniform(-3, 3) / np.linalg.norm(r)
             h, dh = dot_with_J(rep, r), dot_with_J(rep, rng.normal(size=3))
             t = rng.uniform(0.0, 1.0) / np.max(np.abs(np.linalg.eigvalsh(h)))
-            assert_same_bits(generator_series_scaled(h, dh, t), _unscaled_series(h, dh, t, 24))
+            assert_same_bits(generator_series(h, dh, t), _unscaled_series(h, dh, t, 24))
     rep = build_spin_rep(1)
-    assert np.all(generator_series_scaled(dot_with_J(rep, [1.0, 0.0, 1e14]), rep.jz, 0.0) == 0.0)
+    assert np.all(generator_series(dot_with_J(rep, [1.0, 0.0, 1e14]), rep.jz, 0.0) == 0.0)
 
 
 def test_series_field_scaling_keeps_the_bits_and_avoids_overflow():
-    # generator_series itself scales h by a power of two: a huge field gives
+    # the partial sum itself scales h by a power of two: a huge field gives
     # the exact zero generator at t = 0, and in-range stacks and time vectors
     # keep the bits of the unscaled partial sum
     rep = build_spin_rep(1)
-    huge = generator_series(dot_with_J(rep, [1.0, 0.0, 1e14]), rep.jz, 0.0, 24)
+    huge = _partial_sum(dot_with_J(rep, [1.0, 0.0, 1e14]), rep.jz, 0.0, 24)
     assert np.all(huge == 0.0)
     rng = np.random.default_rng(16)
     for j in (0.5, 1.0, 1.5, 3.0):
@@ -276,9 +276,9 @@ def test_series_field_scaling_keeps_the_bits_and_avoids_overflow():
         h, dh = dot_with_J(rep, r), dot_with_J(rep, rng.normal(size=(60, 3)))
         t = rng.uniform(0.0, 3.0, 60) / np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
         for order in (1, 10, 24):
-            assert_same_bits(generator_series(h, dh, t, order), _unscaled_series(h, dh, t, order))
+            assert_same_bits(_partial_sum(h, dh, t, order), _unscaled_series(h, dh, t, order))
         ts = np.linspace(0.0, 2.0, 7) / np.max(np.abs(np.linalg.eigvalsh(h[0])))
-        assert_same_bits(generator_series(h[0], dh[0], ts, 24), _unscaled_series(h[0], dh[0], ts, 24))
+        assert_same_bits(_partial_sum(h[0], dh[0], ts, 24), _unscaled_series(h[0], dh[0], ts, 24))
 
 
 def test_series_scaled_random_directions():
@@ -292,8 +292,46 @@ def test_series_scaled_random_directions():
         v *= rng.uniform(0.1, 3.0) / np.linalg.norm(v)
         t = rng.uniform(0.1, 3.0)
         closed = dot_with_J(rep, generator_vector(r, v, t))
-        scaled = generator_series_scaled(dot_with_J(rep, r), dot_with_J(rep, v), t)
+        scaled = generator_series(dot_with_J(rep, r), dot_with_J(rep, v), t)
         assert frobenius(closed - scaled) < 1e-9
+
+
+def _generator_vector_50_digits(r, v, t):
+    """The paper's generator vector at 50 digits, x = |r| t:
+
+    (r.v) (sin x - x) / |r|^3 r - sin x / |r| v + (1 - cos x) / |r|^2 (r x v).
+    """
+    with mpmath.workdps(50):
+        r, v, t = [mpmath.mpf(a) for a in r], [mpmath.mpf(a) for a in v], mpmath.mpf(t)
+        norm = mpmath.sqrt(sum(a * a for a in r))
+        x = norm * t
+        radial = sum(a * b for a, b in zip(r, v)) * (mpmath.sin(x) - x) / norm**3
+        cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
+        return [float(radial * a - mpmath.sin(x) / norm * b + (1 - mpmath.cos(x)) / norm**2 * c)
+                for a, b, c in zip(r, v, cross)]
+
+
+def test_series_matches_the_50_digit_generator_from_tiny_to_huge_phases():
+    # Relative Frobenius error against c.J, whose norm is |c| sqrt(j(j+1)(2j+1)/3),
+    # for |field| t log-uniform in [1e-3, 1e4].  Each time doubling adds
+    # rounding, so the error grows with the phase ||h|| t = j |field| t.
+    # Worst measured, at j = 3: 13 eps max(1, j |field| t) on this seed, and
+    # 24 eps max(1, j |field| t) over 20 other sets of draws.  The bound
+    # 128 eps max(1, j |field| t) keeps a margin above 5.
+    rng = np.random.default_rng(2015)
+    x = 10.0 ** rng.uniform(-3.0, 4.0, 200)
+    r = rng.normal(size=(200, 3))
+    r *= 10.0 ** rng.uniform(-1.0, 1.0, (200, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
+    v = rng.normal(size=(200, 3))
+    t = x / np.linalg.norm(r, axis=1)
+    c = np.array([_generator_vector_50_digits(*row) for row in zip(r.tolist(), v.tolist(), t.tolist())])
+    for j in (0.5, 1.0, 3.0):
+        rep = build_spin_rep(j)
+        series = generator_series(dot_with_J(rep, r), dot_with_J(rep, v), t)
+        err = (np.linalg.norm(series - dot_with_J(rep, c), axis=(-2, -1))
+               / (np.linalg.norm(c, axis=1) * math.sqrt(j * (j + 1) * (2 * j + 1) / 3)))
+        bound = 128 * np.finfo(float).eps * np.maximum(1.0, j * x)
+        assert np.all(err <= bound), (j, x[np.argmax(err / bound)], np.max(err / bound))
 
 
 # --- finite-difference generator ---------------------------------------------
@@ -671,7 +709,7 @@ def _moving_frame_series(rep, h, dh, t):
     """The CLI's series side for a frame moving with theta: -t jz composed with the field's series."""
     frame = -np.asarray(t)[..., None, None] * np.asarray(rep.jz)
     return compose_generators(frame, hermitian_expm(h, -1j * np.asarray(t)),
-                              generator_series_scaled(h, dh, t))
+                              generator_series(h, dh, t))
 
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 3.0])
@@ -683,7 +721,7 @@ def test_shared_field_series_has_the_bits_of_the_stacked_call(j):
     h, dh = dot_with_J(rep, rng.normal(size=3)), dot_with_J(rep, rng.normal(size=3))
     t = np.concatenate([[0.0, 1e-300, 0.05], rng.uniform(0.0, 40.0, 60)])   # 0 to about 8 doublings
     hs, dhs = np.repeat(h[None], t.size, axis=0), np.repeat(dh[None], t.size, axis=0)
-    for fn in (lambda a, b, x: generator_series(a, b, x, 12), generator_series_scaled,
+    for fn in (lambda a, b, x: generator_series(a, b, x, 12), generator_series,
                lambda a, b, x: _moving_frame_series(rep, a, b, x)):
         shared = fn(h, dh, t)
         assert_same_bits(shared, fn(hs, dhs, t))
@@ -699,12 +737,12 @@ def test_per_row_field_with_shared_velocity_has_the_bits_of_the_stacked_call(j):
     hs = dot_with_J(rep, rng.normal(size=(50, 3)) * rng.uniform(0.0, 20.0, (50, 1)))
     dh = dot_with_J(rep, rng.normal(size=3))
     dhs = np.repeat(dh[None], 50, axis=0)
-    for fn in (lambda a, b: generator_series(a, b, 0.7, 10), lambda a, b: generator_series_scaled(a, b, 1.3)):
+    for fn in (lambda a, b: generator_series(a, b, 0.7, 10), lambda a, b: generator_series(a, b, 1.3)):
         assert_same_bits(fn(hs, dh), fn(hs, dhs))
 
 
 def _scalar_series_coefficients(t, order):
-    """The per-time recursion in Python complex arithmetic that the array recursion repeats."""
+    """The per-time recursion in Python complex arithmetic that the real recursion rounds like."""
     out, coeff = [], (1j * t) ** 2 / 2.0
     for k in range(1, order + 1):
         out.append(1j * coeff)
@@ -713,6 +751,10 @@ def _scalar_series_coefficients(t, order):
 
 
 def test_series_coefficients_have_the_bits_of_the_scalar_recursion():
+    # Every nonzero finite part has the bits of Python's complex recursion,
+    # and every value is equal (NaN to NaN).  Where s_k leaves the double
+    # range, a zero part may differ in sign, and an overflowed coefficient
+    # has one infinite part where the scalar loop has two NaN parts.
     rng = np.random.default_rng(2024)
     top = 1.3407807929942596e154   # the largest t whose (it)^2 stays finite
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-160, np.nan, -np.nan,
@@ -723,8 +765,11 @@ def test_series_coefficients_have_the_bits_of_the_scalar_recursion():
     t[rng.integers(16, t.size, 50)] *= 0.0   # zeros among the others, signs kept
     order = 30
     expected = np.array([_scalar_series_coefficients(x, order) for x in t.tolist()])
-    assert_same_bits(_series_coefficients(t, order), expected)
-    assert_same_bits(_series_coefficients(t.reshape(2, -1), order), expected.reshape(2, -1, order))
+    for got in (_series_coefficients(t, order), _series_coefficients(t.reshape(2, -1), order).reshape(t.size, order)):
+        np.testing.assert_array_equal(got, expected)
+        for part, want in ((got.real, expected.real), (got.imag, expected.imag)):
+            kept = np.isfinite(want) & (want != 0.0)
+            assert_same_bits(part[kept], want[kept])
 
 
 @pytest.mark.parametrize("t", [np.nextafter(1.3407807929942596e154, np.inf), -2e154, 1e300])
@@ -735,7 +780,7 @@ def test_series_coefficients_overflow_like_the_scalar_recursion(t):
         _series_coefficients(np.array([0.5, t, 1.0]), 3)
     assert err.value.row == 1
     with pytest.raises(OverflowError) as err:
-        generator_series(np.eye(2), np.eye(2), [0.0, t], 3)
+        _partial_sum(np.eye(2), np.eye(2), [0.0, t], 3)
     assert err.value.row == 1
 
 
@@ -746,9 +791,9 @@ def test_stacked_oracles_match_per_matrix_calls_and_name_first_bad_row():
     v = rng.normal(size=(40, 3))
     t = rng.uniform(0.0, 30.0, 40)
     h, dh = dot_with_J(rep, r), dot_with_J(rep, v)
-    stacked = generator_series_scaled(h, dh, t)
+    stacked = generator_series(h, dh, t)
     for k in range(40):
-        np.testing.assert_array_equal(stacked[k], generator_series_scaled(h[k], dh[k], t[k]))
+        np.testing.assert_array_equal(stacked[k], generator_series(h[k], dh[k], t[k]))
     us = np.stack([[hermitian_expm(dot_with_J(rep, r[k] + p * v[k]), -1j * t[k])
                     for p in fd_points(0.0, 1e-3)] for k in range(40)])
     herm = fd_generator(us, np.full(40, 1e-3))
