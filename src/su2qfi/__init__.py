@@ -20,10 +20,8 @@ from .spin import (
 from .generator import (
     DegenerateFieldError,
     FieldCurve,
-    GeneratorResult,
     QfiBreakdown,
     VelocitySplit,
-    analytic_generator,
     generator_vector,
     mqfi_closed_form,
     mqfi_small_time,
@@ -53,8 +51,8 @@ __all__ = [
     "__version__",
     "SpinRep", "build_spin_rep", "dot_with_J", "frobenius", "hermitian_expm",
     "su2_lift",
-    "DegenerateFieldError", "FieldCurve", "GeneratorResult", "QfiBreakdown", "VelocitySplit",
-    "analytic_generator", "generator_vector", "mqfi_closed_form", "mqfi_small_time",
+    "DegenerateFieldError", "FieldCurve", "QfiBreakdown", "VelocitySplit",
+    "generator_vector", "mqfi_closed_form", "mqfi_small_time",
     "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",
     "generator_series", "midpoint_su2", "optimal_state", "qfi_of_state",

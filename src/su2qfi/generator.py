@@ -24,21 +24,19 @@ closed form serves every field known only as a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .spin import SpinRep, dot_with_J, libm_pow, reject_first, row_dot
+from .spin import libm_pow, reject_first, row_dot
 
 __all__ = [
     "DegenerateFieldError",
     "FieldCurve",
     "VelocitySplit",
-    "GeneratorResult",
     "QfiBreakdown",
     "split_velocity",
     "generator_vector",
-    "analytic_generator",
     "mqfi_closed_form",
     "mqfi_small_time",
 ]
@@ -126,24 +124,18 @@ def _vec3(x, name: str) -> np.ndarray:
 class FieldCurve:
     """Parametric coefficient curve theta -> field(theta) in 3-space.
 
-    ``v_of`` is the analytic derivative when supplied; otherwise the
-    velocity falls back to a central difference with step
-    1e-6 * max(1, |theta|), which balances truncation against roundoff
-    for double precision.  Curves whose callables broadcast take an array
-    of theta (``v_of`` required) and return a stack (..., 3).
+    ``v_of`` is its analytic derivative d field / d theta.  Curves whose
+    callables broadcast take an array of theta and return a stack (..., 3).
     """
 
     r_of: Callable[[float], np.ndarray]
-    v_of: Optional[Callable[[float], np.ndarray]] = None
+    v_of: Callable[[float], np.ndarray]
 
     def field(self, theta: float) -> np.ndarray:
         return _vec3_rows(self.r_of(theta), "field")
 
     def velocity(self, theta: float) -> np.ndarray:
-        if self.v_of is not None:
-            return _vec3_rows(self.v_of(theta), "velocity")
-        h = 1e-6 * max(1.0, abs(theta))
-        return (self.field(theta + h) - self.field(theta - h)) / (2 * h)
+        return _vec3_rows(self.v_of(theta), "velocity")
 
 
 @dataclass(frozen=True)
@@ -182,20 +174,6 @@ class QfiBreakdown:
     total: float
     quadratic: float
     oscillatory: float
-
-
-@dataclass(frozen=True)
-class GeneratorResult:
-    """Generator coeffs . J with its extreme eigenvalues +-j |coeffs|."""
-
-    coeffs: np.ndarray
-    matrix: np.ndarray
-    lambda_max: float
-    lambda_min: float
-    t: float
-
-    def mqfi(self) -> float:
-        return libm_pow(self.lambda_max - self.lambda_min, 2)
 
 
 def split_velocity(field, velocity) -> VelocitySplit:
@@ -275,40 +253,45 @@ def generator_vector(field, velocity, t) -> np.ndarray:
     return radial * r - (t * f2)[..., None] * v + (libm_pow(t, 2) * f3)[..., None] * np.cross(r, v)
 
 
-def analytic_generator(rep: SpinRep, curve: FieldCurve, theta: float, t: float) -> GeneratorResult:
-    """Evaluate the closed-form generator of ``curve`` at (theta, t).
-
-    The eigenvalue spread is filled from |coeffs| and j directly; the
-    spectrum of coeffs . J is |coeffs| * m by rotational invariance.
-    """
-    if t < 0:
-        raise ValueError(f"evolution time must be nonnegative, got {t}")
-    r = curve.field(theta)
-    v = curve.velocity(theta)
-    coeffs = generator_vector(r, v, t)
-    norm = float(np.linalg.norm(coeffs))
-    return GeneratorResult(
-        coeffs=coeffs,
-        matrix=dot_with_J(rep, coeffs),
-        lambda_max=rep.j * norm,
-        lambda_min=-rep.j * norm,
-        t=t,
-    )
-
-
 def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
     """Maximal QFI 4 j^2 [(r.v)^2 t^2/|r|^2 + 4 (|r x v|^2/|r|^4) sin^2(|r| t/2)] and its parts.
 
     The split and ``t`` may be arrays; the parts then broadcast over them.
     Powers that leave the normal double range are divided out one factor
     at a time (:func:`_field_ratio`), so tiny and huge fields stay accurate.
+    Rows whose r.v or |r x v| is not finite take the parts from the unit
+    field direction instead (:func:`_unit_direction_parts`); every other
+    row keeps its bits.
     """
     jsq4 = 4.0 * float(j) ** 2
-    r = split.field_norm
-    quad = _field_ratio(jsq4, split.along, r, libm_pow(t, 2), 2)
+    r, along, across = split.field_norm, split.along, split.across
+    over = ~(np.isfinite(along) & np.isfinite(across))
+    if over.any():   # zeros keep the rows replaced below quiet
+        along, across = np.where(over, 0.0, along), np.where(over, 0.0, across)
+    quad = _field_ratio(jsq4, along, r, libm_pow(t, 2), 2)
     half = np.sin(r * t / 2.0)
-    osc = _field_ratio(4.0 * jsq4, split.across, r, libm_pow(half, 2), 4, root=half)
+    osc = _field_ratio(4.0 * jsq4, across, r, libm_pow(half, 2), 4, root=half)
+    if over.any():
+        unit_quad, unit_osc = _unit_direction_parts(jsq4, split, t, half)
+        quad, osc = np.where(over, unit_quad, quad)[()], np.where(over, unit_osc, osc)[()]
     return QfiBreakdown(quad + osc, quad, osc)
+
+
+def _unit_direction_parts(jsq4: float, split: VelocitySplit, t, half):
+    """The parts as 16 jsq4 (u.w t)^2 and 64 jsq4 (|u x w| half / |r|)^2, u = r/|r|, w = v/4.
+
+    ``half`` is sin(|r| t / 2).  The field divided by the power of two
+    above its largest component has a norm in [0.5, 2), so u is finite,
+    and so are u.w and |u x w|; each part is one product squared, accurate
+    wherever the part is a normal double.
+    """
+    r = np.ldexp(split.field, -np.frexp(np.max(np.abs(split.field), axis=-1))[1][..., None])
+    u = r / _norm(r[..., 0], r[..., 1], r[..., 2])[..., None]
+    w = split.velocity / 4.0
+    cross = np.cross(u, w)
+    quad = 16.0 * jsq4 * libm_pow(row_dot(u, w) * t, 2)
+    osc = 64.0 * jsq4 * libm_pow(_norm(cross[..., 0], cross[..., 1], cross[..., 2]) * half / split.field_norm, 2)
+    return quad, osc
 
 
 def mqfi_small_time(j: float, velocity, t) -> QfiBreakdown:

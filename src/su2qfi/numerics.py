@@ -170,6 +170,12 @@ def _partial_sum(h, dh, t, order: int) -> np.ndarray:
     return result / scale[..., None, None]
 
 
+def _doubling_counts(phases) -> np.ndarray:
+    """The least s >= 0 with phases / 2^s <= 1, from phases = m 2^e with 0.5 <= m < 1."""
+    m, e = np.frexp(phases)
+    return np.maximum(e - (m == 0.5), 0)
+
+
 def generator_series(h_op, dh_op, t, order: int = 24) -> np.ndarray:
     """Truncated nested-commutator series for the generator, at any phase.
 
@@ -208,13 +214,7 @@ def generator_series(h_op, dh_op, t, order: int = 24) -> np.ndarray:
     phases = np.broadcast_to(norms * np.abs(ts), lead)
     reject_first(~np.isfinite(phases),
                  lambda k: f"phase ||h|| t = {phases[k]} is not finite; time doubling cannot reduce it")
-    counts = np.zeros(lead, dtype=int)
-    halved = phases.copy()
-    over = halved > 1.0
-    while over.any():
-        halved[over] /= 2.0
-        counts[over] += 1
-        over = halved > 1.0
+    counts = _doubling_counts(phases)
     reject_first(counts > 1023, lambda k: (   # 2**s leaves the float range
         f"phase ||h|| t = {phases[k]} needs more than 1023 time doublings"), error=OverflowError)
     taus = ts / np.ldexp(1.0, counts)

@@ -462,6 +462,10 @@ def test_mqfi_matches_high_precision_formula_from_tiny_to_huge_fields(scenario, 
     ("1e-86,0,0", "1e-57,0,0", "1e-65"),
     # 16 j^2 |r x v|^2 / |r|^4 overflows before sin^2(|r| t / 2) brings it back
     ("1e-70,0,0", "0,1e84,0", "1"),
+    # r.v itself overflows, though the MQFI is 4e20
+    ("1e300,0,0", "1e10,1,0", "1"),
+    # |r x v| itself overflows, though the MQFI is 1.4e21
+    ("1e150,0,0", "1,1e160,0", "1"),
 ])
 def test_generic_mqfi_matches_high_precision_formula_where_a_direct_product_leaves_range(rvec, vvec, t, capsys):
     code, out, err = run(["mqfi", "generic", f"--rvec={rvec}", f"--vvec={vvec}", f"--t={t}", "--json"], capsys)

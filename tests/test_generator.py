@@ -7,7 +7,6 @@ import pytest
 from su2qfi import (
     DegenerateFieldError,
     FieldCurve,
-    analytic_generator,
     build_spin_rep,
     dot_with_J,
     fd_step,
@@ -16,6 +15,7 @@ from su2qfi import (
     hermitian_expm,
     mqfi_closed_form,
     mqfi_small_time,
+    optimal_state,
     split_velocity,
 )
 from su2qfi.cli import main
@@ -199,39 +199,33 @@ def test_continuity_at_full_turns():
         assert np.linalg.norm(left + right - 2 * center) < 1e-8
 
 
-# --- analytic_generator ------------------------------------------------------
+# --- the generator operator on a field curve ---------------------------------
 
 def test_analytic_generator_fields():
+    # the operator is coeffs . J, with extreme eigenvalues +-j |coeffs|
     rep = build_spin_rep(1.5)
-    curve = FieldCurve(lambda th: np.array([np.cos(th), np.sin(th), 0.5]))
-    res = analytic_generator(rep, curve, 0.3, 2.0)
-    np.testing.assert_array_equal(res.matrix, dot_with_J(rep, res.coeffs))
-    norm = np.linalg.norm(res.coeffs)
-    assert res.lambda_max == pytest.approx(1.5 * norm, abs=1e-10)
-    assert res.lambda_min == pytest.approx(-1.5 * norm, abs=1e-10)
-    assert res.mqfi() == pytest.approx((2 * 1.5 * norm) ** 2, rel=1e-12)
-    eig = np.linalg.eigvalsh(res.matrix)
-    assert eig[-1] == pytest.approx(res.lambda_max, abs=1e-10)
-
-
-def test_analytic_generator_rejects_negative_time():
-    rep = build_spin_rep(0.5)
-    curve = FieldCurve(lambda th: np.array([th, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        analytic_generator(rep, curve, 0.0, -1.0)
+    curve = FieldCurve(lambda th: np.array([np.cos(th), np.sin(th), 0.5]),
+                       lambda th: np.array([-np.sin(th), np.cos(th), 0.0]))
+    coeffs = generator_vector(curve.field(0.3), curve.velocity(0.3), 2.0)
+    matrix = dot_with_J(rep, coeffs)
+    norm = np.linalg.norm(coeffs)
+    eig = np.linalg.eigvalsh(matrix)
+    assert eig[-1] == pytest.approx(1.5 * norm, abs=1e-10)
+    assert eig[0] == pytest.approx(-1.5 * norm, abs=1e-10)
+    assert optimal_state(matrix).mqfi() == pytest.approx((2 * 1.5 * norm) ** 2, rel=1e-12)
 
 
 def test_analytic_generator_rejects_non_finite_velocity():
-    rep = build_spin_rep(0.5)
     curve = FieldCurve(lambda th: np.zeros(3), lambda th: np.array([np.nan, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        analytic_generator(rep, curve, 0.0, 1.0)
+    with pytest.raises(ValueError, match="velocity must be finite"):
+        curve.velocity(0.0)
+    with pytest.raises(ValueError, match="velocity must be finite"):
+        generator_vector(curve.field(0.0), [np.nan, 0.0, 0.0], 1.0)
 
 
-def test_field_curve_numeric_derivative():
-    curve = FieldCurve(lambda th: np.array([np.cos(th), np.sin(2 * th), th**2]))
-    exact = np.array([-np.sin(0.7), 2 * np.cos(1.4), 1.4])
-    np.testing.assert_allclose(curve.velocity(0.7), exact, atol=1e-8)
+def test_field_curve_requires_a_velocity():
+    with pytest.raises(TypeError):
+        FieldCurve(lambda th: np.array([np.cos(th), np.sin(2 * th), th**2]))
 
 
 # --- closed-form MQFI --------------------------------------------------------
@@ -240,12 +234,28 @@ def test_mqfi_matches_eigenvalue_spread():
     rng = np.random.default_rng(31)
     for _ in range(100):
         j, r, v, t = random_instance(rng)
-        rep = build_spin_rep(j)
-        curve = FieldCurve(lambda th, r=r, v=v: r + th * v, lambda th, v=v: v)
-        res = analytic_generator(rep, curve, 0.0, t)
+        eig = np.linalg.eigvalsh(dot_with_J(build_spin_rep(j), generator_vector(r, v, t)))
         breakdown = mqfi_closed_form(j, split_velocity(r, v), t)
-        assert breakdown.total == pytest.approx(res.mqfi(), rel=1e-9, abs=1e-15)
+        assert breakdown.total == pytest.approx((eig[-1] - eig[0]) ** 2, rel=1e-9, abs=1e-15)
         assert breakdown.total == pytest.approx(breakdown.quadratic + breakdown.oscillatory, rel=1e-12)
+
+
+def test_mqfi_rows_whose_products_overflow_leave_the_other_rows_bits():
+    # r.v overflows on row 1 and |r x v| on row 2; row 0 is in range
+    r = np.array([[0.3, -1.2, 0.8], [1e300, 0.0, 0.0], [1e150, 0.0, 0.0]])
+    v = np.array([[0.5, 0.4, -0.9], [1e10, 1.0, 0.0], [1.0, 1e160, 0.0]])
+    t = np.array([0.7, 1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = mqfi_closed_form(1.5, split_velocity(r, v), t)
+        rows = [mqfi_closed_form(1.5, split_velocity(r[k], v[k]), t[k]) for k in range(3)]
+    alone = mqfi_closed_form(1.5, split_velocity(r[:1], v[:1]), t[:1])
+    for part in ("total", "quadratic", "oscillatory"):
+        got = np.asarray(getattr(stack, part))
+        assert got.tobytes() == np.array([getattr(row, part) for row in rows]).tobytes()
+        assert got[:1].tobytes() == np.asarray(getattr(alone, part)).tobytes()
+    assert np.all(np.isfinite(stack.total))
+    assert stack.quadratic[1] == pytest.approx(4 * 1.5**2 * 1e20, rel=1e-15)
+    assert stack.quadratic[2] == pytest.approx(4 * 1.5**2, rel=1e-15)
 
 
 def test_mqfi_pure_transverse_oscillates():
@@ -299,17 +309,17 @@ def test_reparametrization_scaling():
     rng = np.random.default_rng(43)
     c = 2.5
     base = lambda th: np.array([np.cos(th), np.sin(th), 1 + th**2])
-    curve1 = FieldCurve(base)
-    curve2 = FieldCurve(lambda th: base(c * th))
-    rep = build_spin_rep(1)
+    base_v = lambda th: np.array([-np.sin(th), np.cos(th), 2 * th])
+    curve1 = FieldCurve(base, base_v)
+    curve2 = FieldCurve(lambda th: base(c * th), lambda th: c * base_v(c * th))
     theta0, t = 0.4, 1.7
     r1, v1 = curve1.field(c * theta0), curve1.velocity(c * theta0)
     r2, v2 = curve2.field(theta0), curve2.velocity(theta0)
     np.testing.assert_allclose(r1, r2, atol=1e-12)
-    np.testing.assert_allclose(c * v1, v2, rtol=1e-6)
+    np.testing.assert_allclose(c * v1, v2, rtol=1e-15)
     f1 = mqfi_closed_form(1.0, split_velocity(r1, v1), t).total
     f2 = mqfi_closed_form(1.0, split_velocity(r2, v2), t).total
-    assert f2 == pytest.approx(c**2 * f1, rel=1e-6)
+    assert f2 == pytest.approx(c**2 * f1, rel=1e-12)
 
 
 def test_fd_step_scaling():

@@ -29,7 +29,7 @@ from su2qfi import (
     su2_lift,
 )
 from su2qfi.cli import _DRIVEN, _propagator
-from su2qfi.numerics import _SU2_BLOCK_STEPS, _partial_sum, _series_coefficients
+from su2qfi.numerics import _SU2_BLOCK_STEPS, _doubling_counts, _partial_sum, _series_coefficients
 
 from reference_oracles import _BLOCK_STEPS, generator_fd, qfi_fd, trotter_propagator
 
@@ -232,6 +232,24 @@ def test_series_scaled_doubling_count_beyond_the_float_range_overflows():
     with pytest.raises(OverflowError, match="more than 1023 time doublings") as err:
         generator_series(rep.jz, rep.jx, [1.0, 1.5e308])
     assert err.value.row == 1
+
+
+def test_doubling_counts_match_the_halving_loop():
+    # the loop the frexp form replaced: halve until the phase is at most 1
+    def halving(phases):
+        counts, halved = np.zeros(phases.shape, dtype=int), phases.copy()
+        over = halved > 1.0
+        while over.any():
+            halved[over] /= 2.0
+            counts[over] += 1
+            over = halved > 1.0
+        return counts
+
+    powers = np.ldexp(1.0, np.arange(-60, 1024))
+    rng = np.random.default_rng(1019)
+    phases = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+                             [0.0, 5e-324, np.finfo(float).max], 10.0 ** rng.uniform(-300, 308, 5000)])
+    np.testing.assert_array_equal(_doubling_counts(phases), halving(phases))
 
 
 def _unscaled_series(h, dh, t, order):
