@@ -68,40 +68,33 @@ def _normal(x):
     return (x >= _TINY) & (x < np.inf)
 
 
-def _field_ratio(coeff: float, num, den, factor, power: int, root=None):
-    """coeff num^2 factor / den^power for a nonzero den and power 2 or 4.
+def _direct_form(coeff: float, num, den, factor, power: int):
+    """coeff num^2 factor / den^power, for a nonzero den and power 2 or 4, and where it is fine.
 
-    ``root``, given only with power 4, is a square root of ``factor``.
-    Rows where den^power, num^2, the bracketed product and a factor with
-    a root are normal doubles (or are zero because num or that factor is)
-    get exactly the bits of the direct forms, (coeff num^2 factor) / den^2
-    and (coeff num^2 / den^4) factor.  The other rows use coeff (num/den)^2
-    factor, with factor divided by den twice for power 4, or (root/den)^2
-    where that factor is subnormal: accurate wherever num/den,
-    factor / den^(power-2) and the value are normal.
+    The value is (coeff num^2 factor) / den^2 or (coeff num^2 / den^4)
+    factor.  ``fine`` marks the rows where num^2, den^power, factor and
+    that first product are all normal doubles; the value is accurate
+    there, and may be anything on the other rows.
     """
-    def direct(num_sq, den_pow, f):
-        return coeff * num_sq * f / den_pow if power == 2 else coeff * num_sq / den_pow * f
-
     num_sq, den_pow = libm_pow(num, 2), libm_pow(den, power)
-    with np.errstate(all="ignore"):   # an out-of-range product only sends its row to the rescaled form
+    with np.errstate(all="ignore"):   # a row out of range is only left unmarked
         first = coeff * np.asarray(num_sq) * factor if power == 2 else coeff * np.asarray(num_sq) / den_pow
-    zero = (num == 0.0) | (factor == 0.0) if power == 2 else num == 0.0
-    fine = (_normal(num_sq) | (num == 0.0)) & _normal(den_pow) & (_normal(first) | zero)
-    if root is not None:
-        fine &= _normal(factor) | (factor == 0.0)
-    if np.all(fine):
-        return direct(num_sq, den_pow, factor)
-    num, den, factor, num_sq, den_pow, fine = np.broadcast_arrays(num, den, factor, num_sq, den_pow, fine)
-    out = np.empty(fine.shape)
-    out[fine] = direct(num_sq[fine], den_pow[fine], factor[fine])
-    n, d, f = num[~fine], den[~fine], factor[~fine]
-    if power == 4:
-        f = f / d / d
-    if root is not None:   # a subnormal factor has lost digits that root / den keeps
-        f = np.where(factor[~fine] >= _TINY, f, libm_pow(np.broadcast_to(root, fine.shape)[~fine] / d, 2))
-    out[~fine] = coeff * libm_pow(n / d, 2) * f
-    return out[()]
+        value = first / den_pow if power == 2 else first * factor
+    return value, _normal(num_sq) & _normal(den_pow) & _normal(factor) & _normal(first)
+
+
+def _field_ratio(coeff: float, num, den, factor, power: int):
+    """coeff num^2 factor / den^power: the direct form where it is fine, else coeff (num/den)^2 factor / den^(power-2).
+
+    The fallback divides factor by den once per power above 2, so it is
+    accurate wherever num/den, factor / den^(power-2) and the value are normal.
+    """
+    value, fine = _direct_form(coeff, num, den, factor, power)
+    if not fine.all():
+        value = np.asarray(value)   # a fresh array, patched in place
+        n, d, f = (np.broadcast_to(x, fine.shape)[~fine] for x in (num, den, factor))
+        value[~fine] = coeff * libm_pow(n / d, 2) * (f / d / d if power == 4 else f)
+    return value[()]
 
 
 def _vec3_rows(x, name: str) -> np.ndarray:
@@ -257,41 +250,47 @@ def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
     """Maximal QFI 4 j^2 [(r.v)^2 t^2/|r|^2 + 4 (|r x v|^2/|r|^4) sin^2(|r| t/2)] and its parts.
 
     The split and ``t`` may be arrays; the parts then broadcast over them.
-    Powers that leave the normal double range are divided out one factor
-    at a time (:func:`_field_ratio`), so tiny and huge fields stay accurate.
-    Rows whose r.v or |r x v| is not finite take the parts from the unit
-    field direction instead (:func:`_unit_direction_parts`); every other
-    row keeps its bits.
+    A part keeps this direct form on the rows where its squared numerator,
+    the power of |r|, its factor (t^2 or sin^2(|r| t/2)) and the first
+    product are normal doubles (:func:`_direct_form`); its other rows take
+    the scaled-field form (:func:`_scaled_field_parts`), accurate wherever
+    the part is a normal double.
     """
     jsq4 = 4.0 * float(j) ** 2
-    r, along, across = split.field_norm, split.along, split.across
-    over = ~(np.isfinite(along) & np.isfinite(across))
-    if over.any():   # zeros keep the rows replaced below quiet
-        along, across = np.where(over, 0.0, along), np.where(over, 0.0, across)
-    quad = _field_ratio(jsq4, along, r, libm_pow(t, 2), 2)
-    half = np.sin(r * t / 2.0)
-    osc = _field_ratio(4.0 * jsq4, across, r, libm_pow(half, 2), 4, root=half)
-    if over.any():
-        unit_quad, unit_osc = _unit_direction_parts(jsq4, split, t, half)
-        quad, osc = np.where(over, unit_quad, quad)[()], np.where(over, unit_osc, osc)[()]
+    r = split.field_norm
+    quad, quad_fine = _direct_form(jsq4, split.along, r, libm_pow(t, 2), 2)
+    osc, osc_fine = _direct_form(4.0 * jsq4, split.across, r, libm_pow(np.sin(r * t / 2.0), 2), 4)
+    parts, rows = [np.asarray(quad), np.asarray(osc)], ~(quad_fine & osc_fine)   # fresh arrays, patched in place
+    if rows.any():
+        for part, fine, scaled in zip(parts, (quad_fine, osc_fine), _scaled_field_parts(jsq4, split, t, rows)):
+            part[rows] = np.where(fine[rows], part[rows], scaled)
+    quad, osc = (part[()] for part in parts)
     return QfiBreakdown(quad + osc, quad, osc)
 
 
-def _unit_direction_parts(jsq4: float, split: VelocitySplit, t, half):
-    """The parts as 16 jsq4 (u.w t)^2 and 64 jsq4 (|u x w| half / |r|)^2, u = r/|r|, w = v/4.
+def _scaled_field_parts(jsq4: float, split: VelocitySplit, t, rows):
+    """The parts on ``rows`` as (2j (r.v/|r|) t)^2 and (4j (|r x v|/|r|) (sin(|r| t/2)/|r|))^2, with 2j = sqrt(jsq4).
 
-    ``half`` is sin(|r| t / 2).  The field divided by the power of two
-    above its largest component has a norm in [0.5, 2), so u is finite,
-    and so are u.w and |u x w|; each part is one product squared, accurate
-    wherever the part is a normal double.
+    s = r/2^er and w = v/2^ev, with 2^er the power of two above the largest
+    field component and 2^ev that above the largest velocity component but
+    at most 4, are exact, so exact zeros of r.v and |r x v| stay zero and
+    s.w/|s| and |s x w|/|s| cannot overflow.  np.ldexp applies 2^ev and the
+    powers of two of t and |r| = 2^er |s|, and sin(|r| t/2)/|r| is t/2 where
+    the phase is below the normal range: each part is one product squared,
+    accurate wherever it, s.w and |s x w| are normal doubles.
     """
-    r = np.ldexp(split.field, -np.frexp(np.max(np.abs(split.field), axis=-1))[1][..., None])
-    u = r / _norm(r[..., 0], r[..., 1], r[..., 2])[..., None]
-    w = split.velocity / 4.0
-    cross = np.cross(u, w)
-    quad = 16.0 * jsq4 * libm_pow(row_dot(u, w) * t, 2)
-    osc = 64.0 * jsq4 * libm_pow(_norm(cross[..., 0], cross[..., 1], cross[..., 2]) * half / split.field_norm, 2)
-    return quad, osc
+    field, velocity = (np.broadcast_to(x, rows.shape + (3,))[rows] for x in (split.field, split.velocity))
+    norm, t = (np.broadcast_to(x, rows.shape)[rows] for x in (split.field_norm, t))
+    er, ev = (np.frexp(np.max(np.abs(x), axis=-1))[1] for x in (field, velocity))
+    ev, (m_t, e_t) = np.minimum(ev, 2), np.frexp(t)   # v/4 at most keeps the small components of a large v
+    s, w = np.ldexp(field, -er[..., None]), np.ldexp(velocity, -ev[..., None])
+    s_norm, cross, phase = _norm(s[..., 0], s[..., 1], s[..., 2]), np.cross(s, w), norm * t / 2.0
+    across = _norm(cross[..., 0], cross[..., 1], cross[..., 2]) / s_norm
+    with np.errstate(over="ignore"):   # an overflowing part is inf, as libm_pow gives it; one branch is not taken
+        quad = np.ldexp(row_dot(s, w) / s_norm * m_t, ev + e_t) * np.sqrt(jsq4)
+        osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(across * m_t, ev + e_t - 1),
+                                             np.ldexp(across * np.sin(phase) / s_norm, ev - er))
+    return libm_pow(quad, 2), libm_pow(osc, 2)
 
 
 def mqfi_small_time(j: float, velocity, t) -> QfiBreakdown:

@@ -466,6 +466,25 @@ def test_mqfi_matches_high_precision_formula_from_tiny_to_huge_fields(scenario, 
     ("1e300,0,0", "1e10,1,0", "1"),
     # |r x v| itself overflows, though the MQFI is 1.4e21
     ("1e150,0,0", "1,1e160,0", "1"),
+    # t^2 underflows to zero, though the quadratic part is 4e-140
+    ("1e-100,0,0", "1e100,0,0", "1e-170"),
+    # t^2 is subnormal and has lost digits, though the quadratic part is 4e-120
+    ("1e-100,0,0", "1e100,0,0", "1e-160"),
+    # (r.v / |r|)^2 overflows, though the MQFI is 4e200
+    ("1e-100,0,0", "1e300,0,0", "1e-200"),
+    # sin^2(|r| t / 2) underflows to zero, though the oscillatory part is 4e-140
+    ("1e-100,0,0", "0,1e100,0", "1e-170"),
+    # sin^2(|r| t / 2) / |r|^2 underflows, though the MQFI is 1.9e-200
+    ("1e200,0,0", "0,1e100,0", "1"),
+    # the phase |r| t / 2 is subnormal, though the MQFI is 4e-240
+    ("1e-200,0,0", "0,1,0", "1e-120"),
+    # t^2 overflows, though the MQFI is 4e20
+    ("0,0,1", "0,0,1e-150", "1e160"),
+    # the velocity is subnormal and would lose digits if divided, though the MQFI is 4e-300
+    ("1,0,0", "1e-315,0,0", "1e165"),
+    # |r| = 2^996 and the phase is the double nearest pi, exactly: sin(|r| t / 2) / |r| is subnormal,
+    # though the MQFI is 5.4e-31
+    ("6.696928794914171e+299,0,0", "0,1e300,0", "9.382189208807487e-300"),
 ])
 def test_generic_mqfi_matches_high_precision_formula_where_a_direct_product_leaves_range(rvec, vvec, t, capsys):
     code, out, err = run(["mqfi", "generic", f"--rvec={rvec}", f"--vvec={vvec}", f"--t={t}", "--json"], capsys)

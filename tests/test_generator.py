@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from su2qfi import (
     split_velocity,
 )
 from su2qfi.cli import main
+from su2qfi.spin import libm_pow
 
 from reference_oracles import generator_fd
 
@@ -256,6 +258,64 @@ def test_mqfi_rows_whose_products_overflow_leave_the_other_rows_bits():
     assert np.all(np.isfinite(stack.total))
     assert stack.quadratic[1] == pytest.approx(4 * 1.5**2 * 1e20, rel=1e-15)
     assert stack.quadratic[2] == pytest.approx(4 * 1.5**2, rel=1e-15)
+
+
+def _extreme_vectors(rng, n):
+    """n vectors of magnitude 10^U(-300, 300) with signed components, 20% of them exactly zero."""
+    vecs = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-300, 300, (n, 1))
+    vecs[rng.random((n, 3)) < 0.2] = 0.0
+    return vecs
+
+
+def _mqfi_parts_60_digits(r, v, t, norm):
+    """(r.v)^2 t^2/|r|^2 and 4 |r x v|^2/|r|^4 sin^2(|r| t/2) at 60 digits, to be scaled by 4 j^2.
+
+    The phase is exact below 1e-3; above, it is the double ``norm * t / 2``
+    that the closed form takes the sine of.
+    """
+    with mpmath.workdps(60):
+        r, v, t = [mpmath.mpf(float(x)) for x in r], [mpmath.mpf(float(x)) for x in v], mpmath.mpf(float(t))
+        dot = r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
+        cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
+        norm_sq = r[0] ** 2 + r[1] ** 2 + r[2] ** 2
+        phase = mpmath.sqrt(norm_sq) * t / 2
+        if phase >= 1e-3:
+            phase = mpmath.mpf(float(norm) * float(t) / 2.0)
+        return dot**2 * t**2 / norm_sq, 4 * sum(x * x for x in cross) / norm_sq**2 * mpmath.sin(phase) ** 2
+
+
+def test_mqfi_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direct_bits_in_range():
+    rng = np.random.default_rng(13)
+    n = 2000
+    r, v, t = _extreme_vectors(rng, n), _extreme_vectors(rng, n), 10.0 ** rng.uniform(-200, 50, n)
+    r[~r.any(axis=1), 2] = 1.0   # a zero field has no closed form
+    with np.errstate(all="ignore"):   # r.v or r x v overflows on some rows
+        split = split_velocity(r, v)
+    refs = [_mqfi_parts_60_digits(r[k], v[k], t[k], split.field_norm[k]) for k in range(n)]
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    checked = 0
+    for j in (0.5, 50.0):
+        with np.errstate(all="ignore"):
+            got = mqfi_closed_form(j, split, t)
+        for part, ref in zip((got.quadratic, got.oscillatory), zip(*refs)):
+            for k in range(n):
+                expected = 4 * j**2 * ref[k]
+                if tiny <= expected <= huge:
+                    checked += 1
+                    assert part[k] == pytest.approx(float(expected), rel=1e-12, abs=0.0), (j, r[k], v[k], t[k])
+    assert checked > 1.5 * n   # about 1890 normal parts at each j
+    # in range each part keeps the bits of its direct form, also where r.v, |r x v| or t is exactly zero
+    r, v = (rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1)) for _ in range(2))
+    r[rng.random((n, 3)) < 0.2], v[rng.random((n, 3)) < 0.2] = 0.0, 0.0
+    r[~r.any(axis=1), 0] = 1.0
+    t = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(0, 100, n))
+    split = split_velocity(r, v)
+    jsq4, norm = 4 * 1.5**2, split.field_norm
+    assert np.sum(split.along == 0.0) > 5 and np.sum(split.across == 0.0) > 5
+    got = mqfi_closed_form(1.5, split, t)
+    quad = jsq4 * libm_pow(split.along, 2) * libm_pow(t, 2) / libm_pow(norm, 2)
+    osc = 4.0 * jsq4 * libm_pow(split.across, 2) / libm_pow(norm, 4) * libm_pow(np.sin(norm * t / 2.0), 2)
+    assert got.quadratic.tobytes() == quad.tobytes() and got.oscillatory.tobytes() == osc.tobytes()
 
 
 def test_mqfi_pure_transverse_oscillates():
