@@ -106,13 +106,6 @@ def _vec3_rows(x, name: str) -> np.ndarray:
     return v
 
 
-def _vec3(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
-    return _vec3_rows(v, name)
-
-
 @dataclass(frozen=True)
 class FieldCurve:
     """Parametric coefficient curve theta -> field(theta) in 3-space.
@@ -271,30 +264,33 @@ def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
 def _scaled_field_parts(jsq4: float, split: VelocitySplit, t, rows):
     """The parts on ``rows`` as (2j (r.v/|r|) t)^2 and (4j (|r x v|/|r|) (sin(|r| t/2)/|r|))^2, with 2j = sqrt(jsq4).
 
-    s = r/2^er and w = v/2^ev, with 2^er the power of two above the largest
-    field component and 2^ev that above the largest velocity component but
-    at most 4, are exact, so exact zeros of r.v and |r x v| stay zero and
-    s.w/|s| and |s x w|/|s| cannot overflow.  np.ldexp applies 2^ev and the
-    powers of two of t and |r| = 2^er |s|, and sin(|r| t/2)/|r| is t/2 where
-    the phase is below the normal range: each part is one product squared,
-    accurate wherever it, s.w and |s x w| are normal doubles.
+    s = r/2^er and w = v/2^ev (2^er the power of two above the largest field
+    component, 2^ev that above the largest velocity component but at most 4)
+    are exact, so exact zeros of r.v and |r x v| stay zero and s.w/|s| and
+    |s x w|/|s| cannot overflow; these are formed once per split row.
+    np.ldexp applies 2^ev and the powers of two of t, sin(|r| t/2) and
+    |r| = 2^er |s|, and sin(|r| t/2)/|r| is t/2 where the phase is below the
+    normal range: each part is one product squared, accurate wherever it,
+    s.w and |s x w| are normal doubles.
     """
-    field, velocity = (np.broadcast_to(x, rows.shape + (3,))[rows] for x in (split.field, split.velocity))
-    norm, t = (np.broadcast_to(x, rows.shape)[rows] for x in (split.field_norm, t))
-    er, ev = (np.frexp(np.max(np.abs(x), axis=-1))[1] for x in (field, velocity))
-    ev, (m_t, e_t) = np.minimum(ev, 2), np.frexp(t)   # v/4 at most keeps the small components of a large v
-    s, w = np.ldexp(field, -er[..., None]), np.ldexp(velocity, -ev[..., None])
-    s_norm, cross, phase = _norm(s[..., 0], s[..., 1], s[..., 2]), np.cross(s, w), norm * t / 2.0
-    across = _norm(cross[..., 0], cross[..., 1], cross[..., 2]) / s_norm
-    with np.errstate(over="ignore"):   # an overflowing part is inf, as libm_pow gives it; one branch is not taken
-        quad = np.ldexp(row_dot(s, w) / s_norm * m_t, ev + e_t) * np.sqrt(jsq4)
-        osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(across * m_t, ev + e_t - 1),
-                                             np.ldexp(across * np.sin(phase) / s_norm, ev - er))
-    return libm_pow(quad, 2), libm_pow(osc, 2)
+    er, ev = (np.frexp(np.max(np.abs(x), axis=-1))[1] for x in (split.field, split.velocity))
+    ev = np.minimum(ev, 2)   # v/4 at most keeps the small components of a large v
+    s, w = np.ldexp(split.field, -er[..., None]), np.ldexp(split.velocity, -ev[..., None])
+    s_norm, cross = _norm(s[..., 0], s[..., 1], s[..., 2]), np.cross(s, w)
+    along, across = row_dot(s, w), _norm(cross[..., 0], cross[..., 1], cross[..., 2])
+    er, ev, s_norm, along, across, t = (x[rows] for x in np.broadcast_arrays(er, ev, s_norm, along, across, t))
+    m_t, e_t = np.frexp(t)
+    phase = np.ldexp(s_norm * m_t, er + e_t - 1)   # |r| t/2, also where |r| is subnormal
+    m_s, e_s = np.frexp(np.sin(phase))
+    with np.errstate(over="ignore"):   # an overflowing part is inf; one branch is not taken
+        quad = np.ldexp(along / s_norm * m_t, ev + e_t) * np.sqrt(jsq4)
+        osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(across / s_norm * m_t, ev + e_t - 1),
+                                             np.ldexp(across / s_norm * m_s / s_norm, ev - er + e_s))
+        return quad * quad, osc * osc
 
 
 def mqfi_small_time(j: float, velocity, t) -> QfiBreakdown:
-    """Short-time value 4 j^2 t^2 |v|^2 of the maximal QFI, all quadratic; ``t`` may be an array."""
-    v = _vec3(velocity, "velocity")
-    quad = 4.0 * float(j) ** 2 * libm_pow(t, 2) * float(v @ v)
+    """Short-time value 4 j^2 t^2 |v|^2 of the maximal QFI, all quadratic; ``velocity`` may be a stack (..., 3)."""
+    v = _vec3_rows(velocity, "velocity")
+    quad = 4.0 * float(j) ** 2 * libm_pow(t, 2) * row_dot(v, v)
     return QfiBreakdown(quad, quad, 0.0)

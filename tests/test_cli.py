@@ -400,15 +400,21 @@ def test_large_field_sweep_is_rescaled_not_overflowed(capsys):
     assert totals == pytest.approx([0.0, 0.5, 2.0], rel=1e-12, abs=0.0)
 
 
-def _paper_mqfi(j, r, v, t):
-    """4 j^2 [(r.v)^2 t^2 / |r|^2 + 4 |r x v|^2 / |r|^4 sin^2(|r| t / 2)] at 50 digits."""
-    with mpmath.workdps(50):
+def _paper_mqfi(j, r, v, t, dps=50):
+    """4 j^2 [(r.v)^2 t^2 / |r|^2 + 4 |r x v|^2 / |r|^4 sin^2(|r| t / 2)] at ``dps`` digits."""
+    return _paper_mqfi_parts(j, r, v, t, dps)[0]
+
+
+def _paper_mqfi_parts(j, r, v, t, dps=50):
+    """(total, quadratic, oscillatory) of :func:`_paper_mqfi`, each rounded once from ``dps`` digits."""
+    with mpmath.workdps(dps):
         r, v, t = [mpmath.mpf(x) for x in r], [mpmath.mpf(x) for x in v], mpmath.mpf(t)
         dot = r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
         cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
         norm = mpmath.sqrt(sum(x * x for x in r))
         osc = 4 * sum(x * x for x in cross) / norm**4 * mpmath.sin(norm * t / 2) ** 2
-        return float(4 * j**2 * (dot**2 * t**2 / norm**2 + osc))
+        quad = dot**2 * t**2 / norm**2
+        return float(4 * j**2 * (quad + osc)), float(4 * j**2 * quad), float(4 * j**2 * osc)
 
 
 def _paper_drive_frequency_mqfi(j, lam, delta, t):
@@ -485,12 +491,21 @@ def test_mqfi_matches_high_precision_formula_from_tiny_to_huge_fields(scenario, 
     # |r| = 2^996 and the phase is the double nearest pi, exactly: sin(|r| t / 2) / |r| is subnormal,
     # though the MQFI is 5.4e-31
     ("6.696928794914171e+299,0,0", "0,1e300,0", "9.382189208807487e-300"),
+    # |r x v| sin(|r| t / 2) / |r| is subnormal for the scaled field (5e-21 times a phase of 1e-300),
+    # though the oscillatory part is 1.6e-239
+    ("1e-200,0,0", "1,1e-20,0", "2e-100"),
+    # |r| is subnormal and loses digits when formed from the field, though the oscillatory part is 1.3e105
+    ("0,-1.2622984054e-314,-9.45631542e-316", "6.1011105093889585e+29,0,-2.8567395185066804e+37",
+     "621486049701019.8"),
 ])
 def test_generic_mqfi_matches_high_precision_formula_where_a_direct_product_leaves_range(rvec, vvec, t, capsys):
     code, out, err = run(["mqfi", "generic", f"--rvec={rvec}", f"--vvec={vvec}", f"--t={t}", "--json"], capsys)
     assert (code, err) == (0, "")
-    expected = _paper_mqfi(1.0, [float(x) for x in rvec.split(",")], [float(x) for x in vvec.split(",")], float(t))
-    assert json.loads(out)["total"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    got = json.loads(out)
+    expected = _paper_mqfi_parts(1.0, [float(x) for x in rvec.split(",")], [float(x) for x in vvec.split(",")],
+                                 float(t), dps=60)
+    for name, value in zip(("total", "quadratic", "oscillatory"), expected):   # each part is normal or exactly 0
+        assert got[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
 
 
 def test_finite_residuals_within_limit_pass(capsys):

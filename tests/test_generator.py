@@ -260,9 +260,14 @@ def test_mqfi_rows_whose_products_overflow_leave_the_other_rows_bits():
     assert stack.quadratic[2] == pytest.approx(4 * 1.5**2, rel=1e-15)
 
 
-def _extreme_vectors(rng, n):
-    """n vectors of magnitude 10^U(-300, 300) with signed components, 20% of them exactly zero."""
+def _extreme_vectors(rng, n, spread=0):
+    """n vectors of magnitude 10^U(-300, 300) with signed components, 20% of them exactly zero.
+
+    A nonzero ``spread`` scales each component by its own 10^U(-spread, 0).
+    """
     vecs = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-300, 300, (n, 1))
+    if spread:
+        vecs *= 10.0 ** rng.uniform(-spread, 0, (n, 3))
     vecs[rng.random((n, 3)) < 0.2] = 0.0
     return vecs
 
@@ -284,10 +289,13 @@ def _mqfi_parts_60_digits(r, v, t, norm):
         return dot**2 * t**2 / norm_sq, 4 * sum(x * x for x in cross) / norm_sq**2 * mpmath.sin(phase) ** 2
 
 
-def test_mqfi_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direct_bits_in_range():
-    rng = np.random.default_rng(13)
-    n = 2000
-    r, v, t = _extreme_vectors(rng, n), _extreme_vectors(rng, n), 10.0 ** rng.uniform(-200, 50, n)
+def _check_extreme_draws(rng, n, spread=0):
+    """Hold mqfi_closed_form to 1e-12 of 60 digits on n extreme draws at j = 1/2 and 50; the parts checked.
+
+    Only parts whose reference is a normal double are checked.
+    """
+    r, v = _extreme_vectors(rng, n, spread), _extreme_vectors(rng, n, spread)
+    t = 10.0 ** rng.uniform(-200, 50, n)
     r[~r.any(axis=1), 2] = 1.0   # a zero field has no closed form
     with np.errstate(all="ignore"):   # r.v or r x v overflows on some rows
         split = split_velocity(r, v)
@@ -303,7 +311,13 @@ def test_mqfi_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direct_bits
                 if tiny <= expected <= huge:
                     checked += 1
                     assert part[k] == pytest.approx(float(expected), rel=1e-12, abs=0.0), (j, r[k], v[k], t[k])
-    assert checked > 1.5 * n   # about 1890 normal parts at each j
+    return checked
+
+
+def test_mqfi_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direct_bits_in_range():
+    rng = np.random.default_rng(13)
+    n = 2000
+    assert _check_extreme_draws(rng, n) > 1.5 * n   # about 1890 normal parts at each j
     # in range each part keeps the bits of its direct form, also where r.v, |r x v| or t is exactly zero
     r, v = (rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1)) for _ in range(2))
     r[rng.random((n, 3)) < 0.2], v[rng.random((n, 3)) < 0.2] = 0.0, 0.0
@@ -316,6 +330,12 @@ def test_mqfi_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direct_bits
     quad = jsq4 * libm_pow(split.along, 2) * libm_pow(t, 2) / libm_pow(norm, 2)
     osc = 4.0 * jsq4 * libm_pow(split.across, 2) / libm_pow(norm, 4) * libm_pow(np.sin(norm * t / 2.0), 2)
     assert got.quadratic.tobytes() == quad.tobytes() and got.oscillatory.tobytes() == osc.tobytes()
+
+
+def test_mqfi_stack_matches_60_digits_where_components_differ_in_magnitude():
+    # components up to 1e100 apart: near-parallel or near-orthogonal r and v,
+    # tiny phases, and fields with subnormal components or a subnormal |r|
+    assert _check_extreme_draws(np.random.default_rng(29), 2000, spread=100) > 1.5 * 2000
 
 
 def test_mqfi_pure_transverse_oscillates():
