@@ -372,6 +372,10 @@ def test_mqfi_multiplicative_limit_is_quadratic(capsys):
 def test_small_time_value():
     assert mqfi_small_time(1.0, [1.0, 0.0, 0.0], 2.0).total == pytest.approx(16.0)
     assert mqfi_small_time(1.0, [0.0, 0.0, 0.0], 2.0).total == 0.0
+    # a stack of velocities gives each row the bits of its own call
+    v, t = np.array([[0.3, -1.1, 0.4], [1e-3, 2.0, 0.0]]), np.array([2.0, 0.7])
+    stack = mqfi_small_time(1.5, v, t).total
+    assert stack.tobytes() == np.array([mqfi_small_time(1.5, v[k], t[k]).total for k in range(2)]).tobytes()
 
 
 def test_small_time_matches_closed_form():
