@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import QfiBreakdown, _field_ratio, _finite_cubes, _reject_first
+from .generator import QfiBreakdown, _direct_or_scaled, _finite_cubes, _reject_first
 from .spin import libm_pow
 
 __all__ = [
@@ -163,17 +163,26 @@ def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> QfiBreakdown:
 
     The quadratic part is the late-time parabola 4 j^2 lam^2 t^2 / kp^2,
     the quadratic part of the lam estimate on the same field; the
-    oscillatory part is the remainder and may be negative.
+    oscillatory part is the remainder and may be negative.  Both follow
+    :func:`_direct_or_scaled`'s one out-of-range rule.
     """
     kp, lam = system.kp, system.lam
-    x = kp * t
     # Both branches run on every point; the one not taken may overflow.
     with np.errstate(over="ignore", invalid="ignore"):
+        x = kp * t
         x2 = x * x
-        series = x2 * x2 * (0.25 - x2 / 72.0 + x2 * x2 / 2880.0)
+        poly = 0.25 - x2 / 72.0 + x2 * x2 / 2880.0
         closed = 2.0 + x * x - 2.0 * x * np.sin(x) - 2.0 * np.cos(x)
-    bracket = np.where(np.abs(x) < 0.1, series, closed)[()]
+        bracket = np.where(np.abs(x) < 0.1, x2 * x2 * poly, closed)[()]
     jsq4 = 4.0 * float(j) ** 2
-    total = _field_ratio(jsq4, lam, kp, bracket, 4)
-    quad = _field_ratio(jsq4, lam, kp, libm_pow(t, 2), 2)
+
+    def scaled_roots(on):   # 2j (lam/kp) t b with b^2 = bracket / x^2, and 2j (lam/kp) t
+        (m_l, e_l), (m_k, e_k), (m_t, e_t) = map(np.frexp, on(lam, kp, t))
+        x_on, poly_on, closed_on = on(x, poly, closed)
+        quad = np.ldexp(m_l / m_k * m_t, e_l - e_k + e_t) * np.sqrt(jsq4)
+        b = np.where(np.abs(x_on) < 0.1, np.abs(x_on) * np.sqrt(poly_on),   # the series' own polynomial
+                     np.where(np.isfinite(closed_on), np.sqrt(closed_on) / x_on, 1.0))   # 1 where x^2 overflows
+        return quad * b, quad
+
+    total, quad = _direct_or_scaled([(jsq4, lam, kp, bracket, 4), (jsq4, lam, kp, libm_pow(t, 2), 2)], scaled_roots)
     return QfiBreakdown(total, quad, total - quad)

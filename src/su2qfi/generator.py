@@ -68,33 +68,29 @@ def _normal(x):
     return (x >= _TINY) & (x < np.inf)
 
 
-def _direct_form(coeff: float, num, den, factor, power: int):
-    """coeff num^2 factor / den^power, for a nonzero den and power 2 or 4, and where it is fine.
+def _direct_or_scaled(parts, scaled_roots):
+    """Each part coeff num^2 factor / den^power of ``parts``, a list of (coeff, num, den, factor, power), power 2 or 4.
 
-    The value is (coeff num^2 factor) / den^2 or (coeff num^2 / den^4)
-    factor.  ``fine`` marks the rows where num^2, den^power, factor and
-    that first product are all normal doubles; the value is accurate
-    there, and may be anything on the other rows.
+    A part keeps its direct form, (coeff num^2 factor) / den^2 or
+    (coeff num^2 / den^4) factor, where num^2, den^power, factor and that
+    first product are normal doubles.  Every other row takes the square of
+    its root from ``scaled_roots(on)``, ``on(*arrays)`` taking those rows
+    of each array broadcast to the parts' shape; a root applies its powers
+    of two with np.ldexp, so nothing leaves the range before the square.
     """
-    num_sq, den_pow = libm_pow(num, 2), libm_pow(den, power)
-    with np.errstate(all="ignore"):   # a row out of range is only left unmarked
-        first = coeff * np.asarray(num_sq) * factor if power == 2 else coeff * np.asarray(num_sq) / den_pow
-        value = first / den_pow if power == 2 else first * factor
-    return value, _normal(num_sq) & _normal(den_pow) & _normal(factor) & _normal(first)
-
-
-def _field_ratio(coeff: float, num, den, factor, power: int):
-    """coeff num^2 factor / den^power: the direct form where it is fine, else coeff (num/den)^2 factor / den^(power-2).
-
-    The fallback divides factor by den once per power above 2, so it is
-    accurate wherever num/den, factor / den^(power-2) and the value are normal.
-    """
-    value, fine = _direct_form(coeff, num, den, factor, power)
-    if not fine.all():
-        value = np.asarray(value)   # a fresh array, patched in place
-        n, d, f = (np.broadcast_to(x, fine.shape)[~fine] for x in (num, den, factor))
-        value[~fine] = coeff * libm_pow(n / d, 2) * (f / d / d if power == 4 else f)
-    return value[()]
+    values, fine = [], []
+    with np.errstate(all="ignore"):   # a row out of range is only left unmarked; a root above the range is inf
+        for coeff, num, den, factor, power in parts:
+            num_sq, den_pow = libm_pow(num, 2), libm_pow(den, power)
+            first = coeff * np.asarray(num_sq) * factor if power == 2 else coeff * np.asarray(num_sq) / den_pow
+            values.append(np.asarray(first / den_pow if power == 2 else first * factor))   # fresh, patched in place
+            fine.append(_normal(num_sq) & _normal(den_pow) & _normal(factor) & _normal(first))
+        rows = ~np.logical_and.reduce(fine)
+        if rows.any():
+            roots = scaled_roots(lambda *arrays: [np.broadcast_to(x, rows.shape)[rows] for x in arrays])
+            for value, ok, root in zip(values, fine, roots):
+                value[rows] = np.where(ok[rows], value[rows], root * root)
+    return [value[()] for value in values]
 
 
 def _vec3_rows(x, name: str) -> np.ndarray:
@@ -245,24 +241,20 @@ def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
     The split and ``t`` may be arrays; the parts then broadcast over them.
     A part keeps this direct form on the rows where its squared numerator,
     the power of |r|, its factor (t^2 or sin^2(|r| t/2)) and the first
-    product are normal doubles (:func:`_direct_form`); its other rows take
-    the scaled-field form (:func:`_scaled_field_parts`), accurate wherever
-    the part is a normal double.
+    product are normal doubles (:func:`_direct_or_scaled`); its other rows
+    take the square of its scaled-field root (:func:`_scaled_field_roots`),
+    accurate wherever the part is a normal double.
     """
     jsq4 = 4.0 * float(j) ** 2
     r = split.field_norm
-    quad, quad_fine = _direct_form(jsq4, split.along, r, libm_pow(t, 2), 2)
-    osc, osc_fine = _direct_form(4.0 * jsq4, split.across, r, libm_pow(np.sin(r * t / 2.0), 2), 4)
-    parts, rows = [np.asarray(quad), np.asarray(osc)], ~(quad_fine & osc_fine)   # fresh arrays, patched in place
-    if rows.any():
-        for part, fine, scaled in zip(parts, (quad_fine, osc_fine), _scaled_field_parts(jsq4, split, t, rows)):
-            part[rows] = np.where(fine[rows], part[rows], scaled)
-    quad, osc = (part[()] for part in parts)
+    quad, osc = _direct_or_scaled([(jsq4, split.along, r, libm_pow(t, 2), 2),
+                                   (4.0 * jsq4, split.across, r, libm_pow(np.sin(r * t / 2.0), 2), 4)],
+                                  lambda on: _scaled_field_roots(jsq4, split, t, on))
     return QfiBreakdown(quad + osc, quad, osc)
 
 
-def _scaled_field_parts(jsq4: float, split: VelocitySplit, t, rows):
-    """The parts on ``rows`` as (2j (r.v/|r|) t)^2 and (4j (|r x v|/|r|) (sin(|r| t/2)/|r|))^2, with 2j = sqrt(jsq4).
+def _scaled_field_roots(jsq4: float, split: VelocitySplit, t, on):
+    """Roots 2j (r.v/|r|) t and 4j (|r x v|/|r|) (sin(|r| t/2)/|r|) of the parts, 2j = sqrt(jsq4), on ``on``'s rows.
 
     s = r/2^er and w = v/2^ev (2^er the power of two above the largest field
     component, 2^ev that above the largest velocity component but at most 4)
@@ -270,27 +262,36 @@ def _scaled_field_parts(jsq4: float, split: VelocitySplit, t, rows):
     |s x w|/|s| cannot overflow; these are formed once per split row.
     np.ldexp applies 2^ev and the powers of two of t, sin(|r| t/2) and
     |r| = 2^er |s|, and sin(|r| t/2)/|r| is t/2 where the phase is below the
-    normal range: each part is one product squared, accurate wherever it,
-    s.w and |s x w| are normal doubles.
+    normal range: each root is one product, and its square is accurate
+    wherever it, s.w and |s x w| are normal doubles.
     """
     er, ev = (np.frexp(np.max(np.abs(x), axis=-1))[1] for x in (split.field, split.velocity))
     ev = np.minimum(ev, 2)   # v/4 at most keeps the small components of a large v
     s, w = np.ldexp(split.field, -er[..., None]), np.ldexp(split.velocity, -ev[..., None])
     s_norm, cross = _norm(s[..., 0], s[..., 1], s[..., 2]), np.cross(s, w)
     along, across = row_dot(s, w), _norm(cross[..., 0], cross[..., 1], cross[..., 2])
-    er, ev, s_norm, along, across, t = (x[rows] for x in np.broadcast_arrays(er, ev, s_norm, along, across, t))
+    er, ev, s_norm, along, across, t = on(er, ev, s_norm, along, across, t)
     m_t, e_t = np.frexp(t)
     phase = np.ldexp(s_norm * m_t, er + e_t - 1)   # |r| t/2, also where |r| is subnormal
     m_s, e_s = np.frexp(np.sin(phase))
-    with np.errstate(over="ignore"):   # an overflowing part is inf; one branch is not taken
-        quad = np.ldexp(along / s_norm * m_t, ev + e_t) * np.sqrt(jsq4)
-        osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(across / s_norm * m_t, ev + e_t - 1),
-                                             np.ldexp(across / s_norm * m_s / s_norm, ev - er + e_s))
-        return quad * quad, osc * osc
+    quad = np.ldexp(along / s_norm * m_t, ev + e_t) * np.sqrt(jsq4)
+    osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(across / s_norm * m_t, ev + e_t - 1),
+                                         np.ldexp(across / s_norm * m_s / s_norm, ev - er + e_s))
+    return quad, osc
 
 
 def mqfi_small_time(j: float, velocity, t) -> QfiBreakdown:
-    """Short-time value 4 j^2 t^2 |v|^2 of the maximal QFI, all quadratic; ``velocity`` may be a stack (..., 3)."""
+    """Short-time value 4 j^2 t^2 |v|^2 of the maximal QFI, all quadratic; ``velocity`` may be a stack (..., 3).
+
+    Out of range (:func:`_direct_or_scaled`) it is the square of 2j |t v|, |t v| the nested hypot.
+    """
     v = _vec3_rows(velocity, "velocity")
-    quad = 4.0 * float(j) ** 2 * libm_pow(t, 2) * row_dot(v, v)
+    with np.errstate(over="ignore"):   # a row whose v.v overflows takes the scaled root
+        v_sq = row_dot(v, v)
+
+    def scaled_root(on):   # a component of t v leaves the range only where the part does
+        tv = np.asarray(t)[..., None] * v
+        return on(2.0 * float(j) * _norm(tv[..., 0], tv[..., 1], tv[..., 2]))
+
+    quad, = _direct_or_scaled([(4.0 * float(j) ** 2, t, 1.0, v_sq, 2)], scaled_root)
     return QfiBreakdown(quad, quad, 0.0)

@@ -3,8 +3,10 @@
 These are independent checks on the library, not part of it: a spin-j
 matrix midpoint product for time-ordered evolution (the reference for
 ``midpoint_su2`` + ``su2_lift``), a finite-difference generator of a
-callable propagator, and the QFI from the finite-difference derivative of
-the evolved state.  The library's own finite-difference route is
+callable propagator, the QFI from the finite-difference derivative of
+the evolved state, and the paper's closed forms (the MQFI split, the
+drive-frequency MQFI and the generator vector) in mpmath at a given
+number of digits.  The library's own finite-difference route is
 ``fd_generator(us, step)`` over propagators stacked at ``fd_points``.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
+import mpmath
 import numpy as np
 
 from su2qfi import fd_generator, fd_points, hermitian_expm
@@ -53,6 +56,64 @@ def generator_fd(u_of: Callable[[float], np.ndarray], theta: float, step: Option
         raise ValueError(f"step must be positive, got {h}")
     us = np.stack([u_of(th) for th in fd_points(theta, h).tolist()])
     return fd_generator(us, h)
+
+
+def mqfi_split(r, v, t, dps: int, double_norm=None):
+    """(r.v)^2 t^2 / |r|^2 and 4 |r x v|^2 / |r|^4 sin^2(|r| t / 2), the MQFI parts over 4 j^2, at ``dps`` digits.
+
+    The phase rule: the phase |r| t / 2 is exact when ``double_norm`` is
+    None.  Given the double |r| of a closed form, the phase is the double
+    ``double_norm * t / 2`` that closed form takes the sine of, wherever the
+    exact phase is at least 1e-3.  The parts are mpf numbers; the inputs
+    may be floats or mpf numbers, taken exactly.
+    """
+    with mpmath.workdps(dps):
+        r, v, t = [mpmath.mpf(x) for x in r], [mpmath.mpf(x) for x in v], mpmath.mpf(t)
+        dot = r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
+        cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
+        norm_sq = r[0] ** 2 + r[1] ** 2 + r[2] ** 2
+        phase = mpmath.sqrt(norm_sq) * t / 2
+        if double_norm is not None and phase >= 1e-3:
+            phase = mpmath.mpf(float(double_norm) * float(t) / 2.0)
+        return dot**2 * t**2 / norm_sq, 4 * sum(x * x for x in cross) / norm_sq**2 * mpmath.sin(phase) ** 2
+
+
+def drive_frequency_total(lam, delta, t, dps: int):
+    """The drive-frequency MQFI over 4 j^2, lam^2 / kp^4 [2 + x^2 - 2 x sin x - 2 cos x], at ``dps`` digits.
+
+    kp = sqrt(lam^2 + delta^2) and x = kp t.  Below x = 0.5 the bracket is
+    summed as its series sum_{n>=2} (-1)^n 2 (2n - 1) / (2n)! x^(2n), which
+    does not cancel, so a tiny x needs no extra digits.  The total is an
+    mpf number.
+    """
+    with mpmath.workdps(dps):
+        lam, delta, t = mpmath.mpf(lam), mpmath.mpf(delta), mpmath.mpf(t)
+        kp_sq = lam**2 + delta**2
+        x = mpmath.sqrt(kp_sq) * t
+        if x < 0.5:
+            bracket, n, term = mpmath.mpf(0), 2, x**4 / 24   # term: x^(2n) / (2n)!
+            while abs(term) > mpmath.eps * abs(bracket) or n == 2:
+                bracket += (-1) ** n * 2 * (2 * n - 1) * term
+                term *= x**2 / ((2 * n + 1) * (2 * n + 2))
+                n += 1
+        else:
+            bracket = 2 + x**2 - 2 * x * mpmath.sin(x) - 2 * mpmath.cos(x)
+        return lam**2 / kp_sq**2 * bracket
+
+
+def generator_vector_coeffs(r, v, t, dps: int):
+    """The paper's generator vector at ``dps`` digits, x = |r| t, as three mpf numbers:
+
+    (r.v) (sin x - x) / |r|^3 r - sin x / |r| v + (1 - cos x) / |r|^2 (r x v).
+    """
+    with mpmath.workdps(dps):
+        r, v, t = [mpmath.mpf(a) for a in r], [mpmath.mpf(a) for a in v], mpmath.mpf(t)
+        norm = mpmath.sqrt(sum(a * a for a in r))
+        x = norm * t
+        radial = sum(a * b for a, b in zip(r, v)) * (mpmath.sin(x) - x) / norm**3
+        cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
+        return [radial * a - mpmath.sin(x) / norm * b + (1 - mpmath.cos(x)) / norm**2 * c
+                for a, b, c in zip(r, v, cross)]
 
 
 def _expm_skew_taylor(stack: np.ndarray, scale: float) -> np.ndarray:

@@ -24,8 +24,9 @@ from su2qfi import (
 )
 from su2qfi.cases import _spherical_generator_vector
 from su2qfi.cli import _DRIVEN, SCENARIOS, _propagator, evaluate_point
+from su2qfi.spin import libm_pow
 
-from reference_oracles import generator_fd, trotter_propagator
+from reference_oracles import drive_frequency_total, generator_fd, mqfi_split, trotter_propagator
 
 PI_SQ_PLUS_FOUR = 13.869604401089358  # value of the static-field MQFI at omega0 = lam = 1, t = pi/K
 
@@ -412,6 +413,69 @@ def test_drive_frequency_large_time_envelope():
     for k in (1, 5, 20):
         t = 2 * np.pi * k
         assert driving_frequency_mqfi(system, 1.0, t).total == pytest.approx(4 * t**2, rel=1e-9)
+
+
+def _signed_extremes(rng, n):
+    """n signed values of magnitude 10^U(-300, 300), 20% of them exactly zero."""
+    x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n)
+    x[rng.random(n) < 0.2] = 0.0
+    return x
+
+
+def test_drive_frequency_stack_matches_60_digits_on_extreme_draws():
+    # The total and the quadratic part, at j = 1/2 and 50, wherever the
+    # 60-digit value is a normal double; the oscillatory part is their
+    # difference.  No np.errstate: a leaked numpy warning fails the test.
+    rng = np.random.default_rng(22)
+    n = 2000
+    lam, delta = _signed_extremes(rng, n), _signed_extremes(rng, n)
+    lam[(lam == 0.0) & (delta == 0.0)] = 1.0   # the drive frequency is unobservable there
+    t = 10.0 ** rng.uniform(-200, 50, n)
+    refs = [(drive_frequency_total(lam[k], delta[k], t[k], 60),
+             mqfi_split((lam[k], 0.0, delta[k]), (1.0, 0.0, 0.0), t[k], 60)[0]) for k in range(n)]
+    # For kp t in [0.01, 1] the bracket's 3-term series below its switch at
+    # 0.1 and its cancelling closed branch above it are off by up to 1.7e5
+    # ulp (ROADMAP item 4), in the direct form, which keeps the bits it had,
+    # and in the scaled root, which takes the same bracket.  The total is held
+    # to that bound there, and every other part to 1e-12.
+    with np.errstate(over="ignore"):
+        x = np.hypot(lam, delta) * t
+    near_switch = (x >= 0.01) & (x <= 1.0)
+    assert near_switch.sum() < n / 100   # the bound covers a handful of rows
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    checked = 0
+    for j in (0.5, 50.0):
+        got = driving_frequency_mqfi(DrivenSystem(delta, lam, 0.0), j, t)
+        for name, part, ref in zip(("total", "quadratic"), (got.total, got.quadratic), zip(*refs)):
+            for k in range(n):
+                expected = float(4 * j**2 * ref[k])
+                if not tiny <= expected <= huge:
+                    continue
+                checked += 1
+                where = (name, j, lam[k], delta[k], t[k])
+                if name == "total" and near_switch[k]:
+                    assert abs(part[k] - expected) <= 1.7e5 * np.spacing(expected), where
+                else:
+                    assert part[k] == pytest.approx(expected, rel=1e-12, abs=0.0), where
+    assert checked > 1.5 * n   # about 1700 normal parts at each j
+
+
+def test_drive_frequency_keeps_the_direct_bits_in_range():
+    # moderate rows keep the bits of the direct form, also where lam or t is exactly zero
+    rng = np.random.default_rng(23)
+    n = 2000
+    lam, delta = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(2))
+    lam[rng.random(n) < 0.1], delta[rng.random(n) < 0.1] = 0.0, 0.0
+    lam[(lam == 0.0) & (delta == 0.0)] = 1.0
+    t = np.where(rng.random(n) < 0.05, 0.0, 10.0 ** rng.uniform(-3, 2, n))
+    got = driving_frequency_mqfi(DrivenSystem(delta, lam, 0.0), 1.5, t)
+    jsq4, kp = 4 * 1.5**2, np.hypot(lam, delta)
+    x = kp * t
+    x2 = x * x
+    bracket = np.where(np.abs(x) < 0.1, x2 * x2 * (0.25 - x2 / 72.0 + x2 * x2 / 2880.0),
+                       2.0 + x * x - 2.0 * x * np.sin(x) - 2.0 * np.cos(x))
+    assert got.total.tobytes() == (jsq4 * libm_pow(lam, 2) / libm_pow(kp, 4) * bracket).tobytes()
+    assert got.quadratic.tobytes() == (jsq4 * libm_pow(lam, 2) * libm_pow(t, 2) / libm_pow(kp, 2)).tobytes()
 
 
 def test_driven_system_rejects_unobservable_drive_when_built():

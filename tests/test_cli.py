@@ -14,6 +14,8 @@ import pytest
 from su2qfi import __version__, mqfi_closed_form, split_velocity
 from su2qfi.cli import MAX_POINTS, MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
 
+from reference_oracles import drive_frequency_total, mqfi_split
+
 
 def static_omega0_mqfi(omega0, lam, j, t):
     """The library's closed form for estimating omega0 of the static field (lam, 0, omega0)."""
@@ -203,7 +205,7 @@ def test_unwritable_output_exits_4(tmp_path, capsys):
     ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "-1"],
     ["mqfi", "case2-omega0", "--omega0", "1", "--lambda", "1", "--t", "1", "--j", "0.3"],
     ["mqfi", "case1-theta", "--r", "1e308", "--t", "10"],   # finite input, non-finite r t
-    ["mqfi", "case3-omega", "--omega0", "1e200", "--lambda", "1", "--omega", "0", "--t", "1"],   # (kp t)^2
+    ["mqfi", "case3-omega", "--omega0", "1", "--lambda", "1", "--omega", "0", "--t", "1e200"],   # total 2e400
     ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
      "--start", "-1", "--stop", "1", "--points", "3"],
     ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
@@ -300,8 +302,6 @@ def test_optimal_state_agrees_with_mqfi(scenario, capsys):
     # The optimal state of the closed generator attains the closed-form MQFI,
     # and optimal-state never answers where mqfi exits 2.  optimal-state may
     # exit 2 where mqfi answers (a generator power above the double range).
-    # Exempt: README's case3-omega limit, kp t below 1e-77, where the MQFI
-    # loses relative precision.
     for s in (1e-300, 1e-200, 1e-100, 1e-80, 1.0, 1e80, 1e100, 1e103, 1e150, 1e200, 1e300):
         for t in ("1e-300", "1e-100", "1", "1e10", "1e100", "1e300"):
             options = _scenario_options(scenario, s)
@@ -310,8 +310,6 @@ def test_optimal_state_agrees_with_mqfi(scenario, capsys):
             assert code_mqfi in (0, 2) and code_state in (0, 2), (s, t)
             assert not (code_mqfi == 2 and code_state == 0), (s, t)
             if code_mqfi != 0 or code_state != 0 or json.loads(out_state)["degenerate"]:
-                continue
-            if scenario == "case3-omega" and math.hypot(s, s / 2) * float(t) < 1e-77:
                 continue
             total = json.loads(out_mqfi)["total"]
             assert json.loads(out_state)["qfi"] == pytest.approx(total, rel=1e-12, abs=0.0), (s, t)
@@ -383,7 +381,10 @@ def test_back_to_back_main_calls_do_not_share_options(tmp_path, capsys):
     # kp = sqrt(2) 1e200 but kp t = 1.4e100: 4 j^2 (lam / kp)^2 t^2 [1 + O(1e-100)]
     (["mqfi", "case3-omega", "--omega0", "1e200", "--lambda", "1e200", "--omega", "0", "--t", "1e-100"],
      2e-200),
-], ids=["case3-omega", "case2-lambda", "case2-omega0-square", "case3-lambda-square", "case3-omega-square"])
+    # (kp t)^2 = 1e400 overflows, and the total 4e-400 is below the double range
+    (["mqfi", "case3-omega", "--omega0", "1e200", "--lambda", "1", "--omega", "0", "--t", "1"], 0.0),
+], ids=["case3-omega", "case2-lambda", "case2-omega0-square", "case3-lambda-square", "case3-omega-square",
+        "case3-omega-below-range"])
 def test_large_field_mqfi_is_rescaled_not_overflowed(argv, reference, capsys):
     # a power of |field| overflows although the MQFI is finite
     code, out, _ = run(argv, capsys)
@@ -400,34 +401,6 @@ def test_large_field_sweep_is_rescaled_not_overflowed(capsys):
     assert totals == pytest.approx([0.0, 0.5, 2.0], rel=1e-12, abs=0.0)
 
 
-def _paper_mqfi(j, r, v, t, dps=50):
-    """4 j^2 [(r.v)^2 t^2 / |r|^2 + 4 |r x v|^2 / |r|^4 sin^2(|r| t / 2)] at ``dps`` digits."""
-    return _paper_mqfi_parts(j, r, v, t, dps)[0]
-
-
-def _paper_mqfi_parts(j, r, v, t, dps=50):
-    """(total, quadratic, oscillatory) of :func:`_paper_mqfi`, each rounded once from ``dps`` digits."""
-    with mpmath.workdps(dps):
-        r, v, t = [mpmath.mpf(x) for x in r], [mpmath.mpf(x) for x in v], mpmath.mpf(t)
-        dot = r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
-        cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
-        norm = mpmath.sqrt(sum(x * x for x in r))
-        osc = 4 * sum(x * x for x in cross) / norm**4 * mpmath.sin(norm * t / 2) ** 2
-        quad = dot**2 * t**2 / norm**2
-        return float(4 * j**2 * (quad + osc)), float(4 * j**2 * quad), float(4 * j**2 * osc)
-
-
-def _paper_drive_frequency_mqfi(j, lam, delta, t):
-    """4 j^2 (lam^2 / kp^4) [2 + x^2 - 2 x sin x - 2 cos x], x = kp t, with 50 digits left after the bracket cancels."""
-    with mpmath.workdps(50):
-        lam, delta, t = mpmath.mpf(lam), mpmath.mpf(delta), mpmath.mpf(t)
-        kp = mpmath.sqrt(lam**2 + delta**2)
-        x = kp * t
-    with mpmath.workdps(50 + max(0, int(-4 * mpmath.log10(x)))):
-        bracket = 2 + x**2 - 2 * x * mpmath.sin(x) - 2 * mpmath.cos(x)
-        return float(4 * j**2 * lam**2 / kp**4 * bracket)
-
-
 _FIELD_SIZES = np.logspace(-300, 300, 121)
 
 
@@ -435,13 +408,9 @@ _FIELD_SIZES = np.logspace(-300, 300, 121)
                                       "case3-omega"])
 def test_mqfi_matches_high_precision_formula_from_tiny_to_huge_fields(scenario, capsys):
     # |field| from 1e-300 to 1e300 at t = 1, where |field|^2, |field|^4 and
-    # sin^2(|field| t / 2) underflow or overflow; case3-omega from kp = 1e-70,
-    # below which the x^4 of its series bracket underflows, up to 1e150,
-    # above which (kp t)^2 overflows
-    sizes = _FIELD_SIZES
-    if scenario == "case3-omega":
-        sizes = sizes[(sizes >= 1e-70) & (sizes <= 1e150)]
-    for s in sizes.tolist():
+    # sin^2(|field| t / 2) underflow or overflow, and for case3-omega the
+    # x^4 of its series bracket or the (kp t)^2 of its closed bracket
+    for s in _FIELD_SIZES.tolist():
         omega0, lam, omega = 1.2 * s, 0.8 * s, 0.6 * s
         if scenario == "generic":
             r, v = (0.36 * s, -0.48 * s, 0.8 * s), (0.3, -1.1, 0.4)
@@ -457,9 +426,9 @@ def test_mqfi_matches_high_precision_formula_from_tiny_to_huge_fields(scenario, 
         code, out, err = run(["mqfi", scenario, *options, "--t=1", "--j=1.5", "--json"], capsys)
         assert (code, err) == (0, "")
         if scenario == "case3-omega":
-            expected = _paper_drive_frequency_mqfi(1.5, lam, r[2], 1.0)
+            expected = float(4 * 1.5**2 * drive_frequency_total(lam, r[2], 1.0, 50))
         else:
-            expected = _paper_mqfi(1.5, r, v, 1.0)
+            expected = float(4 * 1.5**2 * sum(mqfi_split(r, v, 1.0, 50)))
         assert json.loads(out)["total"] == pytest.approx(expected, rel=1e-12, abs=0.0), s
 
 
@@ -502,10 +471,9 @@ def test_generic_mqfi_matches_high_precision_formula_where_a_direct_product_leav
     code, out, err = run(["mqfi", "generic", f"--rvec={rvec}", f"--vvec={vvec}", f"--t={t}", "--json"], capsys)
     assert (code, err) == (0, "")
     got = json.loads(out)
-    expected = _paper_mqfi_parts(1.0, [float(x) for x in rvec.split(",")], [float(x) for x in vvec.split(",")],
-                                 float(t), dps=60)
-    for name, value in zip(("total", "quadratic", "oscillatory"), expected):   # each part is normal or exactly 0
-        assert got[name] == pytest.approx(value, rel=1e-12, abs=0.0), name
+    quad, osc = mqfi_split([float(x) for x in rvec.split(",")], [float(x) for x in vvec.split(",")], float(t), 60)
+    for name, value in zip(("total", "quadratic", "oscillatory"), (quad + osc, quad, osc)):   # normal or exactly 0
+        assert got[name] == pytest.approx(float(4 * value), rel=1e-12, abs=0.0), name
 
 
 def test_finite_residuals_within_limit_pass(capsys):

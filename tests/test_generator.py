@@ -20,9 +20,9 @@ from su2qfi import (
     split_velocity,
 )
 from su2qfi.cli import main
-from su2qfi.spin import libm_pow
+from su2qfi.spin import libm_pow, row_dot
 
-from reference_oracles import generator_fd
+from reference_oracles import generator_fd, mqfi_split
 
 
 def generator_vector_from_split(split, t):
@@ -272,23 +272,6 @@ def _extreme_vectors(rng, n, spread=0):
     return vecs
 
 
-def _mqfi_parts_60_digits(r, v, t, norm):
-    """(r.v)^2 t^2/|r|^2 and 4 |r x v|^2/|r|^4 sin^2(|r| t/2) at 60 digits, to be scaled by 4 j^2.
-
-    The phase is exact below 1e-3; above, it is the double ``norm * t / 2``
-    that the closed form takes the sine of.
-    """
-    with mpmath.workdps(60):
-        r, v, t = [mpmath.mpf(float(x)) for x in r], [mpmath.mpf(float(x)) for x in v], mpmath.mpf(float(t))
-        dot = r[0] * v[0] + r[1] * v[1] + r[2] * v[2]
-        cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
-        norm_sq = r[0] ** 2 + r[1] ** 2 + r[2] ** 2
-        phase = mpmath.sqrt(norm_sq) * t / 2
-        if phase >= 1e-3:
-            phase = mpmath.mpf(float(norm) * float(t) / 2.0)
-        return dot**2 * t**2 / norm_sq, 4 * sum(x * x for x in cross) / norm_sq**2 * mpmath.sin(phase) ** 2
-
-
 def _check_extreme_draws(rng, n, spread=0):
     """Hold mqfi_closed_form to 1e-12 of 60 digits on n extreme draws at j = 1/2 and 50; the parts checked.
 
@@ -299,7 +282,7 @@ def _check_extreme_draws(rng, n, spread=0):
     r[~r.any(axis=1), 2] = 1.0   # a zero field has no closed form
     with np.errstate(all="ignore"):   # r.v or r x v overflows on some rows
         split = split_velocity(r, v)
-    refs = [_mqfi_parts_60_digits(r[k], v[k], t[k], split.field_norm[k]) for k in range(n)]
+    refs = [mqfi_split(r[k], v[k], t[k], 60, double_norm=split.field_norm[k]) for k in range(n)]
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     checked = 0
     for j in (0.5, 50.0):
@@ -376,6 +359,32 @@ def test_small_time_value():
     v, t = np.array([[0.3, -1.1, 0.4], [1e-3, 2.0, 0.0]]), np.array([2.0, 0.7])
     stack = mqfi_small_time(1.5, v, t).total
     assert stack.tobytes() == np.array([mqfi_small_time(1.5, v[k], t[k]).total for k in range(2)]).tobytes()
+
+
+def test_small_time_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direct_bits_in_range():
+    # t up to 1e250 makes t^2 overflow on some rows, and |v| up to 1e300 makes
+    # v.v overflow; no np.errstate, so a leaked numpy warning fails the test
+    rng = np.random.default_rng(24)
+    n = 2000
+    v, t = _extreme_vectors(rng, n), 10.0 ** rng.uniform(-200, 250, n)
+    with mpmath.workdps(60):
+        refs = [mpmath.mpf(float(t[k])) ** 2 * sum(mpmath.mpf(float(x)) ** 2 for x in v[k]) for k in range(n)]
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    checked = 0
+    for j in (0.5, 50.0):
+        got = mqfi_small_time(j, v, t)
+        for k in range(n):
+            expected = float(4 * j**2 * refs[k])
+            if tiny <= expected <= huge:
+                checked += 1
+                assert got.quadratic[k] == pytest.approx(expected, rel=1e-12, abs=0.0), (j, v[k], t[k])
+        assert got.total.tobytes() == got.quadratic.tobytes()
+    assert checked > 0.8 * n   # about 930 normal parts at each j
+    # in range each row keeps the bits of the direct form, also where v or t is exactly zero
+    v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    v[rng.random((n, 3)) < 0.2] = 0.0
+    t = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(0, 100, n))
+    assert mqfi_small_time(1.5, v, t).total.tobytes() == (4 * 1.5**2 * libm_pow(t, 2) * row_dot(v, v)).tobytes()
 
 
 def test_small_time_matches_closed_form():

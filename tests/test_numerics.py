@@ -5,7 +5,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +30,7 @@ from su2qfi import (
 from su2qfi.cli import _DRIVEN, _propagator
 from su2qfi.numerics import _SU2_BLOCK_STEPS, _doubling_counts, _partial_sum, _series_coefficients
 
-from reference_oracles import _BLOCK_STEPS, generator_fd, qfi_fd, trotter_propagator
+from reference_oracles import _BLOCK_STEPS, generator_fd, generator_vector_coeffs, qfi_fd, trotter_propagator
 
 
 def random_hermitian(rng, dim):
@@ -314,21 +313,6 @@ def test_series_scaled_random_directions():
         assert frobenius(closed - scaled) < 1e-9
 
 
-def _generator_vector_50_digits(r, v, t):
-    """The paper's generator vector at 50 digits, x = |r| t:
-
-    (r.v) (sin x - x) / |r|^3 r - sin x / |r| v + (1 - cos x) / |r|^2 (r x v).
-    """
-    with mpmath.workdps(50):
-        r, v, t = [mpmath.mpf(a) for a in r], [mpmath.mpf(a) for a in v], mpmath.mpf(t)
-        norm = mpmath.sqrt(sum(a * a for a in r))
-        x = norm * t
-        radial = sum(a * b for a, b in zip(r, v)) * (mpmath.sin(x) - x) / norm**3
-        cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
-        return [float(radial * a - mpmath.sin(x) / norm * b + (1 - mpmath.cos(x)) / norm**2 * c)
-                for a, b, c in zip(r, v, cross)]
-
-
 def test_series_matches_the_50_digit_generator_from_tiny_to_huge_phases():
     # Relative Frobenius error against c.J, whose norm is |c| sqrt(j(j+1)(2j+1)/3),
     # for |field| t log-uniform in [1e-3, 1e4].  Each time doubling adds
@@ -342,7 +326,8 @@ def test_series_matches_the_50_digit_generator_from_tiny_to_huge_phases():
     r *= 10.0 ** rng.uniform(-1.0, 1.0, (200, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
     v = rng.normal(size=(200, 3))
     t = x / np.linalg.norm(r, axis=1)
-    c = np.array([_generator_vector_50_digits(*row) for row in zip(r.tolist(), v.tolist(), t.tolist())])
+    c = np.array([[float(x) for x in generator_vector_coeffs(*row, 50)]
+                  for row in zip(r.tolist(), v.tolist(), t.tolist())])
     for j in (0.5, 1.0, 3.0):
         rep = build_spin_rep(j)
         series = generator_series(dot_with_J(rep, r), dot_with_J(rep, v), t)
