@@ -476,6 +476,34 @@ def test_generic_mqfi_matches_high_precision_formula_where_a_direct_product_leav
         assert got[name] == pytest.approx(float(4 * value), rel=1e-12, abs=0.0), name
 
 
+@pytest.mark.parametrize("argv", [
+    # t^2 overflows and (lam / kp)^2 underflows, though both parts are 4e-60
+    ["case3-omega", "--omega0=1e-10", "--lambda=1e-200", "--omega=0", "--t=1e160"],
+    # x^4 of the series bracket is subnormal, though the total is 1e-112
+    ["case3-omega", "--omega0=0", "--lambda=1e-100", "--omega=0", "--t=1e22"],
+    # kp^4 overflows, though the MQFI is 4e-120
+    ["case3-omega", "--omega0=1e160", "--lambda=1e100", "--omega=0", "--t=1"],
+    # kp t overflows, though the MQFI is 2e300
+    ["case3-omega", "--omega0=1e200", "--lambda=1e200", "--omega=0", "--t=1e150"],
+    # a zero field: v.v underflows, though the MQFI is 4e-200, or t^2 overflows, though it is 4
+    ["generic", "--rvec=0,0,0", "--vvec=1e-200,0,0", "--t=1e100"],
+    ["generic", "--rvec=0,0,0", "--vvec=1e-200,0,0", "--t=1e200"],
+])
+def test_drive_and_zero_field_mqfi_match_60_digits_where_a_direct_product_leaves_range(argv, capsys):
+    code, out, err = run(["mqfi", *argv, "--json"], capsys)
+    assert (code, err) == (0, "")
+    got, p = json.loads(out), dict(arg[2:].split("=") for arg in argv[1:])
+    t = float(p["t"])
+    if argv[0] == "generic":
+        v = [float(x) for x in p["vvec"].split(",")]
+        total = quad = mqfi_split(v, v, t, 60)[0]   # a field along v has the short-time value, all quadratic
+    else:
+        lam, delta = float(p["lambda"]), float(p["omega0"]) - float(p["omega"])
+        total, quad = drive_frequency_total(lam, delta, t, 60), mqfi_split((lam, 0.0, delta), (1.0, 0.0, 0.0), t, 60)[0]
+    assert got["total"] == pytest.approx(float(4 * total), rel=1e-12, abs=0.0)
+    assert got["quadratic"] == pytest.approx(float(4 * quad), rel=1e-12, abs=0.0)
+
+
 def test_finite_residuals_within_limit_pass(capsys):
     assert _validation_verdict({"series": np.array([1e-9]), "fd": np.array([0.0])}, (0, 1e-7)) == 0
     assert capsys.readouterr().err == ""
