@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import QfiBreakdown, _direct_or_scaled, _finite_cubes, _reject_first
+from .generator import QfiBreakdown, _direct_or_scaled, _finite_cubes, _reject_first, _scaled_field_roots
 from .spin import libm_pow
 
 __all__ = [
@@ -93,7 +93,8 @@ class DrivenSystem:
 
     @property
     def kp(self) -> float:
-        return np.hypot(self.lam, self.delta)
+        with np.errstate(over="ignore"):   # inf once lam and delta pass 1.27e308; the MQFI then takes its scaled roots
+            return np.hypot(self.lam, self.delta)
 
 
 def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> QfiBreakdown:
@@ -166,23 +167,22 @@ def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> QfiBreakdown:
     oscillatory part is the remainder and may be negative.  Both follow
     :func:`_direct_or_scaled`'s one out-of-range rule.
     """
-    kp, lam = system.kp, system.lam
-    # Both branches run on every point; the one not taken may overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = kp * t
+    kp, lam, delta, jsq4 = system.kp, system.lam, system.delta, 4.0 * float(j) ** 2
+
+    def bracket(x):   # x^4 times the series' polynomial below x = 0.1, else the closed form; and those two
         x2 = x * x
         poly = 0.25 - x2 / 72.0 + x2 * x2 / 2880.0
         closed = 2.0 + x * x - 2.0 * x * np.sin(x) - 2.0 * np.cos(x)
-        bracket = np.where(np.abs(x) < 0.1, x2 * x2 * poly, closed)[()]
-    jsq4 = 4.0 * float(j) ** 2
+        return np.where(np.abs(x) < 0.1, x2 * x2 * poly, closed)[()], poly, closed
 
-    def scaled_roots(on):   # 2j (lam/kp) t b with b^2 = bracket / x^2, and 2j (lam/kp) t
-        (m_l, e_l), (m_k, e_k), (m_t, e_t) = map(np.frexp, on(lam, kp, t))
-        x_on, poly_on, closed_on = on(x, poly, closed)
-        quad = np.ldexp(m_l / m_k * m_t, e_l - e_k + e_t) * np.sqrt(jsq4)
-        b = np.where(np.abs(x_on) < 0.1, np.abs(x_on) * np.sqrt(poly_on),   # the series' own polynomial
-                     np.where(np.isfinite(closed_on), np.sqrt(closed_on) / x_on, 1.0))   # 1 where x^2 overflows
+    def scaled_roots(on):   # 2j (lam/kp) t b with b^2 = bracket / x^2, and 2j (lam/kp) t, the lam estimate's root
+        quad, _, phase = _scaled_field_roots(jsq4, np.stack(np.broadcast_arrays(lam, 0, delta), -1), (1, 0, 0), t, on)
+        _, poly, closed = bracket(x := 2.0 * phase)   # x = kp t, also where kp overflows or is subnormal
+        b = np.where(np.abs(x) < 0.1, np.abs(x) * np.sqrt(poly),   # the series' own polynomial
+                     np.where(np.isfinite(closed), np.sqrt(closed) / x, 1.0))   # 1 where x^2 overflows
         return quad * b, quad
 
-    total, quad = _direct_or_scaled([(jsq4, lam, kp, bracket, 4), (jsq4, lam, kp, libm_pow(t, 2), 2)], scaled_roots)
-    return QfiBreakdown(total, quad, total - quad)
+    with np.errstate(over="ignore", invalid="ignore"):   # the bracket branch not taken may overflow, or both parts
+        total, quad = _direct_or_scaled([(jsq4, lam, kp, bracket(kp * t)[0], 4), (jsq4, lam, kp, libm_pow(t, 2), 2)],
+                                        scaled_roots)
+        return QfiBreakdown(total, quad, total - quad)

@@ -249,25 +249,25 @@ def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
     r = split.field_norm
     quad, osc = _direct_or_scaled([(jsq4, split.along, r, libm_pow(t, 2), 2),
                                    (4.0 * jsq4, split.across, r, libm_pow(np.sin(r * t / 2.0), 2), 4)],
-                                  lambda on: _scaled_field_roots(jsq4, split, t, on))
+                                  lambda on: _scaled_field_roots(jsq4, split.field, split.velocity, t, on)[:2])
     return QfiBreakdown(quad + osc, quad, osc)
 
 
-def _scaled_field_roots(jsq4: float, split: VelocitySplit, t, on):
-    """Roots 2j (r.v/|r|) t and 4j (|r x v|/|r|) (sin(|r| t/2)/|r|) of the parts, 2j = sqrt(jsq4), on ``on``'s rows.
+def _scaled_field_roots(jsq4: float, field, velocity, t, on):
+    """Roots 2j (r.v/|r|) t, 4j (|r x v|/|r|) sin(|r| t/2)/|r| (2j = sqrt(jsq4)) and the phase |r| t/2 on ``on``'s rows.
 
     s = r/2^er and w = v/2^ev (2^er the power of two above the largest field
     component, 2^ev that above the largest velocity component but at most 4)
     are exact, so exact zeros of r.v and |r x v| stay zero and s.w/|s| and
-    |s x w|/|s| cannot overflow; these are formed once per split row.
+    |s x w|/|s| cannot overflow; these are formed once per field row.
     np.ldexp applies 2^ev and the powers of two of t, sin(|r| t/2) and
     |r| = 2^er |s|, and sin(|r| t/2)/|r| is t/2 where the phase is below the
     normal range: each root is one product, and its square is accurate
     wherever it, s.w and |s x w| are normal doubles.
     """
-    er, ev = (np.frexp(np.max(np.abs(x), axis=-1))[1] for x in (split.field, split.velocity))
+    er, ev = (np.frexp(np.max(np.abs(x), axis=-1))[1] for x in (field, velocity))
     ev = np.minimum(ev, 2)   # v/4 at most keeps the small components of a large v
-    s, w = np.ldexp(split.field, -er[..., None]), np.ldexp(split.velocity, -ev[..., None])
+    s, w = np.ldexp(field, -er[..., None]), np.ldexp(velocity, -ev[..., None])
     s_norm, cross = _norm(s[..., 0], s[..., 1], s[..., 2]), np.cross(s, w)
     along, across = row_dot(s, w), _norm(cross[..., 0], cross[..., 1], cross[..., 2])
     er, ev, s_norm, along, across, t = on(er, ev, s_norm, along, across, t)
@@ -277,7 +277,7 @@ def _scaled_field_roots(jsq4: float, split: VelocitySplit, t, on):
     quad = np.ldexp(along / s_norm * m_t, ev + e_t) * np.sqrt(jsq4)
     osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(across / s_norm * m_t, ev + e_t - 1),
                                          np.ldexp(across / s_norm * m_s / s_norm, ev - er + e_s))
-    return quad, osc
+    return quad, osc, phase
 
 
 def mqfi_small_time(j: float, velocity, t) -> QfiBreakdown:

@@ -6,8 +6,9 @@ matrix midpoint product for time-ordered evolution (the reference for
 callable propagator, the QFI from the finite-difference derivative of
 the evolved state, and the paper's closed forms (the MQFI split, the
 drive-frequency MQFI and the generator vector) in mpmath at a given
-number of digits.  The library's own finite-difference route is
-``fd_generator(us, step)`` over propagators stacked at ``fd_points``.
+number of digits, with the seeded extreme draws and the normal-part check
+that hold the closed forms to them.  The library's own finite-difference
+route is ``fd_generator(us, step)`` over propagators stacked at ``fd_points``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Optional
 
 import mpmath
 import numpy as np
+import pytest
 
 from su2qfi import fd_generator, fd_points, hermitian_expm
 from su2qfi.numerics import _require_state, _require_unitary
@@ -114,6 +116,40 @@ def generator_vector_coeffs(r, v, t, dps: int):
         cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
         return [radial * a - mpmath.sin(x) / norm * b + (1 - mpmath.cos(x)) / norm**2 * c
                 for a, b, c in zip(r, v, cross)]
+
+
+def signed_extremes(rng, n, width=None, spread=0):
+    """n signed values of magnitude 10^U(-300, 300), 20% of the entries exactly zero.
+
+    With a ``width``, n vectors of that many signed components that share
+    one magnitude.  A nonzero ``spread`` scales each entry by its own
+    10^U(-spread, 0).
+    """
+    shape = (n,) if width is None else (n, width)
+    x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-300, 300, (n,) + (1,) * (len(shape) - 1))
+    if spread:
+        x *= 10.0 ** rng.uniform(-spread, 0, shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    return x
+
+
+def check_normal_parts(got, refs, where, ulps=None):
+    """Hold each got[k] to 1e-12 of refs[k] wherever that mpf reference is a normal double; return how many were held.
+
+    ``where(k)`` names row k in a failure.  A row with a nonzero ``ulps[k]``
+    is held to that many ulp of its reference instead.
+    """
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    checked = 0
+    for k, ref in enumerate(refs):
+        if not tiny <= ref <= huge:
+            continue
+        checked += 1
+        if ulps is not None and ulps[k]:
+            assert abs(got[k] - float(ref)) <= ulps[k] * np.spacing(float(ref)), where(k)
+        else:
+            assert got[k] == pytest.approx(float(ref), rel=1e-12, abs=0.0), where(k)
+    return checked
 
 
 def _expm_skew_taylor(stack: np.ndarray, scale: float) -> np.ndarray:

@@ -26,7 +26,8 @@ from su2qfi.cases import _spherical_generator_vector
 from su2qfi.cli import _DRIVEN, SCENARIOS, _propagator, evaluate_point
 from su2qfi.spin import libm_pow
 
-from reference_oracles import drive_frequency_total, generator_fd, mqfi_split, trotter_propagator
+from reference_oracles import (check_normal_parts, drive_frequency_total, generator_fd, mqfi_split, signed_extremes,
+                               trotter_propagator)
 
 PI_SQ_PLUS_FOUR = 13.869604401089358  # value of the static-field MQFI at omega0 = lam = 1, t = pi/K
 
@@ -415,49 +416,63 @@ def test_drive_frequency_large_time_envelope():
         assert driving_frequency_mqfi(system, 1.0, t).total == pytest.approx(4 * t**2, rel=1e-9)
 
 
-def _signed_extremes(rng, n):
-    """n signed values of magnitude 10^U(-300, 300), 20% of them exactly zero."""
-    x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-300, 300, n)
-    x[rng.random(n) < 0.2] = 0.0
-    return x
+def _check_drive_draws(lam, delta, t):
+    """Hold driving_frequency_mqfi's total and quadratic part to 60 digits at j = 1/2 and 50; the parts checked.
 
-
-def test_drive_frequency_stack_matches_60_digits_on_extreme_draws():
-    # The total and the quadratic part, at j = 1/2 and 50, wherever the
-    # 60-digit value is a normal double; the oscillatory part is their
-    # difference.  No np.errstate: a leaked numpy warning fails the test.
-    rng = np.random.default_rng(22)
-    n = 2000
-    lam, delta = _signed_extremes(rng, n), _signed_extremes(rng, n)
-    lam[(lam == 0.0) & (delta == 0.0)] = 1.0   # the drive frequency is unobservable there
-    t = 10.0 ** rng.uniform(-200, 50, n)
+    Only parts whose reference is a normal double are checked, and the
+    oscillatory part is their difference.  For kp t in [0.01, 1] the
+    bracket's 3-term series below its switch at 0.1 and its cancelling
+    closed branch above it are off by up to 1.7e5 ulp (ROADMAP item 4), in
+    the direct form, which keeps the bits it had, and in the scaled root,
+    which takes the same bracket.  The total is held to that bound there,
+    and every other part to 1e-12.
+    """
+    n = len(t)
     refs = [(drive_frequency_total(lam[k], delta[k], t[k], 60),
              mqfi_split((lam[k], 0.0, delta[k]), (1.0, 0.0, 0.0), t[k], 60)[0]) for k in range(n)]
-    # For kp t in [0.01, 1] the bracket's 3-term series below its switch at
-    # 0.1 and its cancelling closed branch above it are off by up to 1.7e5
-    # ulp (ROADMAP item 4), in the direct form, which keeps the bits it had,
-    # and in the scaled root, which takes the same bracket.  The total is held
-    # to that bound there, and every other part to 1e-12.
     with np.errstate(over="ignore"):
         x = np.hypot(lam, delta) * t
     near_switch = (x >= 0.01) & (x <= 1.0)
     assert near_switch.sum() < n / 100   # the bound covers a handful of rows
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     checked = 0
     for j in (0.5, 50.0):
         got = driving_frequency_mqfi(DrivenSystem(delta, lam, 0.0), j, t)
-        for name, part, ref in zip(("total", "quadratic"), (got.total, got.quadratic), zip(*refs)):
-            for k in range(n):
-                expected = float(4 * j**2 * ref[k])
-                if not tiny <= expected <= huge:
-                    continue
-                checked += 1
-                where = (name, j, lam[k], delta[k], t[k])
-                if name == "total" and near_switch[k]:
-                    assert abs(part[k] - expected) <= 1.7e5 * np.spacing(expected), where
-                else:
-                    assert part[k] == pytest.approx(expected, rel=1e-12, abs=0.0), where
-    assert checked > 1.5 * n   # about 1700 normal parts at each j
+        total, quad = ([4 * j**2 * ref[i] for ref in refs] for i in (0, 1))
+        checked += check_normal_parts(got.total, total, lambda k: ("total", j, lam[k], delta[k], t[k]),
+                                      np.where(near_switch, 1.7e5, 0.0))
+        checked += check_normal_parts(got.quadratic, quad, lambda k: ("quadratic", j, lam[k], delta[k], t[k]))
+    return checked
+
+
+def test_drive_frequency_stack_matches_60_digits_on_extreme_draws():
+    # lam and delta from +-1e-300 to +-1e300, 20% exactly zero.  No
+    # np.errstate: a leaked numpy warning fails the test.
+    rng = np.random.default_rng(22)
+    n = 2000
+    lam, delta = signed_extremes(rng, n), signed_extremes(rng, n)
+    lam[(lam == 0.0) & (delta == 0.0)] = 1.0   # the drive frequency is unobservable there
+    t = 10.0 ** rng.uniform(-200, 50, n)
+    assert _check_drive_draws(lam, delta, t) > 1.5 * n   # about 1700 normal parts at each j
+
+
+def test_drive_frequency_stack_matches_60_digits_where_kp_overflows_or_is_subnormal():
+    # Half of the magnitudes of lam and delta are from 1e308 to 1.78e308,
+    # where hypot(lam, delta) overflows once both pass 1.27e308, and half
+    # are subnormal, down to 5e-324, where hypot loses digits.
+    rng = np.random.default_rng(26)
+    n = 1000
+
+    def edge_draw():
+        huge = rng.random(n) < 0.5
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(np.where(huge, 308.0, -323.3),
+                                                                 np.where(huge, 308.25, -307.7))
+
+    lam, delta = edge_draw(), edge_draw()
+    t = 10.0 ** rng.uniform(-160, 300, n)
+    with np.errstate(over="ignore"):
+        kp = np.hypot(lam, delta)
+    assert np.sum(np.isinf(kp)) > 0.05 * n and np.sum((kp > 0) & (kp < np.finfo(float).tiny)) > 0.1 * n
+    assert _check_drive_draws(lam, delta, t) > 1.5 * n   # about 920 normal parts at each j
 
 
 def test_drive_frequency_keeps_the_direct_bits_in_range():

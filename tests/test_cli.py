@@ -488,6 +488,11 @@ def test_generic_mqfi_matches_high_precision_formula_where_a_direct_product_leav
     # a zero field: v.v underflows, though the MQFI is 4e-200, or t^2 overflows, though it is 4
     ["generic", "--rvec=0,0,0", "--vvec=1e-200,0,0", "--t=1e100"],
     ["generic", "--rvec=0,0,0", "--vvec=1e-200,0,0", "--t=1e200"],
+    # hypot(lam, delta) overflows, though the MQFI is 2e-20
+    ["case3-omega", "--omega0=1.5e308", "--lambda=1.5e308", "--omega=0", "--t=1e-10"],
+    # kp is subnormal and loses digits, though the quadratic part is 2 and, at t = 1e150, the total is about 1e-32
+    ["case3-omega", "--omega0=1e-316", "--lambda=1e-316", "--omega=0", "--t=1"],
+    ["case3-omega", "--omega0=1e-316", "--lambda=1e-316", "--omega=0", "--t=1e150"],
 ])
 def test_drive_and_zero_field_mqfi_match_60_digits_where_a_direct_product_leaves_range(argv, capsys):
     code, out, err = run(["mqfi", *argv, "--json"], capsys)

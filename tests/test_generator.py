@@ -22,7 +22,7 @@ from su2qfi import (
 from su2qfi.cli import main
 from su2qfi.spin import libm_pow, row_dot
 
-from reference_oracles import generator_fd, mqfi_split
+from reference_oracles import check_normal_parts, generator_fd, mqfi_split, signed_extremes
 
 
 def generator_vector_from_split(split, t):
@@ -260,40 +260,23 @@ def test_mqfi_rows_whose_products_overflow_leave_the_other_rows_bits():
     assert stack.quadratic[2] == pytest.approx(4 * 1.5**2, rel=1e-15)
 
 
-def _extreme_vectors(rng, n, spread=0):
-    """n vectors of magnitude 10^U(-300, 300) with signed components, 20% of them exactly zero.
-
-    A nonzero ``spread`` scales each component by its own 10^U(-spread, 0).
-    """
-    vecs = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-300, 300, (n, 1))
-    if spread:
-        vecs *= 10.0 ** rng.uniform(-spread, 0, (n, 3))
-    vecs[rng.random((n, 3)) < 0.2] = 0.0
-    return vecs
-
-
 def _check_extreme_draws(rng, n, spread=0):
     """Hold mqfi_closed_form to 1e-12 of 60 digits on n extreme draws at j = 1/2 and 50; the parts checked.
 
     Only parts whose reference is a normal double are checked.
     """
-    r, v = _extreme_vectors(rng, n, spread), _extreme_vectors(rng, n, spread)
+    r, v = signed_extremes(rng, n, 3, spread), signed_extremes(rng, n, 3, spread)
     t = 10.0 ** rng.uniform(-200, 50, n)
     r[~r.any(axis=1), 2] = 1.0   # a zero field has no closed form
     with np.errstate(all="ignore"):   # r.v or r x v overflows on some rows
         split = split_velocity(r, v)
     refs = [mqfi_split(r[k], v[k], t[k], 60, double_norm=split.field_norm[k]) for k in range(n)]
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     checked = 0
     for j in (0.5, 50.0):
         with np.errstate(all="ignore"):
             got = mqfi_closed_form(j, split, t)
         for part, ref in zip((got.quadratic, got.oscillatory), zip(*refs)):
-            for k in range(n):
-                expected = 4 * j**2 * ref[k]
-                if tiny <= expected <= huge:
-                    checked += 1
-                    assert part[k] == pytest.approx(float(expected), rel=1e-12, abs=0.0), (j, r[k], v[k], t[k])
+            checked += check_normal_parts(part, [4 * j**2 * x for x in ref], lambda k: (j, r[k], v[k], t[k]))
     return checked
 
 
@@ -366,18 +349,13 @@ def test_small_time_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direc
     # v.v overflow; no np.errstate, so a leaked numpy warning fails the test
     rng = np.random.default_rng(24)
     n = 2000
-    v, t = _extreme_vectors(rng, n), 10.0 ** rng.uniform(-200, 250, n)
+    v, t = signed_extremes(rng, n, 3), 10.0 ** rng.uniform(-200, 250, n)
     with mpmath.workdps(60):
         refs = [mpmath.mpf(float(t[k])) ** 2 * sum(mpmath.mpf(float(x)) ** 2 for x in v[k]) for k in range(n)]
-    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     checked = 0
     for j in (0.5, 50.0):
         got = mqfi_small_time(j, v, t)
-        for k in range(n):
-            expected = float(4 * j**2 * refs[k])
-            if tiny <= expected <= huge:
-                checked += 1
-                assert got.quadratic[k] == pytest.approx(expected, rel=1e-12, abs=0.0), (j, v[k], t[k])
+        checked += check_normal_parts(got.quadratic, [4 * j**2 * x for x in refs], lambda k: (j, v[k], t[k]))
         assert got.total.tobytes() == got.quadratic.tobytes()
     assert checked > 0.8 * n   # about 930 normal parts at each j
     # in range each row keeps the bits of the direct form, also where v or t is exactly zero
