@@ -24,7 +24,6 @@ from .generator import (
     VelocitySplit,
     generator_vector,
     mqfi_closed_form,
-    mqfi_small_time,
     split_velocity,
 )
 from .numerics import (
@@ -41,7 +40,6 @@ from .numerics import (
 from .cases import (
     DrivenSystem,
     SphericalField,
-    StaticFieldSystem,
     driving_frequency_mqfi,
     driving_generator_vector,
     spherical_field_mqfi,
@@ -52,10 +50,9 @@ __all__ = [
     "SpinRep", "build_spin_rep", "dot_with_J", "frobenius", "hermitian_expm",
     "su2_lift",
     "DegenerateFieldError", "FieldCurve", "QfiBreakdown", "VelocitySplit",
-    "generator_vector", "mqfi_closed_form", "mqfi_small_time",
-    "split_velocity",
+    "generator_vector", "mqfi_closed_form", "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",
     "generator_series", "midpoint_su2", "optimal_state", "qfi_of_state",
-    "DrivenSystem", "SphericalField", "StaticFieldSystem",
+    "DrivenSystem", "SphericalField",
     "driving_frequency_mqfi", "driving_generator_vector", "spherical_field_mqfi",
 ]

@@ -9,7 +9,8 @@ Spherical field
 
 Static two-component field
     h = omega0 jz + lam jx, the field vector (lam, 0, omega0).  Its MQFI
-    for omega0 or lam is generator.mqfi_closed_form of that vector.
+    for omega0 or lam is generator.mqfi_closed_form of that vector, which
+    needs no system of its own and answers omega0 = lam = 0 too.
 
 Circularly driven field
     h(t) = omega0 jz + lam (jx cos wt + jy sin wt).  A frame rotating at
@@ -33,7 +34,6 @@ from .spin import libm_pow
 
 __all__ = [
     "SphericalField",
-    "StaticFieldSystem",
     "DrivenSystem",
     "spherical_field_mqfi",
     "driving_generator_vector",
@@ -58,24 +58,8 @@ class SphericalField:
 
 
 @dataclass(frozen=True)
-class StaticFieldSystem:
-    """Ensemble coupled to a static transverse field: h = omega0 jz + lam jx."""
-
-    omega0: float
-    lam: float
-
-    def __post_init__(self):
-        _reject_first(self.k == 0.0, "omega0 and lam are both zero, the field vanishes",
-                      omega0=self.omega0, lam=self.lam)
-
-    @property
-    def k(self) -> float:
-        return np.hypot(self.lam, self.omega0)
-
-
-@dataclass(frozen=True)
 class DrivenSystem:
-    """Ensemble driven by a rotating transverse field of frequency omega."""
+    """Ensemble driven by a rotating transverse field of frequency omega: the system of the drive-frequency forms."""
 
     omega0: float
     lam: float

@@ -23,7 +23,6 @@ from . import __version__, cases
 from .cases import (
     DrivenSystem,
     SphericalField,
-    StaticFieldSystem,
     _spherical_generator_vector,
     driving_generator_vector,
 )
@@ -32,7 +31,6 @@ from .generator import (
     QfiBreakdown,
     generator_vector,
     mqfi_closed_form,
-    mqfi_small_time,
     split_velocity,
 )
 from .numerics import (
@@ -79,7 +77,8 @@ class Family:
     """Scenarios that estimate one named parameter of the same field(params).
 
     ``velocity[name](params)`` is d field / d name, and ``system(params)``
-    builds the closed forms' system, which rejects a degenerate field.  A
+    builds the system of the family's own closed forms, which rejects a
+    field they cannot take (``None`` for a family without such forms).  A
     driven family evolves in the frame exp(-i omega t jz).  Parameters may
     be arrays; fields and velocities broadcast over them, with the vector
     on a last axis of length 3.
@@ -88,7 +87,7 @@ class Family:
     params: tuple
     field: Callable
     velocity: dict
-    system: Callable
+    system: Callable | None = None
     driven: bool = False
 
 
@@ -120,24 +119,28 @@ def _estimate(family: Family, name: str, defaults: dict,
     ``breakdown(name, system, j, t)`` and ``generator(name, system, t)`` are
     closed forms on the family's system; without them the MQFI is
     :func:`mqfi_closed_form` and the generator :func:`generator_vector` of
-    the field and its velocity.
+    the field and its velocity.  Only a scenario with its own ``breakdown``
+    builds the system, so every command rejects what that breakdown
+    rejects; the vector forms answer every finite field, a zero one too.
     """
+    def system(p):
+        return None if breakdown is None else family.system(p)
+
     def curve(p):
-        family.system(p)
+        system(p)
         return FieldCurve(lambda th: family.field({**p, name: th}),
                           lambda th: family.velocity[name]({**p, name: th})), p[name]
 
     def parts(p, j, t):
-        system = family.system(p)
         if breakdown is None:
             return mqfi_closed_form(j, split_velocity(family.field(p), family.velocity[name](p)), t)
-        return breakdown(name, system, j, t)
+        return breakdown(name, system(p), j, t)
 
     def vector(p, t):
-        system = family.system(p)
+        built = system(p)   # also before the vector form, so case1-r rejects r <= 0 in optimal-state too
         if generator is None:
             return generator_vector(family.field(p), family.velocity[name](p), t)
-        return generator(name, system, t)
+        return generator(name, built, t)
 
     return Scenario(tuple(k for k in family.params if k not in defaults), defaults,
                     ("t",) + family.params + (("Delta",) if family.driven else ()),
@@ -176,7 +179,6 @@ _STATIC = Family(
     ("omega0", "lambda"),
     lambda p: _vec(p["lambda"], 0.0, p["omega0"]),
     {"omega0": lambda p: _vec(0.0, 0.0, 1.0), "lambda": lambda p: _vec(1.0, 0.0, 0.0)},
-    lambda p: StaticFieldSystem(p["omega0"], p["lambda"]),
 )
 # field = (lam, 0, omega0 - omega) in the frame rotating at the drive frequency
 _DRIVEN = Family(
@@ -186,12 +188,6 @@ _DRIVEN = Family(
     lambda p: DrivenSystem(p["omega0"], p["lambda"], p["omega"]),
     driven=True,
 )
-
-
-def _generic_breakdown(p: dict, j: float, t) -> QfiBreakdown:
-    if not np.any(p["rvec"]):
-        return mqfi_small_time(j, p["vvec"], t)
-    return mqfi_closed_form(j, split_velocity(p["rvec"], p["vvec"]), t)
 
 
 # Anchor angles for scenarios where the estimated quantity does not fix the
@@ -214,7 +210,8 @@ SCENARIOS = {
     "case3-lambda": _estimate(_DRIVEN, "lambda", {}),
     "case3-omega0": _estimate(_DRIVEN, "omega0", {}),
     # the curve r + theta v through the given field, anchored at theta = 0
-    "generic": Scenario(("rvec", "vvec"), {}, ("t",), _generic_breakdown,
+    "generic": Scenario(("rvec", "vvec"), {}, ("t",),
+                        lambda p, j, t: mqfi_closed_form(j, split_velocity(p["rvec"], p["vvec"]), t),
                         lambda p, t: generator_vector(p["rvec"], p["vvec"], t), lambda p: (FieldCurve(
         lambda th: np.asarray(p["rvec"], dtype=float) + np.asarray(th)[..., None] * np.asarray(p["vvec"], dtype=float),
         lambda th: np.asarray(p["vvec"], dtype=float)), 0.0)),
@@ -456,7 +453,7 @@ def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
         bad = ~np.isfinite(column)
         if bad.any():
             k = int(np.argmax(bad))
-            raise ValueError(f"{name} MQFI is not finite at {variable}={_fmt(grid[k])}")
+            raise ValueError(f"{name} MQFI is not finite at row {k} ({variable}={_fmt(grid[k])})")
         columns[name] = column
     return columns
 

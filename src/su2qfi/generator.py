@@ -17,8 +17,9 @@ gen and splits into a quadratic and an oscillatory part,
     mqfi = 4 j^2 [ (field.v)^2 t^2 / |field|^2
                    + 4 (|field x v|^2 / |field|^4) sin^2(|field| t / 2) ],
 
-sourced by the radial and the transverse velocity respectively.  This one
-closed form serves every field known only as a vector.
+sourced by the radial and the transverse velocity respectively; a zero
+field leaves only the quadratic part 4 j^2 t^2 |v|^2.  This one closed
+form serves every field known only as a vector.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ __all__ = [
     "split_velocity",
     "generator_vector",
     "mqfi_closed_form",
-    "mqfi_small_time",
 ]
 
 
 class DegenerateFieldError(ValueError):
-    """The coefficient field vanishes where a direction (or scale) is required."""
+    """A field that a closed form needs to be nonzero (a spherical amplitude, a drive's kp) vanishes."""
 
 
 def _reject_first(bad, message: str, error=DegenerateFieldError, **values):
@@ -124,26 +124,14 @@ class FieldCurve:
 class VelocitySplit:
     """Decomposition of the curve velocity along and across the field.
 
-    Scalars are floats for one point or arrays for a stack; components are derived on use.
+    Scalars are floats for one point or arrays for a stack.
     """
 
     field: np.ndarray
     velocity: np.ndarray
     field_norm: float
-    along: float    # field . velocity = |field| radial_speed
-    across: float   # |field x velocity| = |field| |transverse|
-
-    @property
-    def radial_speed(self):   # d|field|/dtheta = velocity . unit(field)
-        return row_dot(self.velocity, self.field / self.field_norm[..., None])
-
-    @property
-    def radial(self) -> np.ndarray:
-        return self.radial_speed[..., None] * self.field / self.field_norm[..., None]
-
-    @property
-    def transverse(self) -> np.ndarray:
-        return self.velocity - self.radial
+    along: float    # field . velocity = |field| times the radial speed
+    across: float   # |field x velocity| = |field| times the transverse speed
 
 
 @dataclass(frozen=True)
@@ -164,16 +152,13 @@ def split_velocity(field, velocity) -> VelocitySplit:
     ``field`` and ``velocity`` may be stacks (..., 3); they broadcast, and
     each row gets the bits of its own call.  Norms are nested ``np.hypot``
     calls, which neither overflow nor underflow for a finite nonzero
-    field.  Raises DegenerateFieldError when |field| = 0 since the radial
-    direction is then undefined.
+    field.  A zero field splits into zeros.
     """
     r, v = np.broadcast_arrays(_vec3_rows(field, "field"), _vec3_rows(velocity, "velocity"))
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
     a, b, c = v[..., 0], v[..., 1], v[..., 2]
-    r_norm = _norm(x, y, z)
-    if np.any(r_norm == 0.0):
-        raise DegenerateFieldError("field vanishes, radial direction undefined")
-    return VelocitySplit(r, v, r_norm, x * a + y * b + z * c, _norm(y * c - z * b, z * a - x * c, x * b - y * a))
+    return VelocitySplit(r, v, _norm(x, y, z), x * a + y * b + z * c,
+                         _norm(y * c - z * b, z * a - x * c, x * b - y * a))
 
 
 def _norm(x, y, z):
@@ -243,13 +228,20 @@ def mqfi_closed_form(j: float, split: VelocitySplit, t) -> QfiBreakdown:
     the power of |r|, its factor (t^2 or sin^2(|r| t/2)) and the first
     product are normal doubles (:func:`_direct_or_scaled`); its other rows
     take the square of its scaled-field root (:func:`_scaled_field_roots`),
-    accurate wherever the part is a normal double.
+    accurate wherever the part is a normal double.  A zero field's MQFI is
+    all quadratic, 4 j^2 t^2 (v.v): its numerator is t, its |r| 1 and its
+    factor v.v.
     """
     jsq4 = 4.0 * float(j) ** 2
-    r = split.field_norm
-    quad, osc = _direct_or_scaled([(jsq4, split.along, r, libm_pow(t, 2), 2),
+    r, v = split.field_norm, split.velocity
+    num, den, factor = split.along, r, libm_pow(t, 2)
+    zero = r == 0.0
+    if zero.any():   # only then, so that a grid of t alone keeps one numerator and one |r|
+        with np.errstate(over="ignore"):   # a row whose v.v overflows takes the scaled root
+            num, den, factor = np.where(zero, t, num), np.where(zero, 1.0, den), np.where(zero, row_dot(v, v), factor)
+    quad, osc = _direct_or_scaled([(jsq4, num, den, factor, 2),
                                    (4.0 * jsq4, split.across, r, libm_pow(np.sin(r * t / 2.0), 2), 4)],
-                                  lambda on: _scaled_field_roots(jsq4, split.field, split.velocity, t, on)[:2])
+                                  lambda on: _scaled_field_roots(jsq4, split.field, v, t, on)[:2])
     return QfiBreakdown(quad + osc, quad, osc)
 
 
@@ -263,35 +255,22 @@ def _scaled_field_roots(jsq4: float, field, velocity, t, on):
     np.ldexp applies 2^ev and the powers of two of t, sin(|r| t/2) and
     |r| = 2^er |s|, and sin(|r| t/2)/|r| is t/2 where the phase is below the
     normal range: each root is one product, and its square is accurate
-    wherever it, s.w and |s x w| are normal doubles.
+    wherever it, s.w and |s x w| are normal doubles.  On a zero field's
+    rows the velocity is all radial: the roots are 2j |w| t 2^ev and 0.
     """
     er, ev = (np.frexp(np.max(np.abs(x), axis=-1))[1] for x in (field, velocity))
     ev = np.minimum(ev, 2)   # v/4 at most keeps the small components of a large v
     s, w = np.ldexp(field, -er[..., None]), np.ldexp(velocity, -ev[..., None])
     s_norm, cross = _norm(s[..., 0], s[..., 1], s[..., 2]), np.cross(s, w)
     along, across = row_dot(s, w), _norm(cross[..., 0], cross[..., 1], cross[..., 2])
-    er, ev, s_norm, along, across, t = on(er, ev, s_norm, along, across, t)
+    er, ev, s_norm, along, across, t, *w = on(er, ev, s_norm, along, across, t, *np.moveaxis(w, -1, 0))
+    radial, transverse = along / s_norm, across / s_norm
+    zero = s_norm == 0.0
+    radial[zero], transverse[zero] = _norm(*(x[zero] for x in w)), 0.0
     m_t, e_t = np.frexp(t)
     phase = np.ldexp(s_norm * m_t, er + e_t - 1)   # |r| t/2, also where |r| is subnormal
     m_s, e_s = np.frexp(np.sin(phase))
-    quad = np.ldexp(along / s_norm * m_t, ev + e_t) * np.sqrt(jsq4)
-    osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(across / s_norm * m_t, ev + e_t - 1),
-                                         np.ldexp(across / s_norm * m_s / s_norm, ev - er + e_s))
+    quad = np.ldexp(radial * m_t, ev + e_t) * np.sqrt(jsq4)
+    osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(transverse * m_t, ev + e_t - 1),
+                                         np.ldexp(transverse * m_s / s_norm, ev - er + e_s))
     return quad, osc, phase
-
-
-def mqfi_small_time(j: float, velocity, t) -> QfiBreakdown:
-    """Short-time value 4 j^2 t^2 |v|^2 of the maximal QFI, all quadratic; ``velocity`` may be a stack (..., 3).
-
-    Out of range (:func:`_direct_or_scaled`) it is the square of 2j |t v|, |t v| the nested hypot.
-    """
-    v = _vec3_rows(velocity, "velocity")
-    with np.errstate(over="ignore"):   # a row whose v.v overflows takes the scaled root
-        v_sq = row_dot(v, v)
-
-    def scaled_root(on):   # a component of t v leaves the range only where the part does
-        tv = np.asarray(t)[..., None] * v
-        return on(2.0 * float(j) * _norm(tv[..., 0], tv[..., 1], tv[..., 2]))
-
-    quad, = _direct_or_scaled([(4.0 * float(j) ** 2, t, 1.0, v_sq, 2)], scaled_root)
-    return QfiBreakdown(quad, quad, 0.0)

@@ -16,7 +16,6 @@ import pytest
 from su2qfi import (
     DrivenSystem,
     SphericalField,
-    StaticFieldSystem,
     build_spin_rep,
     dot_with_J,
     driving_frequency_mqfi,
@@ -27,7 +26,6 @@ from su2qfi import (
     generator_vector,
     hermitian_expm,
     mqfi_closed_form,
-    mqfi_small_time,
     optimal_state,
     qfi_of_state,
     spherical_field_mqfi,
@@ -297,7 +295,7 @@ def test_criterion_09_small_time_limit():
         v = rng.normal(size=3)
         v *= rng.uniform(0.1, 3.0) / np.linalg.norm(v)
         t = 1e-3 / float(np.linalg.norm(r))
-        small = mqfi_small_time(j, v, t).total
+        small = mqfi_closed_form(j, split_velocity(np.zeros_like(v), v), t).total
         closed = mqfi_closed_form(j, split_velocity(r, v), t).total
         if rel_err(small, closed) > 1e-6:
             failures.append(f"small-time mismatch: {rel_err(small, closed):.2e}")
@@ -331,7 +329,8 @@ def test_criterion_10_cli_contract(tmp_path):
     checks = [
         (0, ["mqfi", "case1-theta", "--r", "1", "--t", "1", "--j", "1"]),
         (2, ["mqfi", "case2-omega0", "--t", "1"]),
-        (2, ["mqfi", "case2-omega0", "--omega0", "0", "--lambda", "0", "--t", "1"]),
+        (0, ["mqfi", "case2-omega0", "--omega0", "0", "--lambda", "0", "--t", "1"]),
+        (2, ["mqfi", "case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1", "--t", "1"]),
         (3, ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
              "--start", "0.5", "--stop", "1.5", "--points", "3", "--validate", "--fd-step", "0.5",
              "--out", str(tmp_path / "forced.csv")]),

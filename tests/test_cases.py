@@ -7,7 +7,6 @@ from su2qfi import (
     DegenerateFieldError,
     DrivenSystem,
     SphericalField,
-    StaticFieldSystem,
     build_spin_rep,
     compose_generators,
     dot_with_J,
@@ -64,9 +63,9 @@ def driving_generator(system, rep, t):
     return dot_with_J(rep, driving_generator_vector(system, t))
 
 
-def static_mqfi(which, system, j, t):
+def static_mqfi(which, omega0, lam, j, t):
     """The library's case2 MQFI breakdown: the one vector closed form on (lam, 0, omega0)."""
-    return evaluate_point(f"case2-{which}", {"omega0": system.omega0, "lambda": system.lam}, j, t)
+    return evaluate_point(f"case2-{which}", {"omega0": omega0, "lambda": lam}, j, t)
 
 
 def driven_mqfi(which, system, j, t):
@@ -161,9 +160,8 @@ def test_spherical_angle_generator_is_exact_for_a_huge_field():
 # --- static field ---------------------------------------------------------------
 
 def test_static_field_reference_value():
-    system = StaticFieldSystem(1.0, 1.0)
-    t = np.pi / system.k
-    out = static_mqfi("omega0", system, 1.0, t)
+    t = np.pi / np.hypot(1.0, 1.0)
+    out = static_mqfi("omega0", 1.0, 1.0, 1.0, t)
     assert out.total == pytest.approx(PI_SQ_PLUS_FOUR, rel=1e-12)
     assert out.quadratic == pytest.approx(np.pi**2, rel=1e-12)
     assert out.oscillatory == pytest.approx(4.0, rel=1e-12)
@@ -171,22 +169,20 @@ def test_static_field_reference_value():
 
 
 def test_static_field_pure_oscillation_without_z_component():
-    system = StaticFieldSystem(0.0, 2.0)
-    out = static_mqfi("omega0", system, 1.0, 0.7)
+    out = static_mqfi("omega0", 0.0, 2.0, 1.0, 0.7)
     assert out.quadratic == 0.0
     assert out.total == pytest.approx(4.0 * 4.0 / 4.0 * np.sin(0.7) ** 2, rel=1e-12)
 
 
 def test_static_field_suppressed_by_strong_transverse_coupling():
-    reference = static_mqfi("omega0", StaticFieldSystem(1.0, 1e-9), 1.0, np.pi).total
-    strong = StaticFieldSystem(1.0, 1000.0)
-    suppressed = static_mqfi("omega0", strong, 1.0, np.pi / strong.k).total
+    reference = static_mqfi("omega0", 1.0, 1e-9, 1.0, np.pi).total
+    suppressed = static_mqfi("omega0", 1.0, 1000.0, 1.0, np.pi / np.hypot(1000.0, 1.0)).total
     assert suppressed < 1e-3 * reference
 
 
 def test_static_field_swap_symmetry():
-    a = static_mqfi("omega0", StaticFieldSystem(0.4, 1.7), 1.5, 2.0)
-    b = static_mqfi("lambda", StaticFieldSystem(1.7, 0.4), 1.5, 2.0)
+    a = static_mqfi("omega0", 0.4, 1.7, 1.5, 2.0)
+    b = static_mqfi("lambda", 1.7, 0.4, 1.5, 2.0)
     assert a.total == pytest.approx(b.total, rel=1e-12)
     assert a.quadratic == pytest.approx(b.quadratic, rel=1e-12)
 
@@ -194,20 +190,22 @@ def test_static_field_swap_symmetry():
 def test_static_field_matches_generic_pipeline():
     rng = np.random.default_rng(53)
     for _ in range(50):
-        system = StaticFieldSystem(rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0))
+        omega0, lam = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
         j = rng.choice([0.5, 1.0, 2.0])
         t = rng.uniform(0.0, 10.0)
         which = rng.choice(["omega0", "lambda"])
-        curve, anchor = SCENARIOS[f"case2-{which}"].curve({"omega0": system.omega0, "lambda": system.lam})
+        curve, anchor = SCENARIOS[f"case2-{which}"].curve({"omega0": omega0, "lambda": lam})
         split = split_velocity(curve.field(anchor), curve.velocity(anchor))
-        reference = paper_static_mqfi(which, system.omega0, system.lam, j, t)
+        reference = paper_static_mqfi(which, omega0, lam, j, t)
         assert reference[0] == pytest.approx(mqfi_closed_form(j, split, t).total, rel=1e-10, abs=1e-12)
-        assert static_mqfi(which, system, j, t).total == pytest.approx(reference[0], rel=1e-10, abs=1e-12)
+        assert static_mqfi(which, omega0, lam, j, t).total == pytest.approx(reference[0], rel=1e-10, abs=1e-12)
 
 
-def test_static_field_rejects_vanishing_couplings():
-    with pytest.raises(DegenerateFieldError):
-        StaticFieldSystem(0.0, 0.0)
+def test_static_field_of_vanishing_couplings_is_quadratic():
+    # a zero field: the whole 4 j^2 t^2 |v|^2 (|v| = 1) is quadratic, for either coupling
+    for which in ("omega0", "lambda"):
+        out = static_mqfi(which, 0.0, 0.0, 1.5, 0.7)
+        assert (out.total, out.quadratic, out.oscillatory) == (4 * 1.5**2 * libm_pow(0.7, 2), out.total, 0.0)
 
 
 def _static_lambda_reference(w0, j=1.5, t=0.7):
@@ -224,7 +222,7 @@ def _drive_frequency_reference(w0, j=1.5, t=0.7):
 
 
 @pytest.mark.parametrize("mqfi, reference", [
-    (lambda w0: static_mqfi("lambda", StaticFieldSystem(w0, 1.0), 1.5, 0.7).total, _static_lambda_reference),
+    (lambda w0: static_mqfi("lambda", w0, 1.0, 1.5, 0.7).total, _static_lambda_reference),
     (lambda w0: driving_frequency_mqfi(DrivenSystem(w0, 1.0, 0.0), 1.5, 0.7).total, _drive_frequency_reference),
 ], ids=["static-lambda", "drive-frequency"])
 def test_field_fourth_power_overflow_only_rescales_its_rows(mqfi, reference):
@@ -245,10 +243,10 @@ def test_field_square_overflow_only_rescales_its_rows():
     # the quadratic part 4 j^2 (omega0 / k)^2 t^2 stays finite there
     j, t = 1.5, 0.7
     grid = np.geomspace(1e145, 1e165, 21)
-    values = static_mqfi("omega0", StaticFieldSystem(grid, grid), j, t).total
+    values = static_mqfi("omega0", grid, grid, j, t).total
     small = grid < 9e153
     assert small.any() and not small.all()
-    scalar = [static_mqfi("omega0", StaticFieldSystem(w, w), j, t).total for w in grid[small]]
+    scalar = [static_mqfi("omega0", w, w, j, t).total for w in grid[small]]
     assert np.array_equal(values[small], scalar)
     for w0, value in zip(grid[~small], values[~small]):
         k = math.hypot(w0, w0)
@@ -260,12 +258,12 @@ def test_static_field_small_time_bound():
     # at K t << 1 both couplings sit below the quadratic envelope 4 j^2 t^2
     rng = np.random.default_rng(55)
     for _ in range(20):
-        system = StaticFieldSystem(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
+        omega0, lam = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
         j = rng.choice([0.5, 1.0, 2.0])
-        t = 0.01 / system.k
+        t = 0.01 / np.hypot(lam, omega0)
         envelope = 4 * j**2 * t**2  # |velocity| = 1 for both couplings
         for which in ("omega0", "lambda"):
-            total = static_mqfi(which, system, j, t).total
+            total = static_mqfi(which, omega0, lam, j, t).total
             assert total <= envelope * (1 + 1e-9)
 
 

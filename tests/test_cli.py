@@ -87,11 +87,15 @@ def test_missing_parameter_exits_2(capsys):
     assert "requires" in err
 
 
-def test_degenerate_field_exits_2(capsys):
-    code, _, err = run(
-        ["mqfi", "case2-omega0", "--omega0", "0", "--lambda", "0", "--t", "1"], capsys
+def test_zero_static_field_answers_all_quadratic(capsys):
+    # a zero static field is not degenerate: the whole 4 j^2 t^2 |v|^2 is quadratic
+    code, out, err = run(
+        ["mqfi", "case2-omega0", "--omega0", "0", "--lambda", "0", "--t", "1.5", "--j", "2.5", "--json"], capsys
     )
-    assert code == 2
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["total"] == record["quadratic"] == 4 * 2.5**2 * 1.5**2
+    assert record["oscillatory"] == 0.0
 
 
 def test_unknown_scenario_exits_2(capsys):
@@ -302,17 +306,33 @@ def test_optimal_state_agrees_with_mqfi(scenario, capsys):
     # The optimal state of the closed generator attains the closed-form MQFI,
     # and optimal-state never answers where mqfi exits 2.  optimal-state may
     # exit 2 where mqfi answers (a generator power above the double range).
-    for s in (1e-300, 1e-200, 1e-100, 1e-80, 1.0, 1e80, 1e100, 1e103, 1e150, 1e200, 1e300):
+    # A zero field (s = 0) answers in both, except where a scenario's own
+    # closed form needs it nonzero: case1's amplitude and case3-omega's kp.
+    for s in (0.0, 1e-300, 1e-200, 1e-100, 1e-80, 1.0, 1e80, 1e100, 1e103, 1e150, 1e200, 1e300):
         for t in ("1e-300", "1e-100", "1", "1e10", "1e100", "1e300"):
             options = _scenario_options(scenario, s)
             code_mqfi, out_mqfi, _ = run(["mqfi", scenario, *options, f"--t={t}", "--json"], capsys)
             code_state, out_state, _ = run(["optimal-state", scenario, *options, f"--t={t}"], capsys)
             assert code_mqfi in (0, 2) and code_state in (0, 2), (s, t)
             assert not (code_mqfi == 2 and code_state == 0), (s, t)
+            if s == 0.0:   # 4 j^2 t^2 |v|^2 overflows only at t = 1e300
+                answers = not (scenario.startswith("case1-") or scenario == "case3-omega") and float(t) < 1e300
+                assert code_mqfi == code_state == (0 if answers else 2), t
             if code_mqfi != 0 or code_state != 0 or json.loads(out_state)["degenerate"]:
                 continue
             total = json.loads(out_mqfi)["total"]
             assert json.loads(out_state)["qfi"] == pytest.approx(total, rel=1e-12, abs=0.0), (s, t)
+
+
+def test_zero_field_is_one_point_across_scenarios(capsys):
+    # the same physical point, a zero field moving along x, prints the same parts in every vector-form scenario
+    parts = [run(["mqfi", *argv, "--t", "2"], capsys)[1].splitlines()[1:] for argv in (
+        ["generic", "--rvec", "0,0,0", "--vvec", "1,0,0"],
+        ["case2-lambda", "--omega0", "0", "--lambda", "0"],
+        ["case3-lambda", "--omega0", "1", "--lambda", "0", "--omega", "1"],
+    )]
+    assert parts[0] == ["total=16", "quadratic=16", "oscillatory=0"]
+    assert parts[1] == parts[0] and parts[2] == parts[0]
 
 
 @pytest.mark.parametrize("residuals, trotter, named", [
@@ -797,15 +817,13 @@ def test_validated_data_section_is_pinned(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["sweep", "case2-omega0", "--omega0", "1", "--lambda", "0", "--t", "1",
-      "--variable", "omega0", "--start", "-1", "--stop", "1", "--points", "5"], "omega0=0.0"),
-    (["sweep", "case3-lambda", "--omega0", "1", "--lambda", "0", "--t", "1",
-      "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"], "omega=1.0"),
-    (["sweep", "case3-omega", "--omega0", "1", "--lambda", "0", "--t", "1",
-      "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"], "omega=1.0"),
     # the closed form names its grid row as the oracles do
-    (["sweep", "case2-lambda", "--omega0", "0", "--t", "1", "--variable", "lambda", "--start", "-1", "--stop", "1",
-      "--points", "3"], "the field vanishes (at omega0=0.0, lam=0.0) at row 1 (lambda=0)"),
+    (["sweep", "case3-omega", "--omega0", "1", "--lambda", "0", "--t", "1",
+      "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"],
+     "(at omega0=1.0, lam=0.0, omega=1.0) at row 2 (Delta=0)"),
+    # so does a part that is not finite: 4 j^2 t^2 |v|^2 overflows from t = 0.5 on
+    (["sweep", "generic", "--rvec", "0,0,1", "--vvec", "0,0,1e155", "--variable", "t", "--start", "0", "--stop", "1",
+      "--points", "3"], "su2qfi: parameter error: total MQFI is not finite at row 1 (t=0.5)\n"),
 ])
 def test_degenerate_mid_grid_row_exits_2(argv, named, tmp_path, capsys):
     out = tmp_path / "grid.csv"
@@ -815,6 +833,25 @@ def test_degenerate_mid_grid_row_exits_2(argv, named, tmp_path, capsys):
     assert named in err
 
 
+@pytest.mark.parametrize("argv, zero_row", [
+    (["sweep", "case2-omega0", "--omega0", "1", "--lambda", "0", "--t", "1",
+      "--variable", "omega0", "--start", "-1", "--stop", "1", "--points", "5"], 2),
+    (["sweep", "case3-lambda", "--omega0", "1", "--lambda", "0", "--t", "1",
+      "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"], 2),
+    (["sweep", "case2-lambda", "--omega0", "0", "--t", "1", "--variable", "lambda", "--start", "-1", "--stop", "1",
+      "--points", "3"], 1),
+])
+@pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["plain", "validate"])
+def test_zero_field_mid_grid_row_answers(argv, zero_row, validate, tmp_path, capsys):
+    # a vector-form scenario's zero field is one more row: all quadratic, 4 j^2 t^2 |v|^2 with |v| = 1
+    out = tmp_path / "grid.csv"
+    code, _, err = run(argv + validate + ["--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert rows.shape == (int(argv[-1]), len(header))
+    assert list(rows[zero_row, 1:4]) == [4.0, 4.0, 0.0]
+
+
 _UNOBSERVABLE_DRIVE = ("lam and delta are both zero: the drive frequency is unobservable (MQFI 0) "
                        "(at omega0=1.0, lam=0.0, omega=1.0)")
 
@@ -822,18 +859,29 @@ _UNOBSERVABLE_DRIVE = ("lam and delta are both zero: the drive frequency is unob
 @pytest.mark.parametrize("argv, message", [
     (["case1-r", "--r", "0"], "field amplitude must be positive (at r=0.0)"),
     (["case1-theta", "--r", "-1"], "field amplitude must be positive (at r=-1.0)"),
-    (["case2-lambda", "--omega0", "0", "--lambda", "0"],
-     "omega0 and lam are both zero, the field vanishes (at omega0=0.0, lam=0.0)"),
     (["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1"], _UNOBSERVABLE_DRIVE),
-    (["case3-lambda", "--omega0", "1", "--lambda", "0", "--omega", "1"], _UNOBSERVABLE_DRIVE),
-    (["case3-omega0", "--omega0", "1", "--lambda", "0", "--omega", "1"], _UNOBSERVABLE_DRIVE),
-], ids=["case1-r", "case1-theta", "case2-lambda", "case3-omega", "case3-lambda", "case3-omega0"])
+], ids=["case1-r", "case1-theta", "case3-omega"])
 def test_optimal_state_rejects_degenerate_field(argv, message, capsys):
     # the generator path builds the scenario's system, so it rejects what the closed form rejects
     code, out, err = run(["optimal-state"] + argv + ["--t", "1"], capsys)
     assert code == 2
     assert out == ""
     assert err == f"su2qfi: parameter error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["case2-lambda", "--omega0", "0", "--lambda", "0"],
+    ["case3-lambda", "--omega0", "1", "--lambda", "0", "--omega", "1"],
+    ["case3-omega0", "--omega0", "1", "--lambda", "0", "--omega", "1"],
+], ids=["case2-lambda", "case3-lambda", "case3-omega0"])
+def test_optimal_state_answers_a_zero_field(argv, capsys):
+    # a vector-form scenario builds no system, so its zero field answers in both commands
+    code, out, err = run(["optimal-state"] + argv + ["--t", "1"], capsys)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    code_mqfi, out_mqfi, _ = run(["mqfi"] + argv + ["--t", "1", "--json"], capsys)
+    assert code_mqfi == 0 and not record["degenerate"]
+    assert record["qfi"] == pytest.approx(json.loads(out_mqfi)["total"], rel=1e-12, abs=0.0)
 
 
 # --- optimal state ----------------------------------------------------------------

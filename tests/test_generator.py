@@ -15,7 +15,6 @@ from su2qfi import (
     generator_vector,
     hermitian_expm,
     mqfi_closed_form,
-    mqfi_small_time,
     optimal_state,
     split_velocity,
 )
@@ -25,6 +24,19 @@ from su2qfi.spin import libm_pow, row_dot
 from reference_oracles import check_normal_parts, generator_fd, mqfi_split, signed_extremes
 
 
+def radial_parts(split):
+    """(radial speed, radial, transverse) of a split with a nonzero field: d|field|/dtheta and the velocity's parts."""
+    speed = row_dot(split.velocity, split.field / split.field_norm[..., None])
+    radial = speed[..., None] * split.field / split.field_norm[..., None]
+    return speed, radial, split.velocity - radial
+
+
+def zero_field_mqfi(j, v, t):
+    """The maximal QFI of a zero field with velocity ``v``: the one closed form on the split of (0, 0, 0)."""
+    v = np.asarray(v, dtype=float)
+    return mqfi_closed_form(j, split_velocity(np.zeros_like(v), v), t)
+
+
 def generator_vector_from_split(split, t):
     """Coefficient vector of the generator built from the velocity split.
 
@@ -32,16 +44,17 @@ def generator_vector_from_split(split, t):
     1/(d|field|/dtheta); only defined when the radial speed is nonzero.
     Kept as an independent cross-check of the primary form.
     """
-    if split.radial_speed == 0.0:
+    speed, radial, transverse = radial_parts(split)
+    if speed == 0.0:
         raise DegenerateFieldError(
             "radial speed is zero; the split form is singular (use generator_vector)"
         )
     x = split.field_norm * t
-    cross = np.cross(split.radial, split.transverse)
+    cross = np.cross(radial, transverse)
     return (
-        (1.0 - np.cos(x)) / (split.field_norm * split.radial_speed) * cross
-        - t * split.radial
-        - np.sin(x) / split.field_norm * split.transverse
+        (1.0 - np.cos(x)) / (split.field_norm * speed) * cross
+        - t * radial
+        - np.sin(x) / split.field_norm * transverse
     )
 
 
@@ -58,40 +71,42 @@ def random_instance(rng, j_max=3.0):
 # --- velocity split ---------------------------------------------------------
 
 def test_split_orthogonal_case():
-    s = split_velocity([0, 0, 1], [1, 0, 0])
-    np.testing.assert_allclose(s.radial, [0, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(s.transverse, [1, 0, 0], atol=1e-15)
+    _, radial, transverse = radial_parts(split_velocity([0, 0, 1], [1, 0, 0]))
+    np.testing.assert_allclose(radial, [0, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(transverse, [1, 0, 0], atol=1e-15)
 
 
 def test_split_parallel_case():
-    s = split_velocity([0, 0, 2], [0, 0, 3])
-    np.testing.assert_allclose(s.radial, [0, 0, 3], atol=1e-15)
-    np.testing.assert_allclose(s.transverse, [0, 0, 0], atol=1e-15)
-    assert s.radial_speed == pytest.approx(3.0)
+    speed, radial, transverse = radial_parts(split_velocity([0, 0, 2], [0, 0, 3]))
+    np.testing.assert_allclose(radial, [0, 0, 3], atol=1e-15)
+    np.testing.assert_allclose(transverse, [0, 0, 0], atol=1e-15)
+    assert speed == pytest.approx(3.0)
 
 
 def test_split_projection_arithmetic():
-    s = split_velocity([1, 0, 1], [1, 0, 0])
-    np.testing.assert_allclose(s.radial, [0.5, 0.0, 0.5], atol=1e-15)
-    np.testing.assert_allclose(s.transverse, [0.5, 0.0, -0.5], atol=1e-15)
+    _, radial, transverse = radial_parts(split_velocity([1, 0, 1], [1, 0, 0]))
+    np.testing.assert_allclose(radial, [0.5, 0.0, 0.5], atol=1e-15)
+    np.testing.assert_allclose(transverse, [0.5, 0.0, -0.5], atol=1e-15)
 
 
-def test_split_rejects_zero_field():
-    with pytest.raises(DegenerateFieldError):
-        split_velocity([0, 0, 0], [1, 0, 0])
+def test_split_of_zero_field_is_zeros():
+    s = split_velocity([0, 0, 0], [1, 0, 0])
+    assert (s.field_norm, s.along, s.across) == (0.0, 0.0, 0.0)
+    stack = split_velocity([[0, 0, 0], [0, 0, 2]], [[1e300, -1e300, 1e300], [0, 0, 3]])
+    np.testing.assert_array_equal([stack.field_norm, stack.along, stack.across], [[0, 2], [0, 6], [0, 0]])
 
 
 def test_split_invariants_randomized():
     rng = np.random.default_rng(5)
     for _ in range(50):
         _, r, v, _ = random_instance(rng)
-        s = split_velocity(r, v)
-        np.testing.assert_allclose(s.radial + s.transverse, v, atol=1e-12)
-        assert np.linalg.norm(np.cross(s.radial, r)) <= 1e-10 * max(
-            1e-30, np.linalg.norm(s.radial) * np.linalg.norm(r)
+        _, radial, transverse = radial_parts(split_velocity(r, v))
+        np.testing.assert_allclose(radial + transverse, v, atol=1e-12)
+        assert np.linalg.norm(np.cross(radial, r)) <= 1e-10 * max(
+            1e-30, np.linalg.norm(radial) * np.linalg.norm(r)
         )
-        assert abs(s.transverse @ r) <= 1e-10 * max(
-            1e-30, np.linalg.norm(s.transverse) * np.linalg.norm(r)
+        assert abs(transverse @ r) <= 1e-10 * max(
+            1e-30, np.linalg.norm(transverse) * np.linalg.norm(r)
         )
 
 
@@ -135,7 +150,8 @@ def test_norm_identity():
         _, r, v, t = random_instance(rng)
         a = generator_vector(r, v, t)
         s = split_velocity(r, v)
-        expected = (s.radial @ s.radial) * t**2 + 4 * (s.transverse @ s.transverse) / s.field_norm**2 * np.sin(
+        _, radial, transverse = radial_parts(s)
+        expected = (radial @ radial) * t**2 + 4 * (transverse @ transverse) / s.field_norm**2 * np.sin(
             s.field_norm * t / 2
         ) ** 2
         assert a @ a == pytest.approx(expected, rel=1e-10, abs=1e-13)
@@ -160,7 +176,7 @@ def test_both_vector_forms_agree():
     while checked < 40:
         _, r, v, t = random_instance(rng)
         s = split_velocity(r, v)
-        if abs(s.radial_speed) < 1e-3:
+        if abs(radial_parts(s)[0]) < 1e-3:
             continue
         direct = generator_vector(r, v, t)
         via_split = generator_vector_from_split(s, t)
@@ -178,9 +194,9 @@ def test_split_form_terms_mutually_orthogonal():
     rng = np.random.default_rng(9)
     for _ in range(40):
         _, r, v, t = random_instance(rng)
-        s = split_velocity(r, v)
-        cross = np.cross(s.radial, s.transverse)
-        pairs = [(cross, s.radial), (cross, s.transverse), (s.radial, s.transverse)]
+        _, radial, transverse = radial_parts(split_velocity(r, v))
+        cross = np.cross(radial, transverse)
+        pairs = [(cross, radial), (cross, transverse), (radial, transverse)]
         for a, b in pairs:
             assert abs(a @ b) <= 1e-10 * max(1e-30, np.linalg.norm(a) * np.linalg.norm(b))
 
@@ -267,7 +283,7 @@ def _check_extreme_draws(rng, n, spread=0):
     """
     r, v = signed_extremes(rng, n, 3, spread), signed_extremes(rng, n, 3, spread)
     t = 10.0 ** rng.uniform(-200, 50, n)
-    r[~r.any(axis=1), 2] = 1.0   # a zero field has no closed form
+    r[~r.any(axis=1), 2] = 1.0   # zero fields have their own draws, in the small-time test
     with np.errstate(all="ignore"):   # r.v or r x v overflows on some rows
         split = split_velocity(r, v)
     refs = [mqfi_split(r[k], v[k], t[k], 60, double_norm=split.field_norm[k]) for k in range(n)]
@@ -327,7 +343,7 @@ def test_mqfi_zero_time():
 
 def test_mqfi_multiplicative_limit_is_quadratic(capsys):
     # a vanishing field puts the whole 4 j^2 t^2 |v|^2 in the quadratic part
-    assert mqfi_small_time(1.0, [0.0, 0.0, 1.5], 2.0).total == pytest.approx(4 * 4 * 2.25, rel=1e-12)
+    assert zero_field_mqfi(1.0, [0.0, 0.0, 1.5], 2.0).total == pytest.approx(4 * 4 * 2.25, rel=1e-12)
     assert main(["mqfi", "generic", "--rvec", "0,0,0", "--vvec", "0,0,1.5", "--t", "2", "--json"]) == 0
     b = json.loads(capsys.readouterr().out)
     assert b["total"] == pytest.approx(4 * 4 * 2.25, rel=1e-12)
@@ -336,12 +352,12 @@ def test_mqfi_multiplicative_limit_is_quadratic(capsys):
 
 
 def test_small_time_value():
-    assert mqfi_small_time(1.0, [1.0, 0.0, 0.0], 2.0).total == pytest.approx(16.0)
-    assert mqfi_small_time(1.0, [0.0, 0.0, 0.0], 2.0).total == 0.0
+    assert zero_field_mqfi(1.0, [1.0, 0.0, 0.0], 2.0).total == pytest.approx(16.0)
+    assert zero_field_mqfi(1.0, [0.0, 0.0, 0.0], 2.0).total == 0.0
     # a stack of velocities gives each row the bits of its own call
     v, t = np.array([[0.3, -1.1, 0.4], [1e-3, 2.0, 0.0]]), np.array([2.0, 0.7])
-    stack = mqfi_small_time(1.5, v, t).total
-    assert stack.tobytes() == np.array([mqfi_small_time(1.5, v[k], t[k]).total for k in range(2)]).tobytes()
+    stack = zero_field_mqfi(1.5, v, t).total
+    assert stack.tobytes() == np.array([zero_field_mqfi(1.5, v[k], t[k]).total for k in range(2)]).tobytes()
 
 
 def test_small_time_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direct_bits_in_range():
@@ -354,15 +370,15 @@ def test_small_time_stack_matches_60_digits_on_extreme_draws_and_keeps_the_direc
         refs = [mpmath.mpf(float(t[k])) ** 2 * sum(mpmath.mpf(float(x)) ** 2 for x in v[k]) for k in range(n)]
     checked = 0
     for j in (0.5, 50.0):
-        got = mqfi_small_time(j, v, t)
+        got = zero_field_mqfi(j, v, t)
         checked += check_normal_parts(got.quadratic, [4 * j**2 * x for x in refs], lambda k: (j, v[k], t[k]))
-        assert got.total.tobytes() == got.quadratic.tobytes()
+        assert got.total.tobytes() == got.quadratic.tobytes() and not got.oscillatory.any()
     assert checked > 0.8 * n   # about 930 normal parts at each j
     # in range each row keeps the bits of the direct form, also where v or t is exactly zero
     v = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     v[rng.random((n, 3)) < 0.2] = 0.0
     t = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(0, 100, n))
-    assert mqfi_small_time(1.5, v, t).total.tobytes() == (4 * 1.5**2 * libm_pow(t, 2) * row_dot(v, v)).tobytes()
+    assert zero_field_mqfi(1.5, v, t).total.tobytes() == (4 * 1.5**2 * libm_pow(t, 2) * row_dot(v, v)).tobytes()
 
 
 def test_small_time_matches_closed_form():
@@ -370,7 +386,7 @@ def test_small_time_matches_closed_form():
     for _ in range(50):
         j, r, v, _ = random_instance(rng)
         t = 1e-3 / np.linalg.norm(r)  # |field| * t = 1e-3
-        small = mqfi_small_time(j, v, t).total
+        small = zero_field_mqfi(j, v, t).total
         full = mqfi_closed_form(j, split_velocity(r, v), t).total
         assert small == pytest.approx(full, rel=1e-6)
 

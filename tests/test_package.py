@@ -29,6 +29,14 @@ def test_readme_names_every_exported_name():
     assert [name for name in su2qfi.__all__ if name != "__version__" and not re.search(rf"\b{name}\b", text)] == []
 
 
+def test_readme_lists_only_exported_names():
+    # the converse: the list of other public names names nothing that the package does not export
+    block = re.search(r"The other public names:\n\n((?:- .*\n(?:  .*\n)*)+)", README.read_text()).group(1)
+    listed = re.findall(r"^- `(\w+)", block, re.M)
+    assert len(listed) > 5
+    assert [name for name in listed if name not in importlib.import_module("su2qfi").__all__] == []
+
+
 def _parser_options(parser):
     """Every long option of ``parser`` and of its subcommands."""
     options = set()
