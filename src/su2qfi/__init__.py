@@ -19,7 +19,6 @@ from .spin import (
 )
 from .generator import (
     DegenerateFieldError,
-    FieldCurve,
     QfiBreakdown,
     VelocitySplit,
     generator_vector,
@@ -39,7 +38,6 @@ from .numerics import (
 )
 from .cases import (
     DrivenSystem,
-    SphericalField,
     driving_frequency_mqfi,
     driving_generator_vector,
     spherical_field_mqfi,
@@ -49,10 +47,10 @@ __all__ = [
     "__version__",
     "SpinRep", "build_spin_rep", "dot_with_J", "frobenius", "hermitian_expm",
     "su2_lift",
-    "DegenerateFieldError", "FieldCurve", "QfiBreakdown", "VelocitySplit",
+    "DegenerateFieldError", "QfiBreakdown", "VelocitySplit",
     "generator_vector", "mqfi_closed_form", "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",
     "generator_series", "midpoint_su2", "optimal_state", "qfi_of_state",
-    "DrivenSystem", "SphericalField",
+    "DrivenSystem",
     "driving_frequency_mqfi", "driving_generator_vector", "spherical_field_mqfi",
 ]

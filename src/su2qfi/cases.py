@@ -1,11 +1,13 @@
-"""Systems and the two closed forms that know more than the field vector.
+"""The drive's system and the two closed forms that know more than the field vector.
 
 Spherical field
     field = r (sin th cos ph, sin th sin ph, cos th); estimating the
     direction angles gives a purely oscillatory MQFI (16 j^2 sin^2(rt/2),
     with an extra sin^2 th for the azimuth), estimating the amplitude the
-    purely quadratic 4 j^2 t^2.  Here |field| = r exactly, which the
-    vector form would recover from the components only to rounding.
+    purely quadratic 4 j^2 t^2.  Here |field| = |r| exactly, which the
+    vector form would recover from the components only to rounding.  The
+    forms hold for every finite r: r = 0 is the zero field, and r < 0 the
+    field |r| along -n, the point (|r|, pi - th, ph + pi).
 
 Static two-component field
     h = omega0 jz + lam jx, the field vector (lam, 0, omega0).  Its MQFI
@@ -21,6 +23,8 @@ Circularly driven field
     the generators of the two factors (a moving frame), giving mqfi =
     4 j^2 (lam^2 / kp^4) [2 + kp^2 t^2 - 2 kp t sin(kp t) - 2 cos(kp t)]
     with kp = sqrt(lam^2 + delta^2), stationary and maximal on resonance.
+    It has no limit at lam = delta = 0 (its quadratic part is 0 along
+    lam = 0 but tends to 4 j^2 t^2 along delta = 0): DrivenSystem rejects it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from .generator import QfiBreakdown, _direct_or_scaled, _finite_cubes, _reject_f
 from .spin import libm_pow
 
 __all__ = [
-    "SphericalField",
     "DrivenSystem",
     "spherical_field_mqfi",
     "driving_generator_vector",
@@ -41,25 +44,13 @@ __all__ = [
 ]
 
 
-# The systems below accept arrays for any field, as long as they broadcast
-# together; the closed forms then evaluate a whole grid in one call.
-
-
-@dataclass(frozen=True)
-class SphericalField:
-    """External field of amplitude r pointing along (theta, phi)."""
-
-    r: float
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        _reject_first(~(np.asarray(self.r) > 0), "field amplitude must be positive", r=self.r)
-
-
 @dataclass(frozen=True)
 class DrivenSystem:
-    """Ensemble driven by a rotating transverse field of frequency omega: the system of the drive-frequency forms."""
+    """Ensemble driven by a rotating transverse field of frequency omega: the system of the drive-frequency forms.
+
+    Its fields may be arrays that broadcast together; the forms then
+    evaluate a whole grid in one call.
+    """
 
     omega0: float
     lam: float
@@ -81,32 +72,37 @@ class DrivenSystem:
             return np.hypot(self.lam, self.delta)
 
 
-def spherical_field_mqfi(which: str, field: SphericalField, j: float, t) -> QfiBreakdown:
-    """Maximal QFI for estimating one spherical coordinate: all quadratic for r, all oscillatory for an angle."""
+def spherical_field_mqfi(which: str, r, theta, j: float, t) -> QfiBreakdown:
+    """Maximal QFI for estimating one spherical coordinate: all quadratic for r, all oscillatory for an angle.
+
+    It holds for every finite amplitude ``r``; ``r``, ``theta`` and ``t``
+    may be arrays that broadcast together.
+    """
     jsq4 = 4.0 * float(j) ** 2
     if which == "r":
         quad = jsq4 * libm_pow(t, 2)
         return QfiBreakdown(quad, quad, 0.0)
     if which == "theta":
-        osc = 4.0 * jsq4 * libm_pow(np.sin(field.r * t / 2.0), 2)
+        osc = 4.0 * jsq4 * libm_pow(np.sin(r * t / 2.0), 2)
     elif which == "phi":
-        osc = 4.0 * jsq4 * libm_pow(np.sin(field.theta), 2) * libm_pow(np.sin(field.r * t / 2.0), 2)
+        osc = 4.0 * jsq4 * libm_pow(np.sin(theta), 2) * libm_pow(np.sin(r * t / 2.0), 2)
     else:
         raise ValueError(f"unknown spherical parameter {which!r}")
     return QfiBreakdown(osc, 0.0, osc)
 
 
-def _spherical_generator_vector(which: str, field: SphericalField, t) -> np.ndarray:
-    """Coefficient vector of the generator for estimating a direction angle, with |field| = r exactly.
+def _spherical_generator_vector(which: str, r, theta, phi, t) -> np.ndarray:
+    """Coefficient vector of the generator for estimating a direction angle, with |field| = |r| exactly.
 
     With x = r t it is -sin(x) e_theta + 2 sin^2(x/2) e_phi for theta and
-    sin(theta) [-sin(x) e_phi - 2 sin^2(x/2) e_theta] for phi; the vector
-    form would get the vanishing radial speed only by cancellation.  The
-    fields and ``t`` may be arrays, the vectors stacking on a last axis.
+    sin(theta) [-sin(x) e_phi - 2 sin^2(x/2) e_theta] for phi, for every
+    finite ``r``; the vector form would get the vanishing radial speed only
+    by cancellation.  The parameters and ``t`` may be arrays, the vectors
+    stacking on a last axis.
     """
-    x = field.r * t
+    x = r * t
     sin_x, versine = np.sin(x), 2.0 * libm_pow(np.sin(x / 2.0), 2)   # versine = 1 - cos x
-    ct, st, cp, sp = np.cos(field.theta), np.sin(field.theta), np.cos(field.phi), np.sin(field.phi)
+    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
     e_theta = (ct * cp, ct * sp, -st)
     e_phi = (-sp, cp, 0.0)
     if which == "theta":

@@ -20,14 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, cases
-from .cases import (
-    DrivenSystem,
-    SphericalField,
-    _spherical_generator_vector,
-    driving_generator_vector,
-)
+from .cases import DrivenSystem, _spherical_generator_vector, driving_generator_vector
 from .generator import (
-    FieldCurve,
     QfiBreakdown,
     generator_vector,
     mqfi_closed_form,
@@ -43,7 +37,8 @@ from .numerics import (
     optimal_state,
     qfi_of_state,
 )
-from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, row_dot, su2_lift, twice_spin
+from .spin import (build_spin_rep, dot_with_J, frobenius, hermitian_expm, reject_first, row_dot, su2_lift,
+                   twice_spin)
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -76,18 +71,15 @@ _CHUNK_ENTRIES = CHUNK_ROWS * 7 * 7
 class Family:
     """Scenarios that estimate one named parameter of the same field(params).
 
-    ``velocity[name](params)`` is d field / d name, and ``system(params)``
-    builds the system of the family's own closed forms, which rejects a
-    field they cannot take (``None`` for a family without such forms).  A
-    driven family evolves in the frame exp(-i omega t jz).  Parameters may
-    be arrays; fields and velocities broadcast over them, with the vector
-    on a last axis of length 3.
+    ``velocity[name](params)`` is d field / d name.  A driven family
+    evolves in the frame exp(-i omega t jz).  Parameters may be arrays;
+    fields and velocities broadcast over them, with the vector on a last
+    axis of length 3.
     """
 
     params: tuple
     field: Callable
     velocity: dict
-    system: Callable | None = None
     driven: bool = False
 
 
@@ -97,9 +89,11 @@ class Scenario:
 
     ``breakdown(params, j, t)`` is the closed-form MQFI, ``generator(params,
     t)`` the closed-form generator's coefficient 3-vector and
-    ``curve(params)`` the (FieldCurve, anchor) of the field; all three
-    broadcast over array parameters and times.  Only a driven scenario has
-    the frame exp(-i omega t jz); it moves with theta when ``moving_frame``.
+    ``curve(params)`` the triple (field_at, velocity, anchor): field_at(theta)
+    is the field along the curve and velocity its derivative at the anchor.
+    All three broadcast over array parameters and times.  Only a driven
+    scenario has the frame exp(-i omega t jz); it moves with theta when
+    ``moving_frame``.
     """
 
     required: tuple
@@ -116,31 +110,24 @@ def _estimate(family: Family, name: str, defaults: dict,
               breakdown: Callable | None = None, generator: Callable | None = None) -> Scenario:
     """Estimate ``name`` on the curve theta -> family.field({**params, name: theta}).
 
-    ``breakdown(name, system, j, t)`` and ``generator(name, system, t)`` are
-    closed forms on the family's system; without them the MQFI is
-    :func:`mqfi_closed_form` and the generator :func:`generator_vector` of
-    the field and its velocity.  Only a scenario with its own ``breakdown``
-    builds the system, so every command rejects what that breakdown
-    rejects; the vector forms answer every finite field, a zero one too.
+    ``breakdown(name, params, j, t)`` and ``generator(name, params, t)`` are
+    the scenario's own closed forms on its parameters; without them the
+    MQFI is :func:`mqfi_closed_form` and the generator
+    :func:`generator_vector` of the field and its velocity, which answer
+    every finite field, a zero one too.
     """
-    def system(p):
-        return None if breakdown is None else family.system(p)
-
     def curve(p):
-        system(p)
-        return FieldCurve(lambda th: family.field({**p, name: th}),
-                          lambda th: family.velocity[name]({**p, name: th})), p[name]
+        return lambda th: family.field({**p, name: th}), family.velocity[name](p), p[name]
 
     def parts(p, j, t):
         if breakdown is None:
             return mqfi_closed_form(j, split_velocity(family.field(p), family.velocity[name](p)), t)
-        return breakdown(name, system(p), j, t)
+        return breakdown(name, p, j, t)
 
     def vector(p, t):
-        built = system(p)   # also before the vector form, so case1-r rejects r <= 0 in optimal-state too
         if generator is None:
             return generator_vector(family.field(p), family.velocity[name](p), t)
-        return generator(name, built, t)
+        return generator(name, p, t)
 
     return Scenario(tuple(k for k in family.params if k not in defaults), defaults,
                     ("t",) + family.params + (("Delta",) if family.driven else ()),
@@ -172,7 +159,6 @@ _SPHERICAL = Family(
         "phi": lambda p: _times_r(p, _vec(-np.sin(p["theta"]) * np.sin(p["phi"]),
                                            np.sin(p["theta"]) * np.cos(p["phi"]), 0.0)),
     },
-    lambda p: SphericalField(p["r"], p["theta"], p["phi"]),
 )
 # field = (lam, 0, omega0)
 _STATIC = Family(
@@ -185,36 +171,50 @@ _DRIVEN = Family(
     ("omega0", "lambda", "omega"),
     lambda p: _vec(p["lambda"], 0.0, p["omega0"] - p["omega"]),
     {**_STATIC.velocity, "omega": lambda p: _vec(0.0, 0.0, -1.0)},
-    lambda p: DrivenSystem(p["omega0"], p["lambda"], p["omega"]),
     driven=True,
 )
+
+
+def _drive(p: dict) -> DrivenSystem:
+    """The system of case3-omega's closed forms, which rejects lam = delta = 0."""
+    return DrivenSystem(p["omega0"], p["lambda"], p["omega"])
 
 
 # Anchor angles for scenarios where the estimated quantity does not fix the
 # whole field configuration; they only pin the curve the oracles act on.
 _CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
+
 # su2qfi.cases closed forms are looked up on each call, so a wrapper set on that module sees them
+def _spherical_mqfi(name, p, j, t):
+    return cases.spherical_field_mqfi(name, p["r"], p["theta"], j, t)
+
+
+def _spherical_vector(name, p, t):
+    return _spherical_generator_vector(name, p["r"], p["theta"], p["phi"], t)
+
+
+def _generic_curve(p):
+    """The curve rvec + theta vvec through the given field, anchored at theta = 0."""
+    r, v = np.asarray(p["rvec"], dtype=float), np.asarray(p["vvec"], dtype=float)
+    return lambda th: r + np.asarray(th)[..., None] * v, v, 0.0
+
+
 SCENARIOS = {
-    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS,
-                             lambda *a: cases.spherical_field_mqfi(*a), _spherical_generator_vector),
-    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7},
-                           lambda *a: cases.spherical_field_mqfi(*a), _spherical_generator_vector),
+    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS, _spherical_mqfi, _spherical_vector),
+    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7}, _spherical_mqfi, _spherical_vector),
     # the velocity is radial, so the vector form has nothing to cancel
-    "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, lambda *a: cases.spherical_field_mqfi(*a)),
+    "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, _spherical_mqfi),
     "case2-omega0": _estimate(_STATIC, "omega0", {}),
     "case2-lambda": _estimate(_STATIC, "lambda", {}),
     "case3-omega": _estimate(_DRIVEN, "omega", {},
-                             lambda name, system, j, t: cases.driving_frequency_mqfi(system, j, t),
-                             lambda name, system, t: driving_generator_vector(system, t)),
+                             lambda name, p, j, t: cases.driving_frequency_mqfi(_drive(p), j, t),
+                             lambda name, p, t: driving_generator_vector(_drive(p), t)),
     "case3-lambda": _estimate(_DRIVEN, "lambda", {}),
     "case3-omega0": _estimate(_DRIVEN, "omega0", {}),
-    # the curve r + theta v through the given field, anchored at theta = 0
     "generic": Scenario(("rvec", "vvec"), {}, ("t",),
                         lambda p, j, t: mqfi_closed_form(j, split_velocity(p["rvec"], p["vvec"]), t),
-                        lambda p, t: generator_vector(p["rvec"], p["vvec"], t), lambda p: (FieldCurve(
-        lambda th: np.asarray(p["rvec"], dtype=float) + np.asarray(th)[..., None] * np.asarray(p["vvec"], dtype=float),
-        lambda th: np.asarray(p["vvec"], dtype=float)), 0.0)),
+                        lambda p, t: generator_vector(p["rvec"], p["vvec"], t), _generic_curve),
 }
 
 FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b")
@@ -360,9 +360,9 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     when the frame moves with theta; the finite-difference side
     differentiates U(theta) = frame . exp(-i t field(theta).J).
     """
-    curve, anchor = spec.curve(params)
+    field_at, velocity, anchor = spec.curve(params)
     ts = np.broadcast_to(np.asarray(t, dtype=float), (rows,))
-    field, velocity = curve.field(anchor), curve.velocity(anchor)
+    field = field_at(anchor)
     r, v = np.broadcast_to(field, (rows, 3)), np.broadcast_to(velocity, (rows, 3))
     closed = dot_with_J(rep, np.broadcast_to(spec.generator(params, ts), (rows, 3)))
     # h and dh keep the field's own shape: (3,) when only t varies, so the
@@ -380,12 +380,12 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     steps = fd_step(ts * rep.j * speed) if step is None else np.full(rows, float(step))
 
     # U at the five stencil points of each row: parameters on rows, points on a second axis
-    stencil, _ = spec.curve({k: (x[:, None] if isinstance(x, np.ndarray) else x) for k, x in params.items()})
+    stencil_at = spec.curve({k: (x[:, None] if isinstance(x, np.ndarray) else x) for k, x in params.items()})[0]
     thetas = fd_points(anchor, steps)
     omega = None
     if spec.driven:
         omega = thetas if spec.moving_frame else np.broadcast_to(params["omega"], (rows,))[:, None]
-    us = _propagator(rep, stencil.field(thetas), ts[:, None], omega)
+    us = _propagator(rep, stencil_at(thetas), ts[:, None], omega)
     return frobenius(closed - series), frobenius(closed - fd_generator(us, steps))
 
 
@@ -439,6 +439,20 @@ def _naming_rows(variable: str, grid: np.ndarray, lo: int):
         raise ValueError(f"{err} at row {k} ({variable}={_fmt(grid[k])})") from None
 
 
+def _mqfi_parts(scenario, params, j, t, shape=()) -> dict:
+    """The total, quadratic and oscillatory MQFI from one closed-form call, each broadcast to ``shape``.
+
+    Raises ValueError for the first part that is not finite; over a grid
+    (``shape`` of one axis) the error carries its first such row as ``row``.
+    """
+    breakdown = evaluate_point(scenario, params, j, t)
+    parts = {}
+    for name in ("total", "quadratic", "oscillatory"):
+        parts[name] = np.broadcast_to(getattr(breakdown, name), shape)
+        reject_first(~np.isfinite(parts[name]), lambda k: f"{name} MQFI is not finite")
+    return parts
+
+
 def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
     """The grid and the three MQFI parts over it, from one closed-form call.
 
@@ -446,16 +460,7 @@ def _closed_form_columns(scenario, params, j, t, variable, grid) -> dict:
     rejects, or the first grid value where a part is not finite.
     """
     with _naming_rows(variable, grid, 0):
-        breakdown = evaluate_point(scenario, params, j, t)
-    columns = {variable: grid}
-    for name in ("total", "quadratic", "oscillatory"):
-        column = np.broadcast_to(getattr(breakdown, name), grid.shape)
-        bad = ~np.isfinite(column)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"{name} MQFI is not finite at row {k} ({variable}={_fmt(grid[k])})")
-        columns[name] = column
-    return columns
+        return {variable: grid, **_mqfi_parts(scenario, params, j, t, grid.shape)}
 
 
 def _oracle_columns(scenario, params, j, t, variable, grid, step) -> np.ndarray:
@@ -569,8 +574,7 @@ def _validation_verdict(residuals: dict, trotter=None, swept=None) -> int:
 def _cmd_mqfi(args) -> int:
     params = _collect_params(args.scenario, args)
     _check_required(args.scenario, params)
-    columns = _closed_form_columns(args.scenario, params, args.j, args.t, "t", np.array([args.t]))
-    parts = {name: float(columns[name][0]) for name in ("total", "quadratic", "oscillatory")}
+    parts = {name: float(value) for name, value in _mqfi_parts(args.scenario, params, args.j, args.t).items()}
     if args.json:
         record = {
             "scenario": args.scenario,

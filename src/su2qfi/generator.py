@@ -25,7 +25,6 @@ form serves every field known only as a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .spin import libm_pow, reject_first, row_dot
 
 __all__ = [
     "DegenerateFieldError",
-    "FieldCurve",
     "VelocitySplit",
     "QfiBreakdown",
     "split_velocity",
@@ -43,7 +41,7 @@ __all__ = [
 
 
 class DegenerateFieldError(ValueError):
-    """A field that a closed form needs to be nonzero (a spherical amplitude, a drive's kp) vanishes."""
+    """A field that a closed form needs to be nonzero (a drive's kp) vanishes."""
 
 
 def _reject_first(bad, message: str, error=DegenerateFieldError, **values):
@@ -100,24 +98,6 @@ def _vec3_rows(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a real 3-vector, got shape {v.shape}")
     reject_first(~np.isfinite(v).all(axis=-1), lambda k: f"{name} must be finite")
     return v
-
-
-@dataclass(frozen=True)
-class FieldCurve:
-    """Parametric coefficient curve theta -> field(theta) in 3-space.
-
-    ``v_of`` is its analytic derivative d field / d theta.  Curves whose
-    callables broadcast take an array of theta and return a stack (..., 3).
-    """
-
-    r_of: Callable[[float], np.ndarray]
-    v_of: Callable[[float], np.ndarray]
-
-    def field(self, theta: float) -> np.ndarray:
-        return _vec3_rows(self.r_of(theta), "field")
-
-    def velocity(self, theta: float) -> np.ndarray:
-        return _vec3_rows(self.v_of(theta), "velocity")
 
 
 @dataclass(frozen=True)

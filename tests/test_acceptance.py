@@ -15,7 +15,6 @@ import pytest
 
 from su2qfi import (
     DrivenSystem,
-    SphericalField,
     build_spin_rep,
     dot_with_J,
     driving_frequency_mqfi,
@@ -147,15 +146,14 @@ def test_criterion_04_spherical_field_values():
         j = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
         r = rng.uniform(0.2, 3.0)
         t = rng.uniform(0.1, 4.0)
-        field = SphericalField(r, rng.uniform(0.1, np.pi - 0.1), rng.uniform(0, 2 * np.pi))
-        polar = spherical_field_mqfi("theta", field, j, np.pi / r).total
+        theta, _azimuth = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0, 2 * np.pi)   # no MQFI reads the azimuth
+        polar = spherical_field_mqfi("theta", r, theta, j, np.pi / r).total
         if abs(polar - 16 * j**2) > 1e-12 * 16 * j**2:
             failures.append(f"polar optimum: {polar} vs {16 * j ** 2}")
-        equator = SphericalField(r, np.pi / 2, field.phi)
-        azimuth = spherical_field_mqfi("phi", equator, j, np.pi / r).total
+        azimuth = spherical_field_mqfi("phi", r, np.pi / 2, j, np.pi / r).total   # on the equator
         if abs(azimuth - 16 * j**2) > 1e-12 * 16 * j**2:
             failures.append(f"azimuth optimum: {azimuth} vs {16 * j ** 2}")
-        amplitude = spherical_field_mqfi("r", field, j, t).total
+        amplitude = spherical_field_mqfi("r", r, theta, j, t).total
         if abs(amplitude - 4 * j**2 * t**2) > 1e-12 * max(1.0, 4 * j**2 * t**2):
             failures.append(f"amplitude value: {amplitude} vs {4 * j ** 2 * t ** 2}")
     report(4, "spherical-field closed values", failures, time.perf_counter() - start)

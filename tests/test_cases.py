@@ -6,7 +6,6 @@ import pytest
 from su2qfi import (
     DegenerateFieldError,
     DrivenSystem,
-    SphericalField,
     build_spin_rep,
     compose_generators,
     dot_with_J,
@@ -77,41 +76,45 @@ def driven_mqfi(which, system, j, t):
 
 def test_polar_angle_optimum():
     for j, r in ((0.5, 1.0), (1.0, 2.5), (2.0, 0.3)):
-        field = SphericalField(r, 1.1, 0.4)
-        assert spherical_field_mqfi("theta", field, j, np.pi / r).total == pytest.approx(16 * j**2, abs=1e-12)
+        assert spherical_field_mqfi("theta", r, 1.1, j, np.pi / r).total == pytest.approx(16 * j**2, abs=1e-12)
 
 
 def test_azimuth_optimum_at_equator():
-    field = SphericalField(1.0, np.pi / 2, 0.3)
-    assert spherical_field_mqfi("phi", field, 1.0, np.pi).total == pytest.approx(16.0, abs=1e-12)
-    tilted = SphericalField(1.0, np.pi / 3, 0.3)
-    assert spherical_field_mqfi("phi", tilted, 1.0, np.pi).total == pytest.approx(
+    assert spherical_field_mqfi("phi", 1.0, np.pi / 2, 1.0, np.pi).total == pytest.approx(16.0, abs=1e-12)
+    assert spherical_field_mqfi("phi", 1.0, np.pi / 3, 1.0, np.pi).total == pytest.approx(
         16.0 * np.sin(np.pi / 3) ** 2, rel=1e-12
     )
 
 
 def test_amplitude_grows_quadratically():
-    field = SphericalField(0.7, 1.0, 2.0)
-    assert spherical_field_mqfi("r", field, 1.0, 3.0).total == pytest.approx(36.0, abs=1e-12)
+    assert spherical_field_mqfi("r", 0.7, 1.0, 1.0, 3.0).total == pytest.approx(36.0, abs=1e-12)
 
 
 def test_spherical_field_validation():
-    with pytest.raises(DegenerateFieldError):
-        SphericalField(0.0, 1.0, 1.0)
+    # r = 0 is the zero field: no direction to turn, and the amplitude's 4 j^2 t^2
+    for which in ("theta", "phi"):
+        assert spherical_field_mqfi(which, 0.0, 1.0, 1.5, 0.7).total == 0.0
+    assert spherical_field_mqfi("r", 0.0, 1.0, 1.5, 0.7).total == 4 * 1.5**2 * libm_pow(0.7, 2)
+    # r < 0 is the field |r| along -n; the vector form takes it as it is
+    for which in ("theta", "phi", "r"):
+        params = {"r": -1.3, "theta": 0.9, "phi": 2.1}
+        field_at, velocity, anchor = SCENARIOS[f"case1-{which}"].curve(params)
+        vector = mqfi_closed_form(1.5, split_velocity(field_at(anchor), velocity), 0.7).total
+        assert spherical_field_mqfi(which, -1.3, 0.9, 1.5, 0.7).total == pytest.approx(vector, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
-        spherical_field_mqfi("bogus", SphericalField(1.0, 1.0, 1.0), 1.0, 1.0)
+        spherical_field_mqfi("bogus", 1.0, 1.0, 1.0, 1.0)
 
 
 def test_spherical_curves_anchor_to_configured_field():
     params = {"r": 1.3, "theta": 0.9, "phi": 2.1}
     expected = 1.3 * np.array([np.sin(0.9) * np.cos(2.1), np.sin(0.9) * np.sin(2.1), np.cos(0.9)])
     for which in ("theta", "phi", "r"):
-        curve, anchor = SCENARIOS[f"case1-{which}"].curve(params)
-        np.testing.assert_allclose(curve.field(anchor), expected, atol=1e-14)
+        field_at, velocity, anchor = SCENARIOS[f"case1-{which}"].curve(params)
+        np.testing.assert_allclose(field_at(anchor), expected, atol=1e-14)
         # analytic derivative consistent with the curve itself
         h = 1e-6
-        numeric = (curve.field(anchor + h) - curve.field(anchor - h)) / (2 * h)
-        np.testing.assert_allclose(curve.velocity(anchor), numeric, atol=1e-8)
+        numeric = (field_at(anchor + h) - field_at(anchor - h)) / (2 * h)
+        np.testing.assert_allclose(velocity, numeric, atol=1e-8)
 
 
 def test_spherical_closed_forms_match_generic_pipeline():
@@ -119,14 +122,13 @@ def test_spherical_closed_forms_match_generic_pipeline():
     for _ in range(100):
         params = {"r": rng.uniform(0.2, 3.0), "theta": rng.uniform(0.1, np.pi - 0.1),
                   "phi": rng.uniform(0, 2 * np.pi)}
-        field = SphericalField(**params)
         j = rng.choice([0.5, 1.0, 1.5, 2.0])
         t = rng.uniform(0.0, 5.0)
         which = rng.choice(["theta", "phi", "r"])
-        curve, anchor = SCENARIOS[f"case1-{which}"].curve(params)
-        split = split_velocity(curve.field(anchor), curve.velocity(anchor))
+        field_at, velocity, anchor = SCENARIOS[f"case1-{which}"].curve(params)
+        split = split_velocity(field_at(anchor), velocity)
         generic = mqfi_closed_form(j, split, t).total
-        closed = spherical_field_mqfi(which, field, j, t).total
+        closed = spherical_field_mqfi(which, params["r"], params["theta"], j, t).total
         assert closed == pytest.approx(generic, rel=1e-10, abs=1e-12)
 
 
@@ -137,23 +139,21 @@ def test_spherical_angle_generators_match_the_vector_form():
         params = {"r": rng.uniform(0.2, 3.0), "theta": rng.uniform(0.1, np.pi - 0.1),
                   "phi": rng.uniform(0, 2 * np.pi)}
         t, which = rng.uniform(0.0, 5.0), rng.choice(["theta", "phi"])
-        curve, anchor = SCENARIOS[f"case1-{which}"].curve(params)
-        exact = _spherical_generator_vector(which, SphericalField(**params), t)
-        np.testing.assert_allclose(exact, generator_vector(curve.field(anchor), curve.velocity(anchor), t),
-                                   rtol=0, atol=1e-13)
-        assert 4 * (exact @ exact) == pytest.approx(spherical_field_mqfi(which, SphericalField(**params), 1.0, t).total,
-                                                    rel=1e-13, abs=1e-15)
+        field_at, velocity, anchor = SCENARIOS[f"case1-{which}"].curve(params)
+        exact = _spherical_generator_vector(which, params["r"], params["theta"], params["phi"], t)
+        np.testing.assert_allclose(exact, generator_vector(field_at(anchor), velocity, t), rtol=0, atol=1e-13)
+        closed = spherical_field_mqfi(which, params["r"], params["theta"], 1.0, t).total
+        assert 4 * (exact @ exact) == pytest.approx(closed, rel=1e-13, abs=1e-15)
     with pytest.raises(ValueError):
-        _spherical_generator_vector("r", SphericalField(1.0, 1.0, 1.0), 1.0)
+        _spherical_generator_vector("r", 1.0, 1.0, 1.0, 1.0)
 
 
 def test_spherical_angle_generator_is_exact_for_a_huge_field():
     # r t = 1e80: the vector form's radial speed cancels only to rounding of r
-    field = SphericalField(1e80, 1.0, 0.5)
     for which in ("theta", "phi"):
-        coeffs = _spherical_generator_vector(which, field, 1.0)
-        assert 4 * (coeffs @ coeffs) == pytest.approx(spherical_field_mqfi(which, field, 1.0, 1.0).total, rel=1e-14)
-        grid = _spherical_generator_vector(which, SphericalField(1e80, np.array([1.0, 0.4]), 0.5), np.array([1.0, 2.0]))
+        coeffs = _spherical_generator_vector(which, 1e80, 1.0, 0.5, 1.0)
+        assert 4 * (coeffs @ coeffs) == pytest.approx(spherical_field_mqfi(which, 1e80, 1.0, 1.0, 1.0).total, rel=1e-14)
+        grid = _spherical_generator_vector(which, 1e80, np.array([1.0, 0.4]), 0.5, np.array([1.0, 2.0]))
         np.testing.assert_array_equal(grid[0], coeffs)
 
 
@@ -194,8 +194,8 @@ def test_static_field_matches_generic_pipeline():
         j = rng.choice([0.5, 1.0, 2.0])
         t = rng.uniform(0.0, 10.0)
         which = rng.choice(["omega0", "lambda"])
-        curve, anchor = SCENARIOS[f"case2-{which}"].curve({"omega0": omega0, "lambda": lam})
-        split = split_velocity(curve.field(anchor), curve.velocity(anchor))
+        field_at, velocity, anchor = SCENARIOS[f"case2-{which}"].curve({"omega0": omega0, "lambda": lam})
+        split = split_velocity(field_at(anchor), velocity)
         reference = paper_static_mqfi(which, omega0, lam, j, t)
         assert reference[0] == pytest.approx(mqfi_closed_form(j, split, t).total, rel=1e-10, abs=1e-12)
         assert static_mqfi(which, omega0, lam, j, t).total == pytest.approx(reference[0], rel=1e-10, abs=1e-12)
@@ -347,11 +347,11 @@ def test_drive_frequency_curve_and_breakdown():
     for _ in range(10):
         system = DrivenSystem(rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
         t = rng.uniform(0.1, 3)
-        curve, anchor = SCENARIOS["case3-omega"].curve(driven_params(system))
+        field_at, velocity, anchor = SCENARIOS["case3-omega"].curve(driven_params(system))
         assert anchor == system.omega
-        np.testing.assert_array_equal(curve.field(anchor), [system.lam, 0.0, system.delta])
-        u2 = hermitian_expm(dot_with_J(rep, curve.field(anchor)), -1j * t)
-        gen2 = dot_with_J(rep, generator_vector(curve.field(anchor), curve.velocity(anchor), t))
+        np.testing.assert_array_equal(field_at(anchor), [system.lam, 0.0, system.delta])
+        u2 = hermitian_expm(dot_with_J(rep, field_at(anchor)), -1j * t)
+        gen2 = dot_with_J(rep, generator_vector(field_at(anchor), velocity, t))
         composed = compose_generators(-t * np.asarray(rep.jz), u2, gen2)
         assert frobenius(driving_generator(system, rep, t) - composed) < 1e-10
 
@@ -531,21 +531,22 @@ def test_driven_couplings_match_generic_machinery():
         params = driven_params(system)
         t = rng.uniform(0.1, 3)
         for which in ("omega0", "lambda"):
-            curve, anchor = SCENARIOS[f"case3-{which}"].curve(params)
-            gen = dot_with_J(rep, generator_vector(curve.field(anchor), curve.velocity(anchor), t))
+            field_at, velocity, anchor = SCENARIOS[f"case3-{which}"].curve(params)
+            gen = dot_with_J(rep, generator_vector(field_at(anchor), velocity, t))
             mqfi = optimal_state(gen).mqfi()
             assert paper_driven_mqfi(which, system, 1.0, t)[0] == pytest.approx(mqfi, rel=1e-10, abs=1e-12)
             assert driven_mqfi(which, system, 1.0, t).total == pytest.approx(mqfi, rel=1e-10, abs=1e-12)
 
             u1 = hermitian_expm(np.asarray(rep.jz), -1j * system.omega * t)
 
-            def u_of(theta, curve=curve, u1=u1, t=t):
-                return u1 @ hermitian_expm(dot_with_J(rep, curve.field(theta)), -1j * t)
+            def u_of(theta, field_at=field_at, u1=u1, t=t):
+                return u1 @ hermitian_expm(dot_with_J(rep, field_at(theta)), -1j * t)
 
             fd = generator_fd(u_of, anchor, step=fd_step(t * 1.0))
             assert frobenius(gen - fd) < 1e-7
 
 
-def test_driven_couplings_reject_unobservable_point():
-    with pytest.raises(DegenerateFieldError):
-        driven_mqfi("lambda", DrivenSystem(1.0, 0.0, 1.0), 1.0, 1.0)
+def test_driven_coupling_of_a_zero_field_is_quadratic():
+    # on resonance with lam = 0 the field is zero: the lam estimate keeps its whole 4 j^2 t^2
+    out = evaluate_point("case3-lambda", {"omega0": 1.0, "lambda": 0.0, "omega": 1.0}, 1.0, 1.0)
+    assert (out.total, out.quadratic, out.oscillatory) == (4.0, 4.0, 0.0)

@@ -1,18 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su2qfi import __version__, mqfi_closed_form, split_velocity
-from su2qfi.cli import MAX_POINTS, MAX_TROTTER_STEPS, _fmt, _validation_verdict, evaluate_point, main
+from su2qfi.cli import MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt, _validation_verdict, evaluate_point, main
 
 from reference_oracles import drive_frequency_total, mqfi_split
 
@@ -301,23 +306,74 @@ def test_finite_inputs_from_tiny_to_huge_never_raise(scenario, capsys):
                     assert "at t=" in err or "(t=" in err, (argv, err)
 
 
+# signed magnitudes from 1e-300 to 1e300, and exact zeros
+_SIGNED = st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                                            st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)))
+_TIME = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent))
+
+
+@st.composite
+def _command_lines(draw):
+    """One mqfi, optimal-state, sweep or validated-sweep command line on a drawn scenario point."""
+    command = draw(st.sampled_from(["mqfi", "optimal-state", "sweep", "validate"]))
+    scenario = draw(st.sampled_from(_ALL_SCENARIOS))
+    spec = SCENARIOS[scenario]
+    j = draw(st.sampled_from([0.5, 1.0, 2.0] if command == "validate" else [0.5, 1.0, 3.0, 10.0]))
+    params = {name: ",".join(repr(draw(_SIGNED)) for _ in range(3 if name in ("rvec", "vvec") else 1))
+              for name in spec.required + tuple(spec.defaults)}
+    t = draw(_TIME)
+    if command in ("mqfi", "optimal-state"):
+        return [command, scenario, f"--j={j!r}", f"--t={t!r}", *(f"--{k}={v}" for k, v in params.items())] + (
+            ["--json"] if command == "mqfi" and draw(st.booleans()) else [])
+    variable = draw(st.sampled_from(spec.sweepable))
+    if variable == "t":
+        grid = [0.0, t]
+    else:
+        grid = sorted([draw(_SIGNED), draw(_SIGNED)])
+        params = {k: v for k, v in params.items() if k != variable and not (variable == "Delta" and k == "omega")}
+    argv = ["sweep", scenario, f"--j={j!r}", f"--variable={variable}", f"--start={grid[0]!r}", f"--stop={grid[1]!r}",
+            "--points=3", *(f"--{k}={v}" for k, v in params.items())] + ([] if variable == "t" else [f"--t={t!r}"])
+    return argv + (["--validate", "--steps=50"] if command == "validate" else [])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(argv=_command_lines())
+def test_cli_contract_fuzz(argv):
+    # every command line ends in an answer of finite numbers, or in one stderr line and a
+    # documented exit code: 2, or 3 under --validate; never a traceback or a numpy warning
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in ((0, 2, 3) if "--validate" in argv else (0, 2)), (argv, err)
+    assert err.count("\n") == int(code != 0) and err.endswith("\n" if code else ""), (argv, err)
+    assert "Traceback" not in err, argv
+    if code == 0:
+        assert out and re.search(r"(?i)\b(nan|inf|infinity)\b", out) is None, (argv, out)
+
+
 @pytest.mark.parametrize("scenario", _ALL_SCENARIOS)
 def test_optimal_state_agrees_with_mqfi(scenario, capsys):
     # The optimal state of the closed generator attains the closed-form MQFI,
     # and optimal-state never answers where mqfi exits 2.  optimal-state may
     # exit 2 where mqfi answers (a generator power above the double range).
-    # A zero field (s = 0) answers in both, except where a scenario's own
-    # closed form needs it nonzero: case1's amplitude and case3-omega's kp.
-    for s in (0.0, 1e-300, 1e-200, 1e-100, 1e-80, 1.0, 1e80, 1e100, 1e103, 1e150, 1e200, 1e300):
+    # A zero field (s = 0) answers in both, except in case3-omega, whose
+    # drive frequency needs lam and delta not both zero; negative sizes too.
+    for s in (0.0, 1e-300, 1e-200, 1e-100, 1e-80, 1.0, 1e80, 1e100, 1e103, 1e150, 1e200, 1e300, -1.0, -1e100):
         for t in ("1e-300", "1e-100", "1", "1e10", "1e100", "1e300"):
             options = _scenario_options(scenario, s)
             code_mqfi, out_mqfi, _ = run(["mqfi", scenario, *options, f"--t={t}", "--json"], capsys)
             code_state, out_state, _ = run(["optimal-state", scenario, *options, f"--t={t}"], capsys)
             assert code_mqfi in (0, 2) and code_state in (0, 2), (s, t)
             assert not (code_mqfi == 2 and code_state == 0), (s, t)
-            if s == 0.0:   # 4 j^2 t^2 |v|^2 overflows only at t = 1e300
-                answers = not (scenario.startswith("case1-") or scenario == "case3-omega") and float(t) < 1e300
+            if s == 0.0:
+                # a zero field has no direction to turn: case1's angles give 0 at every t; elsewhere
+                # 4 j^2 t^2 |v|^2 overflows only at t = 1e300
+                angle = scenario in ("case1-theta", "case1-phi")
+                answers = angle or (scenario != "case3-omega" and float(t) < 1e300)
                 assert code_mqfi == code_state == (0 if answers else 2), t
+                assert not angle or json.loads(out_mqfi)["total"] == 0.0, t
             if code_mqfi != 0 or code_state != 0 or json.loads(out_state)["degenerate"]:
                 continue
             total = json.loads(out_mqfi)["total"]
@@ -852,30 +908,59 @@ def test_zero_field_mid_grid_row_answers(argv, zero_row, validate, tmp_path, cap
     assert list(rows[zero_row, 1:4]) == [4.0, 4.0, 0.0]
 
 
+@pytest.mark.parametrize("scenario", ["case1-theta", "case1-phi", "case1-r"])
+def test_case1_sweep_through_zero_and_negative_amplitudes(scenario, tmp_path, capsys):
+    # r = 0 is the zero field and r < 0 the field |r| along -n: every row answers, equals the
+    # vector form of the scenario's own curve and passes both oracles
+    out = tmp_path / "grid.csv"
+    code, _, err = run(["sweep", scenario, "--theta", "0.9", "--phi", "2.1", "--j", "1.5", "--t", "1.3",
+                        "--variable", "r", "--start", "-2", "--stop", "2", "--points", "9", "--validate",
+                        "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    for r, total, quadratic, oscillatory, *_ in rows:
+        field_at, velocity, anchor = SCENARIOS[scenario].curve({"r": r, "theta": 0.9, "phi": 2.1})
+        vector = mqfi_closed_form(1.5, split_velocity(field_at(anchor), velocity), 1.3)
+        for got, want in zip((total, quadratic, oscillatory), (vector.total, vector.quadratic, vector.oscillatory)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * max(1.0, total)), (r, got, want)
+    zero_row = [9 * 1.3**2, 9 * 1.3**2, 0.0] if scenario == "case1-r" else [0.0, 0.0, 0.0]   # 4 j^2 t^2 for r
+    assert rows[4, 0] == 0.0 and list(rows[4, 1:4]) == zero_row
+
+
 _UNOBSERVABLE_DRIVE = ("lam and delta are both zero: the drive frequency is unobservable (MQFI 0) "
                        "(at omega0=1.0, lam=0.0, omega=1.0)")
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["case1-r", "--r", "0"], "field amplitude must be positive (at r=0.0)"),
-    (["case1-theta", "--r", "-1"], "field amplitude must be positive (at r=-1.0)"),
     (["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1"], _UNOBSERVABLE_DRIVE),
-], ids=["case1-r", "case1-theta", "case3-omega"])
+], ids=["case3-omega"])
 def test_optimal_state_rejects_degenerate_field(argv, message, capsys):
-    # the generator path builds the scenario's system, so it rejects what the closed form rejects
+    # the drive-frequency generator builds the drive's system, so it rejects what the closed form rejects
     code, out, err = run(["optimal-state"] + argv + ["--t", "1"], capsys)
     assert code == 2
     assert out == ""
     assert err == f"su2qfi: parameter error: {message}\n"
 
 
+def test_point_commands_name_no_grid_row(capsys):
+    # a single point is no grid: mqfi prints optimal-state's line, and neither names a row
+    drive = ["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1", "--t", "1"]
+    for command in ("mqfi", "optimal-state"):
+        assert run([command, *drive], capsys) == (2, "", f"su2qfi: parameter error: {_UNOBSERVABLE_DRIVE}\n")
+    assert run(["mqfi", "generic", "--rvec", "0,0,1", "--vvec", "0,0,1e155", "--t", "1"], capsys) == (
+        2, "", "su2qfi: parameter error: total MQFI is not finite\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["case2-lambda", "--omega0", "0", "--lambda", "0"],
     ["case3-lambda", "--omega0", "1", "--lambda", "0", "--omega", "1"],
     ["case3-omega0", "--omega0", "1", "--lambda", "0", "--omega", "1"],
-], ids=["case2-lambda", "case3-lambda", "case3-omega0"])
+    ["case1-r", "--r", "0"],
+    ["case1-theta", "--r", "-1"],
+], ids=["case2-lambda", "case3-lambda", "case3-omega0", "case1-r", "case1-theta"])
 def test_optimal_state_answers_a_zero_field(argv, capsys):
-    # a vector-form scenario builds no system, so its zero field answers in both commands
+    # a zero field answers in both commands wherever no drive frequency is estimated,
+    # and so does case1's negative amplitude, the field |r| along -n
     code, out, err = run(["optimal-state"] + argv + ["--t", "1"], capsys)
     assert (code, err) == (0, "")
     record = json.loads(out)

@@ -7,7 +7,6 @@ import pytest
 
 from su2qfi import (
     DegenerateFieldError,
-    FieldCurve,
     build_spin_rep,
     dot_with_J,
     fd_step,
@@ -222,9 +221,9 @@ def test_continuity_at_full_turns():
 def test_analytic_generator_fields():
     # the operator is coeffs . J, with extreme eigenvalues +-j |coeffs|
     rep = build_spin_rep(1.5)
-    curve = FieldCurve(lambda th: np.array([np.cos(th), np.sin(th), 0.5]),
-                       lambda th: np.array([-np.sin(th), np.cos(th), 0.0]))
-    coeffs = generator_vector(curve.field(0.3), curve.velocity(0.3), 2.0)
+    field = lambda th: np.array([np.cos(th), np.sin(th), 0.5])
+    velocity = lambda th: np.array([-np.sin(th), np.cos(th), 0.0])
+    coeffs = generator_vector(field(0.3), velocity(0.3), 2.0)
     matrix = dot_with_J(rep, coeffs)
     norm = np.linalg.norm(coeffs)
     eig = np.linalg.eigvalsh(matrix)
@@ -234,16 +233,8 @@ def test_analytic_generator_fields():
 
 
 def test_analytic_generator_rejects_non_finite_velocity():
-    curve = FieldCurve(lambda th: np.zeros(3), lambda th: np.array([np.nan, 0.0, 0.0]))
     with pytest.raises(ValueError, match="velocity must be finite"):
-        curve.velocity(0.0)
-    with pytest.raises(ValueError, match="velocity must be finite"):
-        generator_vector(curve.field(0.0), [np.nan, 0.0, 0.0], 1.0)
-
-
-def test_field_curve_requires_a_velocity():
-    with pytest.raises(TypeError):
-        FieldCurve(lambda th: np.array([np.cos(th), np.sin(2 * th), th**2]))
+        generator_vector(np.zeros(3), [np.nan, 0.0, 0.0], 1.0)
 
 
 # --- closed-form MQFI --------------------------------------------------------
@@ -397,11 +388,11 @@ def test_reparametrization_scaling():
     c = 2.5
     base = lambda th: np.array([np.cos(th), np.sin(th), 1 + th**2])
     base_v = lambda th: np.array([-np.sin(th), np.cos(th), 2 * th])
-    curve1 = FieldCurve(base, base_v)
-    curve2 = FieldCurve(lambda th: base(c * th), lambda th: c * base_v(c * th))
+    field2 = lambda th: base(c * th)
+    velocity2 = lambda th: c * base_v(c * th)
     theta0, t = 0.4, 1.7
-    r1, v1 = curve1.field(c * theta0), curve1.velocity(c * theta0)
-    r2, v2 = curve2.field(theta0), curve2.velocity(theta0)
+    r1, v1 = base(c * theta0), base_v(c * theta0)
+    r2, v2 = field2(theta0), velocity2(theta0)
     np.testing.assert_allclose(r1, r2, atol=1e-12)
     np.testing.assert_allclose(c * v1, v2, rtol=1e-15)
     f1 = mqfi_closed_form(1.0, split_velocity(r1, v1), t).total
