@@ -68,70 +68,51 @@ _CHUNK_ENTRIES = CHUNK_ROWS * 7 * 7
 
 
 @dataclass(frozen=True)
-class Family:
-    """Scenarios that estimate one named parameter of the same field(params).
+class Scenario:
+    """One CLI scenario: U(theta) = frame . exp(-i t field(params).J), with theta = params[name].
 
-    ``velocity[name](params)`` is d field / d name.  A driven family
-    evolves in the frame exp(-i omega t jz).  Parameters may be arrays;
-    fields and velocities broadcast over them, with the vector on a last
-    axis of length 3.
+    ``field(params)`` is the field and ``velocity(params)`` its derivative
+    d field / d name.  ``mqfi(params, j, t)`` and ``vector(params, t)`` are
+    the scenario's own closed forms of the MQFI and of the generator's
+    coefficient 3-vector; a scenario without them takes
+    :func:`mqfi_closed_form` and :func:`generator_vector` of the field and
+    its velocity, which answer every finite field, a zero one too.  All of
+    them broadcast over array parameters and times, with the vector on a
+    last axis of length 3.  Only a driven scenario has the frame
+    exp(-i omega t jz); it moves with theta when ``moving_frame``.
     """
 
     params: tuple
+    name: str
     field: Callable
-    velocity: dict
-    driven: bool = False
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One CLI scenario: U(theta) = frame . exp(-i t field(theta).J).
-
-    ``breakdown(params, j, t)`` is the closed-form MQFI, ``generator(params,
-    t)`` the closed-form generator's coefficient 3-vector and
-    ``curve(params)`` the triple (field_at, velocity, anchor): field_at(theta)
-    is the field along the curve and velocity its derivative at the anchor.
-    All three broadcast over array parameters and times.  Only a driven
-    scenario has the frame exp(-i omega t jz); it moves with theta when
-    ``moving_frame``.
-    """
-
-    required: tuple
+    velocity: Callable
     defaults: dict
-    sweepable: tuple
-    breakdown: Callable
-    generator: Callable
-    curve: Callable
+    mqfi: Callable | None = None
+    vector: Callable | None = None
     driven: bool = False
-    moving_frame: bool = False
 
+    @property
+    def required(self) -> tuple:
+        return tuple(k for k in self.params if k not in self.defaults)
 
-def _estimate(family: Family, name: str, defaults: dict,
-              breakdown: Callable | None = None, generator: Callable | None = None) -> Scenario:
-    """Estimate ``name`` on the curve theta -> family.field({**params, name: theta}).
+    @property
+    def sweepable(self) -> tuple:
+        """t, the parameters when theta is one of them (generic's s is none), and Delta when driven."""
+        return ("t",) + (self.params if self.name in self.params else ()) + (("Delta",) if self.driven else ())
 
-    ``breakdown(name, params, j, t)`` and ``generator(name, params, t)`` are
-    the scenario's own closed forms on its parameters; without them the
-    MQFI is :func:`mqfi_closed_form` and the generator
-    :func:`generator_vector` of the field and its velocity, which answer
-    every finite field, a zero one too.
-    """
-    def curve(p):
-        return lambda th: family.field({**p, name: th}), family.velocity[name](p), p[name]
+    @property
+    def moving_frame(self) -> bool:
+        return self.driven and self.name == "omega"
 
-    def parts(p, j, t):
-        if breakdown is None:
-            return mqfi_closed_form(j, split_velocity(family.field(p), family.velocity[name](p)), t)
-        return breakdown(name, p, j, t)
+    def breakdown(self, params: dict, j: float, t) -> QfiBreakdown:
+        if self.mqfi is None:
+            return mqfi_closed_form(j, split_velocity(self.field(params), self.velocity(params)), t)
+        return self.mqfi(params, j, t)
 
-    def vector(p, t):
-        if generator is None:
-            return generator_vector(family.field(p), family.velocity[name](p), t)
-        return generator(name, p, t)
-
-    return Scenario(tuple(k for k in family.params if k not in defaults), defaults,
-                    ("t",) + family.params + (("Delta",) if family.driven else ()),
-                    parts, vector, curve, family.driven, family.driven and name == "omega")
+    def generator(self, params: dict, t) -> np.ndarray:
+        if self.vector is None:
+            return generator_vector(self.field(params), self.velocity(params), t)
+        return self.vector(params, t)
 
 
 def _vec(x, y, z) -> np.ndarray:
@@ -148,31 +129,19 @@ def _direction(p: dict) -> np.ndarray:
     return _vec(st * np.cos(p["phi"]), st * np.sin(p["phi"]), np.cos(p["theta"]))
 
 
-# field = r (sin th cos ph, sin th sin ph, cos th)
-_SPHERICAL = Family(
-    ("r", "theta", "phi"),
-    lambda p: _times_r(p, _direction(p)),
-    {
-        "r": _direction,
-        "theta": lambda p: _times_r(p, _vec(np.cos(p["theta"]) * np.cos(p["phi"]),
-                                             np.cos(p["theta"]) * np.sin(p["phi"]), -np.sin(p["theta"]))),
-        "phi": lambda p: _times_r(p, _vec(-np.sin(p["theta"]) * np.sin(p["phi"]),
-                                           np.sin(p["theta"]) * np.cos(p["phi"]), 0.0)),
-    },
-)
-# field = (lam, 0, omega0)
-_STATIC = Family(
-    ("omega0", "lambda"),
-    lambda p: _vec(p["lambda"], 0.0, p["omega0"]),
-    {"omega0": lambda p: _vec(0.0, 0.0, 1.0), "lambda": lambda p: _vec(1.0, 0.0, 0.0)},
-)
-# field = (lam, 0, omega0 - omega) in the frame rotating at the drive frequency
-_DRIVEN = Family(
-    ("omega0", "lambda", "omega"),
-    lambda p: _vec(p["lambda"], 0.0, p["omega0"] - p["omega"]),
-    {**_STATIC.velocity, "omega": lambda p: _vec(0.0, 0.0, -1.0)},
-    driven=True,
-)
+def _spherical_field(p: dict) -> np.ndarray:
+    """r (sin th cos ph, sin th sin ph, cos th)."""
+    return _times_r(p, _direction(p))
+
+
+def _static_field(p: dict) -> np.ndarray:
+    """(lam, 0, omega0)."""
+    return _vec(p["lambda"], 0.0, p["omega0"])
+
+
+def _driven_field(p: dict) -> np.ndarray:
+    """(lam, 0, omega0 - omega), the field in the frame rotating at the drive frequency."""
+    return _vec(p["lambda"], 0.0, p["omega0"] - p["omega"])
 
 
 def _drive(p: dict) -> DrivenSystem:
@@ -180,41 +149,43 @@ def _drive(p: dict) -> DrivenSystem:
     return DrivenSystem(p["omega0"], p["lambda"], p["omega"])
 
 
+_SPHERICAL_PARAMS = ("r", "theta", "phi")
+_DRIVEN_PARAMS = ("omega0", "lambda", "omega")
 # Anchor angles for scenarios where the estimated quantity does not fix the
 # whole field configuration; they only pin the curve the oracles act on.
 _CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
-
 # su2qfi.cases closed forms are looked up on each call, so a wrapper set on that module sees them
-def _spherical_mqfi(name, p, j, t):
-    return cases.spherical_field_mqfi(name, p["r"], p["theta"], j, t)
-
-
-def _spherical_vector(name, p, t):
-    return _spherical_generator_vector(name, p["r"], p["theta"], p["phi"], t)
-
-
-def _generic_curve(p):
-    """The curve rvec + theta vvec through the given field, anchored at theta = 0."""
-    r, v = np.asarray(p["rvec"], dtype=float), np.asarray(p["vvec"], dtype=float)
-    return lambda th: r + np.asarray(th)[..., None] * v, v, 0.0
-
-
 SCENARIOS = {
-    "case1-theta": _estimate(_SPHERICAL, "theta", _CASE1_DEFAULTS, _spherical_mqfi, _spherical_vector),
-    "case1-phi": _estimate(_SPHERICAL, "phi", {"phi": 0.7}, _spherical_mqfi, _spherical_vector),
+    "case1-theta": Scenario(
+        _SPHERICAL_PARAMS, "theta", _spherical_field,
+        lambda p: _times_r(p, _vec(np.cos(p["theta"]) * np.cos(p["phi"]),
+                                   np.cos(p["theta"]) * np.sin(p["phi"]), -np.sin(p["theta"]))),
+        _CASE1_DEFAULTS, lambda p, j, t: cases.spherical_field_mqfi("theta", p["r"], p["theta"], j, t),
+        lambda p, t: _spherical_generator_vector("theta", p["r"], p["theta"], p["phi"], t)),
+    "case1-phi": Scenario(
+        _SPHERICAL_PARAMS, "phi", _spherical_field,
+        lambda p: _times_r(p, _vec(-np.sin(p["theta"]) * np.sin(p["phi"]),
+                                   np.sin(p["theta"]) * np.cos(p["phi"]), 0.0)),
+        {"phi": 0.7}, lambda p, j, t: cases.spherical_field_mqfi("phi", p["r"], p["theta"], j, t),
+        lambda p, t: _spherical_generator_vector("phi", p["r"], p["theta"], p["phi"], t)),
     # the velocity is radial, so the vector form has nothing to cancel
-    "case1-r": _estimate(_SPHERICAL, "r", _CASE1_DEFAULTS, _spherical_mqfi),
-    "case2-omega0": _estimate(_STATIC, "omega0", {}),
-    "case2-lambda": _estimate(_STATIC, "lambda", {}),
-    "case3-omega": _estimate(_DRIVEN, "omega", {},
-                             lambda name, p, j, t: cases.driving_frequency_mqfi(_drive(p), j, t),
-                             lambda name, p, t: driving_generator_vector(_drive(p), t)),
-    "case3-lambda": _estimate(_DRIVEN, "lambda", {}),
-    "case3-omega0": _estimate(_DRIVEN, "omega0", {}),
-    "generic": Scenario(("rvec", "vvec"), {}, ("t",),
+    "case1-r": Scenario(_SPHERICAL_PARAMS, "r", _spherical_field, _direction, _CASE1_DEFAULTS,
+                        lambda p, j, t: cases.spherical_field_mqfi("r", p["r"], p["theta"], j, t)),
+    "case2-omega0": Scenario(("omega0", "lambda"), "omega0", _static_field, lambda p: _vec(0.0, 0.0, 1.0), {}),
+    "case2-lambda": Scenario(("omega0", "lambda"), "lambda", _static_field, lambda p: _vec(1.0, 0.0, 0.0), {}),
+    "case3-omega": Scenario(_DRIVEN_PARAMS, "omega", _driven_field, lambda p: _vec(0.0, 0.0, -1.0), {},
+                            lambda p, j, t: cases.driving_frequency_mqfi(_drive(p), j, t),
+                            lambda p, t: driving_generator_vector(_drive(p), t), driven=True),
+    "case3-lambda": Scenario(_DRIVEN_PARAMS, "lambda", _driven_field, lambda p: _vec(1.0, 0.0, 0.0), {}, driven=True),
+    "case3-omega0": Scenario(_DRIVEN_PARAMS, "omega0", _driven_field, lambda p: _vec(0.0, 0.0, 1.0), {}, driven=True),
+    # the field rvec + s vvec at s = 0; the closed forms take rvec and vvec as given, signed zeros too
+    "generic": Scenario(("rvec", "vvec"), "s",
+                        lambda p: np.asarray(p["rvec"], dtype=float)
+                        + np.asarray(p.get("s", 0.0))[..., None] * np.asarray(p["vvec"], dtype=float),
+                        lambda p: np.asarray(p["vvec"], dtype=float), {},
                         lambda p, j, t: mqfi_closed_form(j, split_velocity(p["rvec"], p["vvec"]), t),
-                        lambda p, t: generator_vector(p["rvec"], p["vvec"], t), _generic_curve),
+                        lambda p, t: generator_vector(p["rvec"], p["vvec"], t)),
 }
 
 FIGURE_IDS = ("fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b")
@@ -302,7 +273,7 @@ def _vec3_arg(text: str) -> tuple:
 # scenario plumbing
 
 
-_SCENARIO_OPTIONS = ("r", "theta", "phi", "omega0", "lambda", "omega", "rvec", "vvec")
+_SCENARIO_OPTIONS = dict.fromkeys(name for spec in SCENARIOS.values() for name in spec.params)
 
 
 def _collect_params(scenario: str, args) -> dict:
@@ -358,11 +329,12 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     bits of its own evaluation.  The series side is the time-doubled
     commutator series of the field, composed with the frame generator -t jz
     when the frame moves with theta; the finite-difference side
-    differentiates U(theta) = frame . exp(-i t field(theta).J).
+    differentiates U(theta) = frame . exp(-i t field(theta).J) around
+    theta = params[spec.name] (0 for generic's s).
     """
-    field_at, velocity, anchor = spec.curve(params)
+    anchor = params.get(spec.name, 0.0)
     ts = np.broadcast_to(np.asarray(t, dtype=float), (rows,))
-    field = field_at(anchor)
+    field, velocity = spec.field(params), spec.velocity(params)
     r, v = np.broadcast_to(field, (rows, 3)), np.broadcast_to(velocity, (rows, 3))
     closed = dot_with_J(rep, np.broadcast_to(spec.generator(params, ts), (rows, 3)))
     # h and dh keep the field's own shape: (3,) when only t varies, so the
@@ -380,12 +352,12 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     steps = fd_step(ts * rep.j * speed) if step is None else np.full(rows, float(step))
 
     # U at the five stencil points of each row: parameters on rows, points on a second axis
-    stencil_at = spec.curve({k: (x[:, None] if isinstance(x, np.ndarray) else x) for k, x in params.items()})[0]
+    on_rows = {k: (x[:, None] if isinstance(x, np.ndarray) else x) for k, x in params.items()}
     thetas = fd_points(anchor, steps)
     omega = None
     if spec.driven:
         omega = thetas if spec.moving_frame else np.broadcast_to(params["omega"], (rows,))[:, None]
-    us = _propagator(rep, stencil_at(thetas), ts[:, None], omega)
+    us = _propagator(rep, spec.field({**on_rows, spec.name: thetas}), ts[:, None], omega)
     return frobenius(closed - series), frobenius(closed - fd_generator(us, steps))
 
 
@@ -402,7 +374,7 @@ def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
         return lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0
 
     u_ordered = su2_lift(rep, midpoint_su2(field, t, steps))
-    return frobenius(u_ordered - _propagator(rep, _DRIVEN.field(params), t, omega))
+    return frobenius(u_ordered - _propagator(rep, SCENARIOS["case3-lambda"].field(params), t, omega))
 
 
 # ---------------------------------------------------------------------------

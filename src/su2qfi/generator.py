@@ -231,26 +231,35 @@ def _scaled_field_roots(jsq4: float, field, velocity, t, on):
     s = r/2^er and w = v/2^ev (2^er the power of two above the largest field
     component, 2^ev that above the largest velocity component but at most 4)
     are exact, so exact zeros of r.v and |r x v| stay zero and s.w/|s| and
-    |s x w|/|s| cannot overflow; these are formed once per field row.
-    np.ldexp applies 2^ev and the powers of two of t, sin(|r| t/2) and
+    |s x w|/|s| cannot overflow; these are formed once per field row.  s.w
+    is taken as s.w/2^ea, 2^ea the power of two of its largest nonzero term
+    (ea = 0 without one, a zero field too), summed in split_velocity's order
+    from the products of the np.frexp mantissas of s and w: no term
+    underflows, and in range it is split_velocity's r.v times a power of two.
+    np.ldexp applies 2^ev, 2^ea and the powers of two of t, sin(|r| t/2) and
     |r| = 2^er |s|, and sin(|r| t/2)/|r| is t/2 where the phase is below the
     normal range: each root is one product, and its square is accurate
-    wherever it, s.w and |s x w| are normal doubles.  On a zero field's
+    wherever it and |s x w| are normal doubles.  On a zero field's
     rows the velocity is all radial: the roots are 2j |w| t 2^ev and 0.
     """
     er, ev = (np.frexp(np.max(np.abs(x), axis=-1))[1] for x in (field, velocity))
     ev = np.minimum(ev, 2)   # v/4 at most keeps the small components of a large v
     s, w = np.ldexp(field, -er[..., None]), np.ldexp(velocity, -ev[..., None])
     s_norm, cross = _norm(s[..., 0], s[..., 1], s[..., 2]), np.cross(s, w)
-    along, across = row_dot(s, w), _norm(cross[..., 0], cross[..., 1], cross[..., 2])
-    er, ev, s_norm, along, across, t, *w = on(er, ev, s_norm, along, across, t, *np.moveaxis(w, -1, 0))
+    (ms, es), (mw, ew) = np.frexp(s), np.frexp(w)
+    ep, both = es + ew, (ms != 0.0) & (mw != 0.0)
+    ea = np.where(both.any(axis=-1), np.max(ep, axis=-1, where=both, initial=np.iinfo(ep.dtype).min), 0)
+    terms = ms * np.ldexp(mw, np.where(both, ep - ea[..., None], 0))   # s_k w_k / 2^ea
+    along = terms[..., 0] + terms[..., 1] + terms[..., 2]   # in split_velocity's order
+    across = _norm(cross[..., 0], cross[..., 1], cross[..., 2])
+    er, ev, ea, s_norm, along, across, t, *w = on(er, ev, ea, s_norm, along, across, t, *np.moveaxis(w, -1, 0))
     radial, transverse = along / s_norm, across / s_norm
     zero = s_norm == 0.0
     radial[zero], transverse[zero] = _norm(*(x[zero] for x in w)), 0.0
     m_t, e_t = np.frexp(t)
     phase = np.ldexp(s_norm * m_t, er + e_t - 1)   # |r| t/2, also where |r| is subnormal
     m_s, e_s = np.frexp(np.sin(phase))
-    quad = np.ldexp(radial * m_t, ev + e_t) * np.sqrt(jsq4)
+    quad = np.ldexp(radial * m_t, ev + ea + e_t) * np.sqrt(jsq4)
     osc = 2.0 * np.sqrt(jsq4) * np.where(np.abs(phase) < _TINY, np.ldexp(transverse * m_t, ev + e_t - 1),
                                          np.ldexp(transverse * m_s / s_norm, ev - er + e_s))
     return quad, osc, phase

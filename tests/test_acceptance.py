@@ -30,7 +30,7 @@ from su2qfi import (
     spherical_field_mqfi,
     split_velocity,
 )
-from su2qfi.cli import _DRIVEN, _propagator, main as cli_main
+from su2qfi.cli import SCENARIOS, _propagator, main as cli_main
 
 from reference_oracles import generator_fd, qfi_fd, trotter_propagator
 
@@ -206,7 +206,8 @@ def test_criterion_06_rotating_frame_vs_time_ordering():
         for j in (0.5, 1.0):
             rep = build_spin_rep(j)
             u_trotter = trotter_propagator(lab_hamiltonian_batch(rep, system), total_t, 100_000)
-            field = _DRIVEN.field({"omega0": system.omega0, "lambda": system.lam, "omega": system.omega})
+            params = {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
+            field = SCENARIOS["case3-lambda"].field(params)
             dev = frobenius(u_trotter - _propagator(rep, field, total_t, system.omega))
             if dev > 1e-6:
                 failures.append(f"factored vs trotter at j={j}: {dev:.2e}")

@@ -21,7 +21,7 @@ from su2qfi import (
     split_velocity,
 )
 from su2qfi.cases import _spherical_generator_vector
-from su2qfi.cli import _DRIVEN, SCENARIOS, _propagator, evaluate_point
+from su2qfi.cli import SCENARIOS, _propagator, evaluate_point
 from su2qfi.spin import libm_pow
 
 from reference_oracles import (check_normal_parts, drive_frequency_total, generator_fd, mqfi_split, signed_extremes,
@@ -54,7 +54,7 @@ def driven_params(system):
 
 def driven_propagator(system, rep, t):
     """The lab propagator exp(-i omega t jz) exp(-i t h_eff) that the CLI's oracles use."""
-    return _propagator(rep, _DRIVEN.field(driven_params(system)), t, system.omega)
+    return _propagator(rep, SCENARIOS["case3-lambda"].field(driven_params(system)), t, system.omega)
 
 
 def driving_generator(system, rep, t):
@@ -97,9 +97,8 @@ def test_spherical_field_validation():
     assert spherical_field_mqfi("r", 0.0, 1.0, 1.5, 0.7).total == 4 * 1.5**2 * libm_pow(0.7, 2)
     # r < 0 is the field |r| along -n; the vector form takes it as it is
     for which in ("theta", "phi", "r"):
-        params = {"r": -1.3, "theta": 0.9, "phi": 2.1}
-        field_at, velocity, anchor = SCENARIOS[f"case1-{which}"].curve(params)
-        vector = mqfi_closed_form(1.5, split_velocity(field_at(anchor), velocity), 0.7).total
+        params, spec = {"r": -1.3, "theta": 0.9, "phi": 2.1}, SCENARIOS[f"case1-{which}"]
+        vector = mqfi_closed_form(1.5, split_velocity(spec.field(params), spec.velocity(params)), 0.7).total
         assert spherical_field_mqfi(which, -1.3, 0.9, 1.5, 0.7).total == pytest.approx(vector, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
         spherical_field_mqfi("bogus", 1.0, 1.0, 1.0, 1.0)
@@ -109,12 +108,14 @@ def test_spherical_curves_anchor_to_configured_field():
     params = {"r": 1.3, "theta": 0.9, "phi": 2.1}
     expected = 1.3 * np.array([np.sin(0.9) * np.cos(2.1), np.sin(0.9) * np.sin(2.1), np.cos(0.9)])
     for which in ("theta", "phi", "r"):
-        field_at, velocity, anchor = SCENARIOS[f"case1-{which}"].curve(params)
-        np.testing.assert_allclose(field_at(anchor), expected, atol=1e-14)
-        # analytic derivative consistent with the curve itself
+        spec = SCENARIOS[f"case1-{which}"]
+        anchor = params[spec.name]
+        np.testing.assert_allclose(spec.field(params), expected, atol=1e-14)
+        # analytic derivative consistent with the field itself
         h = 1e-6
-        numeric = (field_at(anchor + h) - field_at(anchor - h)) / (2 * h)
-        np.testing.assert_allclose(velocity, numeric, atol=1e-8)
+        ahead, behind = (spec.field({**params, spec.name: anchor + d}) for d in (h, -h))
+        numeric = (ahead - behind) / (2 * h)
+        np.testing.assert_allclose(spec.velocity(params), numeric, atol=1e-8)
 
 
 def test_spherical_closed_forms_match_generic_pipeline():
@@ -125,8 +126,8 @@ def test_spherical_closed_forms_match_generic_pipeline():
         j = rng.choice([0.5, 1.0, 1.5, 2.0])
         t = rng.uniform(0.0, 5.0)
         which = rng.choice(["theta", "phi", "r"])
-        field_at, velocity, anchor = SCENARIOS[f"case1-{which}"].curve(params)
-        split = split_velocity(field_at(anchor), velocity)
+        spec = SCENARIOS[f"case1-{which}"]
+        split = split_velocity(spec.field(params), spec.velocity(params))
         generic = mqfi_closed_form(j, split, t).total
         closed = spherical_field_mqfi(which, params["r"], params["theta"], j, t).total
         assert closed == pytest.approx(generic, rel=1e-10, abs=1e-12)
@@ -139,9 +140,10 @@ def test_spherical_angle_generators_match_the_vector_form():
         params = {"r": rng.uniform(0.2, 3.0), "theta": rng.uniform(0.1, np.pi - 0.1),
                   "phi": rng.uniform(0, 2 * np.pi)}
         t, which = rng.uniform(0.0, 5.0), rng.choice(["theta", "phi"])
-        field_at, velocity, anchor = SCENARIOS[f"case1-{which}"].curve(params)
+        spec = SCENARIOS[f"case1-{which}"]
         exact = _spherical_generator_vector(which, params["r"], params["theta"], params["phi"], t)
-        np.testing.assert_allclose(exact, generator_vector(field_at(anchor), velocity, t), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(exact, generator_vector(spec.field(params), spec.velocity(params), t),
+                                   rtol=0, atol=1e-13)
         closed = spherical_field_mqfi(which, params["r"], params["theta"], 1.0, t).total
         assert 4 * (exact @ exact) == pytest.approx(closed, rel=1e-13, abs=1e-15)
     with pytest.raises(ValueError):
@@ -194,8 +196,8 @@ def test_static_field_matches_generic_pipeline():
         j = rng.choice([0.5, 1.0, 2.0])
         t = rng.uniform(0.0, 10.0)
         which = rng.choice(["omega0", "lambda"])
-        field_at, velocity, anchor = SCENARIOS[f"case2-{which}"].curve({"omega0": omega0, "lambda": lam})
-        split = split_velocity(field_at(anchor), velocity)
+        spec, params = SCENARIOS[f"case2-{which}"], {"omega0": omega0, "lambda": lam}
+        split = split_velocity(spec.field(params), spec.velocity(params))
         reference = paper_static_mqfi(which, omega0, lam, j, t)
         assert reference[0] == pytest.approx(mqfi_closed_form(j, split, t).total, rel=1e-10, abs=1e-12)
         assert static_mqfi(which, omega0, lam, j, t).total == pytest.approx(reference[0], rel=1e-10, abs=1e-12)
@@ -281,7 +283,7 @@ def test_rotating_frame_static_limit():
 def test_rotating_frame_resonant_effective_hamiltonian():
     system = DrivenSystem(1.0, 0.6, 1.0)
     rep = build_spin_rep(0.5)
-    h_eff = dot_with_J(rep, _DRIVEN.field(driven_params(system)))
+    h_eff = dot_with_J(rep, SCENARIOS["case3-lambda"].field(driven_params(system)))
     np.testing.assert_allclose(h_eff, 0.6 * np.asarray(rep.jx), atol=1e-15)
 
 
@@ -347,11 +349,12 @@ def test_drive_frequency_curve_and_breakdown():
     for _ in range(10):
         system = DrivenSystem(rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0.1, 2))
         t = rng.uniform(0.1, 3)
-        field_at, velocity, anchor = SCENARIOS["case3-omega"].curve(driven_params(system))
-        assert anchor == system.omega
-        np.testing.assert_array_equal(field_at(anchor), [system.lam, 0.0, system.delta])
-        u2 = hermitian_expm(dot_with_J(rep, field_at(anchor)), -1j * t)
-        gen2 = dot_with_J(rep, generator_vector(field_at(anchor), velocity, t))
+        spec, params = SCENARIOS["case3-omega"], driven_params(system)
+        assert params[spec.name] == system.omega
+        field = spec.field(params)
+        np.testing.assert_array_equal(field, [system.lam, 0.0, system.delta])
+        u2 = hermitian_expm(dot_with_J(rep, field), -1j * t)
+        gen2 = dot_with_J(rep, generator_vector(field, spec.velocity(params), t))
         composed = compose_generators(-t * np.asarray(rep.jz), u2, gen2)
         assert frobenius(driving_generator(system, rep, t) - composed) < 1e-10
 
@@ -531,18 +534,18 @@ def test_driven_couplings_match_generic_machinery():
         params = driven_params(system)
         t = rng.uniform(0.1, 3)
         for which in ("omega0", "lambda"):
-            field_at, velocity, anchor = SCENARIOS[f"case3-{which}"].curve(params)
-            gen = dot_with_J(rep, generator_vector(field_at(anchor), velocity, t))
+            spec = SCENARIOS[f"case3-{which}"]
+            gen = dot_with_J(rep, generator_vector(spec.field(params), spec.velocity(params), t))
             mqfi = optimal_state(gen).mqfi()
             assert paper_driven_mqfi(which, system, 1.0, t)[0] == pytest.approx(mqfi, rel=1e-10, abs=1e-12)
             assert driven_mqfi(which, system, 1.0, t).total == pytest.approx(mqfi, rel=1e-10, abs=1e-12)
 
             u1 = hermitian_expm(np.asarray(rep.jz), -1j * system.omega * t)
 
-            def u_of(theta, field_at=field_at, u1=u1, t=t):
-                return u1 @ hermitian_expm(dot_with_J(rep, field_at(theta)), -1j * t)
+            def u_of(theta, spec=spec, u1=u1, t=t):
+                return u1 @ hermitian_expm(dot_with_J(rep, spec.field({**params, spec.name: theta})), -1j * t)
 
-            fd = generator_fd(u_of, anchor, step=fd_step(t * 1.0))
+            fd = generator_fd(u_of, params[spec.name], step=fd_step(t * 1.0))
             assert frobenius(gen - fd) < 1e-7
 
 

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su2qfi import __version__, mqfi_closed_form, split_velocity
-from su2qfi.cli import MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt, _validation_verdict, evaluate_point, main
+from su2qfi.cli import (FIGURE_IDS, MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt, _validation_verdict, evaluate_point,
+                        main)
 
 from reference_oracles import drive_frequency_total, mqfi_split
 
@@ -542,6 +543,8 @@ def test_mqfi_matches_high_precision_formula_from_tiny_to_huge_fields(scenario, 
     # |r| is subnormal and loses digits when formed from the field, though the oscillatory part is 1.3e105
     ("0,-1.2622984054e-314,-9.45631542e-316", "6.1011105093889585e+29,0,-2.8567395185066804e+37",
      "621486049701019.8"),
+    # every product of r.v = 1e-400 is below the double range, though the quadratic part is 4e-300
+    ("1,1e-200,0", "0,1e-200,1", "1e250"),
 ])
 def test_generic_mqfi_matches_high_precision_formula_where_a_direct_product_leaves_range(rvec, vvec, t, capsys):
     code, out, err = run(["mqfi", "generic", f"--rvec={rvec}", f"--vvec={vvec}", f"--t={t}", "--json"], capsys)
@@ -830,9 +833,14 @@ VALIDATED_ARGV = {
 }
 
 # SHA-256 of the --validate data section (closed forms and both oracle
-# residual columns) of fig2b, of a 10-row GRID_SWEEPS sweep per scenario and
-# of each VALIDATED_ARGV sweep.
+# residual columns) of each preset, of a 10-row GRID_SWEEPS sweep per
+# scenario and of each VALIDATED_ARGV sweep.
 VALIDATED_SHA256 = {
+    "fig1a": "6664c31bf8c700e8ca803d674d0b31f5ea6ae2189317e9640f79d12927a22d06",
+    "fig1b": "cbff83ff4e3b204fe9a1192cb827e38d0641dd2beeab779efc4e3af871599a86",
+    "fig1c": "d233c04a348212b2a1261a5b1245bb206031b3f4a8777000433794566988caea",
+    "fig1d": "24768b291a1c7b3206aafffa538b5438be6d5c36d9b66eec348a517afd3c8c0b",
+    "fig2a": "ab88154be9ef09a83e0a4095a8de069f49a3a64a859083af3004804da1387203",
     "fig2b": "617816a8900bb98e119aa26ecaa5978d3d7e25e87b9985e948fe1e6ae50243c5",
     "case1-theta": "b52222bf86df9186d3b513115e0a54a024739fe86afbed43c6fa51fcf102d329",
     "case1-phi": "d153c4bdb2da18c722a5dde69034652920a91b2796e8b4394fbdec325781f79e",
@@ -860,8 +868,8 @@ VALIDATED_SHA256 = {
 @pytest.mark.parametrize("name", sorted(VALIDATED_SHA256))
 def test_validated_data_section_is_pinned(name, tmp_path, capsys):
     out = tmp_path / f"{name}.csv"
-    if name == "fig2b":
-        argv = ["figure", "fig2b"]
+    if name in FIGURE_IDS:
+        argv = ["figure", name]
     elif name in VALIDATED_ARGV:
         argv = VALIDATED_ARGV[name]
     else:
@@ -911,7 +919,7 @@ def test_zero_field_mid_grid_row_answers(argv, zero_row, validate, tmp_path, cap
 @pytest.mark.parametrize("scenario", ["case1-theta", "case1-phi", "case1-r"])
 def test_case1_sweep_through_zero_and_negative_amplitudes(scenario, tmp_path, capsys):
     # r = 0 is the zero field and r < 0 the field |r| along -n: every row answers, equals the
-    # vector form of the scenario's own curve and passes both oracles
+    # vector form of the scenario's own field and velocity and passes both oracles
     out = tmp_path / "grid.csv"
     code, _, err = run(["sweep", scenario, "--theta", "0.9", "--phi", "2.1", "--j", "1.5", "--t", "1.3",
                         "--variable", "r", "--start", "-2", "--stop", "2", "--points", "9", "--validate",
@@ -919,8 +927,8 @@ def test_case1_sweep_through_zero_and_negative_amplitudes(scenario, tmp_path, ca
     assert (code, err) == (0, "")
     _, rows = parse_csv(out)
     for r, total, quadratic, oscillatory, *_ in rows:
-        field_at, velocity, anchor = SCENARIOS[scenario].curve({"r": r, "theta": 0.9, "phi": 2.1})
-        vector = mqfi_closed_form(1.5, split_velocity(field_at(anchor), velocity), 1.3)
+        spec, params = SCENARIOS[scenario], {"r": r, "theta": 0.9, "phi": 2.1}
+        vector = mqfi_closed_form(1.5, split_velocity(spec.field(params), spec.velocity(params)), 1.3)
         for got, want in zip((total, quadratic, oscillatory), (vector.total, vector.quadratic, vector.oscillatory)):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * max(1.0, total)), (r, got, want)
     zero_row = [9 * 1.3**2, 9 * 1.3**2, 0.0] if scenario == "case1-r" else [0.0, 0.0, 0.0]   # 4 j^2 t^2 for r

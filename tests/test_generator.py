@@ -7,14 +7,17 @@ import pytest
 
 from su2qfi import (
     DegenerateFieldError,
+    DrivenSystem,
     build_spin_rep,
     dot_with_J,
+    driving_frequency_mqfi,
     fd_step,
     frobenius,
     generator_vector,
     hermitian_expm,
     mqfi_closed_form,
     optimal_state,
+    spherical_field_mqfi,
     split_velocity,
 )
 from su2qfi.cli import main
@@ -311,6 +314,26 @@ def test_mqfi_stack_matches_60_digits_where_components_differ_in_magnitude():
     assert _check_extreme_draws(np.random.default_rng(29), 2000, spread=100) > 1.5 * 2000
 
 
+def test_mqfi_quadratic_part_matches_60_digits_where_every_product_of_r_dot_v_underflows():
+    # r = (1, x, 0) and v = (0, y, 1), up to signs, sizes and a shared permutation of the axes, with
+    # x y from 1e-450 to 1e-330: every product r_k v_k, scaled or not, is below the normal range,
+    # though the quadratic part 4 j^2 (x y t)^2 / |r|^2 is a normal double for t up to 1e300
+    rng = np.random.default_rng(33)
+    n = 400
+    lx, ly = rng.uniform(-225, -165, n), rng.uniform(-225, -165, n)
+    size = 10.0 ** rng.uniform(-3, 3, (2, n, 1))
+    r = np.stack([np.ones(n), 10.0**lx, np.zeros(n)], -1) * rng.choice([-1.0, 1.0], (n, 3)) * size[0]
+    v = np.stack([np.zeros(n), 10.0**ly, np.ones(n)], -1) * rng.choice([-1.0, 1.0], (n, 3)) * size[1]
+    axes = rng.permuted(np.tile(np.arange(3), (n, 1)), axis=1)
+    r, v = np.take_along_axis(r, axes, 1), np.take_along_axis(v, axes, 1)
+    t = 10.0 ** np.minimum(rng.uniform(-150, 150, n) - lx - ly, 300.0)
+    with np.errstate(under="ignore"):
+        assert np.all(np.abs(r * v) < np.finfo(float).tiny)
+    got = mqfi_closed_form(1.0, split_velocity(r, v), t)
+    refs = [4 * mqfi_split(r[k], v[k], t[k], 60)[0] for k in range(n)]
+    assert check_normal_parts(got.quadratic, refs, lambda k: (r[k], v[k], t[k])) > 0.9 * n
+
+
 def test_mqfi_pure_transverse_oscillates():
     # orthogonal field and velocity: the quadratic part vanishes and the
     # total is 16 j^2 (v^2/r^2) sin^2(rt/2), optimal at odd half-turns
@@ -398,6 +421,108 @@ def test_reparametrization_scaling():
     f1 = mqfi_closed_form(1.0, split_velocity(r1, v1), t).total
     f2 = mqfi_closed_form(1.0, split_velocity(r2, v2), t).total
     assert f2 == pytest.approx(c**2 * f1, rel=1e-12)
+
+
+# --- scale covariance: exact in real arithmetic, and in doubles for powers of two -----
+
+_SCALE_ULPS = 8
+
+
+def _signed_spread(rng, shape):
+    """Signed values of magnitude 10^U(-150, 150), each drawn alone, 10% of them exactly zero."""
+    x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-150, 150, shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    return x
+
+
+def _exactly_scaled(x, k):
+    """x 2^k, with k one exponent per row, and whether each row of it is exact."""
+    per_row = k[:, None] if x.ndim == 2 else k
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = np.ldexp(x, per_row)
+        exact = np.ldexp(scaled, -per_row) == x
+    return scaled, exact.all(axis=-1) if x.ndim == 2 else exact
+
+
+def _check_covariant(base, scaled, power, rows, what):
+    """Hold ``scaled`` to ``base`` 2^power within _SCALE_ULPS on ``rows`` where all three are normal; the count."""
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(base, power)
+    held = rows.copy()
+    for x in (base, scaled, want):
+        held &= (np.abs(x) >= tiny) & (np.abs(x) <= huge)
+    held = np.flatnonzero(held)
+    gap = np.abs(scaled[held] - want[held]) / np.spacing(np.abs(want[held]))
+    assert np.all(gap <= _SCALE_ULPS), (what, held[gap > _SCALE_ULPS][:5], gap.max())
+    return held.size
+
+
+def _mqfi_parts(breakdown):
+    return {name: np.asarray(getattr(breakdown, name)) for name in ("total", "quadratic", "oscillatory")}
+
+
+def test_mqfi_is_covariant_under_scaling_the_field_velocity_and_time():
+    # (2^k r, 2^k v, 2^-k t) keeps x = |r| t and every part; 2^m v multiplies every part by 2^(2m)
+    rng = np.random.default_rng(141)
+    n = 20_000
+    r, v, t = _signed_spread(rng, (n, 3)), _signed_spread(rng, (n, 3)), 10.0 ** rng.uniform(-150, 150, n)
+    k, m = rng.integers(-300, 300, n), rng.integers(-300, 300, n)
+    with np.errstate(all="ignore"):   # r.v or |r x v| overflows on some rows
+        base = _mqfi_parts(mqfi_closed_form(1.5, split_velocity(r, v), t))
+        (r_k, r_ok), (v_k, v_ok), (t_k, t_ok), (v_m, m_ok) = (
+            _exactly_scaled(r, k), _exactly_scaled(v, k), _exactly_scaled(t, -k), _exactly_scaled(v, m))
+        along = _mqfi_parts(mqfi_closed_form(1.5, split_velocity(r_k, v_k), t_k))
+        faster = _mqfi_parts(mqfi_closed_form(1.5, split_velocity(r, v_m), t))
+    for name in base:
+        assert _check_covariant(base[name], along[name], 0, r_ok & v_ok & t_ok, ("k", name)) > 0.3 * n
+        assert _check_covariant(base[name], faster[name], 2 * m, m_ok, ("m", name)) > 0.3 * n
+
+
+def test_mqfi_keeps_its_bits_when_one_axis_of_field_and_velocity_flips():
+    rng = np.random.default_rng(142)
+    n = 20_000
+    r, v, t = _signed_spread(rng, (n, 3)), _signed_spread(rng, (n, 3)), 10.0 ** rng.uniform(-150, 150, n)
+    with np.errstate(all="ignore"):
+        base = _mqfi_parts(mqfi_closed_form(0.5, split_velocity(r, v), t))
+        for axis in range(3):
+            flip = np.ones(3)
+            flip[axis] = -1.0
+            flipped = _mqfi_parts(mqfi_closed_form(0.5, split_velocity(r * flip, v * flip), t))
+            for name in base:
+                assert flipped[name].tobytes() == base[name].tobytes(), (axis, name)
+
+
+def test_drive_frequency_mqfi_is_covariant_under_scaling_the_frequencies_and_time():
+    # (2^k omega0, 2^k lam, 2^k omega, 2^-k t) keeps x = kp t; lam^2 / kp^4 and lam^2 t^2 / kp^2 gain 2^(-2k)
+    rng = np.random.default_rng(143)
+    n = 20_000
+    omega0, lam, omega = _signed_spread(rng, (3, n))
+    lam[(lam == 0.0) & (omega0 == omega)] = 1.0   # lam = delta = 0 has no drive-frequency MQFI
+    t, k = 10.0 ** rng.uniform(-150, 150, n), rng.integers(-300, 300, n)
+    scaled = [_exactly_scaled(x, k) for x in (omega0, lam, omega)] + [_exactly_scaled(t, -k)]
+    exact = np.logical_and.reduce([ok for _, ok in scaled])
+    exact &= np.ldexp(omega0 - omega, k) == scaled[0][0] - scaled[2][0]   # and so is delta
+    with np.errstate(all="ignore"):
+        base = driving_frequency_mqfi(DrivenSystem(omega0, lam, omega), 1.0, t)
+        moved = driving_frequency_mqfi(DrivenSystem(*(x for x, _ in scaled[:3])), 1.0, scaled[3][0])
+    for name in ("total", "quadratic"):
+        held = _check_covariant(getattr(base, name), getattr(moved, name), -2 * k, exact, name)
+        assert held > 0.3 * n
+
+
+def test_spherical_mqfi_is_covariant_under_scaling_the_amplitude_and_time():
+    # (2^k r, 2^-k t) keeps r t, so the angles' MQFI; the amplitude's 4 j^2 t^2 gains 2^(-2k)
+    rng = np.random.default_rng(144)
+    n = 20_000
+    r, theta, t = _signed_spread(rng, n), rng.uniform(0.0, np.pi, n), 10.0 ** rng.uniform(-150, 150, n)
+    k = rng.integers(-300, 300, n)
+    (r_k, r_ok), (t_k, t_ok) = _exactly_scaled(r, k), _exactly_scaled(t, -k)
+    with np.errstate(all="ignore"):   # t^2 leaves the range on some rows
+        for which, power in (("theta", 0), ("phi", 0), ("r", -2 * k)):
+            base, moved = (spherical_field_mqfi(which, x, theta, 2.0, y).total for x, y in ((r, t), (r_k, t_k)))
+            assert _check_covariant(np.broadcast_to(base, n), np.broadcast_to(moved, n), power, r_ok & t_ok,
+                                    which) > 0.2 * n
 
 
 def test_fd_step_scaling():

@@ -27,7 +27,7 @@ from su2qfi import (
     qfi_of_state,
     su2_lift,
 )
-from su2qfi.cli import _DRIVEN, _propagator
+from su2qfi.cli import SCENARIOS, _propagator
 from su2qfi.numerics import _SU2_BLOCK_STEPS, _doubling_counts, _partial_sum, _series_coefficients
 
 from reference_oracles import _BLOCK_STEPS, generator_fd, generator_vector_coeffs, qfi_fd, trotter_propagator
@@ -535,7 +535,7 @@ def test_su2_lift_full_turn_sign(j, sign):
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 5.0])
 def test_midpoint_su2_matches_rotating_frame(j):
-    field = _DRIVEN.field({"omega0": 1.1, "lambda": 0.7, "omega": 0.9})
+    field = SCENARIOS["case3-lambda"].field({"omega0": 1.1, "lambda": 0.7, "omega": 0.9})
     rep = build_spin_rep(j)
     lifted = su2_lift(rep, midpoint_su2(_drive_field, 2.5, 100_000))
     assert frobenius(lifted - _propagator(rep, field, 2.5, 0.9)) < 1e-6
