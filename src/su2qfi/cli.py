@@ -276,28 +276,25 @@ def _vec3_arg(text: str) -> tuple:
 _SCENARIO_OPTIONS = dict.fromkeys(name for spec in SCENARIOS.values() for name in spec.params)
 
 
-def _collect_params(scenario: str, args) -> dict:
+def _collect_params(scenario: str, args, skip=()) -> dict:
     """The scenario's own parameters: its defaults and the options it takes.
 
-    Raises ValueError naming an option that the scenario does not take.
+    Raises ValueError naming an option that the scenario does not take, or
+    the required options, apart from those in ``skip``, that are missing.
     """
     spec = SCENARIOS[scenario]
-    own = spec.required + tuple(spec.defaults)
     params = dict(spec.defaults)
     for name in _SCENARIO_OPTIONS:
         value = getattr(args, name)
         if value is None:
             continue
-        if name not in own:
+        if name not in spec.params:
             raise ValueError(f"scenario {scenario} does not take --{name}")
         params[name] = value
-    return params
-
-
-def _check_required(scenario: str, params: dict, skip=()):
-    missing = [name for name in SCENARIOS[scenario].required if name not in params and name not in skip]
+    missing = [name for name in spec.required if name not in params and name not in skip]
     if missing:
         raise ValueError(f"scenario {scenario} requires --{' --'.join(missing)}")
+    return params
 
 
 def _scenario(name: str) -> Scenario:
@@ -329,8 +326,8 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     bits of its own evaluation.  The series side is the time-doubled
     commutator series of the field, composed with the frame generator -t jz
     when the frame moves with theta; the finite-difference side
-    differentiates U(theta) = frame . exp(-i t field(theta).J) around
-    theta = params[spec.name] (0 for generic's s).
+    differentiates U(theta) = exp(-i t field(theta).J) around theta =
+    params[spec.name] (0 for generic's s), times the frame if it moves.
     """
     anchor = params.get(spec.name, 0.0)
     ts = np.broadcast_to(np.asarray(t, dtype=float), (rows,))
@@ -354,10 +351,9 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     # U at the five stencil points of each row: parameters on rows, points on a second axis
     on_rows = {k: (x[:, None] if isinstance(x, np.ndarray) else x) for k, x in params.items()}
     thetas = fd_points(anchor, steps)
-    omega = None
-    if spec.driven:
-        omega = thetas if spec.moving_frame else np.broadcast_to(params["omega"], (rows,))[:, None]
-    us = _propagator(rep, spec.field({**on_rows, spec.name: thetas}), ts[:, None], omega)
+    # a frame fixed in theta cancels in i (dU^dag) U, so only a moving one is differentiated
+    us = _propagator(rep, spec.field({**on_rows, spec.name: thetas}), ts[:, None],
+                     thetas if spec.moving_frame else None)
     return frobenius(closed - series), frobenius(closed - fd_generator(us, steps))
 
 
@@ -543,21 +539,25 @@ def _validation_verdict(residuals: dict, trotter=None, swept=None) -> int:
 # commands
 
 
+def _print_record(args, params: dict, **fields):
+    """Print one JSON record of the command's scenario point and ``fields``, keys sorted."""
+    record = {
+        "scenario": args.scenario,
+        "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
+        "j": args.j,
+        "t": args.t,
+        **fields,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    print(json.dumps(record, sort_keys=True))
+
+
 def _cmd_mqfi(args) -> int:
     params = _collect_params(args.scenario, args)
-    _check_required(args.scenario, params)
     parts = {name: float(value) for name, value in _mqfi_parts(args.scenario, params, args.j, args.t).items()}
     if args.json:
-        record = {
-            "scenario": args.scenario,
-            "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
-            "j": args.j,
-            "t": args.t,
-            **parts,
-            "version": __version__,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        print(json.dumps(record, sort_keys=True))
+        _print_record(args, params, **parts)
     else:
         print(f"scenario={args.scenario} j={_fmt(args.j)} t={_fmt(args.t)} {_params_for_header(params)}")
         for name, value in parts.items():
@@ -572,11 +572,9 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"sweep needs start < stop, got [{args.start}, {args.stop}]")
     if not math.isfinite(args.stop - args.start):
         raise ValueError(f"sweep range [{args.start}, {args.stop}] is wider than the double range")
-    params = _collect_params(args.scenario, args)
-    skip = (args.variable, "omega") if args.variable == "Delta" else (args.variable,)
-    if args.variable == "Delta" and "omega" in params:
+    if args.variable == "Delta" and args.omega is not None:
         raise ValueError("omega is derived from Delta; do not pass --omega when sweeping Delta")
-    _check_required(args.scenario, params, skip=skip)
+    params = _collect_params(args.scenario, args, skip=(args.variable, "omega") if args.variable == "Delta" else (args.variable,))
     if args.variable != "t" and args.t is None:
         raise ValueError("--t is required unless sweeping t")
     if args.variable == "t" and args.t is not None:
@@ -596,28 +594,15 @@ def _cmd_figure(args) -> int:
 
 def _cmd_optimal_state(args) -> int:
     params = _collect_params(args.scenario, args)
-    _check_required(args.scenario, params)
     gen = dot_with_J(build_spin_rep(args.j), _scenario(args.scenario).generator(params, args.t))
     result = optimal_state(gen, args.phase)
     attained = 0.0 if result.degenerate else qfi_of_state(gen, result.state)
     if not (np.isfinite([attained, result.lambda_max, result.lambda_min]).all() and np.isfinite(result.state).all()):
         raise ValueError(f"optimal state is not finite in double precision (qfi {_fmt(attained)}, "
                          f"lambda_max {_fmt(result.lambda_max)}, lambda_min {_fmt(result.lambda_min)})")
-    record = {
-        "scenario": args.scenario,
-        "params": {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()},
-        "j": args.j,
-        "t": args.t,
-        "phase": args.phase,
-        "lambda_max": result.lambda_max,
-        "lambda_min": result.lambda_min,
-        "qfi": attained,
-        "degenerate": result.degenerate,
-        "amplitudes": [[float(z.real), float(z.imag)] for z in result.state],
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    print(json.dumps(record, sort_keys=True))
+    _print_record(args, params, phase=args.phase, lambda_max=result.lambda_max, lambda_min=result.lambda_min,
+                  qfi=attained, degenerate=result.degenerate,
+                  amplitudes=[[float(z.real), float(z.imag)] for z in result.state])
     return EXIT_OK
 
 

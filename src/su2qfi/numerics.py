@@ -341,7 +341,11 @@ def midpoint_su2(field_of_t: Callable, total_time: float, steps: int) -> tuple:
         field = np.broadcast_arrays(mids, *(np.asarray(c, dtype=float) for c in field_of_t(mids)))[1:]
         if len(field) != 3:
             raise ValueError(f"field_of_t must return three components, got {len(field)}")
-        norm = np.sqrt(field[0] ** 2 + field[1] ** 2 + field[2] ** 2)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(field[0] ** 2 + field[1] ** 2 + field[2] ** 2)
+        big = np.isinf(norm)
+        if big.any():   # the squares overflow above about 1.34e154; hypot does not
+            norm[big] = np.hypot(np.hypot(field[0][big], field[1][big]), field[2][big])
         half = 0.5 * dt * norm
         # sin(theta/2) / |a|, with its limit dt/2 at a zero field
         scale = np.divide(np.sin(half), norm, out=np.full(norm.shape, 0.5 * dt), where=norm > 0)

@@ -6,7 +6,9 @@ A renamed function or a second closed form that drifts from the CLI's would
 fail every benchmark operation; these tests fail first.  The benchmark also
 checks each preset's data section against ``perfbench/preset_refs.json``;
 for the validated fig1a-d and fig2a sections that is the only pin, so a
-test here compares all twelve.
+test here compares all twelve.  The benchmark's tracer reports per-layer
+metrics of the library functions it finds; a function it no longer finds
+reads 0, so the set it finds is pinned here.
 """
 
 import ast
@@ -65,3 +67,23 @@ def test_preset_data_section_matches_the_benchmark_reference(key, tmp_path):
     out = tmp_path / "preset.csv"
     assert main(["figure", fig, "--out", str(out)] + (["--validate"] if validate else [])) == 0
     assert checks.fingerprint(checks.data_section(out)) == PRESET_REFS[key]
+
+
+# The perfbench/tracer.py TARGETS that resolve; the other eight name functions the library no longer has.
+LIVE_TRACER_SLOTS = {
+    "spin.build_spin_rep", "spin.dot_with_J", "spin.hermitian_expm", "spin.require_hermitian",
+    "generator.split_velocity", "generator.generator_vector", "generator.mqfi_closed_form",
+    "cases.spherical_field_mqfi", "cases.driving_frequency_mqfi",
+    "numerics.generator_series", "numerics.compose_generators",
+    "cli.main", "cli.evaluate_point", "cli.trotter_cross_check",
+    "numpy.linalg.eigh",
+}
+
+
+def test_the_benchmark_tracer_finds_exactly_its_live_slots():
+    # deleting or renaming a traced function turns its per-layer metrics to a silent 0; a change
+    # that does so updates this set and says which metric it retires
+    tracer = _load("tracer")
+    live = {tracer.metric_prefix(module, name) for module, name in tracer.TARGETS
+            if tracer._resolve(module, name) is not None}
+    assert live == LIVE_TRACER_SLOTS

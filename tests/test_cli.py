@@ -313,13 +313,28 @@ _SIGNED = st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0**
 _TIME = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent))
 
 
+def _validation(draw, steps):
+    """--validate with ``steps`` time-ordered steps and, on some lines, an --fd-step from 1e-300 to 1e300."""
+    fd_step = [f"--fd-step={10.0 ** draw(st.floats(-300.0, 300.0))!r}"] if draw(st.booleans()) else []
+    return ["--validate", f"--steps={steps}", *fd_step]
+
+
+def _rarely(draw) -> bool:
+    # a validated figure or a validated j = 50 sweep takes about 0.1 s; these are drawn rarely
+    return draw(st.integers(0, 5)) == 5
+
+
 @st.composite
 def _command_lines(draw):
-    """One mqfi, optimal-state, sweep or validated-sweep command line on a drawn scenario point."""
-    command = draw(st.sampled_from(["mqfi", "optimal-state", "sweep", "validate"]))
+    """One mqfi, optimal-state, sweep, validated-sweep or figure command line, the first four on a drawn scenario point."""
+    command = draw(st.sampled_from(["mqfi", "optimal-state", "sweep", "validate", "figure"]))
+    if command == "figure":
+        argv = ["figure", draw(st.sampled_from(FIGURE_IDS))]
+        return argv + (_validation(draw, draw(st.integers(1, 2000))) if _rarely(draw) else [])
     scenario = draw(st.sampled_from(_ALL_SCENARIOS))
     spec = SCENARIOS[scenario]
-    j = draw(st.sampled_from([0.5, 1.0, 2.0] if command == "validate" else [0.5, 1.0, 3.0, 10.0]))
+    j = 50.0 if command == "validate" and _rarely(draw) else draw(
+        st.sampled_from([0.5, 1.0, 2.0] if command == "validate" else [0.5, 1.0, 3.0, 10.0]))
     params = {name: ",".join(repr(draw(_SIGNED)) for _ in range(3 if name in ("rvec", "vvec") else 1))
               for name in spec.required + tuple(spec.defaults)}
     t = draw(_TIME)
@@ -334,7 +349,7 @@ def _command_lines(draw):
         params = {k: v for k, v in params.items() if k != variable and not (variable == "Delta" and k == "omega")}
     argv = ["sweep", scenario, f"--j={j!r}", f"--variable={variable}", f"--start={grid[0]!r}", f"--stop={grid[1]!r}",
             "--points=3", *(f"--{k}={v}" for k, v in params.items())] + ([] if variable == "t" else [f"--t={t!r}"])
-    return argv + (["--validate", "--steps=50"] if command == "validate" else [])
+    return argv + (_validation(draw, 50) if command == "validate" else [])
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -848,8 +863,8 @@ VALIDATED_SHA256 = {
     "case2-omega0": "4f78c605fac0a4b94fee815c2972a5e1ba3839ab1c86c8ce19e8dd5ba5c7be05",
     "case2-lambda": "b5de1e8628fc68574fc3bd90d2eb539a0b938542cff410da2eea1323b9788b8e",
     "case3-omega": "a76898fea7bc5e9ce95617d7d134d4a052da12d4c81a21a1f27d77f5936b76b7",
-    "case3-lambda": "388d00b655d17b512e3c8558a74fcd3334fa00d37236b170991f519b78be1dea",
-    "case3-omega0": "88cd61c499bd0a3eeee02dc56e582803a1fe473da93c48c63bd580dd96bbf0d2",
+    "case3-lambda": "bf46473a69340c5e2c147bd8158454e21122e1cc40ad3fc29498a278f3129d09",
+    "case3-omega0": "d771ee34aded7cf07a5e635e0f13a5062bb0b03d35e024af10397e7054556cf5",
     "generic": "c47862c935972a3aaf8ae91986e641ebab29f73dbb7c55e1e533bb1253d525cf",
     "case2-omega0-700-rows": "997d6eef664b223b95cb40493fd0f6804bdbf49b0bb016f336803fce9be7c1b0",
     "case1-theta-half": "69cde04aaafbf6562dc85b961406b28c9d087cf19c5a3869a8341b263b70d2b9",
@@ -859,9 +874,9 @@ VALIDATED_SHA256 = {
     "case1-r-j3": "0cb7105cb07844bb37064a196a36deae3e983184405a603c30ed72d70968e39c",
     "case3-omega-delta-j3": "ac5f77a6bcb4ec99b363da093a2df676016f0cecd17bf9898384e09102895b42",
     "case3-omega-t-600": "12526ddef782c606457a8684242976e3c24fc30c18d0980bfba47b0bc15f600b",
-    "case3-lambda-half": "a91e7d32a37a0b6212696b14b084d3a2927bad8553773a7b361854279a9961f3",
-    "case3-lambda-delta": "801b91ead8fbf5cad5fdb9778070a310fd856cec796c5921df7d468852e1e40e",
-    "case3-omega0-lambda": "8c262d336ff40fb3c9552e908f72d2e8c95caf2dc28f679bef743f38c45fd91b",
+    "case3-lambda-half": "e4dd54bc86913b98a28880c3d8836369d81fa28b87475707fdeebc3de2c2b300",
+    "case3-lambda-delta": "c14221b70765892158a47ce9fb4672bc5b316f2b742c99272a09aea03a588367",
+    "case3-omega0-lambda": "aaf2c4c509425907d543561fbff9aa306ac990e9e8e8825f79f27cc83df6adfd",
 }
 
 
@@ -878,6 +893,33 @@ def test_validated_data_section_is_pinned(name, tmp_path, capsys):
     assert run(argv + ["--validate", "--out", str(out)], capsys)[0] == 0
     data = "".join(line + "\n" for line in data_lines(out)).encode()
     assert hashlib.sha256(data).hexdigest() == VALIDATED_SHA256[name]
+
+
+@pytest.mark.parametrize("estimated", ["lambda", "omega0"])
+def test_fixed_frame_validates_as_the_static_field_on_the_detuned_field(estimated, tmp_path, capsys):
+    # a drive frame fixed in theta cancels in the generator, so case3 validates as case2 on
+    # (lambda, 0, omega0 - omega); the detuning 1.75 - 0.5 = 1.25 is exact
+    grid = ["--lambda", "0.6", "--j", "2", "--variable", "t", "--start", "0", "--stop", "12", "--points", "40",
+            "--validate"]
+    driven, static = tmp_path / "driven.csv", tmp_path / "static.csv"
+    assert run(["sweep", f"case3-{estimated}", "--omega0", "1.75", "--omega", "0.5", *grid, "--out", str(driven)],
+               capsys)[0] == 0
+    assert run(["sweep", f"case2-{estimated}", "--omega0", "1.25", *grid, "--out", str(static)], capsys)[0] == 0
+    assert data_lines(driven) == data_lines(static)
+
+
+def test_time_ordered_check_takes_a_lab_field_whose_squares_overflow(tmp_path, capsys):
+    # |field|^2 = 1e320 overflows; the midpoint step's norm does not
+    out = tmp_path / "huge.csv"
+    code, _, err = run(["sweep", "case3-omega", "--omega0", "1e160", "--lambda", "1", "--omega", "0",
+                        "--variable", "t", "--start", "1e-300", "--stop", "2e-300", "--points", "2",
+                        "--validate", "--steps", "50", "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    with open(out) as handle:
+        assert [line.rstrip("\n") for line in handle if line.startswith("# trotter_check")] == [
+            "# trotter_check t=1e-300 steps=50 residual=0"]
+    _, rows = parse_csv(out)
+    assert np.all(np.isfinite(rows)) and np.max(rows[:, 4:]) < 1e-6
 
 
 @pytest.mark.parametrize("argv, named", [
