@@ -15,7 +15,6 @@ from .spin import (
     dot_with_J,
     frobenius,
     hermitian_expm,
-    su2_lift,
 )
 from .generator import (
     DegenerateFieldError,
@@ -46,7 +45,6 @@ from .cases import (
 __all__ = [
     "__version__",
     "SpinRep", "build_spin_rep", "dot_with_J", "frobenius", "hermitian_expm",
-    "su2_lift",
     "DegenerateFieldError", "QfiBreakdown", "VelocitySplit",
     "generator_vector", "mqfi_closed_form", "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",

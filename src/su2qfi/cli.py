@@ -28,6 +28,7 @@ from .generator import (
     split_velocity,
 )
 from .numerics import (
+    _su2_distance,
     compose_generators,
     fd_generator,
     fd_points,
@@ -37,8 +38,7 @@ from .numerics import (
     optimal_state,
     qfi_of_state,
 )
-from .spin import (build_spin_rep, dot_with_J, frobenius, hermitian_expm, reject_first, row_dot, su2_lift,
-                   twice_spin)
+from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, reject_first, row_dot, twice_spin
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -357,20 +357,19 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     return frobenius(closed - series), frobenius(closed - fd_generator(us, steps))
 
 
-def trotter_cross_check(params: dict, rep, t: float, steps: int) -> float:
-    """||time-ordered product - driven-frame propagator||_F for the driven system at one point.
+def trotter_cross_check(params: dict, j: float, t: float, steps: int) -> float:
+    """||time-ordered product - driven-frame propagator||_F at spin j for the driven system at one point.
 
     The midpoint product of the lab field (lam cos wt, lam sin wt, omega0)
-    runs in SU(2) and is lifted once to the spin of ``rep``; it is compared
-    with the propagator the finite-difference oracle differentiates.
+    and exp(-i omega t jz) exp(-i t field.J), from one exact midpoint step
+    per constant factor, are compared in SU(2) by their rotation angle.
     """
     lam, omega, omega0 = params["lambda"], params["omega"], params["omega0"]
-
-    def field(ts):
-        return lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0
-
-    u_ordered = su2_lift(rep, midpoint_su2(field, t, steps))
-    return frobenius(u_ordered - _propagator(rep, SCENARIOS["case3-lambda"].field(params), t, omega))
+    lab = midpoint_su2(lambda ts: (lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0), t, steps)
+    c, _, _, s = midpoint_su2(lambda ts: (0.0, 0.0, omega), t, 1)   # the frame, c - i s sz
+    r = midpoint_su2(lambda ts: _driven_field(params), t, 1)
+    exact = (c * r[0] - s * r[3], c * r[1] - s * r[2], c * r[2] + s * r[1], c * r[3] + s * r[0])
+    return _su2_distance(lab, exact, twice_spin(j))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +457,8 @@ def _run_sweep(scenario, variable, grid, fixed, j, fixed_t, args) -> int:
         return EXIT_OK
     residuals = _oracle_columns(scenario, params, j, t, variable, grid, args.fd_step)
     columns["residual_series"], columns["residual_fd"] = residuals
-    comments, trotter = _validation_extras(scenario, params, t, grid.size, j, args.steps)
+    with _naming_rows(variable, grid, 0):
+        comments, trotter = _validation_extras(scenario, params, t, grid.size, j, args.steps)
     _emit_sweep(scenario, variable, columns, fixed, j, args.out, comments)
     return _validation_verdict({"series": residuals[0], "fd": residuals[1]}, trotter, (variable, grid))
 
@@ -497,6 +497,7 @@ def _validation_extras(scenario, params, t, rows: int, j, steps):
     ``params`` and ``t`` hold one value per grid row or one for all rows;
     the check runs on the row with the smallest positive t.  Returns the
     comment lines and (row index, residual), or None when no check runs.
+    A residual that is not finite raises ValueError carrying that row.
     """
     if not _scenario(scenario).driven:
         return [], None
@@ -505,7 +506,9 @@ def _validation_extras(scenario, params, t, rows: int, j, steps):
     if not times[k] > 0:
         return [], None
     point = {name: (float(value[k]) if isinstance(value, np.ndarray) else value) for name, value in params.items()}
-    residual = trotter_cross_check(point, build_spin_rep(j), float(times[k]), steps)
+    residual = trotter_cross_check(point, j, float(times[k]), steps)
+    if not math.isfinite(residual):   # the lab phase omega t overflows
+        reject_first(np.arange(rows) == k, lambda _: "time-ordered check is not finite")
     comment = f"# trotter_check t={_fmt(times[k])} steps={steps} residual={_fmt(residual)}"
     return [comment], (k, residual)
 

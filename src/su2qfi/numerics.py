@@ -4,12 +4,14 @@ Everything here is deliberately independent of the closed forms in
 :mod:`su2qfi.generator`: a truncated nested-commutator series extended to
 any phase by time doubling, a five-point finite-difference derivative of
 stacked propagators, the pure-state QFI as a variance, optimal-state
-construction, and a midpoint product formula for time-ordered evolution in
-SU(2).  The closed forms are tested against these.
+construction, and a midpoint product for time-ordered evolution in SU(2),
+compared at spin j by one rotation angle.  The closed forms are tested
+against these.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -319,7 +321,7 @@ def midpoint_su2(field_of_t: Callable, total_time: float, steps: int) -> tuple:
     the midpoints t_k = (k - 1/2) dt, latest factor leftmost, in the
     convention U = w I - i (x sx + y sy + z sz) of SU(2).  Every spin-j
     propagator of a field coupled linearly to J is the image of this one
-    group element; :func:`su2qfi.spin.su2_lift` maps it to spin j.
+    group element; :func:`_su2_distance` compares two of them at spin j.
 
     The product runs on the Cayley-Klein pair of U = [[alpha, -conj(beta)],
     [beta, conj(alpha)]], alpha = w - i z and beta = y - i x.  With
@@ -359,6 +361,21 @@ def midpoint_su2(field_of_t: Callable, total_time: float, steps: int) -> tuple:
         total = _su2_product((alpha[0], beta[0]), total)
     alpha, beta = total
     return float(alpha.real), float(-beta.imag), float(beta.real), float(-alpha.imag)
+
+
+def _su2_distance(u, v, twice_j: int) -> float:
+    """||D(U) - D(V)||_F of the spin-j images D of SU(2) quaternions u, v (w, x, y, z); twice_j = 2j.
+
+    W = U V^dag turns by phi, phi / 2 = atan2(|vec W|, scal W), and D(W)
+    has the eigenvalues exp(-i m phi), m = -j..j, so the distance
+    ||D(W) - I||_F is sqrt(sum_m 4 sin^2(m phi / 2)).  The ratio ignores
+    |W|, so drift off the unit sphere cancels.  An integer spin does not see
+    the sign of W (W = -1 gives 0 there, 2 sqrt(2j + 1) at half-integer j).
+    """
+    (uw, *uv), (vw, *vv) = u, v
+    scal, vec = uw * vw + np.dot(uv, vv), vw * np.array(uv) - uw * np.array(vv) - np.cross(uv, vv)
+    half = math.atan2(math.hypot(*vec), scal if twice_j % 2 else abs(scal))
+    return 2.0 * math.sqrt(math.fsum(np.sin((np.arange(twice_j + 1) - twice_j / 2) * half) ** 2))
 
 
 def compose_generators(h1_gen, u2, h2_gen) -> np.ndarray:

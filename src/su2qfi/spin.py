@@ -20,7 +20,6 @@ __all__ = [
     "twice_spin",
     "dot_with_J",
     "hermitian_expm",
-    "su2_lift",
     "frobenius",
     "row_dot",
     "reject_first",
@@ -231,23 +230,3 @@ def hermitian_expm(matrix, scale) -> np.ndarray:
     phases = np.exp(np.asarray(scale)[..., None] * w)
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
-
-def su2_lift(rep: SpinRep, q) -> np.ndarray:
-    """Spin-j matrix of the SU(2) element q = (w, x, y, z).
-
-    ``q`` is a unit quaternion in the convention U = w I - i (x sx + y sy +
-    z sz) at spin 1/2, i.e. U = exp(-i phi n.J) with phi = 2 atan2(|v|, w)
-    and n = v / |v| for v = (x, y, z).  The lift is that one exponential at
-    spin j.  With v = 0 the element is +I, or for w < 0 the rotation by
-    2 pi, which is (-1)^(2j) I.
-    """
-    w, x, y, z = (float(c) for c in q)
-    norm = math.hypot(w, x, y, z)
-    if not abs(norm - 1.0) <= 1e-8:   # NaN and infinite entries fail too
-        raise ValueError(f"quaternion is not a finite unit quaternion (norm {norm:.12f})")
-    sine = math.hypot(x, y, z)
-    if sine == 0.0:
-        sign = -1.0 if w < 0 and rep.twice_j % 2 else 1.0
-        return sign * np.eye(rep.dim, dtype=complex)
-    phi = 2.0 * math.atan2(sine, w)
-    return hermitian_expm(dot_with_J(rep, np.array([x, y, z]) / sine), -1j * phi)

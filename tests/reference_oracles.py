@@ -1,8 +1,10 @@
 """Reference oracles that only the tests use.
 
-These are independent checks on the library, not part of it: a spin-j
-matrix midpoint product for time-ordered evolution (the reference for
-``midpoint_su2`` + ``su2_lift``), a finite-difference generator of a
+These are independent checks on the library, not part of it: the spin-j
+matrix of an SU(2) quaternion (``su2_lift``, the reference for the
+rotation-angle distance of the time-ordered check) and a spin-j matrix
+midpoint product for time-ordered evolution (with ``su2_lift``, the
+reference for ``midpoint_su2``), a finite-difference generator of a
 callable propagator, the QFI from the finite-difference derivative of
 the evolved state, and the paper's closed forms (the MQFI split, the
 drive-frequency MQFI and the generator vector) in mpmath at a given
@@ -20,7 +22,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from su2qfi import fd_generator, fd_points, hermitian_expm
+from su2qfi import SpinRep, dot_with_J, fd_generator, fd_points, hermitian_expm
 from su2qfi.numerics import _require_state, _require_unitary
 
 
@@ -150,6 +152,27 @@ def check_normal_parts(got, refs, where, ulps=None):
         else:
             assert got[k] == pytest.approx(float(ref), rel=1e-12, abs=0.0), where(k)
     return checked
+
+
+def su2_lift(rep: SpinRep, q) -> np.ndarray:
+    """Spin-j matrix of the SU(2) element q = (w, x, y, z).
+
+    ``q`` is a unit quaternion in the convention U = w I - i (x sx + y sy +
+    z sz) at spin 1/2, i.e. U = exp(-i phi n.J) with phi = 2 atan2(|v|, w)
+    and n = v / |v| for v = (x, y, z).  The lift is that one exponential at
+    spin j.  With v = 0 the element is +I, or for w < 0 the rotation by
+    2 pi, which is (-1)^(2j) I.
+    """
+    w, x, y, z = (float(c) for c in q)
+    norm = math.hypot(w, x, y, z)
+    if not abs(norm - 1.0) <= 1e-8:   # NaN and infinite entries fail too
+        raise ValueError(f"quaternion is not a finite unit quaternion (norm {norm:.12f})")
+    sine = math.hypot(x, y, z)
+    if sine == 0.0:
+        sign = -1.0 if w < 0 and rep.twice_j % 2 else 1.0
+        return sign * np.eye(rep.dim, dtype=complex)
+    phi = 2.0 * math.atan2(sine, w)
+    return hermitian_expm(dot_with_J(rep, np.array([x, y, z]) / sine), -1j * phi)
 
 
 def _expm_skew_taylor(stack: np.ndarray, scale: float) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su2qfi import __version__, mqfi_closed_form, split_velocity
+from su2qfi import __version__, cli, mqfi_closed_form, numerics, spin, split_velocity
 from su2qfi.cli import (FIGURE_IDS, MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt, _validation_verdict, evaluate_point,
                         main)
 
@@ -742,9 +742,32 @@ def test_figure_validation_with_custom_trotter_steps(tmp_path, capsys):
     assert any("steps=20000" in line for line in comments)
 
 
+def test_time_ordered_check_forms_no_spin_j_matrix(monkeypatch):
+    # the check compares two SU(2) elements by their rotation angle, so even at j = 50 it
+    # calls no eigendecomposition and no spin-j exponential
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    expm = counted("hermitian_expm", spin.hermitian_expm)
+    for module in (spin, numerics, cli):   # every namespace that holds the name
+        monkeypatch.setattr(module, "hermitian_expm", expm)
+    residual = cli.trotter_cross_check({"omega0": 1.0, "lambda": 1.0, "omega": 5.0}, 50, 1.0, 1000)
+    assert calls == []
+    assert 0 < residual < 1e-3
+    # the counters see the spin-j propagator the check no longer builds
+    cli._propagator(spin.build_spin_rep(50), np.array([1.0, 0.0, -5.0]), 1.0, 5.0)
+    assert calls == ["hermitian_expm", "eigh", "hermitian_expm", "eigh"]
+
+
 @pytest.mark.parametrize("fig, check", [
-    ("fig2a", "# trotter_check t=1 steps=100000 residual=4.4731540906389787e-11"),
-    ("fig2b", "# trotter_check t=0.20000000000000001 steps=100000 residual=1.055436957448281e-13"),
+    ("fig2a", "# trotter_check t=1 steps=100000 residual=4.4731403093069748e-11"),
+    ("fig2b", "# trotter_check t=0.20000000000000001 steps=100000 residual=1.0549903821371591e-13"),
 ])
 def test_figure_trotter_check_line_is_pinned(fig, check, tmp_path, capsys):
     # the time-ordered product against the driven-frame propagator of the oracles
@@ -930,6 +953,10 @@ def test_time_ordered_check_takes_a_lab_field_whose_squares_overflow(tmp_path, c
     # so does a part that is not finite: 4 j^2 t^2 |v|^2 overflows from t = 0.5 on
     (["sweep", "generic", "--rvec", "0,0,1", "--vvec", "0,0,1e155", "--variable", "t", "--start", "0", "--stop", "1",
       "--points", "3"], "su2qfi: parameter error: total MQFI is not finite at row 1 (t=0.5)\n"),
+    # the time-ordered check runs on the row with the smallest positive t, where the lab phase omega t overflows
+    (["sweep", "case3-lambda", "--omega0", "1e308", "--lambda", "1", "--omega", "1e308", "--variable", "t",
+      "--start", "0", "--stop", "10", "--points", "3", "--validate", "--steps", "50"],
+     "su2qfi: parameter error: time-ordered check is not finite at row 1 (t=5)\n"),
 ])
 def test_degenerate_mid_grid_row_exits_2(argv, named, tmp_path, capsys):
     out = tmp_path / "grid.csv"

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +26,11 @@ from su2qfi import (
     midpoint_su2,
     optimal_state,
     qfi_of_state,
-    su2_lift,
 )
-from su2qfi.cli import SCENARIOS, _propagator
-from su2qfi.numerics import _SU2_BLOCK_STEPS, _doubling_counts, _partial_sum, _series_coefficients
+from su2qfi.cli import SCENARIOS, _propagator, trotter_cross_check
+from su2qfi.numerics import _SU2_BLOCK_STEPS, _doubling_counts, _partial_sum, _series_coefficients, _su2_distance
 
-from reference_oracles import _BLOCK_STEPS, generator_fd, generator_vector_coeffs, qfi_fd, trotter_propagator
+from reference_oracles import _BLOCK_STEPS, generator_fd, generator_vector_coeffs, qfi_fd, su2_lift, trotter_propagator
 
 
 def random_hermitian(rng, dim):
@@ -618,6 +618,102 @@ def test_su2_lift_of_midpoint_product_matches_matrix_product_property(j, steps, 
     lifted = su2_lift(rep, midpoint_su2(lambda ts: _drive_field(ts, lam, omega, omega0), total_t, steps))
     reference = trotter_propagator(_drive_hamiltonians(rep, lam, omega, omega0), total_t, steps)
     assert frobenius(lifted - reference) < 1e-11
+
+
+# --- distance of SU(2) elements at spin j ---------------------------------------
+
+_TWICE_SPINS = [1, 2, 3, 6, 100]   # j = 1/2, 1, 3/2, 3, 50
+
+
+def _unit_quaternion(rng):
+    q = rng.normal(size=4)
+    return tuple(q / np.linalg.norm(q))
+
+
+def _near_pair(rng, phi):
+    """A unit quaternion u and v = u r, with r a rotation by phi about a random axis."""
+    u, axis = _unit_quaternion(rng), rng.normal(size=3)
+    turn = (math.cos(phi / 2), *(math.sin(phi / 2) * axis / np.linalg.norm(axis)))
+    return u, tuple(float(c) for c in _hamilton(u, turn))
+
+
+def _distance_slope(twice_j):
+    """sqrt(sum_m m^2) = sqrt(j (j + 1) (2j + 1) / 3), the slope of the distance at small angle."""
+    j = twice_j / 2
+    return math.sqrt(j * (j + 1) * (2 * j + 1) / 3)
+
+
+@pytest.mark.parametrize("twice_j", _TWICE_SPINS)
+def test_su2_distance_matches_the_lifted_matrices(twice_j):
+    rng = np.random.default_rng(twice_j)
+    rep = build_spin_rep(twice_j / 2)
+    for _ in range(20):
+        u, v = _unit_quaternion(rng), _unit_quaternion(rng)
+        reference = frobenius(su2_lift(rep, u) - su2_lift(rep, v))
+        assert _su2_distance(u, v, twice_j) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("twice_j", _TWICE_SPINS)
+def test_su2_distance_at_a_full_turn(twice_j):
+    # W = U V^dag = -1 is the rotation by 2 pi: -I at half-integer spin, I at integer spin
+    rng = np.random.default_rng(7)
+    for u in [(1.0, 0.0, 0.0, 0.0), *(_unit_quaternion(rng) for _ in range(5))]:
+        assert _su2_distance(u, u, twice_j) == 0.0
+        distance = _su2_distance(u, tuple(-c for c in u), twice_j)
+        if twice_j % 2:
+            assert distance == pytest.approx(2.0 * math.sqrt(twice_j + 1), rel=1e-15, abs=0.0)
+        else:
+            assert distance <= 1e-14
+
+
+def _su2_distance_digits(u, v, twice_j, dps=60):
+    """The distance of :func:`_su2_distance` at ``dps`` digits, from the double quaternions as given."""
+    with mpmath.workdps(dps):
+        (uw, *uv), (vw, *vv) = [[mpmath.mpf(c) for c in q] for q in (u, v)]
+        scal = uw * vw + sum(a * b for a, b in zip(uv, vv))
+        cross = (uv[1] * vv[2] - uv[2] * vv[1], uv[2] * vv[0] - uv[0] * vv[2], uv[0] * vv[1] - uv[1] * vv[0])
+        vec = [vw * a - uw * b - c for a, b, c in zip(uv, vv, cross)]
+        half = mpmath.atan2(mpmath.sqrt(sum(c * c for c in vec)), scal)
+        return mpmath.sqrt(sum(4 * mpmath.sin((mpmath.mpf(twice_j) / 2 - k) * half) ** 2
+                               for k in range(twice_j + 1)))
+
+
+@pytest.mark.parametrize("twice_j", _TWICE_SPINS)
+def test_su2_distance_matches_60_digits_at_small_angles(twice_j):
+    # phi from 1e-11 to 1; the angle comes from a cancelling |vec W|, so its absolute error
+    # is a few eps, and the distance's a few eps times its slope
+    rng = np.random.default_rng(11)
+    bound = 4 * np.finfo(float).eps * _distance_slope(twice_j)
+    for phi in np.logspace(-11, 0, 40):
+        u, v = _near_pair(rng, phi)
+        assert abs(_su2_distance(u, v, twice_j) - float(_su2_distance_digits(u, v, twice_j))) <= bound, phi
+
+
+@pytest.mark.parametrize("twice_j", _TWICE_SPINS)
+def test_su2_distance_ignores_the_drift_off_the_unit_sphere(twice_j):
+    # at the --steps cap a long midpoint product drifts to |q| - 1 of about 1.1e-8, past the
+    # lift's unit-norm check; the angle is a ratio, so the distance does not see the drift
+    rng = np.random.default_rng(3)
+    bound = 4 * np.finfo(float).eps * _distance_slope(twice_j)
+    rep = build_spin_rep(twice_j / 2)
+    for phi in (1e-9, 1e-3, 1.0):
+        u, v = _near_pair(rng, phi)
+        drifted = tuple((1 + 1.1e-8) * c for c in u)
+        with pytest.raises(ValueError):
+            su2_lift(rep, drifted)
+        for pair in ((drifted, v), (drifted, tuple((1 + 1.1e-8) * c for c in v))):
+            assert abs(_su2_distance(*pair, twice_j) - _su2_distance(u, v, twice_j)) <= bound
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 3.0, 50.0])
+@pytest.mark.parametrize("omega0, lam, omega, t", [(0.0, 1.0, 5.0, 1.0), (0.7, 1.3, 1.1, 2.5), (1.0, 1.0, 5.0, 10.0)])
+def test_trotter_cross_check_matches_the_lifted_propagators(j, omega0, lam, omega, t):
+    # the check's SU(2) distance is the spin-j distance of the lifted product from the driven-frame propagator
+    params = {"omega0": omega0, "lambda": lam, "omega": omega}
+    rep = build_spin_rep(j)
+    lifted = su2_lift(rep, midpoint_su2(lambda ts: _drive_field(ts, lam, omega, omega0), t, 1000))
+    reference = frobenius(lifted - _propagator(rep, SCENARIOS["case3-lambda"].field(params), t, omega))
+    assert trotter_cross_check(params, j, t, 1000) == pytest.approx(reference, rel=1e-7, abs=0.0)
 
 
 # --- generator composition -----------------------------------------------------
