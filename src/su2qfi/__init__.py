@@ -17,7 +17,6 @@ from .spin import (
     hermitian_expm,
 )
 from .generator import (
-    DegenerateFieldError,
     QfiBreakdown,
     VelocitySplit,
     generator_vector,
@@ -45,7 +44,7 @@ from .cases import (
 __all__ = [
     "__version__",
     "SpinRep", "build_spin_rep", "dot_with_J", "frobenius", "hermitian_expm",
-    "DegenerateFieldError", "QfiBreakdown", "VelocitySplit",
+    "QfiBreakdown", "VelocitySplit",
     "generator_vector", "mqfi_closed_form", "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",
     "generator_series", "midpoint_su2", "optimal_state", "qfi_of_state",

@@ -23,8 +23,10 @@ Circularly driven field
     the generators of the two factors (a moving frame), giving mqfi =
     4 j^2 (lam^2 / kp^4) [2 + kp^2 t^2 - 2 kp t sin(kp t) - 2 cos(kp t)]
     with kp = sqrt(lam^2 + delta^2), stationary and maximal on resonance.
-    It has no limit at lam = delta = 0 (its quadratic part is 0 along
-    lam = 0 but tends to 4 j^2 t^2 along delta = 0): DrivenSystem rejects it.
+    At lam = 0 the lab propagator is exp(-i omega0 t jz), which does not
+    depend on w, so every part is 0, delta = 0 included; along delta = 0
+    the quadratic part tends to 4 j^2 t^2 and the oscillatory part to
+    -4 j^2 t^2 instead.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import QfiBreakdown, _direct_or_scaled, _finite_cubes, _reject_first, _scaled_field_roots
+from .generator import QfiBreakdown, _direct_or_scaled, _finite_cubes, _scaled_field_roots
 from .spin import libm_pow
 
 __all__ = [
@@ -49,17 +51,13 @@ class DrivenSystem:
     """Ensemble driven by a rotating transverse field of frequency omega: the system of the drive-frequency forms.
 
     Its fields may be arrays that broadcast together; the forms then
-    evaluate a whole grid in one call.
+    evaluate a whole grid in one call.  Every finite point is a system,
+    lam = delta = 0 too.
     """
 
     omega0: float
     lam: float
     omega: float
-
-    def __post_init__(self):
-        _reject_first(self.kp == 0.0,
-                      "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)",
-                      omega0=self.omega0, lam=self.lam, omega=self.omega)
 
     @property
     def delta(self) -> float:
@@ -145,7 +143,9 @@ def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> QfiBreakdown:
     The quadratic part is the late-time parabola 4 j^2 lam^2 t^2 / kp^2,
     the quadratic part of the lam estimate on the same field; the
     oscillatory part is the remainder and may be negative.  Both follow
-    :func:`_direct_or_scaled`'s one out-of-range rule.
+    :func:`_direct_or_scaled`'s one out-of-range rule, except where lam is
+    zero: there the propagator does not depend on omega, and every part is
+    exactly 0, also at delta = 0, where the split has no limit.
     """
     kp, lam, delta, jsq4 = system.kp, system.lam, system.delta, 4.0 * float(j) ** 2
 
@@ -163,6 +163,7 @@ def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> QfiBreakdown:
         return quad * b, quad
 
     with np.errstate(over="ignore", invalid="ignore"):   # the bracket branch not taken may overflow, or both parts
-        total, quad = _direct_or_scaled([(jsq4, lam, kp, bracket(kp * t)[0], 4), (jsq4, lam, kp, libm_pow(t, 2), 2)],
-                                        scaled_roots)
+        parts = _direct_or_scaled([(jsq4, lam, kp, bracket(kp * t)[0], 4), (jsq4, lam, kp, libm_pow(t, 2), 2)],
+                                  scaled_roots)
+        total, quad = (np.where(lam == 0.0, 0.0, part)[()] for part in parts)
         return QfiBreakdown(total, quad, total - quad)

@@ -145,7 +145,7 @@ def _driven_field(p: dict) -> np.ndarray:
 
 
 def _drive(p: dict) -> DrivenSystem:
-    """The system of case3-omega's closed forms, which rejects lam = delta = 0."""
+    """The system of case3-omega's closed forms, which answer lam = 0 with zeros."""
     return DrivenSystem(p["omega0"], p["lambda"], p["omega"])
 
 
@@ -243,10 +243,9 @@ def _positive_arg(text: str) -> float:
 
 def _spin_arg(text: str) -> float:
     try:
-        twice_spin(text)
+        return twice_spin(text) / 2
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err))
-    return float(text)
 
 
 def _int_range_arg(noun: str, name: str, lo: int, hi: int) -> Callable[[str], int]:
@@ -699,7 +698,7 @@ def main(argv=None) -> int:
         # every output is checked for finiteness; numpy's warnings would repeat it on stderr
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ValueError, OverflowError) as err:   # DegenerateFieldError is a ValueError
+    except (ValueError, OverflowError) as err:
         print(f"su2qfi: parameter error: {err}", file=sys.stderr)
         return EXIT_PARAMS
     except OSError as err:

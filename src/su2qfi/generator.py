@@ -31,31 +31,12 @@ import numpy as np
 from .spin import libm_pow, reject_first, row_dot
 
 __all__ = [
-    "DegenerateFieldError",
     "VelocitySplit",
     "QfiBreakdown",
     "split_velocity",
     "generator_vector",
     "mqfi_closed_form",
 ]
-
-
-class DegenerateFieldError(ValueError):
-    """A field that a closed form needs to be nonzero (a drive's kp) vanishes."""
-
-
-def _reject_first(bad, message: str, error=DegenerateFieldError, **values):
-    """Raise ``error`` if any entry of ``bad`` is set.
-
-    The message names ``values`` (broadcast against ``bad``) at the first
-    set entry, so a grid reports its first offending point.
-    """
-    bad = np.asarray(bad)
-
-    def at(k):
-        return ", ".join(f"{name}={float(np.broadcast_to(v, bad.shape).flat[k])!r}" for name, v in values.items())
-
-    reject_first(bad.ravel(), lambda k: f"{message} (at {at(k)})", error)
 
 
 _TINY = np.finfo(float).tiny   # the smallest normal double
@@ -173,11 +154,17 @@ def _finite_cubes(x, t, name: str):
     """(x^3, t^3) for a generator vector that divides by x^3 and multiplies by t^3.
 
     An infinite x^3 would make its quotient a silent zero, so ValueError
-    names t and x (called ``name``) at the first point where either is not finite.
+    names t and x (called ``name``) at the first point, in broadcast
+    row-major order, where either is not finite.
     """
     x3, t3 = libm_pow(x, 3), libm_pow(t, 3)
-    _reject_first(~(np.isfinite(x3) & np.isfinite(t3)), f"t^3 or ({name})^3 is not finite in double precision",
-                  ValueError, t=t, **{name: x})
+    bad = ~(np.isfinite(x3) & np.isfinite(t3))
+
+    def at(k):
+        t_k, x_k = (float(np.broadcast_to(v, bad.shape).flat[k]) for v in (t, x))
+        return f"t^3 or ({name})^3 is not finite in double precision (at t={t_k!r}, {name}={x_k!r})"
+
+    reject_first(bad.ravel(), at)
     return x3, t3
 
 

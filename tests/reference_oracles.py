@@ -88,8 +88,10 @@ def drive_frequency_total(lam, delta, t, dps: int):
     kp = sqrt(lam^2 + delta^2) and x = kp t.  Below x = 0.5 the bracket is
     summed as its series sum_{n>=2} (-1)^n 2 (2n - 1) / (2n)! x^(2n), which
     does not cancel, so a tiny x needs no extra digits.  The total is an
-    mpf number.
+    mpf number, exactly 0 at lam = 0, where U does not depend on omega.
     """
+    if lam == 0:
+        return mpmath.mpf(0)
     with mpmath.workdps(dps):
         lam, delta, t = mpmath.mpf(lam), mpmath.mpf(delta), mpmath.mpf(t)
         kp_sq = lam**2 + delta**2

@@ -329,7 +329,7 @@ def test_criterion_10_cli_contract(tmp_path):
         (0, ["mqfi", "case1-theta", "--r", "1", "--t", "1", "--j", "1"]),
         (2, ["mqfi", "case2-omega0", "--t", "1"]),
         (0, ["mqfi", "case2-omega0", "--omega0", "0", "--lambda", "0", "--t", "1"]),
-        (2, ["mqfi", "case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1", "--t", "1"]),
+        (0, ["mqfi", "case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1", "--t", "1"]),
         (3, ["sweep", "case2-omega0", "--omega0", "1", "--lambda", "1", "--variable", "t",
              "--start", "0.5", "--stop", "1.5", "--points", "3", "--validate", "--fd-step", "0.5",
              "--out", str(tmp_path / "forced.csv")]),

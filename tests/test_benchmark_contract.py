@@ -3,7 +3,8 @@
 ``perfbench/checks.py`` imports names from ``su2qfi`` and recomputes sampled
 sweep rows through ``mqfi_closed_form(j, split_velocity(field, velocity), t)``.
 A renamed function or a second closed form that drifts from the CLI's would
-fail every benchmark operation; these tests fail first.  The benchmark also
+fail every benchmark operation; these tests fail first, and so does one round
+of each workload's seeded sweeps under the benchmark's own checks.  The benchmark also
 checks each preset's data section against ``perfbench/preset_refs.json``;
 for the validated fig1a-d and fig2a sections that is the only pin, so a
 test here compares all twelve.  The benchmark's tracer reports per-layer
@@ -57,6 +58,18 @@ def test_second_path_equals_cli_rows_bit_for_bit(scenario, tmp_path):
         for line in lines[1:]:
             value, *parts = map(float, line.split(","))
             assert tuple(parts) == checks._reference_row(op, value), (op.argv, line)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+                                      ["workloads"]])
+def test_one_round_of_seeded_sweeps_passes_the_benchmark_checks(workload, tmp_path):
+    # the benchmark's per-operation gate, on every scenario it sweeps, case1 and case3-omega too
+    checks, workloads = _load("checks"), _load("workloads")
+    out, rng = tmp_path / "op.csv", random.Random("contract:check")
+    for op in workloads.rounds(workload, 7, 1)[0]:
+        if op.preset is None:
+            assert main([*op.argv, "--out", str(out)]) == 0, op.argv
+            assert checks.check(op, out, {}, rng) == (op.points, None), op.argv
 
 
 @pytest.mark.parametrize("key", sorted(PRESET_REFS))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from su2qfi import (
-    DegenerateFieldError,
     DrivenSystem,
     build_spin_rep,
     compose_generators,
@@ -430,7 +429,7 @@ def _check_drive_draws(lam, delta, t):
     """
     n = len(t)
     refs = [(drive_frequency_total(lam[k], delta[k], t[k], 60),
-             mqfi_split((lam[k], 0.0, delta[k]), (1.0, 0.0, 0.0), t[k], 60)[0]) for k in range(n)]
+             mqfi_split((lam[k], 0.0, delta[k]), (1.0, 0.0, 0.0), t[k], 60)[0] if lam[k] else 0.0) for k in range(n)]
     with np.errstate(over="ignore"):
         x = np.hypot(lam, delta) * t
     near_switch = (x >= 0.01) & (x <= 1.0)
@@ -451,7 +450,6 @@ def test_drive_frequency_stack_matches_60_digits_on_extreme_draws():
     rng = np.random.default_rng(22)
     n = 2000
     lam, delta = signed_extremes(rng, n), signed_extremes(rng, n)
-    lam[(lam == 0.0) & (delta == 0.0)] = 1.0   # the drive frequency is unobservable there
     t = 10.0 ** rng.uniform(-200, 50, n)
     assert _check_drive_draws(lam, delta, t) > 1.5 * n   # about 1700 normal parts at each j
 
@@ -494,23 +492,27 @@ def test_drive_frequency_keeps_the_direct_bits_in_range():
     assert got.quadratic.tobytes() == (jsq4 * libm_pow(lam, 2) * libm_pow(t, 2) / libm_pow(kp, 2)).tobytes()
 
 
-def test_driven_system_rejects_unobservable_drive_when_built():
-    message = "lam and delta are both zero: the drive frequency is unobservable (MQFI 0)"
-    with pytest.raises(DegenerateFieldError) as err:
-        DrivenSystem(1.0, 0.0, 1.0)
-    assert str(err.value) == f"{message} (at omega0=1.0, lam=0.0, omega=1.0)"
-    # a grid names its first offending entry, in broadcast row-major order
-    with pytest.raises(DegenerateFieldError) as err:
-        DrivenSystem(np.array([[1.0], [2.0]]), np.array([0.5, 0.0, 0.0]), 2.0)
-    assert str(err.value) == f"{message} (at omega0=2.0, lam=0.0, omega=2.0)"
-    with pytest.raises(DegenerateFieldError) as err:
-        DrivenSystem(np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.0, 0.0]), np.array([1.0, 1.0, 3.0]))
-    assert str(err.value) == f"{message} (at omega0=3.0, lam=0.0, omega=3.0)"
+def test_uncoupled_drive_stack_gives_exact_zeros():
+    # at lam = +-0, U = exp(-i omega0 t jz) does not depend on omega: every part and every
+    # generator component is exactly 0, on resonance (delta = 0) too
+    lam = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0])
+    omega0, omega = np.array([1.0, 1.0, 2.0, 0.0, -3.0, 0.0]), np.array([1.0, 1.0, 0.5, 0.0, 2.0, -0.0])
+    t = np.array([[0.0], [1e-300], [1.0], [1e100]])
+    system = DrivenSystem(omega0, lam, omega)
+    got = driving_frequency_mqfi(system, 1.5, t)
+    for part in (got.total, got.quadratic, got.oscillatory):
+        assert part.shape == (4, 6) and np.all(part == 0.0)
+    assert np.all(driving_generator_vector(system, t) == 0.0)
 
 
-def test_drive_frequency_rejects_unobservable_point():
-    with pytest.raises(DegenerateFieldError):
-        driving_frequency_mqfi(DrivenSystem(1.0, 0.0, 1.0), 1.0, 1.0)  # lam = 0, delta = 0
+def test_uncoupled_drive_point_is_zero_where_the_split_has_no_limit():
+    # along delta = 0 the quadratic part stays 4 j^2 t^2 and the oscillatory part tends to -4 j^2 t^2;
+    # at lam = 0 itself both are 0, the value along lam = 0
+    near = driving_frequency_mqfi(DrivenSystem(1.0, 1e-8, 1.0), 1.0, 2.0)
+    assert near.quadratic == 16.0 and near.oscillatory == pytest.approx(-16.0, rel=1e-12)
+    for lam in (0.0, -0.0):
+        at = driving_frequency_mqfi(DrivenSystem(1.0, lam, 1.0), 1.0, 2.0)
+        assert (at.total, at.quadratic, at.oscillatory) == (0.0, 0.0, 0.0)
 
 
 # --- static parameters under the drive ----------------------------------------------

@@ -85,6 +85,13 @@ def test_mqfi_json_output(capsys):
     assert list(record) == sorted(record)
 
 
+def test_spin_within_rounding_of_a_half_integer_is_that_half_integer(capsys):
+    # the closed forms take the rounded j, as the oracles' spin matrices do
+    point = ["mqfi", "case2-lambda", "--omega0", "1", "--lambda", "1", "--t", "1"]
+    rounded, exact = (run([*point, "--j", j], capsys) for j in ("0.5000000001", "0.5"))
+    assert rounded == exact and "total=0.92202815261731264\n" in exact[1]
+
+
 # --- exit codes ------------------------------------------------------------------
 
 def test_missing_parameter_exits_2(capsys):
@@ -374,8 +381,7 @@ def test_optimal_state_agrees_with_mqfi(scenario, capsys):
     # The optimal state of the closed generator attains the closed-form MQFI,
     # and optimal-state never answers where mqfi exits 2.  optimal-state may
     # exit 2 where mqfi answers (a generator power above the double range).
-    # A zero field (s = 0) answers in both, except in case3-omega, whose
-    # drive frequency needs lam and delta not both zero; negative sizes too.
+    # A zero field (s = 0) answers in both; negative sizes too.
     for s in (0.0, 1e-300, 1e-200, 1e-100, 1e-80, 1.0, 1e80, 1e100, 1e103, 1e150, 1e200, 1e300, -1.0, -1e100):
         for t in ("1e-300", "1e-100", "1", "1e10", "1e100", "1e300"):
             options = _scenario_options(scenario, s)
@@ -384,12 +390,13 @@ def test_optimal_state_agrees_with_mqfi(scenario, capsys):
             assert code_mqfi in (0, 2) and code_state in (0, 2), (s, t)
             assert not (code_mqfi == 2 and code_state == 0), (s, t)
             if s == 0.0:
-                # a zero field has no direction to turn: case1's angles give 0 at every t; elsewhere
-                # 4 j^2 t^2 |v|^2 overflows only at t = 1e300
-                angle = scenario in ("case1-theta", "case1-phi")
-                answers = angle or (scenario != "case3-omega" and float(t) < 1e300)
-                assert code_mqfi == code_state == (0 if answers else 2), t
-                assert not angle or json.loads(out_mqfi)["total"] == 0.0, t
+                # a zero field has no direction to turn: case1's angles give 0 at every t, and so does
+                # case3-omega's mqfi, whose lam = 0 leaves U independent of omega; elsewhere
+                # 4 j^2 t^2 |v|^2 overflows only at t = 1e300, and so does the generator's t^3
+                angle, drive = scenario in ("case1-theta", "case1-phi"), scenario == "case3-omega"
+                assert code_mqfi == (0 if angle or drive or float(t) < 1e300 else 2), t
+                assert code_state == (0 if angle or float(t) < 1e300 else 2), t
+                assert not (angle or drive) or json.loads(out_mqfi)["total"] == 0.0, t
             if code_mqfi != 0 or code_state != 0 or json.loads(out_state)["degenerate"]:
                 continue
             total = json.loads(out_mqfi)["total"]
@@ -946,10 +953,10 @@ def test_time_ordered_check_takes_a_lab_field_whose_squares_overflow(tmp_path, c
 
 
 @pytest.mark.parametrize("argv, named", [
-    # the closed form names its grid row as the oracles do
-    (["sweep", "case3-omega", "--omega0", "1", "--lambda", "0", "--t", "1",
-      "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"],
-     "(at omega0=1.0, lam=0.0, omega=1.0) at row 2 (Delta=0)"),
+    # the closed generator names its grid row under --validate: t^3 overflows from t = 5e119 on
+    (["sweep", "case2-lambda", "--omega0", "1", "--lambda", "1", "--variable", "t", "--start", "0",
+      "--stop", "1e120", "--points", "3", "--validate"],
+     "(at t=5e+119, |field| t=7.071067811865475e+119) at row 1 (t=4.9999999999999999e+119)"),
     # so does a part that is not finite: 4 j^2 t^2 |v|^2 overflows from t = 0.5 on
     (["sweep", "generic", "--rvec", "0,0,1", "--vvec", "0,0,1e155", "--variable", "t", "--start", "0", "--stop", "1",
       "--points", "3"], "su2qfi: parameter error: total MQFI is not finite at row 1 (t=0.5)\n"),
@@ -985,6 +992,22 @@ def test_zero_field_mid_grid_row_answers(argv, zero_row, validate, tmp_path, cap
     assert list(rows[zero_row, 1:4]) == [4.0, 4.0, 0.0]
 
 
+@pytest.mark.parametrize("grid, zero_rows", [
+    (["--omega", "1", "--variable", "lambda"], [2]),
+    (["--lambda", "0", "--variable", "Delta"], [0, 1, 2, 3, 4]),
+], ids=["lambda", "Delta"])
+def test_uncoupled_drive_frequency_sweep_validates(grid, zero_rows, tmp_path, capsys):
+    # lam = 0 rows, kp = 0 (delta = 0) among them, answer exact zeros and pass both oracles
+    out = tmp_path / "grid.csv"
+    code, _, err = run(["sweep", "case3-omega", "--omega0", "1", "--t", "1.5", "--j", "1.5", *grid, "--start", "-1",
+                        "--stop", "1", "--points", "5", "--validate", "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    coupled = np.setdiff1d(np.arange(len(rows)), zero_rows)
+    assert np.all(rows[zero_rows, 1:4] == 0.0) and np.all(rows[coupled, 1] > 0.0)
+    assert np.max(rows[:, 4:]) < 1e-6
+
+
 @pytest.mark.parametrize("scenario", ["case1-theta", "case1-phi", "case1-r"])
 def test_case1_sweep_through_zero_and_negative_amplitudes(scenario, tmp_path, capsys):
     # r = 0 is the zero field and r < 0 the field |r| along -n: every row answers, equals the
@@ -1004,26 +1027,24 @@ def test_case1_sweep_through_zero_and_negative_amplitudes(scenario, tmp_path, ca
     assert rows[4, 0] == 0.0 and list(rows[4, 1:4]) == zero_row
 
 
-_UNOBSERVABLE_DRIVE = ("lam and delta are both zero: the drive frequency is unobservable (MQFI 0) "
-                       "(at omega0=1.0, lam=0.0, omega=1.0)")
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1"], _UNOBSERVABLE_DRIVE),
-], ids=["case3-omega"])
-def test_optimal_state_rejects_degenerate_field(argv, message, capsys):
-    # the drive-frequency generator builds the drive's system, so it rejects what the closed form rejects
-    code, out, err = run(["optimal-state"] + argv + ["--t", "1"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == f"su2qfi: parameter error: {message}\n"
+def test_optimal_state_answers_an_uncoupled_drive_with_zeros(capsys):
+    # at lam = 0, U = exp(-i omega0 t jz) does not depend on omega: a zero generator, on resonance too
+    argv = ["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1", "--t", "1"]
+    code, out, err = run(["optimal-state", *argv], capsys)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["degenerate"] and record["qfi"] == 0.0
+    code, out, err = run(["mqfi", *argv, "--json"], capsys)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["total"], record["quadratic"], record["oscillatory"]) == (0.0, 0.0, 0.0)
 
 
 def test_point_commands_name_no_grid_row(capsys):
-    # a single point is no grid: mqfi prints optimal-state's line, and neither names a row
-    drive = ["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1", "--t", "1"]
-    for command in ("mqfi", "optimal-state"):
-        assert run([command, *drive], capsys) == (2, "", f"su2qfi: parameter error: {_UNOBSERVABLE_DRIVE}\n")
+    # a single point is no grid: neither command names a row
+    assert run(["optimal-state", "case2-lambda", "--omega0", "1", "--lambda", "1", "--t", "1e120"], capsys) == (
+        2, "", "su2qfi: parameter error: t^3 or (|field| t)^3 is not finite in double precision "
+               "(at t=1e+120, |field| t=1.414213562373095e+120)\n")
     assert run(["mqfi", "generic", "--rvec", "0,0,1", "--vvec", "0,0,1e155", "--t", "1"], capsys) == (
         2, "", "su2qfi: parameter error: total MQFI is not finite\n")
 

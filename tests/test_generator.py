@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from su2qfi import (
-    DegenerateFieldError,
     DrivenSystem,
     build_spin_rep,
     dot_with_J,
@@ -48,7 +47,7 @@ def generator_vector_from_split(split, t):
     """
     speed, radial, transverse = radial_parts(split)
     if speed == 0.0:
-        raise DegenerateFieldError(
+        raise ValueError(
             "radial speed is zero; the split form is singular (use generator_vector)"
         )
     x = split.field_norm * t
@@ -188,7 +187,7 @@ def test_both_vector_forms_agree():
 
 def test_split_form_requires_radial_speed():
     s = split_velocity([0, 0, 1], [1, 0, 0])  # purely transverse
-    with pytest.raises(DegenerateFieldError):
+    with pytest.raises(ValueError, match="radial speed is zero"):
         generator_vector_from_split(s, 1.0)
 
 
@@ -498,7 +497,6 @@ def test_drive_frequency_mqfi_is_covariant_under_scaling_the_frequencies_and_tim
     rng = np.random.default_rng(143)
     n = 20_000
     omega0, lam, omega = _signed_spread(rng, (3, n))
-    lam[(lam == 0.0) & (omega0 == omega)] = 1.0   # lam = delta = 0 has no drive-frequency MQFI
     t, k = 10.0 ** rng.uniform(-150, 150, n), rng.integers(-300, 300, n)
     scaled = [_exactly_scaled(x, k) for x in (omega0, lam, omega)] + [_exactly_scaled(t, -k)]
     exact = np.logical_and.reduce([ok for _, ok in scaled])
