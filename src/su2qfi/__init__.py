@@ -30,7 +30,7 @@ from .numerics import (
     fd_points,
     fd_step,
     generator_series,
-    midpoint_su2,
+    magnus4_su2,
     optimal_state,
     qfi_of_state,
 )
@@ -47,7 +47,7 @@ __all__ = [
     "QfiBreakdown", "VelocitySplit",
     "generator_vector", "mqfi_closed_form", "split_velocity",
     "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",
-    "generator_series", "midpoint_su2", "optimal_state", "qfi_of_state",
+    "generator_series", "magnus4_su2", "optimal_state", "qfi_of_state",
     "DrivenSystem",
     "driving_frequency_mqfi", "driving_generator_vector", "spherical_field_mqfi",
 ]

@@ -28,13 +28,15 @@ from .generator import (
     split_velocity,
 )
 from .numerics import (
+    _quaternion,
     _su2_distance,
+    _su2_exp,
     compose_generators,
     fd_generator,
     fd_points,
     fd_step,
     generator_series,
-    midpoint_su2,
+    magnus4_su2,
     optimal_state,
     qfi_of_state,
 )
@@ -49,10 +51,10 @@ EXIT_IO = 4
 # the library tolerances to absorb finite-difference step noise.
 RESIDUAL_LIMIT = 1e-6
 
-DEFAULT_TROTTER_STEPS = 100_000
-# The SU(2) midpoint product needs memory independent of the step count and
-# about 0.1 us per step (on a 2-vCPU Xeon VM, 1e6 steps take 0.08 s and 1e8
-# steps 9-10 s), so the cap bounds one cross-check to about 10 s.
+DEFAULT_TROTTER_STEPS = 4000
+# The SU(2) Magnus product needs memory independent of the step count and
+# about 0.17 us per step (on a 2-vCPU Xeon VM, 1e7 steps take 1.7 s and 1e8
+# steps 17 s), so the cap bounds one cross-check to about 20 s.
 MAX_TROTTER_STEPS = 10**8
 # A sweep's CSV is written in blocks of EMIT_ROWS rows, so its memory is its
 # numeric columns; the cap bounds the time of one plain sweep to about 5 s.
@@ -359,14 +361,15 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
 def trotter_cross_check(params: dict, j: float, t: float, steps: int) -> float:
     """||time-ordered product - driven-frame propagator||_F at spin j for the driven system at one point.
 
-    The midpoint product of the lab field (lam cos wt, lam sin wt, omega0)
-    and exp(-i omega t jz) exp(-i t field.J), from one exact midpoint step
-    per constant factor, are compared in SU(2) by their rotation angle.
+    The fourth-order Magnus product of the lab field (lam cos wt, lam sin wt,
+    omega0) and exp(-i omega t jz) exp(-i t field.J), from one exact
+    exponential per constant factor, are compared in SU(2) by their
+    rotation angle.
     """
     lam, omega, omega0 = params["lambda"], params["omega"], params["omega0"]
-    lab = midpoint_su2(lambda ts: (lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0), t, steps)
-    c, _, _, s = midpoint_su2(lambda ts: (0.0, 0.0, omega), t, 1)   # the frame, c - i s sz
-    r = midpoint_su2(lambda ts: _driven_field(params), t, 1)
+    lab = magnus4_su2(lambda ts: (lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0), t, steps)
+    c, _, _, s = _quaternion(*_su2_exp((0.0, 0.0, omega), t))   # the frame, c - i s sz
+    r = _quaternion(*_su2_exp(_driven_field(params), t))
     exact = (c * r[0] - s * r[3], c * r[1] - s * r[2], c * r[2] + s * r[1], c * r[3] + s * r[0])
     return _su2_distance(lab, exact, twice_spin(j))
 
@@ -579,8 +582,9 @@ def _cmd_sweep(args) -> int:
     params = _collect_params(args.scenario, args, skip=(args.variable, "omega") if args.variable == "Delta" else (args.variable,))
     if args.variable != "t" and args.t is None:
         raise ValueError("--t is required unless sweeping t")
-    if args.variable == "t" and args.t is not None:
-        raise ValueError("t is the swept variable; do not pass --t when sweeping t")
+    if getattr(args, args.variable, None) is not None:   # the grid would override it
+        name = args.variable
+        raise ValueError(f"{name} is the swept variable; do not pass --{name} when sweeping {name}")
     if args.variable == "t" and args.start < 0:
         raise ValueError(f"evolution time must be nonnegative, got start {args.start}")
 

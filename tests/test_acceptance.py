@@ -205,7 +205,7 @@ def test_criterion_06_rotating_frame_vs_time_ordering():
         total_t = rng.uniform(0.1, 3.0)
         for j in (0.5, 1.0):
             rep = build_spin_rep(j)
-            u_trotter = trotter_propagator(lab_hamiltonian_batch(rep, system), total_t, 100_000)
+            u_trotter = trotter_propagator(lab_hamiltonian_batch(rep, system), total_t, 2000)
             params = {"omega0": system.omega0, "lambda": system.lam, "omega": system.omega}
             field = SCENARIOS["case3-lambda"].field(params)
             dev = frobenius(u_trotter - _propagator(rep, field, total_t, system.omega))
@@ -237,7 +237,7 @@ def test_criterion_07_drive_frequency_mqfi():
 
         def u_of(omega, system=system, rep=rep, t=t):
             shifted = DrivenSystem(system.omega0, system.lam, omega)
-            return trotter_propagator(lab_hamiltonian_batch(rep, shifted), t, 20_000)
+            return trotter_propagator(lab_hamiltonian_batch(rep, shifted), t, 1000)
 
         fd_value = qfi_fd(u_of, system.omega, psi, step=1e-4)
         closed = driving_frequency_mqfi(system, j, t).total

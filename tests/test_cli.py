@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su2qfi import __version__, cli, mqfi_closed_form, numerics, spin, split_velocity
-from su2qfi.cli import (FIGURE_IDS, MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt, _validation_verdict, evaluate_point,
-                        main)
+from su2qfi.cli import (DEFAULT_TROTTER_STEPS, FIGURE_IDS, MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt,
+                        _validation_verdict, evaluate_point, main)
 
 from reference_oracles import drive_frequency_total, mqfi_split
 
@@ -264,6 +264,24 @@ def test_t_on_a_t_sweep_is_named(capsys):
     assert "--t" in err
 
 
+_SWEPT_OPTIONS = [(scenario, variable) for scenario in SCENARIOS
+                  for variable in SCENARIOS[scenario].sweepable if variable != "Delta"]
+
+
+@pytest.mark.parametrize("scenario, variable", _SWEPT_OPTIONS, ids=[f"{s}-{v}" for s, v in _SWEPT_OPTIONS])
+def test_swept_parameter_option_exits_2(scenario, variable, tmp_path, capsys):
+    # the grid sets the swept parameter, so its own option is an error, worded for every parameter as for t
+    options = [f"--{name}=0.7,0.2,0.5" if name in ("rvec", "vvec") else f"--{name}=0.7"
+               for name in SCENARIOS[scenario].params]
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run(["sweep", scenario, *options, "--t=1", f"--variable={variable}", "--start=0",
+                             "--stop=1", "--points=2", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (f"su2qfi: parameter error: {variable} is the swept variable; "
+                   f"do not pass --{variable} when sweeping {variable}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["--version"]])
 def test_help_and_version_exit_0(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -331,6 +349,11 @@ def _rarely(draw) -> bool:
     return draw(st.integers(0, 5)) == 5
 
 
+def _swept_option(variable: str) -> str:
+    """The option that a sweep of ``variable`` must not take: its own, or --omega for Delta."""
+    return "omega" if variable == "Delta" else variable
+
+
 @st.composite
 def _command_lines(draw):
     """One mqfi, optimal-state, sweep, validated-sweep or figure command line, the first four on a drawn scenario point."""
@@ -349,13 +372,15 @@ def _command_lines(draw):
         return [command, scenario, f"--j={j!r}", f"--t={t!r}", *(f"--{k}={v}" for k, v in params.items())] + (
             ["--json"] if command == "mqfi" and draw(st.booleans()) else [])
     variable = draw(st.sampled_from(spec.sweepable))
+    own = draw(st.integers(0, 4)) == 4   # now and then the swept parameter's own option too, an error
     if variable == "t":
         grid = [0.0, t]
     else:
         grid = sorted([draw(_SIGNED), draw(_SIGNED)])
-        params = {k: v for k, v in params.items() if k != variable and not (variable == "Delta" and k == "omega")}
+        if not own:
+            params = {k: v for k, v in params.items() if k != _swept_option(variable)}
     argv = ["sweep", scenario, f"--j={j!r}", f"--variable={variable}", f"--start={grid[0]!r}", f"--stop={grid[1]!r}",
-            "--points=3", *(f"--{k}={v}" for k, v in params.items())] + ([] if variable == "t" else [f"--t={t!r}"])
+            "--points=3", *(f"--{k}={v}" for k, v in params.items())] + ([] if variable == "t" and not own else [f"--t={t!r}"])
     return argv + (_validation(draw, 50) if command == "validate" else [])
 
 
@@ -371,6 +396,9 @@ def test_cli_contract_fuzz(argv):
     out, err = out.getvalue(), err.getvalue()
     assert code in ((0, 2, 3) if "--validate" in argv else (0, 2)), (argv, err)
     assert err.count("\n") == int(code != 0) and err.endswith("\n" if code else ""), (argv, err)
+    swept = [a.split("=", 1)[1] for a in argv if a.startswith("--variable=")]
+    if swept and any(a.startswith(f"--{_swept_option(swept[0])}=") for a in argv):
+        assert code == 2, (argv, err)
     assert "Traceback" not in err, argv
     if code == 0:
         assert out and re.search(r"(?i)\b(nan|inf|infinity)\b", out) is None, (argv, out)
@@ -455,11 +483,11 @@ def test_back_to_back_main_calls_do_not_share_options(tmp_path, capsys):
              "--start=0.5", "--stop=2", "--points=3"]
     csvs = [tmp_path / f"{k}.csv" for k in range(4)]
     codes = [run(sweep + argv + ["--out", str(out)], capsys)[0] for argv, out in
-             zip((["--validate", "--steps=5"], [], ["--validate"], ["--fd-step=1e-3"]), csvs)]
-    assert codes == [3, 0, 0, 0]   # five midpoint steps miss the trotter check's 1e-6
+             zip((["--validate", "--steps=1"], [], ["--validate"], ["--fd-step=1e-3"]), csvs)]
+    assert codes == [3, 0, 0, 0]   # one Magnus step (3.6e-5) misses the trotter check's 1e-6
     checks = [[line for line in open(out) if line.startswith("# trotter_check")] for out in csvs]
     headers = [data_lines(out)[0] for out in csvs]
-    assert "steps=5 " in checks[0][0] and "steps=100000 " in checks[2][0]
+    assert "steps=1 " in checks[0][0] and f"steps={DEFAULT_TROTTER_STEPS} " in checks[2][0]
     assert checks[1] == checks[3] == []
     assert headers[0] == headers[2] == "t,total,quadratic,oscillatory,residual_series,residual_fd"
     assert headers[1] == headers[3] == "t,total,quadratic,oscillatory"
@@ -773,8 +801,8 @@ def test_time_ordered_check_forms_no_spin_j_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("fig, check", [
-    ("fig2a", "# trotter_check t=1 steps=100000 residual=4.4731403093069748e-11"),
-    ("fig2b", "# trotter_check t=0.20000000000000001 steps=100000 residual=1.0549903821371591e-13"),
+    ("fig2a", "# trotter_check t=1 steps=4000 residual=3.5559715678153681e-16"),
+    ("fig2b", "# trotter_check t=0.20000000000000001 steps=4000 residual=2.239943845654766e-16"),
 ])
 def test_figure_trotter_check_line_is_pinned(fig, check, tmp_path, capsys):
     # the time-ordered product against the driven-frame propagator of the oracles
@@ -822,6 +850,8 @@ def _grid_argv(scenario, fixed, t, variable, start, stop, points):
     argv = ["sweep", scenario, "--j", "1.5", "--variable", variable,
             "--start", str(start), "--stop", str(stop), "--points", str(points)]
     for name, value in fixed.items():
+        if name == variable:   # the grid sets it
+            continue
         text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         argv.append(f"--{name}={text}")
     if t is not None:
@@ -858,12 +888,12 @@ VALIDATED_ARGV = {
                          "--variable=t", "--start=0", "--stop=30", "--points=300"],
     "generic-j3": ["sweep", "generic", "--rvec=0.9,-0.6,1.4", "--vvec=0.3,0.8,-0.5", "--j=3",
                    "--variable=t", "--start=0", "--stop=25", "--points=650"],
-    "case2-lambda-overrides": ["sweep", "case2-lambda", "--omega0=1.1", "--lambda=0.4", "--t=7.5",
+    "case2-lambda-overrides": ["sweep", "case2-lambda", "--omega0=1.1", "--t=7.5",
                                "--variable=lambda", "--start=-3", "--stop=3", "--points=257",
                                "--fd-step=5e-4"],
-    "case1-phi-series-order": ["sweep", "case1-phi", "--r=1.7", "--theta=2.2", "--phi=0.5", "--t=4",
+    "case1-phi-series-order": ["sweep", "case1-phi", "--r=1.7", "--phi=0.5", "--t=4",
                                "--variable=theta", "--start=-3", "--stop=3", "--points=120"],
-    "case1-r-j3": ["sweep", "case1-r", "--r=0.8", "--theta=1.2", "--phi=2.5", "--j=3", "--t=6",
+    "case1-r-j3": ["sweep", "case1-r", "--theta=1.2", "--phi=2.5", "--j=3", "--t=6",
                    "--variable=r", "--start=0.1", "--stop=9", "--points=100", "--fd-step=1e-3"],
     "case3-omega-delta-j3": ["sweep", "case3-omega", "--omega0=0.4", "--lambda=1.2", "--t=1.5", "--j=3",
                              "--variable=Delta", "--start=-4", "--stop=4", "--points=301"],
@@ -873,7 +903,7 @@ VALIDATED_ARGV = {
                           "--variable=t", "--start=0", "--stop=30", "--points=600"],
     "case3-lambda-delta": ["sweep", "case3-lambda", "--omega0=1", "--lambda=0.7", "--t=2.2", "--j=1.5",
                            "--variable=Delta", "--start=-3", "--stop=3", "--points=150"],
-    "case3-omega0-lambda": ["sweep", "case3-omega0", "--omega0=0.6", "--lambda=1.0", "--omega=1.4", "--j=2",
+    "case3-omega0-lambda": ["sweep", "case3-omega0", "--omega0=0.6", "--omega=1.4", "--j=2",
                             "--t=3.3", "--variable=lambda", "--start=-2", "--stop=2", "--points=200"],
 }
 
@@ -939,7 +969,7 @@ def test_fixed_frame_validates_as_the_static_field_on_the_detuned_field(estimate
 
 
 def test_time_ordered_check_takes_a_lab_field_whose_squares_overflow(tmp_path, capsys):
-    # |field|^2 = 1e320 overflows; the midpoint step's norm does not
+    # |field|^2 = 1e320 overflows; the Magnus factors' norm does not
     out = tmp_path / "huge.csv"
     code, _, err = run(["sweep", "case3-omega", "--omega0", "1e160", "--lambda", "1", "--omega", "0",
                         "--variable", "t", "--start", "1e-300", "--stop", "2e-300", "--points", "2",
@@ -974,7 +1004,7 @@ def test_degenerate_mid_grid_row_exits_2(argv, named, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, zero_row", [
-    (["sweep", "case2-omega0", "--omega0", "1", "--lambda", "0", "--t", "1",
+    (["sweep", "case2-omega0", "--lambda", "0", "--t", "1",
       "--variable", "omega0", "--start", "-1", "--stop", "1", "--points", "5"], 2),
     (["sweep", "case3-lambda", "--omega0", "1", "--lambda", "0", "--t", "1",
       "--variable", "Delta", "--start", "-1", "--stop", "1", "--points", "5"], 2),

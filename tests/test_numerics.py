@@ -23,11 +23,11 @@ from su2qfi import (
     generator_series,
     generator_vector,
     hermitian_expm,
-    midpoint_su2,
+    magnus4_su2,
     optimal_state,
     qfi_of_state,
 )
-from su2qfi.cli import SCENARIOS, _propagator, trotter_cross_check
+from su2qfi.cli import DEFAULT_TROTTER_STEPS, RESIDUAL_LIMIT, SCENARIOS, _propagator, trotter_cross_check
 from su2qfi.numerics import _SU2_BLOCK_STEPS, _doubling_counts, _partial_sum, _series_coefficients, _su2_distance
 
 from reference_oracles import _BLOCK_STEPS, generator_fd, generator_vector_coeffs, qfi_fd, su2_lift, trotter_propagator
@@ -418,7 +418,7 @@ def test_trotter_matches_factored_evolution():
     def h_of(ts):
         return omega0 * jz + lam * (np.cos(omega * ts)[:, None, None] * jx + np.sin(omega * ts)[:, None, None] * jy)
 
-    u_trotter = trotter_propagator(h_of, total_t, 100_000)
+    u_trotter = trotter_propagator(h_of, total_t, 1000)
     h_eff = (omega0 - omega) * jz + lam * jx
     u_factored = hermitian_expm(jz, -1j * omega * total_t) @ hermitian_expm(h_eff, -1j * total_t)
     assert frobenius(u_trotter - u_factored) < 1e-6
@@ -428,18 +428,22 @@ def test_trotter_matches_factored_evolution():
 @pytest.mark.parametrize("steps,total_t", [
     (1, 0.7), (2, 1.5), (999, 1.5), (3000, 1.5),
     (_BLOCK_STEPS - 1, 2.0), (_BLOCK_STEPS, 2.0), (_BLOCK_STEPS + 1, 2.0),
-    (5120, 2.0), (6147, 2.0), (12, 40.0),
+    (2560, 2.0), (3075, 2.0), (12, 40.0),
 ])
 def test_trotter_matches_plain_ordered_product(steps, total_t):
-    # Reference: the same step exponentials, multiplied one at a time in
-    # time order, on both the Taylor branch and (dt ||H|| > 0.8, last case)
-    # the eigendecomposition branch.
+    # Reference: the same factor exponentials of each step, the one weighted
+    # to its earlier Gauss node first, multiplied one at a time in time
+    # order, on both the Taylor branch and (dt ||H|| > 0.8, last case) the
+    # eigendecomposition branch.
     from reference_oracles import _expm_skew_taylor
 
     rep = build_spin_rep(1.5)
     h_batch = _drive_hamiltonians(rep)
     dt = total_t / steps
-    hs = h_batch((np.arange(steps) + 0.5) * dt)
+    root = math.sqrt(3.0) / 6.0
+    h1, h2 = (h_batch((np.arange(steps) + c) * dt) for c in (0.5 - root, 0.5 + root))
+    w1, w2 = 0.25 - root, 0.25 + root
+    hs = np.stack([w2 * h1 + w1 * h2, w1 * h1 + w2 * h2], axis=1).reshape(-1, rep.dim, rep.dim)
     scaled = -1j * dt * hs
     max_norm = float(np.sqrt(np.max(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
     if max_norm > 0.8:
@@ -453,30 +457,38 @@ def test_trotter_matches_plain_ordered_product(steps, total_t):
 
 
 def test_trotter_memory_is_bounded_at_odd_step_count():
-    # 19 999 step unitaries at j = 3 take 15.7 MB; reducing each block as it
-    # is made keeps the peak at a few blocks whatever the parity of steps.
+    # the 19 998 factor unitaries of 9 999 steps at j = 3 take 15.7 MB; reducing
+    # each block as it is made keeps the peak at a few blocks whatever the parity of steps.
     h_batch = _drive_hamiltonians(build_spin_rep(3))
     tracemalloc.start()
     try:
-        trotter_propagator(h_batch, 2.0, 19_999)
+        trotter_propagator(h_batch, 2.0, 9_999)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10e6
 
 
-def test_trotter_second_order_convergence():
+def _smooth_drive(ts):
+    """The field (cos 3t, sin t, 1) of a smooth drive whose factors do not commute."""
+    return np.cos(3 * ts), np.sin(ts), 1.0
+
+
+def test_trotter_fourth_order_convergence():
+    # each halving of the step divides the error by 2^4 = 16
     rep = build_spin_rep(0.5)
-    jx, jy, jz = (np.asarray(m) for m in (rep.jx, rep.jy, rep.jz))
+    h_of = lambda ts: dot_with_J(rep, np.stack(np.broadcast_arrays(*_smooth_drive(ts)), axis=-1))
+    reference = trotter_propagator(h_of, 2.0, 20_000)
+    errors = [frobenius(trotter_propagator(h_of, 2.0, steps) - reference) for steps in (25, 50, 100)]
+    for ratio in (errors[0] / errors[1], errors[1] / errors[2]):
+        assert 15.0 < ratio < 17.0
 
-    def h_of(ts):
-        return jz + np.cos(3 * ts)[:, None, None] * jx + np.sin(ts)[:, None, None] * jy
 
-    reference = trotter_propagator(h_of, 2.0, 200_000)
-    errors = [frobenius(trotter_propagator(h_of, 2.0, steps) - reference) for steps in (250, 500, 1000)]
-    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
-    for ratio in ratios:
-        assert 3.0 < ratio < 5.0
+def test_magnus4_su2_fourth_order_convergence():
+    reference = magnus4_su2(_smooth_drive, 2.0, 20_000)
+    errors = [_su2_distance(magnus4_su2(_smooth_drive, 2.0, steps), reference, 1) for steps in (25, 50, 100)]
+    for ratio in (errors[0] / errors[1], errors[1] / errors[2]):
+        assert 15.0 < ratio < 17.0
 
 
 def test_trotter_rejects_bad_steps():
@@ -484,7 +496,7 @@ def test_trotter_rejects_bad_steps():
         trotter_propagator(lambda ts: np.broadcast_to(np.eye(2), (ts.size, 2, 2)), 1.0, 0)
 
 
-# --- SU(2) midpoint product ----------------------------------------------------
+# --- SU(2) fourth-order Magnus product ------------------------------------------
 
 def _drive_field(ts, lam=0.7, omega=0.9, omega0=1.1):
     return lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0
@@ -505,22 +517,24 @@ def _drive_hamiltonians(rep, lam=0.7, omega=0.9, omega0=1.1):
     (_SU2_BLOCK_STEPS - 1, 2.0), (_SU2_BLOCK_STEPS, 2.0), (_SU2_BLOCK_STEPS + 1, 2.0),
     (3 * _SU2_BLOCK_STEPS + 1, 2.0), (12, 40.0),
 ])
-def test_su2_lift_of_midpoint_product_matches_matrix_product(j, steps, total_t):
+def test_su2_lift_of_magnus4_product_matches_matrix_product(j, steps, total_t):
     rep = build_spin_rep(j)
-    lifted = su2_lift(rep, midpoint_su2(_drive_field, total_t, steps))
+    lifted = su2_lift(rep, magnus4_su2(_drive_field, total_t, steps))
     reference = trotter_propagator(_drive_hamiltonians(rep), total_t, steps)
     assert frobenius(lifted - reference) < 1e-11
 
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5])
-def test_midpoint_su2_zero_field_step(j):
-    # the field vanishes exactly at the first of two midpoints (t = 0.5)
+@pytest.mark.parametrize("steps", [2, 5])
+def test_magnus4_su2_zero_field_step(j, steps):
+    # the field vanishes on the first half of [0, 2], so the factors of those steps are zero fields
     direction = np.array([1.0, 0.3, -0.2])
     rep = build_spin_rep(j)
-    q = midpoint_su2(lambda ts: tuple(np.outer(direction, ts - 0.5)), 2.0, 2)
-    reference = trotter_propagator(lambda ts: dot_with_J(rep, np.outer(ts - 0.5, direction)), 2.0, 2)
+    q = magnus4_su2(lambda ts: tuple(np.outer(direction, np.maximum(ts - 1.0, 0.0))), 2.0, steps)
+    reference = trotter_propagator(lambda ts: dot_with_J(rep, np.outer(np.maximum(ts - 1.0, 0.0), direction)),
+                                   2.0, steps)
     assert frobenius(su2_lift(rep, q) - reference) < 1e-11
-    assert midpoint_su2(lambda ts: (0.0, 0.0, 0.0), 3.0, 5) == (1.0, 0.0, 0.0, 0.0)
+    assert magnus4_su2(lambda ts: (0.0, 0.0, 0.0), 3.0, steps) == (1.0, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("j,sign", [(0.5, -1.0), (1.0, 1.0), (1.5, -1.0), (3.0, 1.0)])
@@ -529,23 +543,23 @@ def test_su2_lift_full_turn_sign(j, sign):
     rep = build_spin_rep(j)
     np.testing.assert_array_equal(su2_lift(rep, (-1.0, 0.0, 0.0, 0.0)), sign * np.eye(rep.dim))
     np.testing.assert_array_equal(su2_lift(rep, (1.0, 0.0, 0.0, 0.0)), np.eye(rep.dim))
-    full_turn = midpoint_su2(lambda ts: (0.0, 0.6, 0.8), 2.0 * np.pi, 7)
+    full_turn = magnus4_su2(lambda ts: (0.0, 0.6, 0.8), 2.0 * np.pi, 7)
     assert frobenius(su2_lift(rep, full_turn) - sign * np.eye(rep.dim)) < 1e-12
 
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 5.0])
-def test_midpoint_su2_matches_rotating_frame(j):
+def test_magnus4_su2_matches_rotating_frame(j):
     field = SCENARIOS["case3-lambda"].field({"omega0": 1.1, "lambda": 0.7, "omega": 0.9})
     rep = build_spin_rep(j)
-    lifted = su2_lift(rep, midpoint_su2(_drive_field, 2.5, 100_000))
-    assert frobenius(lifted - _propagator(rep, field, 2.5, 0.9)) < 1e-6
+    lifted = su2_lift(rep, magnus4_su2(_drive_field, 2.5, DEFAULT_TROTTER_STEPS))
+    assert frobenius(lifted - _propagator(rep, field, 2.5, 0.9)) < 1e-10
 
 
-def test_midpoint_su2_and_lift_reject_bad_input():
+def test_magnus4_su2_and_lift_reject_bad_input():
     with pytest.raises(ValueError):
-        midpoint_su2(_drive_field, 1.0, 0)
+        magnus4_su2(_drive_field, 1.0, 0)
     with pytest.raises(ValueError):
-        midpoint_su2(lambda ts: (ts, ts), 1.0, 3)
+        magnus4_su2(lambda ts: (ts, ts), 1.0, 3)
     rep = build_spin_rep(1)
     for q in [(2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 0.0), (1.0, np.inf, 0.0, 0.0)]:
         with pytest.raises(ValueError):
@@ -558,48 +572,69 @@ def _hamilton(a, b):
     return (aw * bw - av @ bv, *(aw * bv + bw * av + np.cross(av, bv)))
 
 
+def _half_angle_quaternion(a, dt):
+    """(cos h, sin h a / |a|) with h = dt |a| / 2, the quaternion of exp(-i dt a.J)."""
+    half = 0.5 * dt * np.linalg.norm(a)
+    return (math.cos(half), *(math.sin(half) * a / np.linalg.norm(a)))
+
+
 @pytest.mark.parametrize("axis", [0, 1, 2])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_midpoint_su2_single_step_is_half_angle_quaternion(axis, sign):
-    # the (alpha, beta) pair maps back to (cos h, sin h n) with h = dt |a| / 2
+def test_magnus4_su2_single_step_is_half_angle_quaternion(axis, sign):
+    # the (alpha, beta) pairs map back to (cos h, sin h n) with h = dt |a| / 2
     n = np.zeros(3)
     n[axis] = sign
-    q = midpoint_su2(lambda ts: tuple(1.3 * n), 0.9, 1)
-    half = 0.5 * 0.9 * 1.3
-    np.testing.assert_allclose(q, (math.cos(half), *(math.sin(half) * n)), rtol=0, atol=1e-16)
+    q = magnus4_su2(lambda ts: tuple(1.3 * n), 0.9, 1)
+    np.testing.assert_allclose(q, _half_angle_quaternion(1.3 * n, 0.9), rtol=0, atol=1e-16)
 
 
-def test_midpoint_su2_two_steps_compose_as_hamilton_product():
-    # two non-commuting steps, the later one leftmost
-    first, second = np.array([0.4, -1.1, 0.7]), np.array([-0.9, 0.3, 1.6])
-    dt = 0.8
+@pytest.mark.parametrize("steps", [1, 2, 7, _SU2_BLOCK_STEPS + 1, 100_000])
+def test_magnus4_su2_static_field_is_one_exponential(steps):
+    # a constant field's factors commute and add up to the field over the whole time,
+    # so the product is exp(-i t a.J) to about one rounding per factor
+    a = np.array([0.4, -1.1, 0.7])
+    q = magnus4_su2(lambda ts: tuple(a), 2.3, steps)
+    np.testing.assert_allclose(q, _half_angle_quaternion(a, 2.3), rtol=0, atol=2 * steps * np.finfo(float).eps)
+
+
+def test_magnus4_su2_step_is_two_factors_in_time_order():
+    # on a field linear in t, step n is exp(-i h (w1 a1 + w2 a2).J) exp(-i h (w2 a1 + w1 a2).J)
+    # with a1, a2 the field at the Gauss nodes t_n + (1/2 -+ sqrt(3)/6) h and
+    # w = (3 -+ 2 sqrt(3)) / 12; the later factor, and the later step, is leftmost
+    a0, slope, h = np.array([0.4, -1.1, 0.7]), np.array([-0.9, 0.3, 1.6]), 0.8
+    root = math.sqrt(3.0) / 6.0
+    w1, w2 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0, (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
     def field(ts):
-        return tuple(np.where(ts < dt, first[i], second[i]) for i in range(3))
+        return tuple(a0[i] + slope[i] * ts for i in range(3))
 
-    def step(a):
-        half = 0.5 * dt * np.linalg.norm(a)
-        return (math.cos(half), *(math.sin(half) * a / np.linalg.norm(a)))
+    def factors(n):
+        a1, a2 = (a0 + slope * (n + c) * h for c in (0.5 - root, 0.5 + root))
+        return _half_angle_quaternion(w2 * a1 + w1 * a2, h), _half_angle_quaternion(w1 * a1 + w2 * a2, h)
 
-    q = midpoint_su2(field, 2 * dt, 2)
-    np.testing.assert_allclose(q, _hamilton(step(second), step(first)), rtol=0, atol=1e-15)
-    assert not np.allclose(q, _hamilton(step(first), step(second)), rtol=0, atol=1e-3)
+    first, second = factors(0)
+    q = magnus4_su2(field, h, 1)
+    np.testing.assert_allclose(q, _hamilton(second, first), rtol=0, atol=1e-15)
+    assert not np.allclose(q, _hamilton(first, second), rtol=0, atol=1e-3)
+    third, fourth = factors(1)
+    np.testing.assert_allclose(magnus4_su2(field, 2 * h, 2), _hamilton(_hamilton(fourth, third), q),
+                               rtol=0, atol=1e-15)
 
 
-def test_midpoint_su2_returns_python_floats():
+def test_magnus4_su2_returns_python_floats():
     for steps in (1, 2, _SU2_BLOCK_STEPS + 1):
-        q = midpoint_su2(_drive_field, 1.5, steps)
+        q = magnus4_su2(_drive_field, 1.5, steps)
         assert len(q) == 4 and all(type(c) is float for c in q)
 
 
 @pytest.mark.parametrize("total_t", [1.5, 2.5, 4.0])
-def test_midpoint_su2_stays_unit_over_a_million_steps(total_t):
-    # each step rounds cos(theta/2) next to 1 once, and a field of constant
-    # size repeats that rounding at every step: the drift is up to about
-    # steps * eps (5.6e-11 at t = 2.5, 1.6e-10 at t = 1.5)
-    steps = 1_000_000
-    q = midpoint_su2(_drive_field, total_t, steps)
-    assert abs(sum(c * c for c in q) - 1.0) < steps * np.finfo(float).eps
+def test_magnus4_su2_stays_unit_over_a_million_factors(total_t):
+    # each factor rounds cos(theta/2) next to 1 once, and a field of constant
+    # size repeats that rounding at every factor: the drift is up to about
+    # 2 steps eps (5.6e-11 at t = 2.5, 1.6e-10 at t = 1.5)
+    steps = 500_000
+    q = magnus4_su2(_drive_field, total_t, steps)
+    assert abs(sum(c * c for c in q) - 1.0) < 2 * steps * np.finfo(float).eps
 
 
 _BOUNDARY_STEPS = st.one_of(
@@ -613,9 +648,9 @@ _BOUNDARY_STEPS = st.one_of(
 @given(j=st.sampled_from([0.5, 1.0, 1.5]), steps=_BOUNDARY_STEPS,
        lam=st.floats(-2.0, 2.0), omega=st.floats(-5.0, 5.0), omega0=st.floats(-2.0, 2.0),
        total_t=st.floats(0.0, 5.0))
-def test_su2_lift_of_midpoint_product_matches_matrix_product_property(j, steps, lam, omega, omega0, total_t):
+def test_su2_lift_of_magnus4_product_matches_matrix_product_property(j, steps, lam, omega, omega0, total_t):
     rep = build_spin_rep(j)
-    lifted = su2_lift(rep, midpoint_su2(lambda ts: _drive_field(ts, lam, omega, omega0), total_t, steps))
+    lifted = su2_lift(rep, magnus4_su2(lambda ts: _drive_field(ts, lam, omega, omega0), total_t, steps))
     reference = trotter_propagator(_drive_hamiltonians(rep, lam, omega, omega0), total_t, steps)
     assert frobenius(lifted - reference) < 1e-11
 
@@ -691,7 +726,7 @@ def test_su2_distance_matches_60_digits_at_small_angles(twice_j):
 
 @pytest.mark.parametrize("twice_j", _TWICE_SPINS)
 def test_su2_distance_ignores_the_drift_off_the_unit_sphere(twice_j):
-    # at the --steps cap a long midpoint product drifts to |q| - 1 of about 1.1e-8, past the
+    # at the --steps cap a long Magnus product drifts to |q| - 1 of about 9e-9, past the
     # lift's unit-norm check; the angle is a ratio, so the distance does not see the drift
     rng = np.random.default_rng(3)
     bound = 4 * np.finfo(float).eps * _distance_slope(twice_j)
@@ -711,9 +746,17 @@ def test_trotter_cross_check_matches_the_lifted_propagators(j, omega0, lam, omeg
     # the check's SU(2) distance is the spin-j distance of the lifted product from the driven-frame propagator
     params = {"omega0": omega0, "lambda": lam, "omega": omega}
     rep = build_spin_rep(j)
-    lifted = su2_lift(rep, midpoint_su2(lambda ts: _drive_field(ts, lam, omega, omega0), t, 1000))
+    lifted = su2_lift(rep, magnus4_su2(lambda ts: _drive_field(ts, lam, omega, omega0), t, 20))
     reference = frobenius(lifted - _propagator(rep, SCENARIOS["case3-lambda"].field(params), t, omega))
-    assert trotter_cross_check(params, j, t, 1000) == pytest.approx(reference, rel=1e-7, abs=0.0)
+    assert trotter_cross_check(params, j, t, 20) == pytest.approx(reference, rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("j", [0.5, 50.0])
+def test_trotter_cross_check_passes_at_the_default_steps(j):
+    # (1, 1, 5, 10) is a long, fast drive: at j = 50 the 1e5-step midpoint product read 7.5e-6
+    # here, and 2000 Magnus steps read 1.7e-7
+    residual = trotter_cross_check({"omega0": 1.0, "lambda": 1.0, "omega": 5.0}, j, 10.0, DEFAULT_TROTTER_STEPS)
+    assert residual <= RESIDUAL_LIMIT
 
 
 # --- generator composition -----------------------------------------------------
