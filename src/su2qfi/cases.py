@@ -117,10 +117,14 @@ def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
 
     The system's fields and ``t`` may be arrays; they broadcast, the
     coefficient vectors stack on a last axis of length 3, and each point
-    gets the bits of its own call.  A point whose t^3 or (kp t)^3 is not
-    finite raises ValueError.
+    gets the bits of its own call.  A point with lam = 0 gets the zero
+    vector: the propagator does not depend on omega there.  Any other point
+    whose t^3 or (kp t)^3 is not finite raises ValueError.
     """
     kp, lam, delta = system.kp, system.lam, system.delta
+    uncoupled = np.asarray(lam) == 0.0
+    # uncoupled points enter the cubes as t = 0, so only a coupled one can overflow
+    t = np.where(uncoupled, 0.0, t)
     x = kp * t
     x3, t3 = _finite_cubes(x, t, "kp t")
     # Both branches run on every point; the one not taken may overflow.
@@ -134,7 +138,7 @@ def driving_generator_vector(system: DrivenSystem, t) -> np.ndarray:
     c1 = t3 * g1
     c2 = libm_pow(t, 2) * g2
     parts = np.broadcast_arrays(-lam * delta * c1, lam * c2, libm_pow(lam, 2) * c1)
-    return np.stack(parts, axis=-1)
+    return np.where(uncoupled[..., None], 0.0, np.stack(parts, axis=-1))
 
 
 def driving_frequency_mqfi(system: DrivenSystem, j: float, t) -> QfiBreakdown:

@@ -51,11 +51,20 @@ EXIT_IO = 4
 # the library tolerances to absorb finite-difference step noise.
 RESIDUAL_LIMIT = 1e-6
 
-DEFAULT_TROTTER_STEPS = 4000
 # The SU(2) Magnus product needs memory independent of the step count and
 # about 0.17 us per step (on a 2-vCPU Xeon VM, 1e7 steps take 1.7 s and 1e8
-# steps 17 s), so the cap bounds one cross-check to about 20 s.
+# steps 17 s), so the cap bounds a cross-check at an explicit --steps to
+# about 20 s.
 MAX_TROTTER_STEPS = 10**8
+# Without --steps the cross-check takes its step count from the product's
+# error bound (see _derived_steps).  The bound's constant is over 3 times
+# the largest value fitted on seeded rows at j = 1/2 to 50 (2.2e-5 to
+# 2.8e-5); the product's own error is held to _TROTTER_MARGIN of
+# RESIDUAL_LIMIT; and a row gets at most _TROTTER_BUDGET steps, about 45 ms
+# of product.
+_CF4_ERROR_SCALE = 1e-4
+_TROTTER_MARGIN = 1e-3
+_TROTTER_BUDGET = 2**18
 # A sweep's CSV is written in blocks of EMIT_ROWS rows, so its memory is its
 # numeric columns; the cap bounds the time of one plain sweep to about 5 s.
 MAX_POINTS = 10**6
@@ -358,6 +367,24 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     return frobenius(closed - series), frobenius(closed - fd_generator(us, steps))
 
 
+def _derived_steps(params: dict, j: float, t: float) -> int:
+    """Magnus steps that keep the cross-check's own error _TROTTER_MARGIN under RESIDUAL_LIMIT.
+
+    The fourth-order product's global error is O(t h^4 Omega^5), with
+    Omega = |omega| + hypot(lam, omega0) bounding every rate of the lab
+    field (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); at spin
+    j the distance multiplies a small angle by s_j = sqrt(j(j+1)(2j+1)/3).
+    So the fewest steps N with _CF4_ERROR_SCALE (t Omega)^5 s_j / N^4 within
+    the margin, clamped to [1, _TROTTER_BUDGET] before rounding up: a
+    t Omega that overflows runs at the budget, and its product is not finite.
+    """
+    rate = abs(params["omega"]) + math.hypot(params["lambda"], params["omega0"])
+    spin = math.sqrt(j * (j + 1) * (2 * j + 1) / 3)
+    with np.errstate(over="ignore"):
+        need = (_CF4_ERROR_SCALE * np.float64(t * rate) ** 5 * spin / (_TROTTER_MARGIN * RESIDUAL_LIMIT)) ** 0.25
+    return math.ceil(min(max(need, 1.0), _TROTTER_BUDGET))
+
+
 def trotter_cross_check(params: dict, j: float, t: float, steps: int) -> float:
     """||time-ordered product - driven-frame propagator||_F at spin j for the driven system at one point.
 
@@ -497,8 +524,9 @@ def _validation_extras(scenario, params, t, rows: int, j, steps):
     """Per-run trotter cross-check for driven scenarios (one representative row).
 
     ``params`` and ``t`` hold one value per grid row or one for all rows;
-    the check runs on the row with the smallest positive t.  Returns the
-    comment lines and (row index, residual), or None when no check runs.
+    the check runs on the row with the smallest positive t, at ``steps``
+    Magnus steps or, for None, at the row's :func:`_derived_steps`.  Returns
+    the comment lines and (row index, residual), or None when no check runs.
     A residual that is not finite raises ValueError carrying that row.
     """
     if not _scenario(scenario).driven:
@@ -508,6 +536,8 @@ def _validation_extras(scenario, params, t, rows: int, j, steps):
     if not times[k] > 0:
         return [], None
     point = {name: (float(value[k]) if isinstance(value, np.ndarray) else value) for name, value in params.items()}
+    if steps is None:
+        steps = _derived_steps(point, j, float(times[k]))
     residual = trotter_cross_check(point, j, float(times[k]), steps)
     if not math.isfinite(residual):   # the lab phase omega t overflows
         reject_first(np.arange(rows) == k, lambda _: "time-ordered check is not finite")
@@ -632,9 +662,9 @@ def _add_scenario_options(parser):
 def _add_validate_options(parser):
     parser.add_argument("--validate", action="store_true", help="append closed-form vs oracle residuals")
     parser.add_argument("--steps", type=_int_range_arg("step count", "steps", 1, MAX_TROTTER_STEPS),
-                        default=DEFAULT_TROTTER_STEPS,
                         help=f"time-ordered product steps for the driven-system cross-check "
-                             f"(1 to {MAX_TROTTER_STEPS})")
+                             f"(1 to {MAX_TROTTER_STEPS}; default: the fewest whose fourth-order error "
+                             f"bound stays under {_TROTTER_MARGIN * RESIDUAL_LIMIT:g}, at most {_TROTTER_BUDGET})")
     parser.add_argument("--fd-step", type=_positive_arg, default=None,
                         help="override the finite-difference oracle step")
 

@@ -174,12 +174,20 @@ def generator_vector(field, velocity, t) -> np.ndarray:
     Polynomial in the field components, so the |field| -> 0 limit
     coeffs = -t * velocity comes out without a branch.  ``field`` and
     ``velocity`` may be stacks (..., 3) and ``t`` an array; they broadcast,
-    and each row gets the bits of its own call.  A row whose t^3 or
-    (|field| t)^3 is not finite raises ValueError (see :func:`_finite_cubes`).
+    and each row gets the bits of its own call.  |field| takes nested hypot
+    on the rows whose squares overflow (above about 1.34e154).  A row whose
+    t^3 or (|field| t)^3 is not finite raises ValueError (see
+    :func:`_finite_cubes`).
     """
     r = _vec3_rows(field, "field")
     v = _vec3_rows(velocity, "velocity")
-    x = np.sqrt(row_dot(r, r)) * t
+    with np.errstate(over="ignore"):
+        norm = np.asarray(np.sqrt(row_dot(r, r)))
+    big = np.isinf(norm)
+    if big.any():
+        x, y, z = r[big].T
+        norm[big] = np.hypot(np.hypot(x, y), z)
+    x = norm * t
     x3, t3 = _finite_cubes(x, t, "|field| t")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # the branch not kept
         f1, f2, f3 = _f1(x, x3), _f2(x), _f3(x)

@@ -326,6 +326,17 @@ def test_driving_generator_rejects_points_whose_cubes_overflow():
     assert err.value.row == 2
 
 
+def test_driving_generator_gives_uncoupled_points_zero_vectors():
+    # a lam = 0 point never forms its cubes, so t = 1e300 answers +0 there; coupled points keep
+    # the bits of their own calls
+    lam, t = np.array([0.0, 1.0, 0.0, 0.7]), np.array([1e300, 2.0, 3.0, 0.5])
+    vectors = driving_generator_vector(DrivenSystem(1.5, lam, 0.5), t)
+    assert np.array_equal(vectors[[0, 2]], np.zeros((2, 3))) and not np.signbit(vectors[[0, 2]]).any()
+    for k in (1, 3):
+        np.testing.assert_array_equal(vectors[k], driving_generator_vector(DrivenSystem(1.5, lam[k], 0.5), t[k]))
+    np.testing.assert_array_equal(driving_generator_vector(DrivenSystem(0.0, 0.0, 0.0), 1e300), [0.0, 0.0, 0.0])
+
+
 def test_driving_generator_matches_composition():
     # algebraic identity: the closed form equals gen2 + U2^dag gen1 U2
     rng = np.random.default_rng(57)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su2qfi import __version__, cli, mqfi_closed_form, numerics, spin, split_velocity
-from su2qfi.cli import (DEFAULT_TROTTER_STEPS, FIGURE_IDS, MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt,
+from su2qfi.cli import (FIGURE_IDS, MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt,
                         _validation_verdict, evaluate_point, main)
 
 from reference_oracles import drive_frequency_total, mqfi_split
@@ -419,11 +419,11 @@ def test_optimal_state_agrees_with_mqfi(scenario, capsys):
             assert not (code_mqfi == 2 and code_state == 0), (s, t)
             if s == 0.0:
                 # a zero field has no direction to turn: case1's angles give 0 at every t, and so does
-                # case3-omega's mqfi, whose lam = 0 leaves U independent of omega; elsewhere
+                # case3-omega, whose lam = 0 leaves U independent of omega; elsewhere
                 # 4 j^2 t^2 |v|^2 overflows only at t = 1e300, and so does the generator's t^3
                 angle, drive = scenario in ("case1-theta", "case1-phi"), scenario == "case3-omega"
                 assert code_mqfi == (0 if angle or drive or float(t) < 1e300 else 2), t
-                assert code_state == (0 if angle or float(t) < 1e300 else 2), t
+                assert code_state == (0 if angle or drive or float(t) < 1e300 else 2), t
                 assert not (angle or drive) or json.loads(out_mqfi)["total"] == 0.0, t
             if code_mqfi != 0 or code_state != 0 or json.loads(out_state)["degenerate"]:
                 continue
@@ -487,7 +487,8 @@ def test_back_to_back_main_calls_do_not_share_options(tmp_path, capsys):
     assert codes == [3, 0, 0, 0]   # one Magnus step (3.6e-5) misses the trotter check's 1e-6
     checks = [[line for line in open(out) if line.startswith("# trotter_check")] for out in csvs]
     headers = [data_lines(out)[0] for out in csvs]
-    assert "steps=1 " in checks[0][0] and f"steps={DEFAULT_TROTTER_STEPS} " in checks[2][0]
+    derived = cli._derived_steps({"omega0": 1.0, "lambda": 1.0, "omega": 1.0}, 1.0, 0.5)
+    assert "steps=1 " in checks[0][0] and f"steps={derived} " in checks[2][0]
     assert checks[1] == checks[3] == []
     assert headers[0] == headers[2] == "t,total,quadratic,oscillatory,residual_series,residual_fd"
     assert headers[1] == headers[3] == "t,total,quadratic,oscillatory"
@@ -801,8 +802,8 @@ def test_time_ordered_check_forms_no_spin_j_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("fig, check", [
-    ("fig2a", "# trotter_check t=1 steps=4000 residual=3.5559715678153681e-16"),
-    ("fig2b", "# trotter_check t=0.20000000000000001 steps=4000 residual=2.239943845654766e-16"),
+    ("fig2a", "# trotter_check t=1 steps=183 residual=1.1495880696836347e-10"),
+    ("fig2b", "# trotter_check t=0.20000000000000001 steps=8 residual=9.210558513421009e-11"),
 ])
 def test_figure_trotter_check_line_is_pinned(fig, check, tmp_path, capsys):
     # the time-ordered product against the driven-frame propagator of the oracles
@@ -982,6 +983,48 @@ def test_time_ordered_check_takes_a_lab_field_whose_squares_overflow(tmp_path, c
     assert np.all(np.isfinite(rows)) and np.max(rows[:, 4:]) < 1e-6
 
 
+def test_long_driven_row_passes_at_its_derived_steps(tmp_path, capsys):
+    # t Omega = 683: 4000 steps read 1.04e-5 here and exited 3 on a correct row
+    out = tmp_path / "long.csv"
+    code, _, err = run(["sweep", "case3-lambda", "--omega0", "10", "--lambda", "10", "--omega", "20", "--j", "1",
+                        "--variable", "t", "--start", "20", "--stop", "30", "--points", "3", "--validate",
+                        "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    with open(out) as handle:
+        (check,) = [line for line in handle if line.startswith("# trotter_check")]
+    assert check.startswith("# trotter_check t=20 steps=67691 residual=")
+    assert float(check.rsplit("=", 1)[1]) < cli._TROTTER_MARGIN * cli.RESIDUAL_LIMIT
+
+
+def test_row_above_the_step_budget_runs_at_the_budget(tmp_path, capsys):
+    # |field| = 1e160 at t = 5e-151 asks for 2.6e13 steps; the check takes 2^18 and says so.
+    # |field|^2 overflows, so the closed generator takes nested hypot (it read |field| t = nan at t = 0)
+    out = tmp_path / "budget.csv"
+    code, _, err = run(["sweep", "case3-lambda", "--omega0", "1e160", "--lambda", "1", "--omega", "0",
+                        "--variable", "t", "--start", "0", "--stop", "1e-150", "--points", "3", "--validate",
+                        "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    with open(out) as handle:
+        (check,) = [line for line in handle if line.startswith("# trotter_check")]
+    assert check.startswith(f"# trotter_check t=5e-151 steps={cli._TROTTER_BUDGET} residual=")
+    assert cli._TROTTER_BUDGET == 262144
+    _, rows = parse_csv(out)
+    assert np.all(np.isfinite(rows)) and np.max(rows[:, 4:]) < 1e-14
+
+
+def test_time_ordered_check_at_its_derived_steps_sees_a_detuning_mutant(monkeypatch, capsys):
+    # a rotating-frame field 1e-3 off the detuning: the closed form and both oracles read the
+    # scenario's own field, so only the time-ordered check, at its 90 derived steps, can fail
+    def mutant(p):
+        return np.stack(np.broadcast_arrays(p["lambda"], 0.0, p["omega0"] - p["omega"] + 1e-3), axis=-1)
+
+    monkeypatch.setattr(cli, "_driven_field", mutant)
+    code, _, err = run(["sweep", "case3-lambda", "--omega0", "1", "--lambda", "1", "--t", "1", "--variable",
+                        "Delta", "--start", "-1", "--stop", "1", "--points", "21", "--validate"], capsys)
+    assert code == 3
+    assert err.startswith("validation failed: trotter residual ") and "at row 0 (Delta=-1)" in err
+
+
 @pytest.mark.parametrize("argv, named", [
     # the closed generator names its grid row under --validate: t^3 overflows from t = 5e119 on
     (["sweep", "case2-lambda", "--omega0", "1", "--lambda", "1", "--variable", "t", "--start", "0",
@@ -993,6 +1036,10 @@ def test_time_ordered_check_takes_a_lab_field_whose_squares_overflow(tmp_path, c
     # the time-ordered check runs on the row with the smallest positive t, where the lab phase omega t overflows
     (["sweep", "case3-lambda", "--omega0", "1e308", "--lambda", "1", "--omega", "1e308", "--variable", "t",
       "--start", "0", "--stop", "10", "--points", "3", "--validate", "--steps", "50"],
+     "su2qfi: parameter error: time-ordered check is not finite at row 1 (t=5)\n"),
+    # so it does at its derived steps: t Omega overflows, and the count stops at the budget
+    (["sweep", "case3-lambda", "--omega0", "1e308", "--lambda", "1", "--omega", "1e308", "--variable", "t",
+      "--start", "0", "--stop", "10", "--points", "3", "--validate"],
      "su2qfi: parameter error: time-ordered check is not finite at row 1 (t=5)\n"),
 ])
 def test_degenerate_mid_grid_row_exits_2(argv, named, tmp_path, capsys):
@@ -1057,9 +1104,13 @@ def test_case1_sweep_through_zero_and_negative_amplitudes(scenario, tmp_path, ca
     assert rows[4, 0] == 0.0 and list(rows[4, 1:4]) == zero_row
 
 
-def test_optimal_state_answers_an_uncoupled_drive_with_zeros(capsys):
+@pytest.mark.parametrize("argv", [
+    ["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1", "--t", "1"],
+    # t^3 overflows; the uncoupled point never forms it (it exited 2 on "t^3 or (kp t)^3")
+    ["case3-omega", "--omega0", "0", "--lambda", "0", "--omega", "0", "--t", "1e300"],
+], ids=["resonance", "t-cubed-overflows"])
+def test_optimal_state_answers_an_uncoupled_drive_with_zeros(argv, capsys):
     # at lam = 0, U = exp(-i omega0 t jz) does not depend on omega: a zero generator, on resonance too
-    argv = ["case3-omega", "--omega0", "1", "--lambda", "0", "--omega", "1", "--t", "1"]
     code, out, err = run(["optimal-state", *argv], capsys)
     assert (code, err) == (0, "")
     record = json.loads(out)

@@ -145,6 +145,23 @@ def test_generator_vector_rejects_rows_whose_cubes_overflow():
     assert np.isfinite(generator_vector(r, v, 5e102)).all()   # (5e102)^3 is still finite
 
 
+def test_generator_vector_takes_a_field_whose_squares_overflow():
+    # |field|^2 = 1e320 overflows: that row takes nested hypot, the in-range rows keep the bits of
+    # their own calls, and at t = 0 the vector is 0 (it read nan from (inf * 0)^3)
+    v = np.array([1.0, 0.0, 0.0])
+    fields = np.array([[1.0, 0.0, 1e160], [0.6, 0.0, 0.8], [3.0, -4.0, 12.0]])
+    np.testing.assert_array_equal(generator_vector(fields[0], v, 0.0), [0.0, 0.0, 0.0])
+    stack = generator_vector(fields, v, 5e-151)
+    np.testing.assert_array_equal(stack, [generator_vector(r, v, 5e-151) for r in fields])
+    # the generator of (field / c, c t) is c times that of (field, t); with c a power of 2 both
+    # sides take the same phase |field| t.  Only the velocity's own term, t f2 v ~ v / |field|, is
+    # compared: the cross term's t^2 f3 ~ 1 / |field|^2 is subnormal here
+    c = 2.0 ** 530
+    huge = generator_vector([0.0, 0.0, c], v, 1e-150)
+    assert huge[0] == pytest.approx(generator_vector([0.0, 0.0, 1.0], v, 1e-150 * c)[0] / c, rel=1e-15)
+    assert abs(huge[0]) > 1e-160
+
+
 def test_norm_identity():
     rng = np.random.default_rng(12)
     for _ in range(100):

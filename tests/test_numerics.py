@@ -27,7 +27,8 @@ from su2qfi import (
     optimal_state,
     qfi_of_state,
 )
-from su2qfi.cli import DEFAULT_TROTTER_STEPS, RESIDUAL_LIMIT, SCENARIOS, _propagator, trotter_cross_check
+from su2qfi.cli import (RESIDUAL_LIMIT, SCENARIOS, _TROTTER_BUDGET, _TROTTER_MARGIN, _derived_steps, _propagator,
+                        trotter_cross_check)
 from su2qfi.numerics import _SU2_BLOCK_STEPS, _doubling_counts, _partial_sum, _series_coefficients, _su2_distance
 
 from reference_oracles import _BLOCK_STEPS, generator_fd, generator_vector_coeffs, qfi_fd, su2_lift, trotter_propagator
@@ -551,7 +552,7 @@ def test_su2_lift_full_turn_sign(j, sign):
 def test_magnus4_su2_matches_rotating_frame(j):
     field = SCENARIOS["case3-lambda"].field({"omega0": 1.1, "lambda": 0.7, "omega": 0.9})
     rep = build_spin_rep(j)
-    lifted = su2_lift(rep, magnus4_su2(_drive_field, 2.5, DEFAULT_TROTTER_STEPS))
+    lifted = su2_lift(rep, magnus4_su2(_drive_field, 2.5, 4000))
     assert frobenius(lifted - _propagator(rep, field, 2.5, 0.9)) < 1e-10
 
 
@@ -754,9 +755,52 @@ def test_trotter_cross_check_matches_the_lifted_propagators(j, omega0, lam, omeg
 @pytest.mark.parametrize("j", [0.5, 50.0])
 def test_trotter_cross_check_passes_at_the_default_steps(j):
     # (1, 1, 5, 10) is a long, fast drive: at j = 50 the 1e5-step midpoint product read 7.5e-6
-    # here, and 2000 Magnus steps read 1.7e-7
-    residual = trotter_cross_check({"omega0": 1.0, "lambda": 1.0, "omega": 5.0}, j, 10.0, DEFAULT_TROTTER_STEPS)
-    assert residual <= RESIDUAL_LIMIT
+    # here, and 2000 Magnus steps read 1.7e-7; the derived count takes 13 356 steps there
+    params = {"omega0": 1.0, "lambda": 1.0, "omega": 5.0}
+    residual = trotter_cross_check(params, j, 10.0, _derived_steps(params, j, 10.0))
+    assert residual <= _TROTTER_MARGIN * RESIDUAL_LIMIT
+
+
+def _cross_check_row(rng, kind):
+    """Drive and time of one seeded row: omega0, lam, omega log-uniform in [0.05, 20], t in [0.01, 30].
+
+    ``kind`` 1 sets omega = 0, 2 takes lam 1e-6 to 1e-3 of omega0, 3 takes t from 1e-4 to 0.05 and
+    4 a long drive, t Omega from 200 to 600.
+    """
+    omega0, lam, omega = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 3))
+    t = rng.uniform(0.01, 30.0)
+    if kind == 1:
+        omega = 0.0
+    elif kind == 2:
+        lam = omega0 * 10 ** rng.uniform(-6.0, -3.0)
+    elif kind == 3:
+        t = 10 ** rng.uniform(-4.0, math.log10(0.05))
+    elif kind == 4:
+        t = rng.uniform(200.0, 600.0) / (omega + math.hypot(lam, omega0))
+    return {"omega0": float(omega0), "lambda": float(lam), "omega": float(omega)}, float(t)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 3.0, 50.0])
+def test_trotter_cross_check_at_its_derived_steps_stays_under_the_margin(j):
+    # the derived count keeps the product's own error _TROTTER_MARGIN under RESIDUAL_LIMIT
+    # wherever the budget does not cut it; three seeded rows of each kind per spin
+    rng = np.random.default_rng(3838 + int(2 * j))
+    for kind in range(5):
+        for _ in range(3):
+            params, t = _cross_check_row(rng, kind)
+            steps = _derived_steps(params, j, t)
+            assert steps < _TROTTER_BUDGET
+            residual = trotter_cross_check(params, j, t, steps)
+            assert residual <= _TROTTER_MARGIN * RESIDUAL_LIMIT, (kind, params, t, steps, residual)
+
+
+def test_derived_steps_follow_the_bound_and_stop_at_the_budget():
+    # ceil((C (t Omega)^5 s_j / 1e-9)^(1/4)), clamped to [1, 2^18]: fig2a's checked row takes 183 steps
+    fig2a_row = {"omega0": 0.0, "lambda": 1.0, "omega": 5.0}
+    assert _derived_steps(fig2a_row, 1.0, 1.0) == 183
+    assert _derived_steps({"omega0": 0.0, "lambda": 0.0, "omega": 0.0}, 50.0, 1.0) == 1
+    assert _derived_steps(fig2a_row, 50.0, 1e3) == _TROTTER_BUDGET
+    assert _derived_steps({"omega0": 1e308, "lambda": 1.0, "omega": 1e308}, 1.0, 5.0) == _TROTTER_BUDGET
 
 
 # --- generator composition -----------------------------------------------------
