@@ -28,9 +28,9 @@ from .generator import (
     split_velocity,
 )
 from .numerics import (
-    _quaternion,
     _su2_distance,
     _su2_exp,
+    _su2_product,
     compose_generators,
     fd_generator,
     fd_points,
@@ -377,7 +377,10 @@ def _derived_steps(params: dict, j: float, t: float) -> int:
     So the fewest steps N with _CF4_ERROR_SCALE (t Omega)^5 s_j / N^4 within
     the margin, clamped to [1, _TROTTER_BUDGET] before rounding up: a
     t Omega that overflows runs at the budget, and its product is not finite.
+    A constant lab field (omega = 0 or lam = 0) takes one step, its exact exponential.
     """
+    if params["omega"] == 0 or params["lambda"] == 0:
+        return 1
     rate = abs(params["omega"]) + math.hypot(params["lambda"], params["omega0"])
     spin = math.sqrt(j * (j + 1) * (2 * j + 1) / 3)
     with np.errstate(over="ignore"):
@@ -389,15 +392,13 @@ def trotter_cross_check(params: dict, j: float, t: float, steps: int) -> float:
     """||time-ordered product - driven-frame propagator||_F at spin j for the driven system at one point.
 
     The fourth-order Magnus product of the lab field (lam cos wt, lam sin wt,
-    omega0) and exp(-i omega t jz) exp(-i t field.J), from one exact
-    exponential per constant factor, are compared in SU(2) by their
-    rotation angle.
+    omega0) and exp(-i omega t jz) exp(-i t field.J), the product of one
+    exact exponential per constant factor, are Cayley-Klein pairs compared
+    in SU(2) by their rotation angle.
     """
     lam, omega, omega0 = params["lambda"], params["omega"], params["omega0"]
     lab = magnus4_su2(lambda ts: (lam * np.cos(omega * ts), lam * np.sin(omega * ts), omega0), t, steps)
-    c, _, _, s = _quaternion(*_su2_exp((0.0, 0.0, omega), t))   # the frame, c - i s sz
-    r = _quaternion(*_su2_exp(_driven_field(params), t))
-    exact = (c * r[0] - s * r[3], c * r[1] - s * r[2], c * r[2] + s * r[1], c * r[3] + s * r[0])
+    exact = _su2_product(_su2_exp((0.0, 0.0, omega), t), _su2_exp(_driven_field(params), t))
     return _su2_distance(lab, exact, twice_spin(j))
 
 

@@ -152,15 +152,18 @@ def _partial_sum(h, dh, t, order: int) -> np.ndarray:
 
     The chain is formed on h / 2^e at the time t 2^e and the sum divided by
     2^e, with 2^e the power of two above the largest absolute row sum of h
-    (an upper bound on ||h||, e >= 0 so t 2^e cannot underflow).  A power
-    of two commutes with rounding, so the bits are those of the unscaled
-    sum wherever it is finite, and a large field cannot overflow the chain.
+    (an upper bound on ||h||), clipped to [1, 2^1023] so that t 2^e cannot
+    underflow and the scale stays finite.  A power of two commutes with
+    rounding, so the bits are those of the unscaled sum wherever it is
+    finite, and a large field cannot overflow the chain.
 
     The nested commutators are formed once over the leading axes of ``h``
     and ``dh`` alone, so one (n, n) pair with a vector of times builds its
     chain once, and only the coefficients are per time.
     """
-    scale = np.ldexp(1.0, np.maximum(np.frexp(np.abs(h).sum(axis=-1).max(axis=-1, initial=0.0))[1], 0))
+    with np.errstate(over="ignore"):   # a row sum past the double range takes e = 1023 too
+        norm = np.fmin(np.abs(h).sum(axis=-1).max(axis=-1, initial=0.0), np.finfo(float).max)
+    scale = np.ldexp(1.0, np.clip(np.frexp(norm)[1], 0, 1023))
     h = h / scale[..., None, None]
     ts = np.asarray(t, dtype=float) * scale   # an overflow names t 2^e
     coeffs = _series_coefficients(ts, order)
@@ -301,11 +304,7 @@ def fd_generator(us, step) -> np.ndarray:
 
 
 def _su2_product(a, b):
-    """Matrix product U_a U_b of SU(2) elements given as Cayley-Klein pairs (alpha, beta).
-
-    U = [[alpha, -conj(beta)], [beta, conj(alpha)]], so the product is the
-    first column of U_a U_b.
-    """
+    """Cayley-Klein pair of U_a U_b, with U = [[alpha, -conj(beta)], [beta, conj(alpha)]] of its pair (alpha, beta)."""
     return a[0] * b[0] - a[1].conjugate() * b[1], a[1] * b[0] + a[0].conjugate() * b[1]
 
 
@@ -324,8 +323,7 @@ def _su2_exp(field, dt):
     """Cayley-Klein pair (alpha, beta) of exp(-i dt a.J) for the field components a = ``field``.
 
     With theta n = dt a, alpha = cos(theta/2) - i sin(theta/2) n_z and
-    beta = sin(theta/2) (n_y - i n_x), the first column of U = [[alpha,
-    -conj(beta)], [beta, conj(alpha)]].  The components broadcast; |a| takes
+    beta = sin(theta/2) (n_y - i n_x).  The components broadcast; |a| takes
     nested hypot where its squares overflow (above about 1.34e154), and a
     zero field takes the limit dt/2 of sin(theta/2) / |a|.
     """
@@ -343,18 +341,14 @@ def _su2_exp(field, dt):
     return alpha, beta
 
 
-def _quaternion(alpha, beta) -> tuple:
-    """(w, x, y, z) as Python floats of the Cayley-Klein pair alpha = w - i z, beta = y - i x."""
-    return float(alpha.real), float(-beta.imag), float(beta.real), float(-alpha.imag)
-
-
 def magnus4_su2(field_of_t: Callable, total_time: float, steps: int) -> tuple:
-    """Fourth-order commutator-free Magnus product for exp(-i a(t).J) evolution, as a unit quaternion.
+    """Fourth-order commutator-free Magnus product for exp(-i a(t).J) evolution, as a Cayley-Klein pair.
 
-    Returns (w, x, y, z) of the time-ordered product over ``steps`` steps of
-    h = total_time / steps, latest factor leftmost, in the convention
-    U = w I - i (x sx + y sy + z sz) of SU(2).  Every spin-j propagator of a
-    field coupled linearly to J is the image of this one group element;
+    Returns (alpha, beta), two Python complex numbers, of the time-ordered
+    product over ``steps`` steps of h = total_time / steps, latest factor
+    leftmost: the first column of U = [[alpha, -conj(beta)], [beta,
+    conj(alpha)]] in SU(2).  Every spin-j propagator of a field coupled
+    linearly to J is the image of this one group element;
     :func:`_su2_distance` compares two of them at spin j.
 
     Step n takes the fields a1, a2 at the Gauss nodes t_n + c h, c = 1/2 -+
@@ -394,21 +388,21 @@ def magnus4_su2(field_of_t: Callable, total_time: float, steps: int) -> tuple:
                 alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
             alpha, beta = _su2_product((alpha[1::2], beta[1::2]), (alpha[0::2], beta[0::2]))
         total = _su2_product((alpha[0], beta[0]), total)
-    return _quaternion(*total)
+    return complex(total[0]), complex(total[1])
 
 
 def _su2_distance(u, v, twice_j: int) -> float:
-    """||D(U) - D(V)||_F of the spin-j images D of SU(2) quaternions u, v (w, x, y, z); twice_j = 2j.
+    """||D(U) - D(V)||_F of the spin-j images D of SU(2) Cayley-Klein pairs u, v; twice_j = 2j.
 
-    W = U V^dag turns by phi, phi / 2 = atan2(|vec W|, scal W), and D(W)
-    has the eigenvalues exp(-i m phi), m = -j..j, so the distance
-    ||D(W) - I||_F is sqrt(sum_m 4 sin^2(m phi / 2)).  The ratio ignores
-    |W|, so drift off the unit sphere cancels.  An integer spin does not see
-    the sign of W (W = -1 gives 0 there, 2 sqrt(2j + 1) at half-integer j).
+    W = U V^dag, with V^dag the pair (conj(alpha_v), -beta_v), turns by phi,
+    phi / 2 = atan2(hypot(Im alpha_W, |beta_W|), Re alpha_W), and D(W) has
+    the eigenvalues exp(-i m phi), m = -j..j, so the distance ||D(W) - I||_F
+    is sqrt(sum_m 4 sin^2(m phi / 2)).  The ratio ignores |W|, so drift off
+    the unit sphere cancels.  An integer spin does not see the sign of W
+    (W = -1 gives 0 there, 2 sqrt(2j + 1) at half-integer j).
     """
-    (uw, *uv), (vw, *vv) = u, v
-    scal, vec = uw * vw + np.dot(uv, vv), vw * np.array(uv) - uw * np.array(vv) - np.cross(uv, vv)
-    half = math.atan2(math.hypot(*vec), scal if twice_j % 2 else abs(scal))
+    alpha, beta = _su2_product(u, (v[0].conjugate(), -v[1]))
+    half = math.atan2(math.hypot(alpha.imag, abs(beta)), alpha.real if twice_j % 2 else abs(alpha.real))
     return 2.0 * math.sqrt(math.fsum(np.sin((np.arange(twice_j + 1) - twice_j / 2) * half) ** 2))
 
 

@@ -1,7 +1,7 @@
 """Reference oracles that only the tests use.
 
 These are independent checks on the library, not part of it: the spin-j
-matrix of an SU(2) quaternion (``su2_lift``, the reference for the
+matrix of an SU(2) Cayley-Klein pair (``su2_lift``, the reference for the
 rotation-angle distance of the time-ordered check) and a spin-j matrix
 fourth-order Magnus product for time-ordered evolution (with ``su2_lift``,
 the reference for ``magnus4_su2``), a finite-difference generator of a
@@ -157,18 +157,20 @@ def check_normal_parts(got, refs, where, ulps=None):
 
 
 def su2_lift(rep: SpinRep, q) -> np.ndarray:
-    """Spin-j matrix of the SU(2) element q = (w, x, y, z).
+    """Spin-j matrix of the SU(2) element given by its Cayley-Klein pair q = (alpha, beta).
 
-    ``q`` is a unit quaternion in the convention U = w I - i (x sx + y sy +
-    z sz) at spin 1/2, i.e. U = exp(-i phi n.J) with phi = 2 atan2(|v|, w)
-    and n = v / |v| for v = (x, y, z).  The lift is that one exponential at
-    spin j.  With v = 0 the element is +I, or for w < 0 the rotation by
-    2 pi, which is (-1)^(2j) I.
+    ``q`` is the first column of U = [[alpha, -conj(beta)], [beta,
+    conj(alpha)]] at spin 1/2, with |alpha|^2 + |beta|^2 within 1e-8 of 1.
+    With alpha = w - i z and beta = y - i x, U = w I - i (x sx + y sy + z sz)
+    = exp(-i phi n.J), phi = 2 atan2(|v|, w) and n = v / |v| for v = (x, y,
+    z).  The lift is that one exponential at spin j.  With v = 0 the element
+    is +I, or for w < 0 the rotation by 2 pi, which is (-1)^(2j) I.
     """
-    w, x, y, z = (float(c) for c in q)
-    norm = math.hypot(w, x, y, z)
-    if not abs(norm - 1.0) <= 1e-8:   # NaN and infinite entries fail too
-        raise ValueError(f"quaternion is not a finite unit quaternion (norm {norm:.12f})")
+    alpha, beta = (complex(c) for c in q)
+    norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+    if not abs(norm_sq - 1.0) <= 1e-8:   # NaN and infinite entries fail too
+        raise ValueError(f"pair is not a finite unit pair (|alpha|^2 + |beta|^2 = {norm_sq:.12f})")
+    w, x, y, z = alpha.real, -beta.imag, beta.real, -alpha.imag
     sine = math.hypot(x, y, z)
     if sine == 0.0:
         sign = -1.0 if w < 0 and rep.twice_j % 2 else 1.0

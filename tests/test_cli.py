@@ -802,8 +802,8 @@ def test_time_ordered_check_forms_no_spin_j_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("fig, check", [
-    ("fig2a", "# trotter_check t=1 steps=183 residual=1.1495880696836347e-10"),
-    ("fig2b", "# trotter_check t=0.20000000000000001 steps=8 residual=9.210558513421009e-11"),
+    ("fig2a", "# trotter_check t=1 steps=183 residual=1.1495882957163501e-10"),
+    ("fig2b", "# trotter_check t=0.20000000000000001 steps=8 residual=9.2105598375179914e-11"),
 ])
 def test_figure_trotter_check_line_is_pinned(fig, check, tmp_path, capsys):
     # the time-ordered product against the driven-frame propagator of the oracles
@@ -996,20 +996,50 @@ def test_long_driven_row_passes_at_its_derived_steps(tmp_path, capsys):
     assert float(check.rsplit("=", 1)[1]) < cli._TROTTER_MARGIN * cli.RESIDUAL_LIMIT
 
 
-def test_row_above_the_step_budget_runs_at_the_budget(tmp_path, capsys):
-    # |field| = 1e160 at t = 5e-151 asks for 2.6e13 steps; the check takes 2^18 and says so.
+def test_constant_lab_field_takes_one_step(tmp_path, capsys):
+    # at omega = 0 the lab field is constant and one step is its exact exponential: the
+    # count once followed |field| = 1e160 at t = 5e-151 to 2^18 steps for a residual of 1.7e-11.
     # |field|^2 overflows, so the closed generator takes nested hypot (it read |field| t = nan at t = 0)
-    out = tmp_path / "budget.csv"
+    out = tmp_path / "constant.csv"
     code, _, err = run(["sweep", "case3-lambda", "--omega0", "1e160", "--lambda", "1", "--omega", "0",
                         "--variable", "t", "--start", "0", "--stop", "1e-150", "--points", "3", "--validate",
                         "--out", str(out)], capsys)
     assert (code, err) == (0, "")
     with open(out) as handle:
         (check,) = [line for line in handle if line.startswith("# trotter_check")]
-    assert check.startswith(f"# trotter_check t=5e-151 steps={cli._TROTTER_BUDGET} residual=")
-    assert cli._TROTTER_BUDGET == 262144
+    assert check.startswith("# trotter_check t=5e-151 steps=1 residual=")
+    assert float(check.rsplit("=", 1)[1]) <= 1e-15
     _, rows = parse_csv(out)
     assert np.all(np.isfinite(rows)) and np.max(rows[:, 4:]) < 1e-14
+
+
+def test_row_above_the_step_budget_runs_at_the_budget(tmp_path, capsys):
+    # t Omega = 3414 asks for about 5.1e5 steps; the check takes 2^18 and says so
+    out = tmp_path / "budget.csv"
+    code, _, err = run(["sweep", "case3-lambda", "--omega0", "10", "--lambda", "10", "--omega", "20", "--j", "1",
+                        "--variable", "t", "--start", "100", "--stop", "110", "--points", "3", "--validate",
+                        "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    with open(out) as handle:
+        (check,) = [line for line in handle if line.startswith("# trotter_check")]
+    assert check.startswith(f"# trotter_check t=100 steps={cli._TROTTER_BUDGET} residual=")
+    assert cli._TROTTER_BUDGET == 262144
+    assert float(check.rsplit("=", 1)[1]) < cli.RESIDUAL_LIMIT
+
+
+@pytest.mark.parametrize("scenario, fields", [
+    ("case2-omega0", ["--omega0", "1e308", "--lambda", "1"]),
+    ("case3-omega0", ["--omega0", "1", "--lambda", "1", "--omega", "1e308"]),
+])
+def test_series_scale_stays_finite_near_the_largest_double(scenario, fields, tmp_path, capsys):
+    # a largest absolute row sum of h past 2^1023 made the scale 2^1024 = inf and every series
+    # row NaN, so --validate exited 3 on finite rows; the scale now stops at 2^1023
+    out = tmp_path / "huge.csv"
+    code, _, err = run(["sweep", scenario, *fields, "--variable", "t", "--start", "0", "--stop", "1e-300",
+                        "--points", "3", "--validate", "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert np.all(rows[:, header.index("residual_series")] == 0.0)
 
 
 def test_time_ordered_check_at_its_derived_steps_sees_a_detuning_mutant(monkeypatch, capsys):

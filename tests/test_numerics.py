@@ -299,6 +299,21 @@ def test_series_field_scaling_keeps_the_bits_and_avoids_overflow():
         assert_same_bits(_partial_sum(h[0], dh[0], ts, 24), _unscaled_series(h[0], dh[0], ts, 24))
 
 
+@pytest.mark.parametrize("field", [
+    [1.0, 0.0, 1e308],    # largest row sum 1e308: e was 1024 and the scale inf
+    [1.5e308, 0.0, 0.0],  # the middle row sum overflows the double range
+])
+def test_series_scale_stays_finite_at_the_top_of_the_double_range(field):
+    # the scale is clipped to 2^1023, so the chain stays finite: the t = 0
+    # generator is exactly zero, and a tiny time matches the closed form
+    rep = build_spin_rep(1)
+    ts = np.array([0.0, 5e-301, 1e-300])
+    gen = generator_series(dot_with_J(rep, field), rep.jz, ts)
+    assert np.all(gen[0] == 0.0)
+    closed = dot_with_J(rep, generator_vector(field, [0.0, 0.0, 1.0], ts))
+    assert np.all(frobenius(gen - closed) <= 1e-12 * frobenius(closed))
+
+
 def test_series_scaled_random_directions():
     rng = np.random.default_rng(14)
     for _ in range(20):
@@ -535,15 +550,15 @@ def test_magnus4_su2_zero_field_step(j, steps):
     reference = trotter_propagator(lambda ts: dot_with_J(rep, np.outer(np.maximum(ts - 1.0, 0.0), direction)),
                                    2.0, steps)
     assert frobenius(su2_lift(rep, q) - reference) < 1e-11
-    assert magnus4_su2(lambda ts: (0.0, 0.0, 0.0), 3.0, steps) == (1.0, 0.0, 0.0, 0.0)
+    assert magnus4_su2(lambda ts: (0.0, 0.0, 0.0), 3.0, steps) == (1.0 + 0.0j, 0.0j)
 
 
 @pytest.mark.parametrize("j,sign", [(0.5, -1.0), (1.0, 1.0), (1.5, -1.0), (3.0, 1.0)])
 def test_su2_lift_full_turn_sign(j, sign):
     # a rotation by 2 pi is -I at half-integer spin and I at integer spin
     rep = build_spin_rep(j)
-    np.testing.assert_array_equal(su2_lift(rep, (-1.0, 0.0, 0.0, 0.0)), sign * np.eye(rep.dim))
-    np.testing.assert_array_equal(su2_lift(rep, (1.0, 0.0, 0.0, 0.0)), np.eye(rep.dim))
+    np.testing.assert_array_equal(su2_lift(rep, (-1.0 + 0.0j, 0.0j)), sign * np.eye(rep.dim))
+    np.testing.assert_array_equal(su2_lift(rep, (1.0 + 0.0j, 0.0j)), np.eye(rep.dim))
     full_turn = magnus4_su2(lambda ts: (0.0, 0.6, 0.8), 2.0 * np.pi, 7)
     assert frobenius(su2_lift(rep, full_turn) - sign * np.eye(rep.dim)) < 1e-12
 
@@ -562,31 +577,37 @@ def test_magnus4_su2_and_lift_reject_bad_input():
     with pytest.raises(ValueError):
         magnus4_su2(lambda ts: (ts, ts), 1.0, 3)
     rep = build_spin_rep(1)
-    for q in [(2.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (np.nan, 0.0, 0.0, 0.0), (1.0, np.inf, 0.0, 0.0)]:
+    for q in [(2.0, 0.0), (0.0, 0.0), (np.nan, 0.0), (1.0, complex(0.0, np.inf)), (0.6, 0.6)]:
         with pytest.raises(ValueError):
             su2_lift(rep, q)
 
 
-def _hamilton(a, b):
-    """Hamilton product a b of (w, x, y, z), the matrix product U_a U_b for U = w I - i v.sigma."""
-    aw, av, bw, bv = a[0], np.array(a[1:]), b[0], np.array(b[1:])
-    return (aw * bw - av @ bv, *(aw * bv + bw * av + np.cross(av, bv)))
+def _matrix(pair):
+    """The SU(2) matrix [[alpha, -conj(beta)], [beta, conj(alpha)]] of a Cayley-Klein pair."""
+    alpha, beta = pair
+    return np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]])
 
 
-def _half_angle_quaternion(a, dt):
-    """(cos h, sin h a / |a|) with h = dt |a| / 2, the quaternion of exp(-i dt a.J)."""
+def _product(a, b):
+    """The pair of the matrix product U_a U_b, its first column."""
+    return tuple(complex(c) for c in (_matrix(a) @ _matrix(b))[:, 0])
+
+
+def _half_angle_pair(a, dt):
+    """(cos h - i sin h n_z, sin h (n_y - i n_x)) with h = dt |a| / 2 and n = a / |a|, the pair of exp(-i dt a.J)."""
     half = 0.5 * dt * np.linalg.norm(a)
-    return (math.cos(half), *(math.sin(half) * a / np.linalg.norm(a)))
+    x, y, z = math.sin(half) * a / np.linalg.norm(a)
+    return complex(math.cos(half), -z), complex(y, -x)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_magnus4_su2_single_step_is_half_angle_quaternion(axis, sign):
-    # the (alpha, beta) pairs map back to (cos h, sin h n) with h = dt |a| / 2
+def test_magnus4_su2_single_step_is_the_half_angle_pair(axis, sign):
+    # one step of a constant field along an axis is (cos h - i sin h n_z, sin h (n_y - i n_x)), h = dt |a| / 2
     n = np.zeros(3)
     n[axis] = sign
     q = magnus4_su2(lambda ts: tuple(1.3 * n), 0.9, 1)
-    np.testing.assert_allclose(q, _half_angle_quaternion(1.3 * n, 0.9), rtol=0, atol=1e-16)
+    np.testing.assert_allclose(q, _half_angle_pair(1.3 * n, 0.9), rtol=0, atol=1e-16)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, _SU2_BLOCK_STEPS + 1, 100_000])
@@ -595,7 +616,7 @@ def test_magnus4_su2_static_field_is_one_exponential(steps):
     # so the product is exp(-i t a.J) to about one rounding per factor
     a = np.array([0.4, -1.1, 0.7])
     q = magnus4_su2(lambda ts: tuple(a), 2.3, steps)
-    np.testing.assert_allclose(q, _half_angle_quaternion(a, 2.3), rtol=0, atol=2 * steps * np.finfo(float).eps)
+    np.testing.assert_allclose(q, _half_angle_pair(a, 2.3), rtol=0, atol=2 * steps * np.finfo(float).eps)
 
 
 def test_magnus4_su2_step_is_two_factors_in_time_order():
@@ -611,21 +632,21 @@ def test_magnus4_su2_step_is_two_factors_in_time_order():
 
     def factors(n):
         a1, a2 = (a0 + slope * (n + c) * h for c in (0.5 - root, 0.5 + root))
-        return _half_angle_quaternion(w2 * a1 + w1 * a2, h), _half_angle_quaternion(w1 * a1 + w2 * a2, h)
+        return _half_angle_pair(w2 * a1 + w1 * a2, h), _half_angle_pair(w1 * a1 + w2 * a2, h)
 
     first, second = factors(0)
     q = magnus4_su2(field, h, 1)
-    np.testing.assert_allclose(q, _hamilton(second, first), rtol=0, atol=1e-15)
-    assert not np.allclose(q, _hamilton(first, second), rtol=0, atol=1e-3)
+    np.testing.assert_allclose(q, _product(second, first), rtol=0, atol=1e-15)
+    assert not np.allclose(q, _product(first, second), rtol=0, atol=1e-3)
     third, fourth = factors(1)
-    np.testing.assert_allclose(magnus4_su2(field, 2 * h, 2), _hamilton(_hamilton(fourth, third), q),
+    np.testing.assert_allclose(magnus4_su2(field, 2 * h, 2), _product(_product(fourth, third), q),
                                rtol=0, atol=1e-15)
 
 
-def test_magnus4_su2_returns_python_floats():
+def test_magnus4_su2_returns_python_complex_numbers():
     for steps in (1, 2, _SU2_BLOCK_STEPS + 1):
         q = magnus4_su2(_drive_field, 1.5, steps)
-        assert len(q) == 4 and all(type(c) is float for c in q)
+        assert len(q) == 2 and all(type(c) is complex for c in q)
 
 
 @pytest.mark.parametrize("total_t", [1.5, 2.5, 4.0])
@@ -634,8 +655,8 @@ def test_magnus4_su2_stays_unit_over_a_million_factors(total_t):
     # size repeats that rounding at every factor: the drift is up to about
     # 2 steps eps (5.6e-11 at t = 2.5, 1.6e-10 at t = 1.5)
     steps = 500_000
-    q = magnus4_su2(_drive_field, total_t, steps)
-    assert abs(sum(c * c for c in q) - 1.0) < 2 * steps * np.finfo(float).eps
+    alpha, beta = magnus4_su2(_drive_field, total_t, steps)
+    assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 2 * steps * np.finfo(float).eps
 
 
 _BOUNDARY_STEPS = st.one_of(
@@ -661,16 +682,22 @@ def test_su2_lift_of_magnus4_product_matches_matrix_product_property(j, steps, l
 _TWICE_SPINS = [1, 2, 3, 6, 100]   # j = 1/2, 1, 3/2, 3, 50
 
 
-def _unit_quaternion(rng):
+def _unit_pair(rng):
+    """A random SU(2) element: the pair of a normal 4-vector scaled to unit length."""
     q = rng.normal(size=4)
-    return tuple(q / np.linalg.norm(q))
+    q /= np.linalg.norm(q)
+    return complex(q[0], q[1]), complex(q[2], q[3])
+
+
+def _turn(phi, axis):
+    """The pair of exp(-i phi n.J), a rotation by phi about n = axis / |axis|."""
+    return _half_angle_pair(phi * np.asarray(axis, dtype=float), 1.0)
 
 
 def _near_pair(rng, phi):
-    """A unit quaternion u and v = u r, with r a rotation by phi about a random axis."""
-    u, axis = _unit_quaternion(rng), rng.normal(size=3)
-    turn = (math.cos(phi / 2), *(math.sin(phi / 2) * axis / np.linalg.norm(axis)))
-    return u, tuple(float(c) for c in _hamilton(u, turn))
+    """A unit pair u and v = u r, with r a rotation by phi about a random axis."""
+    u = _unit_pair(rng)
+    return u, _product(u, _turn(phi, rng.normal(size=3)))
 
 
 def _distance_slope(twice_j):
@@ -684,16 +711,33 @@ def test_su2_distance_matches_the_lifted_matrices(twice_j):
     rng = np.random.default_rng(twice_j)
     rep = build_spin_rep(twice_j / 2)
     for _ in range(20):
-        u, v = _unit_quaternion(rng), _unit_quaternion(rng)
+        u, v = _unit_pair(rng), _unit_pair(rng)
         reference = frobenius(su2_lift(rep, u) - su2_lift(rep, v))
         assert _su2_distance(u, v, twice_j) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("twice_j", [1, 2, 6, 100])   # j = 1/2, 1, 3, 50
+def test_su2_distance_is_symmetric_and_sees_the_sign_at_half_integer_spin(twice_j):
+    # W = U V^dag near +I and near -I: -I is the rotation by 2 pi, which only a half-integer
+    # spin tells from +I, so there the lifted matrices stay 2 sqrt(2j + 1) apart; each lift
+    # rounds to about 1e-13 dim, which a small distance sees
+    rng = np.random.default_rng(100 + twice_j)
+    rep = build_spin_rep(twice_j / 2)
+    for phi in (1e-6, 1e-3, 0.3, 2.0):
+        for sign in (1.0, -1.0):
+            u, v = _near_pair(rng, phi)
+            v = tuple(sign * c for c in v)
+            reference = frobenius(su2_lift(rep, u) - su2_lift(rep, v))
+            distance = _su2_distance(u, v, twice_j)
+            assert distance == _su2_distance(v, u, twice_j)
+            assert distance == pytest.approx(reference, rel=1e-12, abs=1e-13 * rep.dim), (phi, sign)
 
 
 @pytest.mark.parametrize("twice_j", _TWICE_SPINS)
 def test_su2_distance_at_a_full_turn(twice_j):
     # W = U V^dag = -1 is the rotation by 2 pi: -I at half-integer spin, I at integer spin
     rng = np.random.default_rng(7)
-    for u in [(1.0, 0.0, 0.0, 0.0), *(_unit_quaternion(rng) for _ in range(5))]:
+    for u in [(1.0 + 0.0j, 0.0j), *(_unit_pair(rng) for _ in range(5))]:
         assert _su2_distance(u, u, twice_j) == 0.0
         distance = _su2_distance(u, tuple(-c for c in u), twice_j)
         if twice_j % 2:
@@ -703,13 +747,12 @@ def test_su2_distance_at_a_full_turn(twice_j):
 
 
 def _su2_distance_digits(u, v, twice_j, dps=60):
-    """The distance of :func:`_su2_distance` at ``dps`` digits, from the double quaternions as given."""
+    """The distance of :func:`_su2_distance` at ``dps`` digits, from the double pairs as given."""
     with mpmath.workdps(dps):
-        (uw, *uv), (vw, *vv) = [[mpmath.mpf(c) for c in q] for q in (u, v)]
-        scal = uw * vw + sum(a * b for a, b in zip(uv, vv))
-        cross = (uv[1] * vv[2] - uv[2] * vv[1], uv[2] * vv[0] - uv[0] * vv[2], uv[0] * vv[1] - uv[1] * vv[0])
-        vec = [vw * a - uw * b - c for a, b, c in zip(uv, vv, cross)]
-        half = mpmath.atan2(mpmath.sqrt(sum(c * c for c in vec)), scal)
+        (au, bu), (av, bv) = [[mpmath.mpc(c) for c in q] for q in (u, v)]
+        alpha = au * mpmath.conj(av) + mpmath.conj(bu) * bv
+        beta = bu * mpmath.conj(av) - mpmath.conj(au) * bv
+        half = mpmath.atan2(mpmath.sqrt(alpha.imag ** 2 + abs(beta) ** 2), alpha.real)
         return mpmath.sqrt(sum(4 * mpmath.sin((mpmath.mpf(twice_j) / 2 - k) * half) ** 2
                                for k in range(twice_j + 1)))
 
@@ -799,6 +842,10 @@ def test_derived_steps_follow_the_bound_and_stop_at_the_budget():
     fig2a_row = {"omega0": 0.0, "lambda": 1.0, "omega": 5.0}
     assert _derived_steps(fig2a_row, 1.0, 1.0) == 183
     assert _derived_steps({"omega0": 0.0, "lambda": 0.0, "omega": 0.0}, 50.0, 1.0) == 1
+    # a constant lab field (omega = 0 or lam = 0) takes its one exact step: these rows took 37 340 and 24 212
+    for constant in ({"omega0": 10.0, "lambda": 10.0, "omega": 0.0}, {"omega0": 3.0, "lambda": 0.0, "omega": 7.0}):
+        assert _derived_steps(constant, 1.0, 30.0) == 1
+        assert trotter_cross_check(constant, 1.0, 30.0, 1) <= 1e-15
     assert _derived_steps(fig2a_row, 50.0, 1e3) == _TROTTER_BUDGET
     assert _derived_steps({"omega0": 1e308, "lambda": 1.0, "omega": 1e308}, 1.0, 5.0) == _TROTTER_BUDGET
 
