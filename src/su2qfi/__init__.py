@@ -25,7 +25,6 @@ from .generator import (
 )
 from .numerics import (
     OptimalStateResult,
-    compose_generators,
     fd_generator,
     fd_points,
     fd_step,
@@ -46,7 +45,7 @@ __all__ = [
     "SpinRep", "build_spin_rep", "dot_with_J", "frobenius", "hermitian_expm",
     "QfiBreakdown", "VelocitySplit",
     "generator_vector", "mqfi_closed_form", "split_velocity",
-    "OptimalStateResult", "compose_generators", "fd_generator", "fd_points", "fd_step",
+    "OptimalStateResult", "fd_generator", "fd_points", "fd_step",
     "generator_series", "magnus4_su2", "optimal_state", "qfi_of_state",
     "DrivenSystem",
     "driving_frequency_mqfi", "driving_generator_vector", "spherical_field_mqfi",

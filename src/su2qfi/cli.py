@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -31,7 +32,6 @@ from .numerics import (
     _su2_distance,
     _su2_exp,
     _su2_product,
-    compose_generators,
     fd_generator,
     fd_points,
     fd_step,
@@ -40,7 +40,7 @@ from .numerics import (
     optimal_state,
     qfi_of_state,
 )
-from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, reject_first, row_dot, twice_spin
+from .spin import build_spin_rep, dot_with_J, frobenius, hermitian_expm, reject_first, row_norm, twice_spin
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -322,22 +322,17 @@ def evaluate_point(scenario: str, params: dict, j: float, t) -> QfiBreakdown:
     return _scenario(scenario).breakdown(params, j, t)
 
 
-def _propagator(rep, field, t, omega=None) -> np.ndarray:
-    """exp(-i omega t jz) exp(-i t field.J), or exp(-i t field.J) without omega; stacks broadcast."""
-    u = hermitian_expm(dot_with_J(rep, field), -1j * t)
-    return u if omega is None else hermitian_expm(rep.jz, -1j * omega * t) @ u
-
-
 def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     """(series, finite-difference) residual columns of ``rows`` grid rows.
 
     Each parameter and ``t`` is one value for every row or an array of one
     value per row.  Both oracles run over stacks of rows; each row gets the
-    bits of its own evaluation.  The series side is the time-doubled
-    commutator series of the field, composed with the frame generator -t jz
-    when the frame moves with theta; the finite-difference side
-    differentiates U(theta) = exp(-i t field(theta).J) around theta =
-    params[spec.name] (0 for generic's s), times the frame if it moves.
+    bits of its own evaluation.  The finite-difference side differentiates
+    U(theta) = exp(-i t field(theta).J) around theta = params[spec.name]
+    (0 for generic's s), times the frame exp(-i theta t jz) if it moves with
+    theta.  The series side is the time-doubled commutator series of the
+    field; a moving frame adds U^dag (-t jz) U, with U the stencil's centre
+    propagator, theta's own.
     """
     anchor = params.get(spec.name, 0.0)
     ts = np.broadcast_to(np.asarray(t, dtype=float), (rows,))
@@ -346,24 +341,25 @@ def _oracle_rows(spec: Scenario, params: dict, rep, t, rows: int, step):
     closed = dot_with_J(rep, np.broadcast_to(spec.generator(params, ts), (rows, 3)))
     # h and dh keep the field's own shape: (3,) when only t varies, so the
     # series builds one commutator chain and one eigendecomposition per chunk
-    h_field = dot_with_J(rep, field)
-    series = generator_series(h_field, dot_with_J(rep, velocity), ts)
+    series = generator_series(dot_with_J(rep, field), dot_with_J(rep, velocity), ts)
 
     # the step scale estimates t * ||d_theta H||; a moving frame adds the
     # size of the field it rotates
-    speed = np.sqrt(row_dot(v, v))
+    speed = row_norm(v)
     if spec.moving_frame:
-        frame = -ts[:, None, None] * np.asarray(rep.jz)
-        series = compose_generators(frame, hermitian_expm(h_field, -1j * ts), series)
         speed = speed + np.abs(r[:, 0]) + np.abs(r[:, 1]) + np.abs(r[:, 2])
     steps = fd_step(ts * rep.j * speed) if step is None else np.full(rows, float(step))
 
     # U at the five stencil points of each row: parameters on rows, points on a second axis
     on_rows = {k: (x[:, None] if isinstance(x, np.ndarray) else x) for k, x in params.items()}
     thetas = fd_points(anchor, steps)
+    us = hermitian_expm(dot_with_J(rep, spec.field({**on_rows, spec.name: thetas})), -1j * ts[:, None])
     # a frame fixed in theta cancels in i (dU^dag) U, so only a moving one is differentiated
-    us = _propagator(rep, spec.field({**on_rows, spec.name: thetas}), ts[:, None],
-                     thetas if spec.moving_frame else None)
+    if spec.moving_frame:
+        centre = us[:, 4]
+        frame = -ts[:, None, None] * np.asarray(rep.jz)
+        series = series + np.swapaxes(centre.conj(), -1, -2) @ frame @ centre
+        us = hermitian_expm(rep.jz, -1j * thetas * ts[:, None]) @ us
     return frobenius(closed - series), frobenius(closed - fd_generator(us, steps))
 
 
@@ -670,8 +666,23 @@ def _add_validate_options(parser):
                         help="override the finite-difference oracle step")
 
 
+# A word that float() or _vec3_arg reads and that starts with "-": a sign, digits
+# with a point and an exponent or the inf/nan spellings, in a comma list.
+_FLOAT = r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+_NEGATIVE_NUMBER = re.compile(rf"^(?=-){_FLOAT}(?:,{_FLOAT})*$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a rejected command line as one stderr line, like every other parameter error."""
+    """Reports a rejected command line as one stderr line, like every other parameter error.
+
+    A negative number is an option's value in every spelling: argparse's
+    own pattern takes only plain decimals (CPython bpo-9334), so it read
+    "-1e5", "-inf" or "-1,0,0" as an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.exit(EXIT_PARAMS, f"su2qfi: parameter error: {message}\n")

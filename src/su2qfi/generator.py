@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import libm_pow, reject_first, row_dot
+from .spin import libm_pow, reject_first, row_dot, row_norm
 
 __all__ = [
     "VelocitySplit",
@@ -181,13 +181,7 @@ def generator_vector(field, velocity, t) -> np.ndarray:
     """
     r = _vec3_rows(field, "field")
     v = _vec3_rows(velocity, "velocity")
-    with np.errstate(over="ignore"):
-        norm = np.asarray(np.sqrt(row_dot(r, r)))
-    big = np.isinf(norm)
-    if big.any():
-        x, y, z = r[big].T
-        norm[big] = np.hypot(np.hypot(x, y), z)
-    x = norm * t
+    x = row_norm(r) * t
     x3, t3 = _finite_cubes(x, t, "|field| t")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # the branch not kept
         f1, f2, f3 = _f1(x, x3), _f2(x), _f3(x)

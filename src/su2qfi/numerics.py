@@ -28,7 +28,6 @@ __all__ = [
     "fd_points",
     "fd_step",
     "magnus4_su2",
-    "compose_generators",
 ]
 
 # Eigenvalue spreads below this are treated as degenerate (generator
@@ -51,17 +50,6 @@ def _require_state(psi, dim: int) -> np.ndarray:
 def _unitary_deviation(m: np.ndarray) -> np.ndarray:
     """||U^dag U - I||_F of each matrix of a stack (..., n, n)."""
     return np.linalg.norm(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
-
-
-def _require_unitary(u, name: str = "matrix") -> np.ndarray:
-    """Check one square matrix, or each matrix of a stack (..., n, n), for unitarity."""
-    m = np.asarray(u, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    dev = _unitary_deviation(m)
-    reject_first(dev > _UNITARY_TOL,
-                 lambda k: f"{name} is not unitary (||U^dag U - I||_F = {np.max(dev[k]):.3e})")
-    return m
 
 
 def qfi_of_state(h_op, psi) -> float:
@@ -404,16 +392,3 @@ def _su2_distance(u, v, twice_j: int) -> float:
     alpha, beta = _su2_product(u, (v[0].conjugate(), -v[1]))
     half = math.atan2(math.hypot(alpha.imag, abs(beta)), alpha.real if twice_j % 2 else abs(alpha.real))
     return 2.0 * math.sqrt(math.fsum(np.sin((np.arange(twice_j + 1) - twice_j / 2) * half) ** 2))
-
-
-def compose_generators(h1_gen, u2, h2_gen) -> np.ndarray:
-    """Generator of a two-factor evolution U = U1 U2: gen2 + U2^dag gen1 U2.
-
-    The arguments may be stacks (..., n, n) of equal shape.
-    """
-    g1 = require_hermitian(h1_gen, name="first generator")
-    g2 = require_hermitian(h2_gen, name="second generator")
-    u = _require_unitary(u2, "U2")
-    if g1.shape != g2.shape or g1.shape != u.shape:
-        raise ValueError(f"dimension mismatch: {g1.shape}, {g2.shape}, {u.shape}")
-    return g2 + np.swapaxes(u.conj(), -1, -2) @ g1 @ u

@@ -22,6 +22,7 @@ __all__ = [
     "hermitian_expm",
     "frobenius",
     "row_dot",
+    "row_norm",
     "reject_first",
     "require_hermitian",
 ]
@@ -37,6 +38,23 @@ def row_dot(a, b):
     form gives every row the bits of a per-row call (strides included).
     """
     return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def row_norm(a):
+    """Euclidean norms of 3-vectors on the last axis: sqrt of :func:`row_dot`.
+
+    A row whose squares overflow (a component above about 1.34e154) takes
+    nested ``np.hypot`` instead, so a norm is inf only above the double
+    range, and every other row keeps the bits of ``sqrt(row_dot(a, a))``.
+    """
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = np.asarray(np.sqrt(row_dot(a, a)))
+        big = np.isinf(norm)
+        if big.any():
+            x, y, z = a[big].T
+            norm[big] = np.hypot(np.hypot(x, y), z)
+    return norm
 
 
 _pow_ufunc = np.frompyfunc(pow, 2, 1)

@@ -6,9 +6,10 @@ rotation-angle distance of the time-ordered check) and a spin-j matrix
 fourth-order Magnus product for time-ordered evolution (with ``su2_lift``,
 the reference for ``magnus4_su2``), a finite-difference generator of a
 callable propagator, the QFI from the finite-difference derivative of
-the evolved state, and the paper's closed forms (the MQFI split, the
-drive-frequency MQFI and the generator vector) in mpmath at a given
-number of digits, with the seeded extreme draws and the normal-part check
+the evolved state, the rotating-frame propagator exp(-i omega t jz)
+exp(-i t field.J) and the two-factor generator composition gen2 + U2^dag
+gen1 U2, and the paper's closed forms (the MQFI split, the drive-frequency
+MQFI and the generator vector) in mpmath at a given number of digits, with the seeded extreme draws and the normal-part check
 that hold the closed forms to them.  The library's own finite-difference
 route is ``fd_generator(us, step)`` over propagators stacked at ``fd_points``.
 """
@@ -23,7 +24,38 @@ import numpy as np
 import pytest
 
 from su2qfi import SpinRep, dot_with_J, fd_generator, fd_points, hermitian_expm
-from su2qfi.numerics import _require_state, _require_unitary
+from su2qfi.numerics import _require_state
+from su2qfi.spin import require_hermitian
+
+
+def _require_unitary(u, name: str = "matrix") -> np.ndarray:
+    """Check one square matrix, or each matrix of a stack (..., n, n), for ||U^dag U - I||_F <= 1e-8."""
+    m = np.asarray(u, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    dev = np.linalg.norm(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]), axis=(-2, -1))
+    if np.any(dev > 1e-8):
+        raise ValueError(f"{name} is not unitary (||U^dag U - I||_F = {np.max(dev):.3e})")
+    return m
+
+
+def propagator(rep: SpinRep, field, t, omega=None) -> np.ndarray:
+    """exp(-i omega t jz) exp(-i t field.J), or exp(-i t field.J) without omega; stacks broadcast."""
+    u = hermitian_expm(dot_with_J(rep, field), -1j * t)
+    return u if omega is None else hermitian_expm(rep.jz, -1j * omega * t) @ u
+
+
+def compose_generators(h1_gen, u2, h2_gen) -> np.ndarray:
+    """Generator of a two-factor evolution U = U1 U2: gen2 + U2^dag gen1 U2.
+
+    The arguments may be stacks (..., n, n) of equal shape.
+    """
+    g1 = require_hermitian(h1_gen, name="first generator")
+    g2 = require_hermitian(h2_gen, name="second generator")
+    u = _require_unitary(u2, "U2")
+    if g1.shape != g2.shape or g1.shape != u.shape:
+        raise ValueError(f"dimension mismatch: {g1.shape}, {g2.shape}, {u.shape}")
+    return g2 + np.swapaxes(u.conj(), -1, -2) @ g1 @ u
 
 
 def qfi_fd(u_of: Callable[[float], np.ndarray], theta: float, psi0, step: Optional[float] = None) -> float:

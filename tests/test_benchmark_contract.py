@@ -82,12 +82,12 @@ def test_preset_data_section_matches_the_benchmark_reference(key, tmp_path):
     assert checks.fingerprint(checks.data_section(out)) == PRESET_REFS[key]
 
 
-# The perfbench/tracer.py TARGETS that resolve; the other eight name functions the library no longer has.
+# The perfbench/tracer.py TARGETS that resolve; the other nine name functions the library no longer has.
 LIVE_TRACER_SLOTS = {
     "spin.build_spin_rep", "spin.dot_with_J", "spin.hermitian_expm", "spin.require_hermitian",
     "generator.split_velocity", "generator.generator_vector", "generator.mqfi_closed_form",
     "cases.spherical_field_mqfi", "cases.driving_frequency_mqfi",
-    "numerics.generator_series", "numerics.compose_generators",
+    "numerics.generator_series",
     "cli.main", "cli.evaluate_point", "cli.trotter_cross_check",
     "numpy.linalg.eigh",
 }

@@ -6,7 +6,6 @@ import pytest
 from su2qfi import (
     DrivenSystem,
     build_spin_rep,
-    compose_generators,
     dot_with_J,
     driving_frequency_mqfi,
     driving_generator_vector,
@@ -20,11 +19,11 @@ from su2qfi import (
     split_velocity,
 )
 from su2qfi.cases import _spherical_generator_vector
-from su2qfi.cli import SCENARIOS, _propagator, evaluate_point
+from su2qfi.cli import SCENARIOS, evaluate_point
 from su2qfi.spin import libm_pow
 
-from reference_oracles import (check_normal_parts, drive_frequency_total, generator_fd, mqfi_split, signed_extremes,
-                               trotter_propagator)
+from reference_oracles import (check_normal_parts, compose_generators, drive_frequency_total, generator_fd, mqfi_split,
+                               propagator, signed_extremes, trotter_propagator)
 
 PI_SQ_PLUS_FOUR = 13.869604401089358  # value of the static-field MQFI at omega0 = lam = 1, t = pi/K
 
@@ -53,7 +52,7 @@ def driven_params(system):
 
 def driven_propagator(system, rep, t):
     """The lab propagator exp(-i omega t jz) exp(-i t h_eff) that the CLI's oracles use."""
-    return _propagator(rep, SCENARIOS["case3-lambda"].field(driven_params(system)), t, system.omega)
+    return propagator(rep, SCENARIOS["case3-lambda"].field(driven_params(system)), t, system.omega)
 
 
 def driving_generator(system, rep, t):
@@ -273,7 +272,7 @@ def test_static_field_small_time_bound():
 def test_rotating_frame_static_limit():
     system = DrivenSystem(1.2, 0.8, 0.0)
     rep = build_spin_rep(1)
-    u1 = _propagator(rep, np.zeros(3), 1.7, system.omega)   # the frame factor alone
+    u1 = propagator(rep, np.zeros(3), 1.7, system.omega)   # the frame factor alone
     np.testing.assert_allclose(u1, np.eye(3), atol=1e-12)
     direct = hermitian_expm(dot_with_J(rep, [0.8, 0.0, 1.2]), -1.7j)
     assert frobenius(driven_propagator(system, rep, 1.7) - direct) < 1e-12

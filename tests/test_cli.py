@@ -20,6 +20,7 @@ from su2qfi import __version__, cli, mqfi_closed_form, numerics, spin, split_vel
 from su2qfi.cli import (FIGURE_IDS, MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt,
                         _validation_verdict, evaluate_point, main)
 
+import reference_oracles
 from reference_oracles import drive_frequency_total, mqfi_split
 
 
@@ -170,6 +171,31 @@ def test_series_oracle_of_a_huge_field_is_finite(tmp_path, capsys):
     header, rows = parse_csv(out)
     residuals = rows[:, header.index("residual_series"):]
     assert np.all(np.isfinite(residuals)) and np.all(residuals < 1e-6)
+
+
+def test_moving_frame_series_failure_exits_3_as_on_every_scenario(capsys):
+    # a tiny field over a huge time gives the matrix series NaN (ROADMAP item 6); the drive-frequency
+    # row fails validation naming the series oracle, as its generic twin does, where the moving
+    # frame's composition once rejected the series as a parameter error
+    tiny, grid = "4.909093465297727e-91", ["--variable=t", "--start=0", "--stop=2.037035976334486e+91", "--points=3"]
+    for argv in (["sweep", "case3-omega", f"--omega0={tiny}", f"--lambda={tiny}", "--omega=4.909093465297727e-92"],
+                 ["sweep", "generic", f"--rvec=0,0,{tiny}", f"--vvec=0,0,{tiny}"]):
+        code, _, err = run([*argv, *grid, "--validate"], capsys)
+        assert code == 3, argv
+        assert err.startswith("validation failed: series residual nan at row 1 (t=1.018517988167243e+91) "), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "case1-theta", "--r=1e300", "--variable=t", "--start=0", "--stop=1e-300", "--points=3"],
+    ["sweep", "generic", "--rvec=0,0,1", "--vvec=1e200,0,0", "--variable=t", "--start=0", "--stop=1e-200", "--points=3"],
+], ids=["case1-theta", "generic"])
+def test_finite_difference_step_of_a_velocity_whose_squares_overflow(argv, tmp_path, capsys):
+    # |v|^2 above the double range once made the step NaN: an exit 2 on a value never given
+    out = tmp_path / "sweep.csv"
+    assert run([*argv, "--validate", "--out", str(out)], capsys)[:3:2] == (0, "")
+    header, rows = parse_csv(out)
+    residuals = rows[:, header.index("residual_series"):]
+    assert np.all(residuals < 1e-11)
 
 
 def test_failed_oracle_check_names_its_first_row(tmp_path, capsys):
@@ -402,6 +428,125 @@ def test_cli_contract_fuzz(argv):
     assert "Traceback" not in err, argv
     if code == 0:
         assert out and re.search(r"(?i)\b(nan|inf|infinity)\b", out) is None, (argv, out)
+
+
+# every numeric option, on a command line that takes it
+_SWEEP_LAMBDA = ["sweep", "case2-lambda", "--omega0=1", "--t=1", "--variable=lambda"]
+_NUMERIC_OPTIONS = [
+    (["mqfi", "case1-theta", "--t=1"], "--r"),
+    (["mqfi", "case1-theta", "--r=1", "--t=1"], "--theta"),
+    (["mqfi", "case1-theta", "--r=1", "--t=1"], "--phi"),
+    (["mqfi", "case3-omega", "--lambda=1", "--omega=0.5", "--t=1"], "--omega0"),
+    (["mqfi", "case3-omega", "--omega0=1", "--omega=0.5", "--t=1"], "--lambda"),
+    (["mqfi", "case3-omega", "--omega0=1", "--lambda=1", "--t=1"], "--omega"),
+    (["mqfi", "generic", "--vvec=0,1,0", "--t=1"], "--rvec"),
+    (["optimal-state", "generic", "--rvec=1,0,0", "--t=1"], "--vvec"),
+    (["mqfi", "generic", "--rvec=1,0,0", "--vvec=0,1,0", "--t=1"], "--j"),
+    (["mqfi", "generic", "--rvec=1,0,0", "--vvec=0,1,0"], "--t"),
+    (["optimal-state", "generic", "--rvec=1,0,0", "--vvec=0,1,0", "--t=1"], "--phase"),
+    ([*_SWEEP_LAMBDA, "--stop=1", "--points=3"], "--start"),
+    ([*_SWEEP_LAMBDA, "--start=-1e6", "--points=3"], "--stop"),
+    ([*_SWEEP_LAMBDA, "--start=0", "--stop=1"], "--points"),
+    (["sweep", "case2-lambda", "--omega0=1", "--variable=lambda", "--start=0", "--stop=1", "--points=3"], "--t"),
+    (["sweep", "case3-lambda", "--omega0=1", "--omega=0.5", "--t=1", "--variable=lambda", "--start=0", "--stop=1",
+      "--points=3", "--validate"], "--steps"),
+    ([*_SWEEP_LAMBDA, "--start=0", "--stop=1", "--points=3", "--validate"], "--fd-step"),
+]
+_NEGATIVE_SPELLINGS = ["-2", "-0", "-.5", "-3.", "-1e5", "-1.5e-3", "-1E+2", "-inf", "-Infinity", "-nan", "-1,0,0",
+                       "-1e-3,-2,.5", "-inf,0,0", "-1,2"]
+
+
+def _answer(argv, capsys):
+    """Exit code, stdout without its timestamp, and stderr of one command line."""
+    code, out, err = run(argv, capsys)
+    return code, re.sub(r'timestamp"?[=:] ?"?[^"\s]+', "timestamp", out), err
+
+
+@pytest.mark.parametrize("argv, option", _NUMERIC_OPTIONS, ids=[f"{a[0]}{o}" for a, o in _NUMERIC_OPTIONS])
+def test_negative_value_after_a_space_reads_as_its_equals_form(argv, option, capsys):
+    # argparse's own pattern takes "-1e5", "-inf" or "-1,0,0" after a space for an unknown option
+    for value in _NEGATIVE_SPELLINGS:
+        spaced = _answer([*argv, option, value], capsys)
+        assert spaced == _answer([*argv, f"{option}={value}"], capsys), value
+        assert "expected one argument" not in spaced[2], value
+
+
+# how each scenario's twin scales: the options scaled by 2^k (t by 2^-k), and the power of 4^-k the parts take
+_SCALED_RATES = {"case1-theta": (("r",), 0), "case1-phi": (("r",), 0), "case1-r": (("r",), 1),
+                 "case2-omega0": (("omega0", "lambda"), 1), "case2-lambda": (("omega0", "lambda"), 1),
+                 "case3-omega": (("omega0", "lambda", "omega"), 1), "case3-lambda": (("omega0", "lambda", "omega"), 1),
+                 "case3-omega0": (("omega0", "lambda", "omega"), 1), "generic": (("rvec", "vvec"), 0)}
+
+
+def _exact_scalings(x: float, sign: int) -> range:
+    """The k for which x 2^(sign k) is zero or a normal double, so the scaling is exact."""
+    if x == 0.0:
+        return range(-2000, 2001)
+    e = math.frexp(x)[1]   # |x| 2^n is normal for -1021 <= e + n <= 1024
+    return range(-1021 - e, 1025 - e) if sign > 0 else range(e - 1024, e + 1022)
+
+
+@st.composite
+def _scale_twins(draw):
+    """(point, twin, n): mqfi on a drawn point, on its twin of rates times 2^k and t times 2^-k, and the parts' 2^n."""
+    scenario = draw(st.sampled_from(_ALL_SCENARIOS))
+    spec = SCENARIOS[scenario]
+    rates, power = _SCALED_RATES[scenario]
+    params = {name: [draw(_SIGNED) for _ in range(3 if name in ("rvec", "vvec") else 1)]
+              for name in spec.required + tuple(spec.defaults)}
+    t = draw(_TIME)
+    ks = [_exact_scalings(x, 1) for name in rates for x in params[name]] + [_exact_scalings(t, -1)]
+    lo, hi = max(k.start for k in ks), min(k.stop for k in ks) - 1
+    k = min(max(draw(st.integers(-1000, 1000)), lo), hi)
+    tail = [f"--j={draw(st.sampled_from([0.5, 1.0, 3.0, 50.0]))!r}"] + (["--json"] if draw(st.booleans()) else [])
+
+    def argv(n):
+        values = {name: [math.ldexp(x, n) if name in rates else x for x in xs] for name, xs in params.items()}
+        return ["mqfi", scenario, f"--t={math.ldexp(t, -n)!r}", *tail,
+                *(f"--{name}={','.join(map(repr, xs))}" for name, xs in values.items())]
+    return argv(0), argv(k), -2 * k * power
+
+
+def _ldexp(x, n) -> float:
+    """x 2^n as a double: inf above the double range, as numpy's ldexp gives it."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.ldexp(float(x), n))
+
+
+def _mqfi_parts_of(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        return code, err.getvalue()
+    if "--json" in argv:
+        record = json.loads(out.getvalue())
+        return code, {name: record[name] for name in ("total", "quadratic", "oscillatory")}
+    return code, dict(line.split("=") for line in out.getvalue().splitlines()[1:])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(twins=_scale_twins())
+def test_mqfi_scale_twins_give_the_same_answer(twins):
+    # Powers of two commute with rounding: (rates, t) -> (2^k rates, 2^-k t) keeps the generic and
+    # case1 angle parts and scales the others' by 4^-k.  A twin gives the same exit code and its
+    # parts within 5 ulp wherever both are normal doubles (oscillatory in ulp of total); the one
+    # allowed mismatch is a twin whose parts leave the double range, a documented exit 2.
+    base, twin, shift = twins
+    (code, parts), (twin_code, twin_parts) = _mqfi_parts_of(base), _mqfi_parts_of(twin)
+    if code != twin_code:
+        answered, factor, refused = (parts, shift, twin_parts) if code == 0 else (twin_parts, -shift, parts)
+        assert "MQFI is not finite" in refused, (base, twin, refused)
+        assert any(math.isinf(_ldexp(x, factor)) for x in answered.values()), (base, twin)
+        return
+    if code != 0:
+        return
+    expected = {name: _ldexp(x, shift) for name, x in parts.items()}
+    for name, unit in (("total", "total"), ("quadratic", "quadratic"), ("oscillatory", "total")):
+        got, want = float(twin_parts[name]), expected[name]
+        held = (got, want, float(parts[name]), float(parts[unit]), float(twin_parts[unit]))
+        if all(np.finfo(float).tiny <= abs(x) < math.inf for x in held):
+            assert abs(got - want) <= 5 * math.ulp(expected[unit]), (base, twin, name, got, want)
 
 
 @pytest.mark.parametrize("scenario", _ALL_SCENARIOS)
@@ -791,13 +936,13 @@ def test_time_ordered_check_forms_no_spin_j_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     expm = counted("hermitian_expm", spin.hermitian_expm)
-    for module in (spin, numerics, cli):   # every namespace that holds the name
+    for module in (spin, numerics, cli, reference_oracles):   # every namespace that holds the name
         monkeypatch.setattr(module, "hermitian_expm", expm)
     residual = cli.trotter_cross_check({"omega0": 1.0, "lambda": 1.0, "omega": 5.0}, 50, 1.0, 1000)
     assert calls == []
     assert 0 < residual < 1e-3
     # the counters see the spin-j propagator the check no longer builds
-    cli._propagator(spin.build_spin_rep(50), np.array([1.0, 0.0, -5.0]), 1.0, 5.0)
+    reference_oracles.propagator(spin.build_spin_rep(50), np.array([1.0, 0.0, -5.0]), 1.0, 5.0)
     assert calls == ["hermitian_expm", "eigh", "hermitian_expm", "eigh"]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from su2qfi import build_spin_rep, dot_with_J, frobenius, hermitian_expm
-from su2qfi.spin import libm_pow
+from su2qfi.spin import libm_pow, row_dot, row_norm
 
 SPINS = [0.5, 1, 1.5, 2, 5, 10]
 
@@ -193,3 +193,13 @@ def test_libm_pow_gives_inf_above_the_double_range_and_pow_elsewhere():
         assert got[1:3].tolist() == overflow
         assert [pow(v, n) for v in x[[0, 3, 4, 5, 6]].tolist()] == got[[0, 3, 4, 5, 6]].tolist()
     assert libm_pow(3.3, 3) == pow(3.3, 3) and isinstance(libm_pow(3.3, 3), float)
+
+
+def test_row_norm_takes_hypot_only_where_the_squares_overflow():
+    rng = np.random.default_rng(31)
+    rows = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (200, 1))
+    huge = np.array([[1e200, 0.0, 0.0], [-1e300, 1e300, 1e-300], [1.7e308, 1.7e308, 1.7e308], [3e154, 0.0, 0.0]])
+    norms = row_norm(np.concatenate([rows, huge]))
+    np.testing.assert_array_equal(norms[:200], np.sqrt(row_dot(rows, rows)))
+    np.testing.assert_array_equal(norms[200:], [1e200, np.hypot(1e300, 1e300), np.inf, 3e154])
+    assert row_norm([3.0, 4.0, 12.0]) == 13.0
