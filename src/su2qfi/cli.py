@@ -76,27 +76,29 @@ EMIT_ROWS = 4096
 # spin-3 rows (about 1 MiB); memory does not grow with the grid.
 CHUNK_ROWS = 256
 _CHUNK_ENTRIES = CHUNK_ROWS * 7 * 7
+# h of Scenario.velocity's complex step: the largest power of two whose sinh rounds to itself
+_STEP = 2.0 ** -26
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One CLI scenario: U(theta) = frame . exp(-i t field(params).J), with theta = params[name].
 
-    ``field(params)`` is the field and ``velocity(params)`` its derivative
-    d field / d name.  ``mqfi(params, j, t)`` and ``vector(params, t)`` are
-    the scenario's own closed forms of the MQFI and of the generator's
-    coefficient 3-vector; a scenario without them takes
-    :func:`mqfi_closed_form` and :func:`generator_vector` of the field and
-    its velocity, which answer every finite field, a zero one too.  All of
-    them broadcast over array parameters and times, with the vector on a
-    last axis of length 3.  Only a driven scenario has the frame
-    exp(-i omega t jz); it moves with theta when ``moving_frame``.
+    ``field(params)`` is the field, analytic in theta and taking a complex
+    one as written; :meth:`velocity` derives d field / d theta from it.
+    ``mqfi(params, j, t)`` and ``vector(params, t)`` are the scenario's own
+    closed forms of the MQFI and of the generator's coefficient 3-vector; a
+    scenario without them takes :func:`mqfi_closed_form` and
+    :func:`generator_vector` of the field and its velocity, which answer
+    every finite field, a zero one too.  All of them broadcast over array
+    parameters and times, with the vector on a last axis of length 3.  Only
+    a driven scenario has the frame exp(-i omega t jz); it moves with theta
+    when ``moving_frame``.
     """
 
     params: tuple
     name: str
     field: Callable
-    velocity: Callable
     defaults: dict
     mqfi: Callable | None = None
     vector: Callable | None = None
@@ -115,6 +117,14 @@ class Scenario:
     def moving_frame(self) -> bool:
         return self.driven and self.name == "omega"
 
+    def velocity(self, params: dict) -> np.ndarray:
+        """d field / d theta at theta = params[name] (0 when absent), as the complex step Im field(theta + ih) / h.
+
+        Exact for fields linear in theta or with one sin or cos factor of it, where its products stay normal (README).
+        """
+        theta = params.get(self.name, 0.0) + 1j * _STEP
+        return self.field({**params, self.name: theta}).imag / _STEP
+
     def breakdown(self, params: dict, j: float, t) -> QfiBreakdown:
         if self.mqfi is None:
             return mqfi_closed_form(j, split_velocity(self.field(params), self.velocity(params)), t)
@@ -131,18 +141,10 @@ def _vec(x, y, z) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
 
-def _times_r(p: dict, vector: np.ndarray) -> np.ndarray:
-    return np.asarray(p["r"])[..., None] * vector
-
-
-def _direction(p: dict) -> np.ndarray:
-    st = np.sin(p["theta"])
-    return _vec(st * np.cos(p["phi"]), st * np.sin(p["phi"]), np.cos(p["theta"]))
-
-
 def _spherical_field(p: dict) -> np.ndarray:
     """r (sin th cos ph, sin th sin ph, cos th)."""
-    return _times_r(p, _direction(p))
+    st = np.sin(p["theta"])
+    return np.asarray(p["r"])[..., None] * _vec(st * np.cos(p["phi"]), st * np.sin(p["phi"]), np.cos(p["theta"]))
 
 
 def _static_field(p: dict) -> np.ndarray:
@@ -168,33 +170,26 @@ _CASE1_DEFAULTS = {"theta": 1.0, "phi": 0.7}
 
 # su2qfi.cases closed forms are looked up on each call, so a wrapper set on that module sees them
 SCENARIOS = {
-    "case1-theta": Scenario(
-        _SPHERICAL_PARAMS, "theta", _spherical_field,
-        lambda p: _times_r(p, _vec(np.cos(p["theta"]) * np.cos(p["phi"]),
-                                   np.cos(p["theta"]) * np.sin(p["phi"]), -np.sin(p["theta"]))),
-        _CASE1_DEFAULTS, lambda p, j, t: cases.spherical_field_mqfi("theta", p["r"], p["theta"], j, t),
-        lambda p, t: _spherical_generator_vector("theta", p["r"], p["theta"], p["phi"], t)),
-    "case1-phi": Scenario(
-        _SPHERICAL_PARAMS, "phi", _spherical_field,
-        lambda p: _times_r(p, _vec(-np.sin(p["theta"]) * np.sin(p["phi"]),
-                                   np.sin(p["theta"]) * np.cos(p["phi"]), 0.0)),
-        {"phi": 0.7}, lambda p, j, t: cases.spherical_field_mqfi("phi", p["r"], p["theta"], j, t),
-        lambda p, t: _spherical_generator_vector("phi", p["r"], p["theta"], p["phi"], t)),
+    "case1-theta": Scenario(_SPHERICAL_PARAMS, "theta", _spherical_field, _CASE1_DEFAULTS,
+                            lambda p, j, t: cases.spherical_field_mqfi("theta", p["r"], p["theta"], j, t),
+                            lambda p, t: _spherical_generator_vector("theta", p["r"], p["theta"], p["phi"], t)),
+    "case1-phi": Scenario(_SPHERICAL_PARAMS, "phi", _spherical_field, {"phi": 0.7},
+                          lambda p, j, t: cases.spherical_field_mqfi("phi", p["r"], p["theta"], j, t),
+                          lambda p, t: _spherical_generator_vector("phi", p["r"], p["theta"], p["phi"], t)),
     # the velocity is radial, so the vector form has nothing to cancel
-    "case1-r": Scenario(_SPHERICAL_PARAMS, "r", _spherical_field, _direction, _CASE1_DEFAULTS,
+    "case1-r": Scenario(_SPHERICAL_PARAMS, "r", _spherical_field, _CASE1_DEFAULTS,
                         lambda p, j, t: cases.spherical_field_mqfi("r", p["r"], p["theta"], j, t)),
-    "case2-omega0": Scenario(("omega0", "lambda"), "omega0", _static_field, lambda p: _vec(0.0, 0.0, 1.0), {}),
-    "case2-lambda": Scenario(("omega0", "lambda"), "lambda", _static_field, lambda p: _vec(1.0, 0.0, 0.0), {}),
-    "case3-omega": Scenario(_DRIVEN_PARAMS, "omega", _driven_field, lambda p: _vec(0.0, 0.0, -1.0), {},
+    "case2-omega0": Scenario(("omega0", "lambda"), "omega0", _static_field, {}),
+    "case2-lambda": Scenario(("omega0", "lambda"), "lambda", _static_field, {}),
+    "case3-omega": Scenario(_DRIVEN_PARAMS, "omega", _driven_field, {},
                             lambda p, j, t: cases.driving_frequency_mqfi(_drive(p), j, t),
                             lambda p, t: driving_generator_vector(_drive(p), t), driven=True),
-    "case3-lambda": Scenario(_DRIVEN_PARAMS, "lambda", _driven_field, lambda p: _vec(1.0, 0.0, 0.0), {}, driven=True),
-    "case3-omega0": Scenario(_DRIVEN_PARAMS, "omega0", _driven_field, lambda p: _vec(0.0, 0.0, 1.0), {}, driven=True),
+    "case3-lambda": Scenario(_DRIVEN_PARAMS, "lambda", _driven_field, {}, driven=True),
+    "case3-omega0": Scenario(_DRIVEN_PARAMS, "omega0", _driven_field, {}, driven=True),
     # the field rvec + s vvec at s = 0; the closed forms take rvec and vvec as given, signed zeros too
     "generic": Scenario(("rvec", "vvec"), "s",
                         lambda p: np.asarray(p["rvec"], dtype=float)
-                        + np.asarray(p.get("s", 0.0))[..., None] * np.asarray(p["vvec"], dtype=float),
-                        lambda p: np.asarray(p["vvec"], dtype=float), {},
+                        + np.asarray(p.get("s", 0.0))[..., None] * np.asarray(p["vvec"], dtype=float), {},
                         lambda p, j, t: mqfi_closed_form(j, split_velocity(p["rvec"], p["vvec"]), t),
                         lambda p, t: generator_vector(p["rvec"], p["vvec"], t)),
 }
@@ -232,7 +227,10 @@ def _fmt(x: float) -> str:
 
 
 def _finite_arg(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value

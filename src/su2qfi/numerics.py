@@ -192,7 +192,7 @@ def generator_series(h_op, dh_op, t, order: int = 24) -> np.ndarray:
     over the leading axes of ``h`` (and ``dh``) alone; the doubling count
     s, the coefficients and the doublings are per row of the result.  Every
     matrix of the result has the bits of its own call with one h, one dh
-    and one t; a non-finite phase names the first offending row.
+    and one t; a non-finite norm ||h|| or phase names the first offending row.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -203,10 +203,10 @@ def generator_series(h_op, dh_op, t, order: int = 24) -> np.ndarray:
     ts = np.asarray(t, dtype=float)
     dim = h.shape[-1]
     lead = np.broadcast_shapes(h.shape[:-2], dh.shape[:-2], ts.shape)
-    norms = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) if h.size else np.zeros(h.shape[:-2])
-    phases = np.broadcast_to(norms * np.abs(ts), lead)
-    reject_first(~np.isfinite(phases),
-                 lambda k: f"phase ||h|| t = {phases[k]} is not finite; time doubling cannot reduce it")
+    norms = np.broadcast_to(np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1) if h.size else np.zeros(h.shape[:-2]), lead)
+    phases = norms * np.abs(ts)
+    reject_first(~np.isfinite(phases), lambda k: "norm ||h|| is above the double range" if np.isinf(norms[k])
+                 else f"phase ||h|| t = {phases[k]} is not finite; time doubling cannot reduce it")
     counts = _doubling_counts(phases)
     reject_first(counts > 1023, lambda k: (   # 2**s leaves the float range
         f"phase ||h|| t = {phases[k]} needs more than 1023 time doublings"), error=OverflowError)

@@ -175,10 +175,11 @@ class SpinRep:
 
 def twice_spin(j) -> int:
     """The integer 2j; ValueError unless j is a positive half-integer <= MAX_SPIN."""
-    jf = float(j)
-    if not np.isfinite(jf):
-        raise ValueError(f"spin must be a positive half-integer, got {j!r}")
-    twice_j = round(2 * jf)
+    try:
+        jf = float(j)
+    except ValueError:   # not a number
+        jf = math.nan
+    twice_j = round(2 * jf) if math.isfinite(jf) else 0
     if abs(2 * jf - twice_j) > 1e-9 or twice_j <= 0:
         raise ValueError(f"spin must be a positive half-integer, got {j!r}")
     if twice_j > 2 * MAX_SPIN:

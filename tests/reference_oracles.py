@@ -8,10 +8,12 @@ the reference for ``magnus4_su2``), a finite-difference generator of a
 callable propagator, the QFI from the finite-difference derivative of
 the evolved state, the rotating-frame propagator exp(-i omega t jz)
 exp(-i t field.J) and the two-factor generator composition gen2 + U2^dag
-gen1 U2, and the paper's closed forms (the MQFI split, the drive-frequency
-MQFI and the generator vector) in mpmath at a given number of digits, with the seeded extreme draws and the normal-part check
-that hold the closed forms to them.  The library's own finite-difference
-route is ``fd_generator(us, step)`` over propagators stacked at ``fd_points``.
+gen1 U2, the hand-written velocity of each CLI scenario, and the paper's
+closed forms (the MQFI split, the drive-frequency MQFI and the generator
+vector) in mpmath at a given number of digits, with the seeded extreme
+draws and the normal-part check that hold the closed forms to them.  The
+library's own finite-difference route is ``fd_generator(us, step)`` over
+propagators stacked at ``fd_points``.
 """
 
 from __future__ import annotations
@@ -152,6 +154,32 @@ def generator_vector_coeffs(r, v, t, dps: int):
         cross = (r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0])
         return [radial * a - mpmath.sin(x) / norm * b + (1 - mpmath.cos(x)) / norm**2 * c
                 for a, b, c in zip(r, v, cross)]
+
+
+def _components(x, y, z) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def _times_r(p: dict, vector: np.ndarray) -> np.ndarray:
+    return np.asarray(p["r"])[..., None] * vector
+
+
+# d field / d theta of each CLI scenario, written out by hand: the reference
+# for the complex-step velocity the scenarios derive from their fields.
+SCENARIO_VELOCITIES = {
+    "case1-theta": lambda p: _times_r(p, _components(np.cos(p["theta"]) * np.cos(p["phi"]),
+                                                     np.cos(p["theta"]) * np.sin(p["phi"]), -np.sin(p["theta"]))),
+    "case1-phi": lambda p: _times_r(p, _components(-np.sin(p["theta"]) * np.sin(p["phi"]),
+                                                   np.sin(p["theta"]) * np.cos(p["phi"]), 0.0)),
+    "case1-r": lambda p: _components(np.sin(p["theta"]) * np.cos(p["phi"]), np.sin(p["theta"]) * np.sin(p["phi"]),
+                                     np.cos(p["theta"])),
+    "case2-omega0": lambda p: _components(0.0, 0.0, 1.0),
+    "case2-lambda": lambda p: _components(1.0, 0.0, 0.0),
+    "case3-omega": lambda p: _components(0.0, 0.0, -1.0),
+    "case3-lambda": lambda p: _components(1.0, 0.0, 0.0),
+    "case3-omega0": lambda p: _components(0.0, 0.0, 1.0),
+    "generic": lambda p: np.asarray(p["vvec"], dtype=float),
+}
 
 
 def signed_extremes(rng, n, width=None, spread=0):

@@ -290,6 +290,29 @@ def test_t_on_a_t_sweep_is_named(capsys):
     assert "--t" in err
 
 
+# Every numeric option with a command that takes it, and a value that is not a number.
+_NON_NUMBERS = [
+    *((["mqfi", "case1-theta", "--r=1", "--theta=1", "--phi=0.5", "--t=1"], option, "abc")
+      for option in ("--r", "--theta", "--phi", "--j", "--t")),
+    *((["mqfi", "case3-omega", "--omega0=1", "--lambda=1", "--omega=0.5", "--t=1"], option, "abc")
+      for option in ("--omega0", "--lambda", "--omega")),
+    *((["mqfi", "generic", "--rvec=1,0,0", "--vvec=0,1,0", "--t=1"], option, "1,0,abc") for option in ("--rvec", "--vvec")),
+    *((["sweep", "case2-omega0", "--omega0=1", "--lambda=1", "--variable=t", "--start=0", "--stop=1", "--validate"],
+       option, "abc") for option in ("--start", "--stop", "--points", "--steps", "--fd-step")),
+    (["sweep", "case2-lambda", "--omega0=1", "--variable=lambda", "--start=0", "--stop=1"], "--t", "abc"),
+    (["optimal-state", "case2-omega0", "--omega0=1", "--lambda=1", "--t=1"], "--phase", "abc"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value", _NON_NUMBERS, ids=[f"{a[0]}{o}" for a, o, _ in _NON_NUMBERS])
+def test_a_non_number_names_the_option_and_the_word(argv, option, value, capsys):
+    # argparse names a type function that raises ValueError ("invalid _finite_arg value"); each parser says what it wants
+    code, out, err = run([*argv, option, value], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"su2qfi: parameter error: argument {option}: ")
+    assert err.endswith(", got 'abc'\n") and "_arg" not in err, err
+
+
 _SWEPT_OPTIONS = [(scenario, variable) for scenario in SCENARIOS
                   for variable in SCENARIOS[scenario].sweepable if variable != "Delta"]
 
@@ -327,6 +350,14 @@ def test_overflowing_validated_sweep_prints_one_stderr_line():
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("su2qfi: parameter error: ")
 
 
+def test_a_field_norm_above_the_double_range_is_named(capsys):
+    # ||h|| = 3 |rvec| at j = 3 overflows, so the series has no phase to reduce; that norm, not the phase, is named
+    code, out, err = run(["sweep", "generic", "--rvec", "1e308,0,0", "--vvec", "0,1,0", "--j", "3", "--variable", "t",
+                          "--start", "0", "--stop", "1e-300", "--points", "3", "--validate"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "su2qfi: parameter error: norm ||h|| is above the double range at row 0 (t=0)\n"
+
+
 def _scenario_options(scenario, s):
     if scenario.startswith("case1-"):
         return [f"--r={s!r}", "--theta=1", "--phi=0.5"] if scenario != "case1-phi" else [f"--r={s!r}", "--theta=1"]
@@ -356,6 +387,62 @@ def test_finite_inputs_from_tiny_to_huge_never_raise(scenario, capsys):
                 assert err.count("\n") == int(code != 0) and "Traceback" not in err, argv
                 if code == 2 and argv[0] == "sweep":
                     assert "at t=" in err or "(t=" in err, (argv, err)
+
+
+# --- scenario velocities ------------------------------------------------------------
+
+def _extreme_params(scenario, rng, n):
+    """n rows of the scenario's parameters: signed magnitudes 10^U(-323, 308), half of the case1 angles on [-7, 7]."""
+    params = {}
+    for name in SCENARIOS[scenario].params:
+        shape = (n, 3) if name in ("rvec", "vvec") else (n,)
+        params[name] = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-323.0, 308.0, shape)
+        if name in ("theta", "phi"):
+            params[name] = np.where(rng.random(n) < 0.5, rng.uniform(-7.0, 7.0, n), params[name])
+    return params
+
+
+@pytest.mark.parametrize("scenario", _ALL_SCENARIOS)
+def test_velocity_has_the_bits_of_the_hand_written_derivative(scenario):
+    # Im field(theta + ih) / h forms the written derivative's products times h = 2^-26; they stay normal, and
+    # the quotient has its bits, wherever a component is at least 2^-996 s, with s = max(1, |r|) for the case1
+    # angles and 1 elsewhere.  Below, a product rounds as a subnormal number.
+    rng = np.random.default_rng(44)
+    params = _extreme_params(scenario, rng, 6000)
+    with np.errstate(over="ignore"):   # omega0 - omega may overflow; the velocity does not
+        got = SCENARIOS[scenario].velocity(params)
+    want = np.broadcast_to(reference_oracles.SCENARIO_VELOCITIES[scenario](params), got.shape)
+    r = np.abs(params["r"])[:, None] if scenario in ("case1-theta", "case1-phi") else 0.0
+    scale = np.broadcast_to(np.maximum(1.0, r), got.shape)
+    normal = np.abs(want) >= 2.0**-996 * scale
+    assert np.array_equal(got[normal].view(np.int64), want[normal].view(np.int64))
+    assert np.all(np.abs(got - want)[~normal] <= 2.0**-1047 * scale[~normal])
+    # a zero keeps its value but not always its sign: case1-phi's z at r < 0 is r * 0.0 = -0.0 by hand
+    # and Im(r (cos theta + 0i)) = r 0 + 0 cos theta = +0.0 derived
+    assert np.all(got[want == 0] == 0)
+    if scenario == "case1-phi":
+        assert np.any(params["r"] < 0)
+
+
+_GRIDS = [(scenario, name) for scenario in _ALL_SCENARIOS for name in SCENARIOS[scenario].params]
+
+
+@pytest.mark.parametrize("scenario, name", _GRIDS, ids=[f"{s}-{n}" for s, n in _GRIDS])
+def test_velocity_of_a_grid_has_the_bits_of_each_row(scenario, name):
+    # the field takes a complex theta over a grid of any one parameter, without a numpy warning
+    spec = SCENARIOS[scenario]
+    point = {"r": 1.3, "theta": 0.9, "phi": 2.1, "omega0": 0.7, "lambda": -1.1, "omega": 0.4,
+             "rvec": (0.3, -1.1, 0.4), "vvec": (0.5, 0.0, -2.0)}
+    point = {key: point[key] for key in spec.params}
+    grid = np.linspace(-3.0, 3.0, 41)
+    if name in ("rvec", "vvec"):
+        grid = grid[:, None] * np.array(point[name])
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        rows = spec.velocity({**point, name: grid})
+        singles = [spec.velocity({**point, name: value if np.ndim(value) == 0 else tuple(value)}) for value in grid]
+    assert rows.shape == (grid.shape[0], 3)
+    assert np.array_equal(rows.view(np.int64), np.array(singles).view(np.int64))
 
 
 # signed magnitudes from 1e-300 to 1e300, and exact zeros
