@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, cases
 from .cases import DrivenSystem, _spherical_generator_vector, driving_generator_vector
+from .emit import NUMBER, csv_rows
 from .generator import (
     QfiBreakdown,
     generator_vector,
@@ -66,10 +67,12 @@ _CF4_ERROR_SCALE = 1e-4
 _TROTTER_MARGIN = 1e-3
 _TROTTER_BUDGET = 2**18
 # A sweep's CSV is written in blocks of EMIT_ROWS rows, so its memory is its
-# numeric columns; the cap bounds the time of one plain sweep to about 5 s.
+# numeric columns; the cap bounds the time of one plain sweep to about 1 s
+# (0.8 to 1.3 s for 1e6 rows of each scenario on a 2-vCPU Xeon VM).
 MAX_POINTS = 10**6
-# Rows formatted per write; one block's text and Python floats take about 1 MB.
-EMIT_ROWS = 4096
+# Rows formatted per write (emit.csv_rows); a six-column block's arrays and
+# text peak at about 0.9 MB.  Blocks of 512 to 2048 rows emit equally fast.
+EMIT_ROWS = 1024
 
 # Grid rows per oracle chunk.  Above j = 3 a chunk holds fewer rows, so its
 # stack of five stencil propagators per row never outgrows that of 256
@@ -219,11 +222,8 @@ FIGURE_PRESETS = {
 }
 
 
-_NUMBER = "%.17g"   # 17 significant digits round-trip every double
-
-
 def _fmt(x: float) -> str:
-    return _NUMBER % float(x)
+    return NUMBER % float(x)
 
 
 def _finite_arg(text: str) -> float:
@@ -506,13 +506,11 @@ def _emit_sweep(scenario, variable, columns, fixed, j, out_path, comments=()):
         *comments,
         ",".join(columns),
     ]
-    row_format = ",".join([_NUMBER] * len(columns))
     values = list(columns.values())
     with contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as handle:
         handle.write("\n".join(header) + "\n")
         for lo in range(0, len(values[0]), EMIT_ROWS):
-            block = zip(*(column[lo:lo + EMIT_ROWS].tolist() for column in values))
-            handle.write("\n".join(row_format % row for row in block) + "\n")
+            handle.write(csv_rows([column[lo:lo + EMIT_ROWS] for column in values]))
 
 
 def _validation_extras(scenario, params, t, rows: int, j, steps):

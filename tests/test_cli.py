@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su2qfi import __version__, cli, mqfi_closed_form, numerics, spin, split_velocity
+from su2qfi import __version__, cli, emit, mqfi_closed_form, numerics, spin, split_velocity
 from su2qfi.cli import (FIGURE_IDS, MAX_POINTS, MAX_TROTTER_STEPS, SCENARIOS, _fmt,
                         _validation_verdict, evaluate_point, main)
 
@@ -1509,3 +1509,55 @@ def test_plain_sweep_memory_is_its_columns(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 12e6
+
+
+# --- the CSV emit's two paths ----------------------------------------------------
+
+_EMIT_SWEEPS = {
+    "plain": ["sweep", "case2-omega0", "--omega0=0.7", "--lambda=1.3", "--variable=t", "--start=0",
+              "--stop=20", "--points=75"],
+    "validated": ["sweep", "case3-omega", "--omega0=1", "--lambda=0.4", "--omega=0.9", "--variable=t",
+                  "--start=0", "--stop=3", "--points=50", "--validate"],
+}
+
+
+def emitted(argv, tmp_path, monkeypatch, min_cells):
+    """(exit code, data lines, cells formatted by the vectorized path) of ``argv`` at emit.MIN_CELLS = min_cells."""
+    vectorized = []
+    digits = emit._digits
+    monkeypatch.setattr(emit, "MIN_CELLS", min_cells)
+    monkeypatch.setattr(emit, "_digits", lambda x: vectorized.append(x.size) or digits(x))
+    path = tmp_path / f"{min_cells}.csv"
+    code = main([*argv, "--out", str(path)])
+    return code, data_lines(path), sum(vectorized)
+
+
+@pytest.mark.parametrize("kind", sorted(_EMIT_SWEEPS))
+def test_sweep_data_are_the_percent_format_at_the_size_threshold(kind, tmp_path, monkeypatch):
+    argv = _EMIT_SWEEPS[kind]
+    code, reference, vectorized = emitted(argv, tmp_path, monkeypatch, 10**9)
+    assert code == 0 and vectorized == 0
+    cells = (len(reference) - 1) * len(reference[0].split(","))
+    for min_cells in (cells - 1, cells, cells + 1):
+        assert emitted(argv, tmp_path, monkeypatch, min_cells) == (0, reference, cells * (min_cells <= cells))
+
+
+def test_sweep_data_are_the_percent_format_with_a_short_last_block(tmp_path, monkeypatch):
+    argv = [*_EMIT_SWEEPS["plain"][:-1], f"--points={cli.EMIT_ROWS + 1}"]
+    threshold = emit.MIN_CELLS
+    code, reference, _ = emitted(argv, tmp_path, monkeypatch, 10**9)
+    assert code == 0 and len(reference) == cli.EMIT_ROWS + 2
+    # the last block's single row is below the threshold and goes to "%"
+    assert emitted(argv, tmp_path, monkeypatch, threshold) == (0, reference, 4 * cli.EMIT_ROWS)
+
+
+def test_sweep_data_are_the_percent_format_with_nan_and_inf_residuals(tmp_path, monkeypatch):
+    # at r = 1e300 the series residual reads nan and the fd residual inf on
+    # most rows; those cells are left to "%", and the failed check exits 3
+    argv = ["sweep", "case1-theta", "--r", "1e300", "--variable", "t", "--start", "0", "--stop", "1",
+            "--points", "300", "--validate"]
+    threshold = emit.MIN_CELLS
+    code, reference, _ = emitted(argv, tmp_path, monkeypatch, 10**9)
+    assert code == 3
+    assert {"nan", "inf"} <= set(",".join(reference[1:]).split(","))
+    assert emitted(argv, tmp_path, monkeypatch, threshold) == (3, reference, 6 * 300)
